@@ -71,7 +71,11 @@ def model_to_lp(model: MipModel):
 
 
 def compute_gap(ub, lb) -> float | None:
-    """Percent gap (ub - lb) / lb * 100 for a minimization bound pair."""
+    """Percent gap (ub - lb) / |lb| * 100 for a minimization bound pair.
+
+    A max-sense model is solved as a minimization of the negated objective,
+    so its bounds are negative; dividing by |lb| keeps the gap nonnegative.
+    """
     if ub is None or lb is None:
         return None
     if ub < lb - 1e-7 * max(1.0, abs(lb)):
@@ -79,7 +83,7 @@ def compute_gap(ub, lb) -> float | None:
     diff = max(ub - lb, 0.0)
     if lb == 0.0:
         return 0.0 if diff == 0.0 else math.inf
-    return diff / lb * 100.0
+    return diff / abs(lb) * 100.0
 
 
 def _gap_closed(ub, lb, tol) -> bool:

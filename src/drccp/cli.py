@@ -99,7 +99,7 @@ def _cmd_solve(args) -> int:
     families = [] if args.cuts == "none" else [s for s in args.cuts.split(",") if s]
     for fam in families:
         if fam not in ("mixing", "path"):
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError(f"unknown cut family {fam!r}; choose from mixing, path or none")
     model = build_formulation(inst, args.formulation)
     if args.dump_model:
         with open(args.dump_model, "w", encoding="utf-8") as fh:
@@ -177,7 +177,7 @@ def _cmd_oracle(args) -> int:
         data = data["x"]
     x = np.asarray(data, dtype=float)
     if x.size != inst.dim_x:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"plan has {x.size} entries, the instance needs {inst.dim_x}")
     dists = distance_profile(inst, x)
     prob = worst_case_prob(dists, inst.theta)
     cert = lemma_certificate(dists, inst.epsilon, inst.theta)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import CUT_VIOLATION_TOL, MARGIN_TOL
 from .formulations import QuantileData, build_knapsack, compute_quantiles
-from .model import DrccpInstance, dual_norm
+from .model import DrccpInstance, row_scaling
 from .simplex import LpProblem, SimplexSolver
 
 
@@ -175,9 +175,10 @@ class _SeparatorBase:
         self.quant = quant if quant is not None else compute_quantiles(instance)
         self.emitted = []
         self._rows = []
+        scales, products = row_scaling(instance)
         for p, row in enumerate(instance.rows):
-            scale = dual_norm(row.b, instance.norm)
-            bxi = (instance.samples.samples @ row.b + row.d) / scale
+            scale = scales[p]
+            bxi = (products[:, p] + row.d) / scale
             self._rows.append((row.a / scale, bxi, (row.d - self.quant.q[p]) / scale))
 
     def _g_star(self, p, x):

@@ -1,30 +1,42 @@
 """Mixed-integer formulations of the chance-constrained program.
 
-Five builders share one variable layout (x block, z block, r block, t):
+One builder emits every model over one variable layout: the x block, the z
+block, then the r block and t in the distance-based presets, and theta in the
+radius-maximization variant.  A preset picks which row families appear; they
+always come in this order:
 
-* ``saa``       -- empirical (radius-zero) baseline: at most k scenarios may
-                   be violated, enforced with big-M indicator rows.
-* ``basic``     -- exact distance-based model: sample i is either discarded
-                   (z_i = 1) or its distance to the unsafe region must reach
-                   t - r_i, with the Wasserstein budget row
-                   eps*t >= theta + mean(r).
-* ``knapsack``  -- basic plus two families of valid rows: sum(z) <= k and
-                   the radius-zero scenario rows reusing the same z.
-* ``reduced``   -- knapsack with every big-M scenario coefficient replaced
-                   by the quantile-shifted constant h[i, p]; big-M survives
-                   only in the indicator rows.
+    domain -> budget -> indicator -> knapsack -> scenario -> scenario_saa
+           -> quantile_bound
+
+* domain          -- G x <= g (every preset).
+* budget          -- the Wasserstein budget row eps*t >= theta + mean(r).
+* indicator       -- r_i >= t - M (1 - z_i), big-M on the shortfall.
+* knapsack        -- sum(z) <= k.
+* scenario        -- sample i is either discarded (z_i = 1) or its distance
+                     to the unsafe region reaches t - r_i, one row per (i, p).
+* scenario_saa    -- the radius-zero scenario rows reusing the same z.
+* quantile_bound  -- one row per p forcing the (k+1)-smallest margin to
+                     reach t.
+
+The presets:
+
+* ``saa``       -- knapsack + scenario_saa: the empirical (radius-zero)
+                   baseline, at most k scenarios violated.
+* ``basic``     -- budget + indicator + scenario with big-M z coefficients.
+* ``knapsack``  -- basic plus the knapsack and scenario_saa rows.
+* ``reduced``   -- knapsack without scenario_saa, every scenario z
+                   coefficient the quantile-shifted constant h[i, p]; big-M
+                   survives only in the indicator rows.
 * ``compact``   -- reduced, keeping scenario rows only for samples above the
-                   per-row quantile, plus one row per p forcing the
-                   (k+1)-smallest margin to reach t.
+                   per-row quantile, plus the quantile_bound rows.
 
 All scenario data is pre-normalized by the dual norm of each safety row, so
 row coefficients are exactly the quantities the separation routines reason
 about.  theta must be positive for the distance-based models; the saa
-builder is the radius-zero baseline.
+preset is the radius-zero baseline.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,12 +48,9 @@ from .model import (
     CONTINUOUS,
     DrccpInstance,
     MipModel,
-    dual_norm,
+    row_scaling,
 )
 from .simplex import LpProblem, solve_lp
-
-FORMULATION_KINDS = ("saa", "basic", "knapsack", "reduced", "compact")
-
 
 @dataclass(frozen=True)
 class QuantileData:
@@ -59,29 +68,18 @@ class QuantileData:
     surviving: tuple
 
 
-def _scaled_rows(instance: DrccpInstance):
-    """Per row p: (a / ||b||_*, (b @ xi_i + d) / ||b||_* for all i)."""
-    out = []
-    for row in instance.rows:
-        scale = dual_norm(row.b, instance.norm)
-        a_sc = row.a / scale
-        bxi = (instance.samples.samples @ row.b + row.d) / scale
-        out.append((a_sc, bxi))
-    return out
-
-
 def compute_quantiles(instance: DrccpInstance) -> QuantileData:
     k = instance.k
     n, p_count = instance.n, instance.p
+    scales, products = row_scaling(instance)
     q = np.empty(p_count)
     h = np.empty((n, p_count))
     surviving = []
-    for p, row in enumerate(instance.rows):
-        scale = dual_norm(row.b, instance.norm)
-        v = -(instance.samples.samples @ row.b)
+    for p in range(p_count):
+        v = -products[:, p]
         order = np.argsort(-v, kind="stable")
         q[p] = v[order[k]]
-        h[:, p] = (v - q[p]) / scale
+        h[:, p] = (v - q[p]) / scales[p]
         surviving.append(np.flatnonzero(v > q[p]))
     return QuantileData(k=k, q=q, h=h, surviving=tuple(surviving))
 
@@ -95,16 +93,16 @@ def compute_big_m(instance: DrccpInstance) -> float:
     ends over all rows and samples.  Requires a bounded, nonempty domain.
     """
     dom = instance.domain
+    scales, products = row_scaling(instance)
     big = 0.0
-    for row in instance.rows:
-        scale = dual_norm(row.b, instance.norm)
-        bxi = (instance.samples.samples @ row.b + row.d)
+    for p, row in enumerate(instance.rows):
+        bxi = products[:, p] + row.d
         if np.any(row.a != 0.0):
             amin, amax = _linear_range(dom, row.a)
         else:
             amin = amax = 0.0
-        lo = (bxi.min() - amax) / scale
-        hi = (bxi.max() - amin) / scale
+        lo = (bxi.min() - amax) / scales[p]
+        hi = (bxi.max() - amin) / scales[p]
         big = max(big, abs(lo), abs(hi))
     return big
 
@@ -127,211 +125,128 @@ def _linear_range(dom, a):
     return low.objective, -high.objective
 
 
-def _base_model(instance: DrccpInstance, with_rt: bool, theta_var: bool = False):
-    """Shared variable layout and domain rows."""
-    m = MipModel()
-    L = instance.dim_x
-    for j in range(L):
-        m.add_var(f"x[{j}]", CONTINUOUS, instance.domain.lb[j], instance.domain.ub[j], "x")
-    for i in range(instance.n):
-        m.add_var(f"z[{i}]", BINARY, 0.0, 1.0, "z")
-    if with_rt:
-        for i in range(instance.n):
-            m.add_var(f"r[{i}]", CONTINUOUS, 0.0, math.inf, "r")
-        m.add_var("t", CONTINUOUS, 0.0, math.inf, "t")
-    if theta_var:
-        m.add_var("theta", CONTINUOUS, 0.0, math.inf, "theta")
-    for i in range(instance.domain.G.shape[0]):
-        coefs = [(j, instance.domain.G[i, j]) for j in range(L) if instance.domain.G[i, j] != 0.0]
-        m.add_constraint(coefs, "<=", instance.domain.g[i], "domain")
-    return m
+# Row families after the domain rows, and the z coefficient of the scenario
+# rows: "big_m", "h" (quantile-shifted), or "h_surviving" (h, keeping only the
+# rows of samples above the quantile).
+_PRESETS = {
+    "saa": (("knapsack", "scenario_saa"), None),
+    "basic": (("budget", "indicator", "scenario"), "big_m"),
+    "knapsack": (("budget", "indicator", "knapsack", "scenario", "scenario_saa"), "big_m"),
+    "reduced": (("budget", "indicator", "knapsack", "scenario"), "h"),
+    "compact": (("budget", "indicator", "knapsack", "scenario", "quantile_bound"),
+                "h_surviving"),
+}
+FORMULATION_KINDS = tuple(_PRESETS)
 
 
-def _budget_row(model, instance, theta_var):
-    n = instance.n
-    t_idx = model.block_indices("t")[0]
-    r_idx = model.block_indices("r")
-    coefs = [(t_idx, instance.epsilon)] + [(j, -1.0 / n) for j in r_idx]
-    if theta_var:
-        coefs.append((model.block_indices("theta")[0], -1.0))
-        model.add_constraint(coefs, ">=", 0.0, "budget")
-    else:
-        model.add_constraint(coefs, ">=", instance.theta, "budget")
+def _x_terms(vec):
+    """Sparse (index, coef) terms of an x-block vector, zeros skipped."""
+    return [(j, vec[j]) for j in range(vec.size) if vec[j] != 0.0]
 
 
-def _indicator_rows(model, instance, big_m):
-    t_idx = model.block_indices("t")[0]
-    r_idx = model.block_indices("r")
-    z_idx = model.block_indices("z")
-    for i in range(instance.n):
-        model.add_constraint(
-            [(z_idx[i], -big_m), (t_idx, -1.0), (r_idx[i], 1.0)], ">=", -big_m, "indicator"
-        )
-
-
-def _knapsack_row(model, instance):
-    z_idx = model.block_indices("z")
-    model.add_constraint([(j, 1.0) for j in z_idx], "<=", float(instance.k), "knapsack")
-
-
-def _scenario_rows_saa(model, instance, big_m, scaled):
-    z_idx = model.block_indices("z")
-    L = instance.dim_x
-    for i in range(instance.n):
-        for p in range(instance.p):
-            a_sc, bxi = scaled[p]
-            coefs = [(j, -a_sc[j]) for j in range(L) if a_sc[j] != 0.0]
-            coefs.append((z_idx[i], big_m))
-            model.add_constraint(coefs, ">=", -bxi[i], "scenario_saa")
-
-
-def _scenario_rows_distance(model, instance, scaled, z_coef):
-    """Rows  margin_{i,p}(x) + z_coef(i, p) * z_i - t + r_i >= 0."""
-    z_idx = model.block_indices("z")
-    r_idx = model.block_indices("r")
-    t_idx = model.block_indices("t")[0]
-    L = instance.dim_x
-    for i in range(instance.n):
-        for p in range(instance.p):
-            coef = z_coef(i, p)
-            if coef is None:
-                continue
-            a_sc, bxi = scaled[p]
-            coefs = [(j, -a_sc[j]) for j in range(L) if a_sc[j] != 0.0]
-            if coef != 0.0:
-                coefs.append((z_idx[i], coef))
-            coefs.extend([(t_idx, -1.0), (r_idx[i], 1.0)])
-            model.add_constraint(coefs, ">=", -bxi[i], "scenario")
-
-
-def _quantile_bound_rows(model, instance, quant):
-    t_idx = model.block_indices("t")[0]
-    L = instance.dim_x
-    for p, row in enumerate(instance.rows):
-        scale = dual_norm(row.b, instance.norm)
-        a_sc = row.a / scale
-        coefs = [(j, -a_sc[j]) for j in range(L) if a_sc[j] != 0.0]
-        coefs.append((t_idx, -1.0))
-        model.add_constraint(coefs, ">=", (quant.q[p] - row.d) / scale, "quantile_bound")
-
-
-def _set_cost(model, instance):
-    model.set_objective(
-        [(j, instance.cost[j]) for j in range(instance.dim_x) if instance.cost[j] != 0.0],
-        "min",
-    )
-
-
-def _require_positive_theta(instance):
-    if instance.theta <= 0.0:
+def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
+           max_theta: bool = False) -> MipModel:
+    """The one formulation builder.  With max_theta the radius becomes a
+    variable and the objective is max theta; otherwise min cost @ x."""
+    families, z_rule = _PRESETS[kind]
+    with_rt = "budget" in families
+    if with_rt and not max_theta and instance.theta <= 0.0:
         raise ValueError(
             "theta must be positive for distance-based formulations; "
             "use the saa formulation for radius zero"
         )
+    if big_m is None:
+        big_m = compute_big_m(instance)
+    if quant is None and z_rule in ("h", "h_surviving"):
+        quant = compute_quantiles(instance)
+    n, p_count, dom = instance.n, instance.p, instance.domain
+
+    m = MipModel()
+    for j in range(instance.dim_x):
+        m.add_var(f"x[{j}]", CONTINUOUS, dom.lb[j], dom.ub[j], "x")
+    z = [m.add_var(f"z[{i}]", BINARY, 0.0, 1.0, "z") for i in range(n)]
+    if with_rt:
+        r = [m.add_var(f"r[{i}]", CONTINUOUS, 0.0, math.inf, "r") for i in range(n)]
+        t = m.add_var("t", CONTINUOUS, 0.0, math.inf, "t")
+    if max_theta:
+        theta = m.add_var("theta", CONTINUOUS, 0.0, math.inf, "theta")
+
+    scales, products = row_scaling(instance)
+    x_terms, bxi = [], []
+    for p, row in enumerate(instance.rows):
+        x_terms.append(_x_terms(-(row.a / scales[p])))
+        bxi.append((products[:, p] + row.d) / scales[p])
+
+    for i in range(dom.G.shape[0]):
+        m.add_constraint(_x_terms(dom.G[i]), "<=", dom.g[i], "domain")
+    if "budget" in families:
+        coefs = [(t, instance.epsilon)] + [(j, -1.0 / n) for j in r]
+        if max_theta:
+            m.add_constraint(coefs + [(theta, -1.0)], ">=", 0.0, "budget")
+        else:
+            m.add_constraint(coefs, ">=", instance.theta, "budget")
+    if "indicator" in families:
+        for i in range(n):
+            m.add_constraint([(z[i], -big_m), (t, -1.0), (r[i], 1.0)], ">=", -big_m,
+                             "indicator")
+    if "knapsack" in families:
+        m.add_constraint([(j, 1.0) for j in z], "<=", float(instance.k), "knapsack")
+    if "scenario" in families:
+        keep = None
+        if z_rule == "h_surviving":
+            keep = [set(map(int, s)) for s in quant.surviving]
+        for i in range(n):
+            for p in range(p_count):
+                if keep is not None and i not in keep[p]:
+                    continue
+                coef = big_m if z_rule == "big_m" else float(quant.h[i, p])
+                z_term = [(z[i], coef)] if coef != 0.0 else []
+                m.add_constraint(x_terms[p] + z_term + [(t, -1.0), (r[i], 1.0)], ">=",
+                                 -bxi[p][i], "scenario")
+    if "scenario_saa" in families:
+        for i in range(n):
+            for p in range(p_count):
+                m.add_constraint(x_terms[p] + [(z[i], big_m)], ">=", -bxi[p][i],
+                                 "scenario_saa")
+    if "quantile_bound" in families:
+        for p, row in enumerate(instance.rows):
+            m.add_constraint(x_terms[p] + [(t, -1.0)], ">=",
+                             (quant.q[p] - row.d) / scales[p], "quantile_bound")
+
+    if max_theta:
+        m.set_objective([(theta, 1.0)], "max")
+    else:
+        m.set_objective(_x_terms(instance.cost), "min")
+    return m.validate()
 
 
 def build_saa(instance: DrccpInstance, big_m: float | None = None) -> MipModel:
     """Radius-zero baseline: at most k scenarios violated."""
-    if big_m is None:
-        big_m = compute_big_m(instance)
-    scaled = _scaled_rows(instance)
-    m = _base_model(instance, with_rt=False)
-    _knapsack_row(m, instance)
-    _scenario_rows_saa(m, instance, big_m, scaled)
-    _set_cost(m, instance)
-    return m.validate()
+    return _build(instance, "saa", big_m)
 
 
 def build_basic(instance: DrccpInstance, big_m: float | None = None) -> MipModel:
-    _require_positive_theta(instance)
-    if big_m is None:
-        big_m = compute_big_m(instance)
-    scaled = _scaled_rows(instance)
-    m = _base_model(instance, with_rt=True)
-    _budget_row(m, instance, theta_var=False)
-    _indicator_rows(m, instance, big_m)
-    _scenario_rows_distance(m, instance, scaled, lambda i, p: big_m)
-    _set_cost(m, instance)
-    return m.validate()
+    return _build(instance, "basic", big_m)
 
 
 def build_knapsack(instance: DrccpInstance, big_m: float | None = None) -> MipModel:
-    _require_positive_theta(instance)
-    if big_m is None:
-        big_m = compute_big_m(instance)
-    scaled = _scaled_rows(instance)
-    m = _base_model(instance, with_rt=True)
-    _budget_row(m, instance, theta_var=False)
-    _indicator_rows(m, instance, big_m)
-    _knapsack_row(m, instance)
-    _scenario_rows_distance(m, instance, scaled, lambda i, p: big_m)
-    _scenario_rows_saa(m, instance, big_m, scaled)
-    _set_cost(m, instance)
-    return m.validate()
+    return _build(instance, "knapsack", big_m)
 
 
-def build_reduced(
-    instance: DrccpInstance,
-    big_m: float | None = None,
-    quant: QuantileData | None = None,
-) -> MipModel:
-    _require_positive_theta(instance)
-    if big_m is None:
-        big_m = compute_big_m(instance)
-    if quant is None:
-        quant = compute_quantiles(instance)
-    scaled = _scaled_rows(instance)
-    m = _base_model(instance, with_rt=True)
-    _budget_row(m, instance, theta_var=False)
-    _indicator_rows(m, instance, big_m)
-    _knapsack_row(m, instance)
-    _scenario_rows_distance(m, instance, scaled, lambda i, p: float(quant.h[i, p]))
-    _set_cost(m, instance)
-    return m.validate()
+def build_reduced(instance: DrccpInstance, big_m: float | None = None,
+                  quant: QuantileData | None = None) -> MipModel:
+    return _build(instance, "reduced", big_m, quant)
 
 
-def build_compact(
-    instance: DrccpInstance,
-    big_m: float | None = None,
-    quant: QuantileData | None = None,
-) -> MipModel:
-    _require_positive_theta(instance)
-    if big_m is None:
-        big_m = compute_big_m(instance)
-    if quant is None:
-        quant = compute_quantiles(instance)
-    scaled = _scaled_rows(instance)
-    surviving = [set(map(int, s)) for s in quant.surviving]
-    m = _base_model(instance, with_rt=True)
-    _budget_row(m, instance, theta_var=False)
-    _indicator_rows(m, instance, big_m)
-    _knapsack_row(m, instance)
-    _scenario_rows_distance(
-        m,
-        instance,
-        scaled,
-        lambda i, p: float(quant.h[i, p]) if i in surviving[p] else None,
-    )
-    _quantile_bound_rows(m, instance, quant)
-    _set_cost(m, instance)
-    return m.validate()
-
-
-_BUILDERS = {
-    "saa": build_saa,
-    "basic": build_basic,
-    "knapsack": build_knapsack,
-    "reduced": build_reduced,
-    "compact": build_compact,
-}
+def build_compact(instance: DrccpInstance, big_m: float | None = None,
+                  quant: QuantileData | None = None) -> MipModel:
+    return _build(instance, "compact", big_m, quant)
 
 
 def build_formulation(instance, kind, big_m=None, quant=None) -> MipModel:
-    if kind not in _BUILDERS:
+    if kind not in _PRESETS:
         raise ValueError(f"unknown formulation kind {kind!r}")
-    if kind in ("reduced", "compact"):
-        return _BUILDERS[kind](instance, big_m=big_m, quant=quant)
-    return _BUILDERS[kind](instance, big_m=big_m)
+    return _build(instance, kind, big_m, quant)
 
 
 # ---------------------------------------------------------------------------
@@ -344,30 +259,7 @@ def build_theta_variant(instance: DrccpInstance, matrix: str = "compact",
     max theta, all other rows taken from the chosen formulation matrix."""
     if matrix not in ("basic", "knapsack", "compact"):
         raise ValueError(f"unsupported theta-variant matrix {matrix!r}")
-    if big_m is None:
-        big_m = compute_big_m(instance)
-    scaled = _scaled_rows(instance)
-    m = _base_model(instance, with_rt=True, theta_var=True)
-    _budget_row(m, instance, theta_var=True)
-    _indicator_rows(m, instance, big_m)
-    if matrix in ("knapsack", "compact"):
-        _knapsack_row(m, instance)
-    if matrix == "compact":
-        quant = compute_quantiles(instance)
-        surviving = [set(map(int, s)) for s in quant.surviving]
-        _scenario_rows_distance(
-            m,
-            instance,
-            scaled,
-            lambda i, p: float(quant.h[i, p]) if i in surviving[p] else None,
-        )
-        _quantile_bound_rows(m, instance, quant)
-    else:
-        _scenario_rows_distance(m, instance, scaled, lambda i, p: big_m)
-        if matrix == "knapsack":
-            _scenario_rows_saa(m, instance, big_m, scaled)
-    m.set_objective([(m.block_indices("theta")[0], 1.0)], "max")
-    return m.validate()
+    return _build(instance, matrix, big_m, max_theta=True)
 
 
 def theta_max(instance: DrccpInstance, matrix: str = "compact", config=None) -> float:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -211,8 +210,24 @@ class DrccpInstance:
         """Largest admissible number of discarded scenarios, floor(eps*N)."""
         return floor_frac_count(self.epsilon, self.n)
 
-    def dual_norms(self) -> np.ndarray:
-        return np.array([dual_norm(row.b, self.norm) for row in self.rows])
+
+def row_scaling(instance: DrccpInstance):
+    """Dual-norm scaling data of every safety row: (scales, products).
+
+    scales[p] is ||b_p||_* and products[:, p] is samples @ b_p, shape (N, P).
+    Every scaled quantity in the package (margins, model coefficients,
+    quantiles, big-M, cut data) derives from these two arrays.  The products
+    are taken one row at a time: a single samples @ B.T can differ from them
+    in the last bits, and the search is sensitive to every bit of a model
+    coefficient.
+    """
+    samples = instance.samples.samples
+    scales = np.empty(instance.p)
+    products = np.empty((instance.n, instance.p))
+    for p, row in enumerate(instance.rows):
+        scales[p] = dual_norm(row.b, instance.norm)
+        products[:, p] = samples @ row.b
+    return scales, products
 
 
 def margins(instance: DrccpInstance, x) -> np.ndarray:
@@ -222,21 +237,11 @@ def margins(instance: DrccpInstance, x) -> np.ndarray:
     sample i satisfies row p strictly.
     """
     x = np.asarray(x, dtype=float)
+    scales, products = row_scaling(instance)
     out = np.empty((instance.n, instance.p))
     for p, row in enumerate(instance.rows):
-        scale = dual_norm(row.b, instance.norm)
-        out[:, p] = (instance.samples.samples @ row.b + row.d - row.a @ x) / scale
+        out[:, p] = (products[:, p] + row.d - row.a @ x) / scales[p]
     return out
-
-
-def dist_to_unsafe(x, xi, rows: Sequence[SafetyRow], norm: str) -> float:
-    """Distance from a single sample to the closed complement of S(x)."""
-    xi = np.asarray(xi, dtype=float)
-    best = math.inf
-    for row in rows:
-        margin = (row.b @ xi + row.d - row.a @ np.asarray(x, dtype=float)) / dual_norm(row.b, norm)
-        best = min(best, margin)
-    return max(0.0, best)
 
 
 def distance_profile(instance: DrccpInstance, x) -> np.ndarray:

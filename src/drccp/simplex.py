@@ -570,89 +570,3 @@ def solve_lp(problem: LpProblem, warm=None, record_pivots=False) -> LpSolution:
     if record_pivots:
         sol.pivots = list(solver.pivot_log)
     return sol
-
-
-# ---------------------------------------------------------------------------
-# MPS subset reader (debug fixtures)
-# ---------------------------------------------------------------------------
-
-def read_mps(path) -> LpProblem:
-    """Parse a small MPS file: NAME/ROWS/COLUMNS/RHS/BOUNDS/ENDATA.
-
-    Whitespace-delimited fields; objective row is the N row.  Default bounds
-    are [0, +inf).  Supported bound keys: UP, LO, FX, FR, MI, PL.
-    """
-    section = None
-    obj_row = None
-    row_sense = {}
-    row_order = []
-    col_order = []
-    col_entries = {}
-    rhs = {}
-    bounds = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
-                continue
-            if not line[0].isspace():
-                section = line.split()[0].upper()
-                continue
-            parts = line.split()
-            if section == "ROWS":
-                kind, name = parts[0].upper(), parts[1]
-                if kind == "N":
-                    if obj_row is None:
-                        obj_row = name
-                else:
-                    row_sense[name] = {"L": "<=", "G": ">=", "E": "=="}[kind]
-                    row_order.append(name)
-            elif section == "COLUMNS":
-                col = parts[0]
-                if col not in col_entries:
-                    col_entries[col] = {}
-                    col_order.append(col)
-                for rname, val in zip(parts[1::2], parts[2::2]):
-                    col_entries[col][rname] = float(val)
-            elif section == "RHS":
-                for rname, val in zip(parts[1::2], parts[2::2]):
-                    rhs[rname] = float(val)
-            elif section == "BOUNDS":
-                key, col = parts[0].upper(), parts[2]
-                val = float(parts[3]) if len(parts) > 3 else None
-                lo, hi = bounds.get(col, (0.0, math.inf))
-                if key == "UP":
-                    hi = val
-                    if val is not None and val < 0 and lo == 0.0:
-                        lo = -math.inf
-                elif key == "LO":
-                    lo = val
-                elif key == "FX":
-                    lo = hi = val
-                elif key == "FR":
-                    lo, hi = -math.inf, math.inf
-                elif key == "MI":
-                    lo = -math.inf
-                elif key == "PL":
-                    hi = math.inf
-                else:
-                    raise ValueError(f"unsupported bound key {key}")
-                bounds[col] = (lo, hi)
-    n = len(col_order)
-    m = len(row_order)
-    A = np.zeros((m, n))
-    c = np.zeros(n)
-    for j, col in enumerate(col_order):
-        for rname, val in col_entries[col].items():
-            if rname == obj_row:
-                c[j] = val
-            else:
-                A[row_order.index(rname), j] = val
-    b = np.array([rhs.get(rname, 0.0) for rname in row_order])
-    lo = np.array([bounds.get(col, (0.0, math.inf))[0] for col in col_order])
-    hi = np.array([bounds.get(col, (0.0, math.inf))[1] for col in col_order])
-    senses = [row_sense[rname] for rname in row_order]
-    problem = LpProblem(c=c, A=A, senses=senses, b=b, lb=lo, ub=hi)
-    problem.row_names = row_order
-    problem.col_names = col_order
-    return problem

@@ -9,11 +9,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import box_instance, line_instance
+from conftest import box_instance, line_instance, small_transport
 from drccp import bnc, oracles
 from drccp.bnc import BncConfig, compute_gap, solve
 from drccp.cuts import MixingSeparator, PathSeparator
-from drccp.formulations import build_basic, build_compact
+from drccp.formulations import build_basic, build_compact, build_theta_variant
 from drccp.model import BINARY, CONTINUOUS, MipModel
 from drccp.simplex import SimplexSolver, SimplexStall
 
@@ -154,6 +154,14 @@ def test_compute_gap_zero_bound():
 def test_compute_gap_rejects_inverted_bounds():
     with pytest.raises(ValueError, match="bound inversion"):
         compute_gap(3.0, 4.0)
+
+
+def test_max_sense_gaps_are_nonnegative():
+    # Radius maximization is solved as min -theta, so both bounds are negative.
+    res = solve(build_theta_variant(small_transport(seed=11)[1]))
+    assert res.status == "optimal"
+    assert res.root_gap_pct >= 0.0
+    assert res.gap_pct >= 0.0
 
 
 # -- agreement with the enumeration oracle -----------------------------------

@@ -103,10 +103,10 @@ def test_solve_no_incumbent_exit_code(instance_path, capsys):
     assert "status=no-incumbent" in capsys.readouterr().out
 
 
-def test_solve_rejects_unknown_cut_family(instance_path):
-    with pytest.raises(SystemExit) as info:
-        main(["solve", str(instance_path), "--cuts", "gomory"])
-    assert info.value.code == EXIT_USAGE
+def test_solve_rejects_unknown_cut_family(instance_path, capsys):
+    rc = main(["solve", str(instance_path), "--cuts", "gomory"])
+    assert rc == EXIT_USAGE
+    assert "drccp solve: error: unknown cut family 'gomory'" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):
@@ -151,12 +151,13 @@ def test_oracle_infeasible_plan(instance_path, tmp_path, capsys):
     assert "verdict: infeasible" in capsys.readouterr().out
 
 
-def test_oracle_rejects_wrong_plan_length(instance_path, tmp_path):
+def test_oracle_rejects_wrong_plan_length(instance_path, tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps([0.0, 0.0]))
-    with pytest.raises(SystemExit) as info:
-        main(["oracle", str(instance_path), "--x", str(plan)])
-    assert info.value.code == EXIT_USAGE
+    rc = main(["oracle", str(instance_path), "--x", str(plan)])
+    assert rc == EXIT_USAGE
+    assert ("drccp oracle: error: plan has 2 entries, the instance needs 6"
+            in capsys.readouterr().err)
 
 
 # -- bench --------------------------------------------------------------------

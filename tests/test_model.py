@@ -12,7 +12,6 @@ from drccp.model import (
     Polyhedron,
     SafetyRow,
     SampleSet,
-    dist_to_unsafe,
     distance_profile,
     dual_norm,
     dump_instance,
@@ -115,7 +114,6 @@ class TestMargins:
         np.testing.assert_allclose(m[:, 0], [-1.0, 1.0, 4.0])
         # Negative margin clamps to distance zero; boundary also counts unsafe.
         np.testing.assert_allclose(distance_profile(inst, [1.0]), [0.0, 1.0, 4.0])
-        assert dist_to_unsafe([1.0], [0.0], inst.rows, "two") == 0.0
 
     def test_scaling_by_dual_norm(self):
         # b=[3,4] under l2: margin divides by 5.

@@ -1,5 +1,5 @@
 """LP solver: agreement with an independent solver, duality, certificates,
-anti-cycling, determinism, warm starts and the MPS fixture reader."""
+anti-cycling, determinism and warm starts."""
 import math
 
 import numpy as np
@@ -11,7 +11,6 @@ from drccp.simplex import (
     LpProblem,
     SimplexSolver,
     SimplexStall,
-    read_mps,
     solve_lp,
 )
 
@@ -343,49 +342,3 @@ class TestWarmStart:
         solver = SimplexSolver(prob)
         with pytest.raises(IndexError):
             solver.set_bound(1, 0.0, 0.0)
-
-
-MPS_TEXT = """NAME          TOYLP
-ROWS
- N  COST
- L  LIM1
- G  LIM2
- E  EQ1
-COLUMNS
-    X1  COST  1.0  LIM1  1.0
-    X1  LIM2  1.0
-    X2  COST  2.0  LIM1  1.0
-    X2  EQ1   1.0
-    X3  COST  -1.0  EQ1  1.0
-RHS
-    RHS  LIM1  4.0  LIM2  1.0
-    RHS  EQ1   7.0
-BOUNDS
- UP BND  X1  4.0
- LO BND  X2  -1.0
- UP BND  X2  10.0
- UP BND  X3  8.0
-ENDATA
-"""
-
-
-class TestMpsReader:
-    def test_round_trip_solve(self, tmp_path):
-        path = tmp_path / "toy.mps"
-        path.write_text(MPS_TEXT)
-        prob = read_mps(path)
-        assert prob.num_cols == 3 and prob.num_rows == 3
-        assert prob.senses == ["<=", ">=", "=="]
-        sol = solve_lp(prob)
-        assert sol.status == "optimal"
-        # min x1 + 2 x2 - x3 with x1+x2<=4, x1>=1, x2+x3=7, x2 in [-1,10],
-        # x3 in [0,8]: take x1=1, x3=8, x2=-1 => objective 1 - 2 - 8 = -9.
-        assert abs(sol.objective - (-9.0)) <= 1e-9
-        np.testing.assert_allclose(sol.x, [1.0, -1.0, 8.0], atol=1e-9)
-
-    def test_free_and_fixed_bounds(self, tmp_path):
-        text = MPS_TEXT.replace(" UP BND  X3  8.0", " FX BND  X3  5.0")
-        path = tmp_path / "toy2.mps"
-        path.write_text(text)
-        prob = read_mps(path)
-        assert prob.lb[2] == 5.0 and prob.ub[2] == 5.0

@@ -47,7 +47,10 @@ class BncConfig:
 
 @dataclass
 class SolveResult:
-    status: str  # optimal | feasible-gap | infeasible | no-incumbent | time-limit
+    # optimal | infeasible | time-limit (a time limit with an incumbent) |
+    # feasible-gap (a node limit or a simplex stall with an incumbent) |
+    # no-incumbent (any limit or stall before an incumbent was found)
+    status: str
     objective: float | None
     bound: float | None
     gap_pct: float | None
@@ -116,8 +119,9 @@ class _Search:
         self.cfg = config
         prob, self.sign = model_to_lp(model)
         self.solver = SimplexSolver(prob)
-        self.binaries = [j for j, v in enumerate(model.variables) if v.kind == BINARY]
-        self.bin_pos = {j: i for i, j in enumerate(self.binaries)}
+        self.binaries = np.array(
+            [j for j, v in enumerate(model.variables) if v.kind == BINARY], dtype=int)
+        self.bin_pos = {j: i for i, j in enumerate(self.binaries.tolist())}
         self.root_lb = np.array([model.variables[j].lb for j in self.binaries])
         self.root_ub = np.array([model.variables[j].ub for j in self.binaries])
         self.incumbent_obj = math.inf
@@ -180,13 +184,17 @@ class _Search:
         return sol
 
     def _fractional(self, values):
-        out = []
-        for j in self.binaries:
-            v = values[j]
-            dist = abs(v - round(v))
-            if dist > INT_TOL:
-                out.append((j, dist))
-        return out
+        """(index, distance to the nearest integer) of each fractional binary,
+        by ascending index.  np.round rounds half to even, as round() does."""
+        v = values[self.binaries]
+        dist = np.abs(v - np.round(v))
+        frac = dist > INT_TOL
+        return list(zip(self.binaries[frac].tolist(), dist[frac].tolist()))
+
+    def _log_stall(self, node_id, lb, depth, exc):
+        """Stalls are always recorded: they explain an early stop."""
+        self.events.append(f"node={node_id} lb={lb:.10g} depth={depth} "
+                           f"action=stall detail={exc}")
 
     # -- cutting ------------------------------------------------------------
 
@@ -330,11 +338,17 @@ class _Search:
     def run(self):
         cfg = self.cfg
         started = time.perf_counter()
-        sol = self._solve_lp()
-        if sol.status == "unbounded":
-            raise ValueError("relaxation is unbounded; the domain must be compact")
-        if sol.status == "optimal" and self.separators:
-            sol = self._cut_loop(sol, 0, 0, cfg.max_root_cut_rounds)
+        try:
+            sol = self._solve_lp()
+            if sol.status == "unbounded":
+                raise ValueError("relaxation is unbounded; the domain must be compact")
+            if sol.status == "optimal" and self.separators:
+                sol = self._cut_loop(sol, 0, 0, cfg.max_root_cut_rounds)
+        except SimplexStall as exc:
+            # the warm solve and its cold retry both stalled at the root
+            self._log_stall(0, -math.inf, 0, exc)
+            return self._result("no-incumbent", None, time.perf_counter() - started,
+                                started, node_count=1)
         root_time = time.perf_counter() - started
         if sol.status == "infeasible":
             return self._result("infeasible", None, root_time, started, node_count=1)
@@ -344,6 +358,7 @@ class _Search:
         self._expand(sol, 0, {}, node_id=0, state=root_state)
 
         status = None
+        stalled_lb = math.inf
         while self.open_nodes or self.plunge_stack:
             lb_now = self._global_lb()
             if (self.incumbent is not None
@@ -368,14 +383,12 @@ class _Search:
             try:
                 sol = self._solve_lp()
             except SimplexStall as exc:
-                # Unresolvable node: surface it as a limit-style stop with a
-                # diagnostic event instead of crashing the search.
+                # Unresolvable node: stop with a diagnostic event instead of
+                # crashing the search; its bound still counts.
                 self._revert(node.overrides)
-                self.events.append(
-                    f"node={node_id} lb={node.lb:.10g} depth={node.depth} "
-                    f"action=stall detail={exc}"
-                )
-                status = "time-limit" if self.incumbent is not None else "no-incumbent"
+                self._log_stall(node_id, node.lb, node.depth, exc)
+                stalled_lb = node.lb
+                status = "feasible-gap" if self.incumbent is not None else "no-incumbent"
                 break
             if sol.status != "optimal":
                 self._revert(node.overrides)
@@ -401,17 +414,17 @@ class _Search:
             status = "optimal" if self.incumbent is not None else "infeasible"
         return self._result(status, root_bound, root_time, started,
                             node_count=self.nodes_done,
-                            final_lb=self._global_lb())
+                            final_lb=min(self._global_lb(), stalled_lb))
 
     def _result(self, status, root_bound, root_time, started, node_count, final_lb=None):
         wall = time.perf_counter() - started
         sign = self.sign
         has_inc = self.incumbent is not None
-        if status == "infeasible":
+        bound = final_lb if final_lb is not None else root_bound
+        if status == "infeasible" or bound is None:
             bound = None
             gap = None
         else:
-            bound = final_lb if final_lb is not None else root_bound
             bound = min(bound, self.incumbent_obj)
             gap = compute_gap(self.incumbent_obj, bound) if has_inc else None
         x_idx = self.model.block_indices("x")

@@ -9,12 +9,18 @@ Each row gets a logical (slack) column so the working system is
     >=  row:  slack in (-inf, 0]
     ==  row:  slack fixed at 0
 
-The basis inverse is kept explicitly and updated with product-form pivots;
-it is rebuilt from scratch every REFACTOR_INTERVAL pivots.  Phase 1
-minimizes the total bound violation of basic variables (no artificial
-columns), which lets any starting basis act as a warm start: after adding a
-cut row or tightening a branching bound the previous basis is simply
-reloaded and re-optimized.
+The basis inverse is kept explicitly as a dense C-ordered m x m array.  A
+pivot applies the rank-one update  binv -= outer(w, row)  in place; from
+_FULL_UPDATE_ROWS rows up it touches only the columns where the pivot row is
+nonzero.  The skipped entries would subtract an exact zero, so the update is
+bit-identical to the full one (up to the sign of a zero).  The inverse is
+rebuilt from scratch every REFACTOR_INTERVAL pivots.  Phase 1 minimizes the
+total bound violation of basic variables (no artificial columns), which lets
+any starting basis act as a warm start: after adding a cut row or tightening
+a branching bound the previous basis is simply reloaded and re-optimized.
+State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
+the basis and the statuses; the primal values are recomputed once, when
+`solve` starts.
 
 Determinism: Dantzig pricing with lowest-index tie-breaks, switching to
 Bland's rule after a run of degenerate steps; no randomness, no wall-clock
@@ -23,7 +29,7 @@ dependence.  Identical inputs replay the identical pivot sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +38,9 @@ from .constants import DUAL_TOL, FEAS_TOL, PIVOT_TOL, REFACTOR_INTERVAL
 ST_LOWER, ST_UPPER, ST_BASIC, ST_FREE = 0, 1, 2, 3
 
 _DEGEN_STREAK = 40  # degenerate pivots tolerated before switching to Bland
+# Below this many rows the full rank-one update is cheaper than gathering the
+# nonzero columns of the pivot row (measured break-even: about 100 rows).
+_FULL_UPDATE_ROWS = 100
 
 
 class SimplexStall(RuntimeError):
@@ -88,6 +97,13 @@ class LpSolution:
     farkas: np.ndarray = None
 
 
+def _pick_row(w, allowed, tol):
+    """First position with the largest |w| among `allowed`, if above `tol`."""
+    score = np.where(allowed, np.abs(w), 0.0)
+    i = int(np.argmax(score))
+    return i if score[i] > tol else -1
+
+
 def _slack_bounds(sense):
     if sense == "<=":
         return 0.0, math.inf
@@ -127,28 +143,24 @@ class SimplexSolver:
     def reset_basis(self):
         """Cold start: all slacks basic, structurals at a finite bound."""
         self.basis = np.arange(self.n, self.n + self.m)
-        self.stat = np.empty(self.nt, dtype=np.int8)
-        for j in range(self.n):
-            self.stat[j] = self._resting_status(j)
-        self.stat[self.n:] = ST_BASIC
+        self.stat = self._settled(np.full(self.nt, ST_BASIC, dtype=np.int8))
         self.binv = np.eye(self.m)
         self._pivots_since_refactor = 0
-        self._recompute_values()
 
-    def _resting_status(self, j):
-        if math.isfinite(self.lb[j]):
-            return ST_LOWER
-        if math.isfinite(self.ub[j]):
-            return ST_UPPER
-        return ST_FREE
+    def _settled(self, stat):
+        """`stat` made consistent with the basis and the bounds.
 
-    def _nonbasic_value(self, j):
-        s = self.stat[j]
-        if s == ST_LOWER:
-            return self.lb[j]
-        if s == ST_UPPER:
-            return self.ub[j]
-        return 0.0
+        Basic columns get ST_BASIC.  Any other column keeps its status when
+        that bound is finite (ST_FREE only when both are infinite); otherwise
+        it rests at its lower bound, else its upper bound, else free.
+        """
+        in_basis = np.zeros(self.nt, dtype=bool)
+        in_basis[self.basis] = True
+        lo, hi = np.isfinite(self.lb), np.isfinite(self.ub)
+        keep = (((stat == ST_LOWER) & lo) | ((stat == ST_UPPER) & hi)
+                | ((stat == ST_FREE) & ~(lo | hi)))
+        resting = np.where(lo, ST_LOWER, np.where(hi, ST_UPPER, ST_FREE))
+        return np.where(in_basis, ST_BASIC, np.where(keep, stat, resting)).astype(np.int8)
 
     def _column(self, j):
         if j < self.n:
@@ -158,18 +170,14 @@ class SimplexSolver:
         return col
 
     def _recompute_values(self):
-        self.xval = np.empty(self.nt)
-        for j in range(self.nt):
-            if self.stat[j] != ST_BASIC:
-                self.xval[j] = self._nonbasic_value(j)
+        stat = self.stat
+        self.xval = np.where(stat == ST_LOWER, self.lb,
+                             np.where(stat == ST_UPPER, self.ub, 0.0))
         rhs = self.b.copy()
-        nb_struct = [j for j in range(self.n) if self.stat[j] != ST_BASIC]
-        if nb_struct:
-            vals = self.xval[nb_struct]
-            nz = vals != 0.0
-            if np.any(nz):
-                cols = np.asarray(nb_struct)[nz]
-                rhs -= self.A[:, cols] @ vals[nz]
+        vals = self.xval[: self.n]
+        cols = np.flatnonzero((stat[: self.n] != ST_BASIC) & (vals != 0.0))
+        if cols.size:
+            rhs -= self.A[:, cols] @ vals[cols]
         # nonbasic slacks always rest at 0, so they drop out of the rhs
         self.xval[self.basis] = self.binv @ rhs
 
@@ -185,7 +193,7 @@ class SimplexSolver:
         rank-one pivots rather than rebuilt.
         """
         basis = np.asarray(basis, dtype=int)
-        stat = np.asarray(stat, dtype=np.int8).copy()
+        stat = np.asarray(stat, dtype=np.int8)
         if stat.size < self.nt:
             # rows were appended after this state was captured; their slacks
             # join the basis, exactly as add_row would have left them
@@ -201,54 +209,43 @@ class SimplexSolver:
             raise ValueError("stored basis does not match solver shape")
         if not np.array_equal(basis, self.basis):
             self._retarget_basis(basis)
-            # statuses of columns we could not make basic fall back to bounds
-            in_basis = np.zeros(self.nt, dtype=bool)
-            in_basis[self.basis] = True
-            for j in range(self.nt):
-                if in_basis[j]:
-                    stat[j] = ST_BASIC
-                elif stat[j] == ST_BASIC:
-                    stat[j] = self._resting_status(j)
-        self.stat = stat
-        for j in range(self.nt):
-            if self.stat[j] == ST_BASIC:
-                continue
-            self.stat[j] = self._normalize_status(j, self.stat[j])
-        self._recompute_values()
+        # columns we could not make basic fall back to a bound
+        self.stat = self._settled(stat)
 
     def _normalize_status(self, j, s):
-        if s == ST_LOWER and not math.isfinite(self.lb[j]):
-            s = ST_UPPER if math.isfinite(self.ub[j]) else ST_FREE
-        elif s == ST_UPPER and not math.isfinite(self.ub[j]):
-            s = ST_LOWER if math.isfinite(self.lb[j]) else ST_FREE
-        elif s == ST_FREE and (math.isfinite(self.lb[j]) or math.isfinite(self.ub[j])):
-            s = self._resting_status(j)
-        return s
+        """`_settled` for one nonbasic column, without the array overhead."""
+        lo, hi = math.isfinite(self.lb[j]), math.isfinite(self.ub[j])
+        if (s == ST_LOWER and lo) or (s == ST_UPPER and hi) or (s == ST_FREE and not (lo or hi)):
+            return s
+        return ST_LOWER if lo else ST_UPPER if hi else ST_FREE
 
     def _retarget_basis(self, target):
-        target_set = set(int(t) for t in target)
-        current_set = set(int(t) for t in self.basis)
-        missing = [t for t in target if int(t) not in current_set]
-        replaceable = [i for i in range(self.m) if int(self.basis[i]) not in target_set]
+        in_target = np.zeros(self.nt, dtype=bool)
+        in_target[target] = True
+        in_current = np.zeros(self.nt, dtype=bool)
+        in_current[self.basis] = True
+        missing = target[~in_current[target]]
+        replaceable = ~in_target[self.basis]  # by basis position
         for col in missing:
-            if not replaceable:
+            if not replaceable.any():
                 break
             w = self.binv @ self._column(int(col))
-            pick, best = -1, PIVOT_TOL
-            for i in replaceable:
-                if abs(w[i]) > best:
-                    pick, best = i, abs(w[i])
+            pick = _pick_row(w, replaceable, PIVOT_TOL)
             if pick < 0:
                 continue  # dependent column; keep the incumbent basic there
             self._update_binv(w, pick)
             self.basis[pick] = int(col)
-            replaceable.remove(pick)
+            replaceable[pick] = False
             self._count_pivot()
 
     def _update_binv(self, w, row_out):
-        piv = w[row_out]
-        row = self.binv[row_out] / piv
-        self.binv -= np.outer(w, row)
+        row = self.binv[row_out] / w[row_out]
+        if self.m < _FULL_UPDATE_ROWS:
+            self.binv -= np.outer(w, row)
+        else:
+            # columns where the pivot row is zero would subtract w * 0: skip them
+            nz = np.flatnonzero(row)
+            self.binv[:, nz] -= np.outer(w, row[nz])
         self.binv[row_out] = row
 
     def _count_pivot(self):
@@ -258,9 +255,11 @@ class SimplexSolver:
             self._refactor()
 
     def _refactor(self):
-        cols = np.empty((self.m, self.m))
-        for i, j in enumerate(self.basis):
-            cols[:, i] = self._column(int(j))
+        cols = np.zeros((self.m, self.m))
+        struct = self.basis < self.n
+        cols[:, struct] = self.A[:, self.basis[struct]]
+        slack = np.flatnonzero(~struct)
+        cols[self.basis[slack] - self.n, slack] = 1.0
         try:
             self.binv = np.linalg.inv(cols)
         except np.linalg.LinAlgError:
@@ -282,22 +281,13 @@ class SimplexSolver:
                     taken[idx] = True
                 continue
             w = self.binv @ self._column(int(col))
-            pick, best = -1, 1e-7
-            for i in range(self.m):
-                if not taken[i] and abs(w[i]) > best:
-                    pick, best = i, abs(w[i])
+            pick = _pick_row(w, ~taken, 1e-7)
             if pick < 0:
                 continue
             self._update_binv(w, pick)
             self.basis[pick] = int(col)
             taken[pick] = True
-        in_basis = np.zeros(self.nt, dtype=bool)
-        in_basis[self.basis] = True
-        for j in range(self.nt):
-            if in_basis[j]:
-                self.stat[j] = ST_BASIC
-            elif self.stat[j] == ST_BASIC:
-                self.stat[j] = self._resting_status(j)
+        self.stat = self._settled(self.stat)
 
     # -- mutations ----------------------------------------------------------
 
@@ -333,16 +323,15 @@ class SimplexSolver:
         self.stat = np.append(self.stat, np.int8(ST_BASIC))
         self.m = m_old + 1
         # the appended row needs its coefficient on every current basic column
-        a_basic = np.array([
-            dense[int(j)] if int(j) < self.n else 0.0 for j in self.basis
-        ])
+        a_basic = np.zeros(m_old)
+        struct = self.basis < self.n
+        a_basic[struct] = dense[self.basis[struct]]
         new_binv = np.zeros((self.m, self.m))
         new_binv[:m_old, :m_old] = self.binv
         new_binv[m_old, :m_old] = -a_basic @ self.binv
         new_binv[m_old, m_old] = 1.0
         self.binv = new_binv
         self.basis = np.append(self.basis, self.n + m_old)
-        self._recompute_values()
 
     # -- solve --------------------------------------------------------------
 

@@ -296,6 +296,32 @@ def test_repeated_stall_is_contained(monkeypatch):
     assert any("action=stall" in e for e in res.events)
 
 
+def test_root_stall_is_contained(monkeypatch):
+    # the root's warm solve and its cold retry both stall: no bound, no
+    # incumbent, and a diagnostic event instead of an exception
+    method, _ = _flaky_solve({1, 2})
+    monkeypatch.setattr(SimplexSolver, "solve", method)
+    res = solve(fractional_toy())
+    assert res.status == "no-incumbent"
+    assert res.objective is None and res.bound is None and res.gap_pct is None
+    assert res.nodes == 1
+    assert any(e.startswith("node=0 ") and "action=stall" in e for e in res.events)
+
+
+def test_stall_after_an_incumbent_reports_a_gap(monkeypatch):
+    # nodes 0-3 find the incumbent 8 and fathom one leaf (LP calls 1-4);
+    # node 4, the last open node (parent bound 9), stalls warm and cold.
+    # That is no time limit, and the stalled node's bound keeps the gap open.
+    method, _ = _flaky_solve({5, 6})
+    monkeypatch.setattr(SimplexSolver, "solve", method)
+    res = solve(fractional_toy())
+    assert res.status == "feasible-gap"
+    assert res.objective == pytest.approx(8.0, abs=1e-9)
+    assert res.bound == pytest.approx(9.0, abs=1e-9)
+    assert res.gap_pct > 0.0
+    assert any(e.startswith("node=4 ") and "action=stall" in e for e in res.events)
+
+
 # -- config validation -------------------------------------------------------
 
 def test_rejects_unknown_node_selection():

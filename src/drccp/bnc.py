@@ -212,16 +212,6 @@ class _Search:
             self.cut_counts[cut.family] = self.cut_counts.get(cut.family, 0) + 1
         return len(found)
 
-    def _cut_loop(self, sol, node_id, depth, max_rounds):
-        for _ in range(max_rounds):
-            if sol.status != "optimal":
-                return sol
-            if not self._separate_once(sol.x):
-                return sol
-            self.log(node_id, sol.objective, "cut", depth)
-            sol = self._solve_lp()
-        return sol
-
     # -- branching ----------------------------------------------------------
 
     def _pc_estimate(self, direction, pos):
@@ -338,16 +328,25 @@ class _Search:
     def run(self):
         cfg = self.cfg
         started = time.perf_counter()
+        root_bound = None  # the last optimal root relaxation value
         try:
             sol = self._solve_lp()
             if sol.status == "unbounded":
                 raise ValueError("relaxation is unbounded; the domain must be compact")
-            if sol.status == "optimal" and self.separators:
-                sol = self._cut_loop(sol, 0, 0, cfg.max_root_cut_rounds)
+            rounds = cfg.max_root_cut_rounds if self.separators else 0
+            for _ in range(rounds):
+                if sol.status != "optimal":
+                    break
+                root_bound = sol.objective
+                if not self._separate_once(sol.x):
+                    break
+                self.log(0, sol.objective, "cut", 0)
+                sol = self._solve_lp()
         except SimplexStall as exc:
-            # the warm solve and its cold retry both stalled at the root
-            self._log_stall(0, -math.inf, 0, exc)
-            return self._result("no-incumbent", None, time.perf_counter() - started,
+            # the warm solve and its cold retry both stalled at the root; cuts
+            # only tighten the relaxation, so the last optimal value is a bound
+            self._log_stall(0, -math.inf if root_bound is None else root_bound, 0, exc)
+            return self._result("no-incumbent", root_bound, time.perf_counter() - started,
                                 started, node_count=1)
         root_time = time.perf_counter() - started
         if sol.status == "infeasible":
@@ -382,28 +381,29 @@ class _Search:
             self.solver.load_state(*node.state)
             try:
                 sol = self._solve_lp()
+                if sol.status != "optimal":
+                    self._revert(node.overrides)
+                    self.log(node_id, node.lb, "fathom", node.depth)
+                    continue
+                self._record_pseudo_cost(node, sol.objective)
+                if sol.objective >= self.incumbent_obj - 1e-9:
+                    self._revert(node.overrides)
+                    self.log(node_id, sol.objective, "fathom", node.depth)
+                    continue
+                state = self.solver.get_state()
+                if cfg.cut_interior_nodes and self.separators:
+                    if self._separate_once(sol.x):
+                        self.log(node_id, sol.objective, "cut", node.depth)
+                        sol = self._solve_lp()
             except SimplexStall as exc:
-                # Unresolvable node: stop with a diagnostic event instead of
-                # crashing the search; its bound still counts.
+                # Unresolvable node (first solve or the re-solve after its
+                # cuts): stop with a diagnostic event instead of crashing the
+                # search; its bound still counts.
                 self._revert(node.overrides)
                 self._log_stall(node_id, node.lb, node.depth, exc)
                 stalled_lb = node.lb
                 status = "feasible-gap" if self.incumbent is not None else "no-incumbent"
                 break
-            if sol.status != "optimal":
-                self._revert(node.overrides)
-                self.log(node_id, node.lb, "fathom", node.depth)
-                continue
-            self._record_pseudo_cost(node, sol.objective)
-            if sol.objective >= self.incumbent_obj - 1e-9:
-                self._revert(node.overrides)
-                self.log(node_id, sol.objective, "fathom", node.depth)
-                continue
-            state = self.solver.get_state()
-            if cfg.cut_interior_nodes and self.separators:
-                if self._separate_once(sol.x):
-                    self.log(node_id, sol.objective, "cut", node.depth)
-                    sol = self._solve_lp()
             self._revert(node.overrides)
             if sol.status != "optimal":
                 self.log(node_id, node.lb, "fathom", node.depth)

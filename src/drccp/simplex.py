@@ -10,10 +10,10 @@ Each row gets a logical (slack) column so the working system is
     ==  row:  slack fixed at 0
 
 The basis inverse is kept explicitly as a dense C-ordered m x m array.  A
-pivot applies the rank-one update  binv -= outer(w, row)  in place; from
-_FULL_UPDATE_ROWS rows up it touches only the columns where the pivot row is
-nonzero.  The skipped entries would subtract an exact zero, so the update is
-bit-identical to the full one (up to the sign of a zero).  The inverse is
+pivot applies the rank-one update  binv -= outer(w, row)  in place, only on
+the columns where the pivot row is nonzero.  The skipped entries would
+subtract an exact zero, so the update is bit-identical to the full one (up to
+the sign of a zero).  The inverse is
 rebuilt from scratch every REFACTOR_INTERVAL pivots.  Phase 1 minimizes the
 total bound violation of basic variables (no artificial columns), which lets
 any starting basis act as a warm start: after adding a cut row or tightening
@@ -38,9 +38,6 @@ from .constants import DUAL_TOL, FEAS_TOL, PIVOT_TOL, REFACTOR_INTERVAL
 ST_LOWER, ST_UPPER, ST_BASIC, ST_FREE = 0, 1, 2, 3
 
 _DEGEN_STREAK = 40  # degenerate pivots tolerated before switching to Bland
-# Below this many rows the full rank-one update is cheaper than gathering the
-# nonzero columns of the pivot row (measured break-even: about 100 rows).
-_FULL_UPDATE_ROWS = 100
 
 
 class SimplexStall(RuntimeError):
@@ -240,12 +237,9 @@ class SimplexSolver:
 
     def _update_binv(self, w, row_out):
         row = self.binv[row_out] / w[row_out]
-        if self.m < _FULL_UPDATE_ROWS:
-            self.binv -= np.outer(w, row)
-        else:
-            # columns where the pivot row is zero would subtract w * 0: skip them
-            nz = np.flatnonzero(row)
-            self.binv[:, nz] -= np.outer(w, row[nz])
+        # columns where the pivot row is zero would subtract w * 0: skip them
+        nz = np.flatnonzero(row)
+        self.binv[:, nz] -= np.outer(w, row[nz])
         self.binv[row_out] = row
 
     def _count_pivot(self):

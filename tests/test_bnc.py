@@ -322,6 +322,73 @@ def test_stall_after_an_incumbent_reports_a_gap(monkeypatch):
     assert any(e.startswith("node=4 ") and "action=stall" in e for e in res.events)
 
 
+def _stall_after_cuts(monkeypatch, at_root, nth=1):
+    """Make the re-solve after the `nth` separation that adds cuts, at the
+    root or at an interior node, stall warm and cold.  Returns a dict whose
+    "search" entry is the _Search that ran."""
+    seen = {"rounds": 0, "stalls_left": 0, "search": None}
+    inner_sep = bnc._Search._separate_once
+    inner_solve = SimplexSolver.solve
+    inner_run = bnc._Search.run
+
+    def separate(self, values):
+        found = inner_sep(self, values)
+        if found and (self.nodes_done == 0) == at_root:
+            seen["rounds"] += 1
+            if seen["rounds"] == nth:
+                seen["stalls_left"] = 2
+        return found
+
+    def solve_method(self, max_iter=None):
+        if seen["stalls_left"]:
+            seen["stalls_left"] -= 1
+            raise SimplexStall("synthetic stall for testing")
+        return inner_solve(self, max_iter)
+
+    def run(self):
+        seen["search"] = self
+        return inner_run(self)
+
+    monkeypatch.setattr(bnc._Search, "_separate_once", separate)
+    monkeypatch.setattr(SimplexSolver, "solve", solve_method)
+    monkeypatch.setattr(bnc._Search, "run", run)
+    return seen
+
+
+def test_stall_in_the_root_cut_loop_keeps_the_root_bound(monkeypatch):
+    # the re-solve after the second round of root cuts stalls: the value
+    # after the first round is still a valid bound and must be reported
+    inst = box_instance(47, n=12)  # each root round raises the bound
+    one_round = solve(build_basic(inst), separators=[MixingSeparator(inst)],
+                      config=BncConfig(max_root_cut_rounds=1))
+    seen = _stall_after_cuts(monkeypatch, at_root=True, nth=2)
+    res = solve(build_basic(inst), separators=[MixingSeparator(inst)])
+    assert seen["rounds"] == 2 and seen["stalls_left"] == 0
+    assert res.status == "no-incumbent"
+    assert res.objective is None and res.gap_pct is None and res.nodes == 1
+    assert res.root_bound == one_round.root_bound > 0.0  # the uncut value is 0
+    assert res.bound == one_round.root_bound
+    assert any(e.startswith("node=0 ") and "action=stall" in e for e in res.events)
+
+
+def test_stall_after_interior_cuts_is_contained(monkeypatch):
+    # the re-solve after an interior node's cuts stalls warm and cold: the
+    # search stops with an event and the node's bound overrides are undone
+    inst = box_instance(48, n=12)
+    seen = _stall_after_cuts(monkeypatch, at_root=False)
+    model = build_basic(inst)
+    res = solve(model, separators=[MixingSeparator(inst), PathSeparator(inst)],
+                config=BncConfig(cut_interior_nodes=True))
+    assert seen["rounds"] == 1 and seen["stalls_left"] == 0
+    assert res.status in ("feasible-gap", "no-incumbent")
+    assert res.bound is not None
+    assert any("action=stall" in e and not e.startswith("node=0 ") for e in res.events)
+    solver = seen["search"].solver
+    n = len(model.variables)
+    assert np.array_equal(solver.lb[:n], [v.lb for v in model.variables])
+    assert np.array_equal(solver.ub[:n], [v.ub for v in model.variables])
+
+
 # -- config validation -------------------------------------------------------
 
 def test_rejects_unknown_node_selection():

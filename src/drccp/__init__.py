@@ -54,56 +54,3 @@ from .transport import TransportInstance, generate, to_drccp, transport_big_m
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BncConfig",
-    "SolveResult",
-    "compute_gap",
-    "solve",
-    "Cut",
-    "FractionalPoint",
-    "MixingSeparator",
-    "PathSeparator",
-    "best_path_sequence",
-    "check_cut_validity",
-    "format_cut",
-    "most_violated_star",
-    "FORMULATION_KINDS",
-    "QuantileData",
-    "build_basic",
-    "build_compact",
-    "build_formulation",
-    "build_knapsack",
-    "build_reduced",
-    "build_saa",
-    "compute_big_m",
-    "compute_quantiles",
-    "theta_grid",
-    "theta_max",
-    "DrccpInstance",
-    "MipModel",
-    "Polyhedron",
-    "SafetyRow",
-    "SampleSet",
-    "distance_profile",
-    "dual_norm",
-    "load_instance",
-    "margins",
-    "read_instance",
-    "save_instance",
-    "CvarResult",
-    "EnumerationResult",
-    "FeasibilityCertificate",
-    "cvar",
-    "enumerate_optimal",
-    "lemma_certificate",
-    "worst_case_prob",
-    "LpProblem",
-    "LpSolution",
-    "SimplexSolver",
-    "solve_lp",
-    "TransportInstance",
-    "generate",
-    "to_drccp",
-    "transport_big_m",
-    "__version__",
-]

@@ -1,10 +1,12 @@
 """Branch and cut for mixed-binary linear models.
 
 The search keeps a single stateful simplex instance for the whole tree:
-branching is done through bound overrides that are applied before a node is
-evaluated and reverted afterwards, and every node warm-starts from its
-parent's basis.  Cutting planes are appended to the shared matrix (they are
-globally valid), so bases captured before a cut round stay loadable.
+branching is done through bound overrides, and before a node is evaluated
+only the binaries whose bounds differ from the last evaluated node's are
+re-set (the root bounds come back once, when the search ends).  Every node
+warm-starts from its parent's basis.  Cutting planes are appended to the
+shared matrix (they are globally valid), so bases captured before a cut round
+stay loadable.
 
 Everything is deterministic for a fixed config: node ids break priority
 ties, pricing has no randomness, and wall time only matters when a time
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_GAP_TOL, INT_TOL
-from .model import BINARY, MipModel
+from .model import MipModel
 from .simplex import LpProblem, SimplexSolver, SimplexStall
 
 NODE_SELECTIONS = ("best-bound", "depth-first", "dive-best-bound")
@@ -119,11 +121,11 @@ class _Search:
         self.cfg = config
         prob, self.sign = model_to_lp(model)
         self.solver = SimplexSolver(prob)
-        self.binaries = np.array(
-            [j for j, v in enumerate(model.variables) if v.kind == BINARY], dtype=int)
+        self.binaries = np.flatnonzero(model.binary)
         self.bin_pos = {j: i for i, j in enumerate(self.binaries.tolist())}
-        self.root_lb = np.array([model.variables[j].lb for j in self.binaries])
-        self.root_ub = np.array([model.variables[j].ub for j in self.binaries])
+        self.root_lb = model.lb[self.binaries]
+        self.root_ub = model.ub[self.binaries]
+        self.applied = {}  # the bound overrides the solver holds now
         self.incumbent_obj = math.inf
         self.incumbent = None
         # dive-best-bound interleaves best-bound pops with bounded
@@ -162,14 +164,19 @@ class _Search:
             f"node={node_id} lb={lb:.10g} ub={ub_s} depth={depth} action={action}"
         )
 
-    def _apply(self, overrides):
+    def _move_to(self, overrides):
+        """Give the solver the root bounds plus `overrides`, re-setting only
+        the binaries whose bounds differ from the ones it holds.  The order
+        of the calls does not matter: `load_state` re-settles every status
+        against the final bounds."""
+        for j in self.applied:
+            if j not in overrides:
+                pos = self.bin_pos[j]
+                self.solver.set_bound(j, self.root_lb[pos], self.root_ub[pos])
         for j, (lo, hi) in overrides.items():
-            self.solver.set_bound(j, lo, hi)
-
-    def _revert(self, overrides):
-        for j in overrides:
-            pos = self.bin_pos[j]
-            self.solver.set_bound(j, self.root_lb[pos], self.root_ub[pos])
+            if self.applied.get(j) != (lo, hi):
+                self.solver.set_bound(j, lo, hi)
+        self.applied = overrides
 
     def _solve_lp(self):
         try:
@@ -377,17 +384,15 @@ class _Search:
                 continue
             self.nodes_done += 1
             node_id = self.nodes_done - 1
-            self._apply(node.overrides)
+            self._move_to(node.overrides)
             self.solver.load_state(*node.state)
             try:
                 sol = self._solve_lp()
                 if sol.status != "optimal":
-                    self._revert(node.overrides)
                     self.log(node_id, node.lb, "fathom", node.depth)
                     continue
                 self._record_pseudo_cost(node, sol.objective)
                 if sol.objective >= self.incumbent_obj - 1e-9:
-                    self._revert(node.overrides)
                     self.log(node_id, sol.objective, "fathom", node.depth)
                     continue
                 state = self.solver.get_state()
@@ -399,16 +404,15 @@ class _Search:
                 # Unresolvable node (first solve or the re-solve after its
                 # cuts): stop with a diagnostic event instead of crashing the
                 # search; its bound still counts.
-                self._revert(node.overrides)
                 self._log_stall(node_id, node.lb, node.depth, exc)
                 stalled_lb = node.lb
                 status = "feasible-gap" if self.incumbent is not None else "no-incumbent"
                 break
-            self._revert(node.overrides)
             if sol.status != "optimal":
                 self.log(node_id, node.lb, "fathom", node.depth)
                 continue
             self._expand(sol, node.depth, node.overrides, node_id, state=state)
+        self._move_to({})
 
         if status is None:
             status = "optimal" if self.incumbent is not None else "infeasible"

@@ -16,14 +16,14 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .bnc import NODE_SELECTIONS, BncConfig, solve as bnc_solve
+from .bnc import BRANCHING_RULES, NODE_SELECTIONS, BncConfig, solve as bnc_solve
 from .cuts import MixingSeparator, PathSeparator, format_cut
 from .formulations import (
     FORMULATION_KINDS,
     build_formulation,
     compute_quantiles,
 )
-from .model import distance_profile, read_instance, save_instance
+from .model import NORM_KINDS, distance_profile, read_instance, save_instance
 from .oracles import lemma_certificate, worst_case_prob
 from .transport import generate, to_drccp, transport_big_m
 
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--epsilon", type=float, default=0.1)
     gen.add_argument("--theta", type=float, default=0.001)
-    gen.add_argument("--norm", choices=("one", "two", "inf"), default="two")
+    gen.add_argument("--norm", choices=NORM_KINDS, default="two")
     gen.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="solve an instance file")
@@ -63,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--node-limit", type=int, default=None)
     solve.add_argument("--node-selection", choices=NODE_SELECTIONS,
                        default="best-bound")
-    solve.add_argument("--branching", choices=("most-fractional", "pseudo-cost"),
-                       default="most-fractional")
+    solve.add_argument("--branching", choices=BRANCHING_RULES, default="most-fractional")
     solve.add_argument("--interior-cuts", action="store_true")
     solve.add_argument("--out", default=None, help="write the result as JSON")
     solve.add_argument("--dump-model", default=None, help="write the model text dump")

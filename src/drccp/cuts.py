@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bnc import model_to_lp
 from .constants import CUT_VIOLATION_TOL, MARGIN_TOL
 from .formulations import QuantileData, build_knapsack, compute_quantiles
 from .model import DrccpInstance, row_scaling
-from .simplex import LpProblem, SimplexSolver
+from .simplex import SimplexSolver
 
 
 @dataclass(frozen=True)
@@ -78,20 +79,24 @@ def _short_sci(v: float) -> str:
 
 
 def cut_row(cut: Cut, model):
-    """Map a cut onto model variable indices: (sparse coefs, rhs)."""
-    x_idx = model.block_indices("x")
-    z_idx = model.block_indices("z")
+    """The cut as a dense row over the model variables: (coefs, rhs), sense >=.
+
+    Absent variables get +0.0 (a -0.0 coefficient comes out as +0.0 too).
+    """
     r_idx = model.block_indices("r")
     t_idx = model.block_indices("t")
-    coefs = [(x_idx[j], v) for j, v in enumerate(cut.x_coefs) if v != 0.0]
-    coefs.extend((z_idx[i], v) for i, v in cut.z_coefs if v != 0.0)
     if cut.r_coefs and not r_idx:
         raise ValueError("cut uses shortfall variables the model does not have")
-    coefs.extend((r_idx[i], v) for i, v in cut.r_coefs)
+    if cut.t_coef != 0.0 and not t_idx:
+        raise ValueError("cut uses the threshold variable the model does not have")
+    z_idx = model.block_indices("z")
+    terms = list(zip(model.block_indices("x"), cut.x_coefs))
+    terms += [(z_idx[i], v) for i, v in cut.z_coefs]
+    terms += [(r_idx[i], v) for i, v in cut.r_coefs]
     if cut.t_coef != 0.0:
-        if not t_idx:
-            raise ValueError("cut uses the threshold variable the model does not have")
-        coefs.append((t_idx[0], cut.t_coef))
+        terms.append((t_idx[0], cut.t_coef))
+    coefs = np.zeros(model.num_vars)
+    np.add.at(coefs, np.array([j for j, _ in terms], dtype=np.intp), [v for _, v in terms])
     return coefs, cut.rhs
 
 
@@ -279,22 +284,10 @@ def check_cut_validity(cut: Cut, instance: DrccpInstance, big_m: float | None = 
             f"validity check would try {total} supports, over the budget of {max_supports}"
         )
     model = build_knapsack(instance, big_m=big_m)
-    c, A, senses, b, lb, ub = model.to_dense()
-    obj = np.zeros(model.num_vars)
-    x_idx = model.block_indices("x")
-    z_idx = model.block_indices("z")
-    r_idx = model.block_indices("r")
-    t_idx = model.block_indices("t")
-    for j, v in enumerate(cut.x_coefs):
-        obj[x_idx[j]] = v
-    for i, v in cut.z_coefs:
-        obj[z_idx[i]] = v
-    for i, v in cut.r_coefs:
-        obj[r_idx[i]] = v
-    if cut.t_coef != 0.0:
-        obj[t_idx[0]] = cut.t_coef
-    prob = LpProblem(c=obj, A=A, senses=senses, b=b, lb=lb, ub=ub)
+    prob, _ = model_to_lp(model)
+    prob.c, _ = cut_row(cut, model)  # minimize the cut's left-hand side
     solver = SimplexSolver(prob)
+    z_idx = model.block_indices("z")
     for size in range(k + 1):
         for support in itertools.combinations(range(n), size):
             chosen = set(support)

@@ -139,11 +139,6 @@ _PRESETS = {
 FORMULATION_KINDS = tuple(_PRESETS)
 
 
-def _x_terms(vec):
-    """Sparse (index, coef) terms of an x-block vector, zeros skipped."""
-    return [(j, vec[j]) for j in range(vec.size) if vec[j] != 0.0]
-
-
 def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
            max_theta: bool = False) -> MipModel:
     """The one formulation builder.  With max_theta the radius becomes a
@@ -162,61 +157,62 @@ def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
     n, p_count, dom = instance.n, instance.p, instance.domain
 
     m = MipModel()
-    for j in range(instance.dim_x):
-        m.add_var(f"x[{j}]", CONTINUOUS, dom.lb[j], dom.ub[j], "x")
-    z = [m.add_var(f"z[{i}]", BINARY, 0.0, 1.0, "z") for i in range(n)]
+    x = m.add_vars([f"x[{j}]" for j in range(instance.dim_x)], CONTINUOUS,
+                   dom.lb, dom.ub, "x")
+    z = m.add_vars([f"z[{i}]" for i in range(n)], BINARY, 0.0, 1.0, "z")
     if with_rt:
-        r = [m.add_var(f"r[{i}]", CONTINUOUS, 0.0, math.inf, "r") for i in range(n)]
+        r = m.add_vars([f"r[{i}]" for i in range(n)], CONTINUOUS, 0.0, math.inf, "r")
         t = m.add_var("t", CONTINUOUS, 0.0, math.inf, "t")
     if max_theta:
         theta = m.add_var("theta", CONTINUOUS, 0.0, math.inf, "theta")
 
     scales, products = row_scaling(instance)
-    x_terms, bxi = [], []
-    for p, row in enumerate(instance.rows):
-        x_terms.append(_x_terms(-(row.a / scales[p])))
-        bxi.append((products[:, p] + row.d) / scales[p])
+    d = np.array([row.d for row in instance.rows])
+    x_coefs = -(np.array([row.a for row in instance.rows]) / scales[:, None])  # (P, L)
+    bxi = (products + d) / scales  # (N, P)
+    # scenario-type rows come one per (i, p) pair, i-major
+    row_i = np.repeat(np.arange(n), p_count)
+    row_p = np.tile(np.arange(p_count), n)
+    x_cols = np.broadcast_to(x, (row_i.size, x.size))
 
-    for i in range(dom.G.shape[0]):
-        m.add_constraint(_x_terms(dom.G[i]), "<=", dom.g[i], "domain")
+    m.add_rows(x, dom.G, "<=", dom.g, "domain")
     if "budget" in families:
-        coefs = [(t, instance.epsilon)] + [(j, -1.0 / n) for j in r]
-        if max_theta:
-            m.add_constraint(coefs + [(theta, -1.0)], ">=", 0.0, "budget")
-        else:
-            m.add_constraint(coefs, ">=", instance.theta, "budget")
+        cols = np.concatenate([[t], r, [theta] if max_theta else []])
+        vals = np.concatenate([[instance.epsilon], np.full(n, -1.0 / n),
+                               [-1.0] if max_theta else []])
+        m.add_rows(cols, vals, ">=", 0.0 if max_theta else instance.theta, "budget")
     if "indicator" in families:
-        for i in range(n):
-            m.add_constraint([(z[i], -big_m), (t, -1.0), (r[i], 1.0)], ">=", -big_m,
-                             "indicator")
+        m.add_rows(np.column_stack([z, np.full(n, t), r]), [-big_m, -1.0, 1.0], ">=",
+                   -big_m, "indicator")
     if "knapsack" in families:
-        m.add_constraint([(j, 1.0) for j in z], "<=", float(instance.k), "knapsack")
+        m.add_rows(z, 1.0, "<=", float(instance.k), "knapsack")
     if "scenario" in families:
-        keep = None
-        if z_rule == "h_surviving":
-            keep = [set(map(int, s)) for s in quant.surviving]
-        for i in range(n):
-            for p in range(p_count):
-                if keep is not None and i not in keep[p]:
-                    continue
-                coef = big_m if z_rule == "big_m" else float(quant.h[i, p])
-                z_term = [(z[i], coef)] if coef != 0.0 else []
-                m.add_constraint(x_terms[p] + z_term + [(t, -1.0), (r[i], 1.0)], ">=",
-                                 -bxi[p][i], "scenario")
+        keep = slice(None)
+        if z_rule == "big_m":
+            z_coef = np.full(row_i.size, float(big_m))
+        else:
+            z_coef = quant.h[row_i, row_p]
+            if z_rule == "h_surviving":
+                surviving = np.zeros((n, p_count), dtype=bool)
+                for p, s in enumerate(quant.surviving):
+                    surviving[s, p] = True
+                keep = surviving.ravel()
+        cols = np.column_stack([x_cols, z[row_i], np.full(row_i.size, t), r[row_i]])
+        vals = np.column_stack([x_coefs[row_p], z_coef, np.full(row_i.size, -1.0),
+                                np.ones(row_i.size)])
+        m.add_rows(cols[keep], vals[keep], ">=", -bxi[row_i, row_p][keep], "scenario")
     if "scenario_saa" in families:
-        for i in range(n):
-            for p in range(p_count):
-                m.add_constraint(x_terms[p] + [(z[i], big_m)], ">=", -bxi[p][i],
-                                 "scenario_saa")
+        cols = np.column_stack([x_cols, z[row_i]])
+        vals = np.column_stack([x_coefs[row_p], np.full(row_i.size, float(big_m))])
+        m.add_rows(cols, vals, ">=", -bxi[row_i, row_p], "scenario_saa")
     if "quantile_bound" in families:
-        for p, row in enumerate(instance.rows):
-            m.add_constraint(x_terms[p] + [(t, -1.0)], ">=",
-                             (quant.q[p] - row.d) / scales[p], "quantile_bound")
+        m.add_rows(np.append(x, t), np.column_stack([x_coefs, np.full(p_count, -1.0)]),
+                   ">=", (quant.q - d) / scales, "quantile_bound")
 
     if max_theta:
         m.set_objective([(theta, 1.0)], "max")
     else:
-        m.set_objective(_x_terms(instance.cost), "min")
+        m.set_objective(zip(x, instance.cost), "min")
     return m.validate()
 
 

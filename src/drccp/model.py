@@ -25,7 +25,7 @@ branch-and-cut driver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,8 +109,8 @@ class SafetyRow:
 class Polyhedron:
     """Decision domain  {x : G x <= g, lb <= x <= ub}.
 
-    G may have zero rows.  Bounds may be +-inf; callers that need a compact
-    domain (big-M computation) check for that themselves.
+    G may have zero rows.  Bounds may be +-inf (not NaN); callers that need a
+    compact domain (big-M computation) check for that themselves.
     """
 
     G: np.ndarray
@@ -127,6 +127,8 @@ class Polyhedron:
             raise ValueError("G and g row counts differ")
         if lb.size != ub.size or G.shape[1] != lb.size:
             raise ValueError("bound lengths inconsistent with G columns")
+        if np.any(np.isnan(lb)) or np.any(np.isnan(ub)):
+            raise ValueError("bounds must not be NaN")
         if np.any(lb > ub):
             raise ValueError("lb exceeds ub")
         for name, arr in (("G", G), ("g", g)):
@@ -154,12 +156,12 @@ class DrccpInstance:
 
     Fields
     ------
-    cost : length-L objective vector for min cost @ x
+    cost : finite length-L objective vector for min cost @ x
     domain : Polyhedron over x
     rows : safety rows defining S(x)
     samples : SampleSet (the empirical distribution)
     epsilon : risk level in (0, 1)
-    theta : Wasserstein radius >= 0
+    theta : finite Wasserstein radius >= 0
     norm : transport metric norm, one of {'one', 'two', 'inf'}; 'two' is the
         default metric
     """
@@ -176,6 +178,8 @@ class DrccpInstance:
         cost = np.atleast_1d(np.asarray(self.cost, dtype=float))
         if cost.size != self.domain.dim:
             raise ValueError("cost length differs from domain dimension")
+        if not np.all(np.isfinite(cost)):
+            raise ValueError("cost must be finite")
         rows = tuple(self.rows)
         if not rows:
             raise ValueError("at least one safety row is required")
@@ -186,8 +190,8 @@ class DrccpInstance:
                 raise ValueError("safety row b-length differs from sample dimension")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.theta < 0.0:
-            raise ValueError("theta must be nonnegative")
+        if not (math.isfinite(self.theta) and self.theta >= 0.0):
+            raise ValueError("theta must be finite and nonnegative")
         if self.norm not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {self.norm!r}")
         object.__setattr__(self, "cost", cost)
@@ -258,116 +262,151 @@ BINARY = "binary"
 BLOCK_TAGS = ("x", "z", "r", "t", "theta", "aux")
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: str
-    lb: float
-    ub: float
-    block: str
+def _pairs(coefs):
+    """(index, coefficient) pairs as an index array and a value array."""
+    pairs = list(coefs)
+    return (np.array([j for j, _ in pairs], dtype=np.intp),
+            np.array([v for _, v in pairs], dtype=float))
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Sparse row: sum(coef * var) sense rhs, with a provenance label."""
-
-    coefs: tuple
-    sense: str  # '<=', '>=' or '=='
-    rhs: float
-    label: str
-
-
-@dataclass
 class MipModel:
-    """Solver-facing model.  Treated as immutable once built."""
+    """Solver-facing model, kept as arrays.  Treated as immutable once built.
 
-    variables: list = field(default_factory=list)
-    constraints: list = field(default_factory=list)
-    objective: tuple = ()
-    obj_sense: str = "min"
+    Variable j is names[j], with bounds lb[j] and ub[j], binary[j] and the
+    block tag blocks[j].  Row i is  sum_k vals[k] * x[cols[k]]  senses[i]
+    rhs[i]  over k in start[i]:start[i + 1] (CSR), its terms in the order
+    they were given, with the provenance label labels[i].  The objective is
+    sum(obj_vals * x[obj_cols]), minimized or maximized per obj_sense.  A
+    stored row or objective never holds a zero coefficient.
+    """
 
-    def add_var(self, name, kind=CONTINUOUS, lb=-math.inf, ub=math.inf, block="aux") -> int:
+    def __init__(self):
+        self.names = np.array([], dtype=str)
+        self.lb = np.empty(0)
+        self.ub = np.empty(0)
+        self.binary = np.zeros(0, dtype=bool)
+        self.blocks = np.array([], dtype=str)
+        self.start = np.zeros(1, dtype=np.intp)
+        self.cols = np.empty(0, dtype=np.intp)
+        self.vals = np.empty(0)
+        self.senses = np.array([], dtype=str)
+        self.rhs = np.empty(0)
+        self.labels = np.array([], dtype=str)
+        self.obj_cols = np.empty(0, dtype=np.intp)
+        self.obj_vals = np.empty(0)
+        self.obj_sense = "min"
+
+    def add_vars(self, names, kind=CONTINUOUS, lb=-math.inf, ub=math.inf, block="aux"):
+        """One variable per name, all of one kind and block (lb and ub
+        broadcast); returns their indices."""
         if kind not in (CONTINUOUS, BINARY):
             raise ValueError(f"unknown variable kind {kind!r}")
         if block not in BLOCK_TAGS:
             raise ValueError(f"unknown block tag {block!r}")
+        count = len(names)
+        lb = np.broadcast_to(np.asarray(lb, dtype=float), (count,))
+        ub = np.broadcast_to(np.asarray(ub, dtype=float), (count,))
         if kind == BINARY:
-            lb, ub = max(lb, 0.0), min(ub, 1.0)
-        self.variables.append(Variable(name, kind, float(lb), float(ub), block))
-        return len(self.variables) - 1
+            lb, ub = np.maximum(lb, 0.0), np.minimum(ub, 1.0)
+        first = self.num_vars
+        self.names = np.concatenate([self.names, np.asarray(names, dtype=str)])
+        self.lb = np.concatenate([self.lb, lb])
+        self.ub = np.concatenate([self.ub, ub])
+        self.binary = np.concatenate([self.binary, np.full(count, kind == BINARY)])
+        self.blocks = np.concatenate([self.blocks, np.full(count, block)])
+        return np.arange(first, first + count)
 
-    def add_constraint(self, coefs, sense, rhs, label) -> int:
+    def add_var(self, name, kind=CONTINUOUS, lb=-math.inf, ub=math.inf, block="aux") -> int:
+        return int(self.add_vars([name], kind, lb, ub, block)[0])
+
+    def add_rows(self, cols, vals, sense, rhs, label):
+        """Rows  sum_w vals[r, w] * x[cols[r, w]]  sense  rhs[r], one sense and
+        label for all.  cols, vals and rhs broadcast to equal-width blocks (a
+        1-d cols or vals is the same terms in every row); zero coefficients
+        are dropped."""
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"unknown sense {sense!r}")
-        self.constraints.append(Constraint(tuple(coefs), sense, float(rhs), label))
-        return len(self.constraints) - 1
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        cols, vals, _ = np.broadcast_arrays(np.atleast_2d(np.asarray(cols, dtype=np.intp)),
+                                            np.atleast_2d(np.asarray(vals, dtype=float)),
+                                            rhs[:, None])
+        rhs = np.broadcast_to(rhs, cols.shape[:1])
+        keep = vals != 0.0
+        self.start = np.concatenate([self.start, self.start[-1] + np.cumsum(keep.sum(axis=1))])
+        self.cols = np.concatenate([self.cols, cols[keep]])
+        self.vals = np.concatenate([self.vals, vals[keep]])
+        self.senses = np.concatenate([self.senses, np.full(rhs.size, sense)])
+        self.rhs = np.concatenate([self.rhs, rhs])
+        self.labels = np.concatenate([self.labels, np.full(rhs.size, label)])
+
+    def add_constraint(self, coefs, sense, rhs, label) -> int:
+        """One row from (index, coefficient) pairs; returns its index."""
+        self.add_rows(*_pairs(coefs), sense, rhs, label)
+        return self.num_constraints - 1
 
     def set_objective(self, coefs, sense="min"):
         if sense not in ("min", "max"):
             raise ValueError("objective sense must be 'min' or 'max'")
-        self.objective = tuple(coefs)
+        cols, vals = _pairs(coefs)
+        keep = vals != 0.0
+        self.obj_cols, self.obj_vals = cols[keep], vals[keep]
         self.obj_sense = sense
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return self.names.size
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self.rhs.size
 
     def block_indices(self, tag: str) -> list:
-        return [j for j, v in enumerate(self.variables) if v.block == tag]
-
-    def rows_labeled(self, label: str) -> list:
-        return [i for i, c in enumerate(self.constraints) if c.label == label]
+        return np.flatnonzero(self.blocks == tag).tolist()
 
     def validate(self):
-        """Sanity-check index ranges, bounds and binary declarations."""
+        """Sanity-check bounds, index ranges, finiteness and names."""
         nv = self.num_vars
-        for v in self.variables:
-            if v.lb > v.ub:
-                raise ValueError(f"variable {v.name}: lb > ub")
-            if v.kind == BINARY and (v.lb < 0.0 or v.ub > 1.0):
-                raise ValueError(f"binary variable {v.name} with bounds outside [0, 1]")
-        seen = set()
-        for con in self.constraints:
-            for j, coef in con.coefs:
-                if not 0 <= j < nv:
-                    raise ValueError(f"constraint {con.label}: variable index {j} out of range")
-                if not math.isfinite(coef):
-                    raise ValueError(f"constraint {con.label}: non-finite coefficient")
-            if not math.isfinite(con.rhs):
-                raise ValueError(f"constraint {con.label}: non-finite rhs")
-        for j, coef in self.objective:
-            if not 0 <= j < nv:
-                raise ValueError("objective variable index out of range")
-        for v in self.variables:
-            if v.name in seen:
-                raise ValueError(f"duplicate variable name {v.name}")
-            seen.add(v.name)
+        bad = np.flatnonzero(self.lb > self.ub)
+        if bad.size:
+            raise ValueError(f"variable {self.names[bad[0]]}: lb > ub")
+        bad = np.flatnonzero(self.binary & ((self.lb < 0.0) | (self.ub > 1.0)))
+        if bad.size:
+            raise ValueError(f"binary variable {self.names[bad[0]]} with bounds outside [0, 1]")
+
+        def label_of_term(k):
+            return self.labels[np.searchsorted(self.start, k, side="right") - 1]
+
+        bad = np.flatnonzero((self.cols < 0) | (self.cols >= nv))
+        if bad.size:
+            raise ValueError(f"constraint {label_of_term(bad[0])}: variable index "
+                             f"{self.cols[bad[0]]} out of range")
+        bad = np.flatnonzero(~np.isfinite(self.vals))
+        if bad.size:
+            raise ValueError(f"constraint {label_of_term(bad[0])}: non-finite coefficient")
+        bad = np.flatnonzero(~np.isfinite(self.rhs))
+        if bad.size:
+            raise ValueError(f"constraint {self.labels[bad[0]]}: non-finite rhs")
+        if np.any((self.obj_cols < 0) | (self.obj_cols >= nv)):
+            raise ValueError("objective variable index out of range")
+        if not np.all(np.isfinite(self.obj_vals)):
+            raise ValueError("objective: non-finite coefficient")
+        names, counts = np.unique(self.names, return_counts=True)
+        if np.any(counts > 1):
+            raise ValueError(f"duplicate variable name {names[np.argmax(counts > 1)]}")
         return self
 
     def to_dense(self):
         """Dense LP arrays (c, A, senses, b, lb, ub); binaries keep their
-        [0, 1] box, integrality is the caller's business."""
-        nv, nc = self.num_vars, self.num_constraints
-        c = np.zeros(nv)
-        for j, coef in self.objective:
-            c[j] += coef
+        [0, 1] box, integrality is the caller's business.  Repeated indices
+        in a row sum, in order."""
+        c = np.zeros(self.num_vars)
+        np.add.at(c, self.obj_cols, self.obj_vals)
         if self.obj_sense == "max":
             c = -c
-        A = np.zeros((nc, nv))
-        senses = []
-        b = np.zeros(nc)
-        for i, con in enumerate(self.constraints):
-            for j, coef in con.coefs:
-                A[i, j] += coef
-            senses.append(con.sense)
-            b[i] = con.rhs
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
-        return c, A, senses, b, lb, ub
+        A = np.zeros((self.num_constraints, self.num_vars))
+        rows = np.repeat(np.arange(self.num_constraints), np.diff(self.start))
+        np.add.at(A, (rows, self.cols), self.vals)
+        return c, A, self.senses.tolist(), self.rhs.copy(), self.lb.copy(), self.ub.copy()
 
     def to_text(self) -> str:
         """Debug dump, one row per line: `label: sum coef*var sense rhs`.
@@ -375,16 +414,17 @@ class MipModel:
         Coefficients carry 12 significant digits so dumps are usable as
         golden files.
         """
-        lines = []
-        obj = " + ".join(
-            f"{coef:.12g}*{self.variables[j].name}" for j, coef in self.objective
-        )
-        lines.append(f"{self.obj_sense}: {obj}")
-        for con in self.constraints:
-            terms = " + ".join(
-                f"{coef:.12g}*{self.variables[j].name}" for j, coef in con.coefs
-            )
-            lines.append(f"{con.label}: {terms} {con.sense} {con.rhs:.12g}")
+        names = self.names.tolist()
+
+        def terms(cols, vals):
+            pairs = zip(cols.tolist(), vals.tolist())
+            return " + ".join(f"{v:.12g}*{names[j]}" for j, v in pairs)
+
+        lines = [f"{self.obj_sense}: {terms(self.obj_cols, self.obj_vals)}"]
+        for i in range(self.num_constraints):
+            span = slice(self.start[i], self.start[i + 1])
+            lines.append(f"{self.labels[i]}: {terms(self.cols[span], self.vals[span])} "
+                         f"{self.senses[i]} {self.rhs[i]:.12g}")
         return "\n".join(lines) + "\n"
 
 

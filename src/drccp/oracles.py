@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bnc import model_to_lp
 from .constants import FEAS_TOL, MARGIN_TOL
 from .model import DrccpInstance, distance_profile, floor_frac_count
-from .simplex import LpProblem, SimplexSolver
+from .simplex import SimplexSolver
 
 
 def worst_case_prob(distances, theta: float) -> float:
@@ -144,9 +145,7 @@ def enumerate_optimal(instance: DrccpInstance, big_m: float | None = None,
             f"enumeration would try {total} supports, over the budget of {max_supports}"
         )
     model = build_basic(instance, big_m=big_m)
-    c, A, senses, b, lb, ub = model.to_dense()
-    prob = LpProblem(c=c, A=A, senses=senses, b=b, lb=lb.copy(), ub=ub.copy())
-    solver = SimplexSolver(prob)
+    solver = SimplexSolver(model_to_lp(model)[0])
     z_idx = model.block_indices("z")
     x_idx = model.block_indices("x")
     best_obj = math.inf

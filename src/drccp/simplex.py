@@ -294,20 +294,11 @@ class SimplexSolver:
             self.stat[j] = self._normalize_status(j, self.stat[j])
 
     def add_row(self, coefs, sense, rhs):
-        """Append one row; its slack joins the basis, preserving warm state.
-
-        `coefs` is a dense length-n vector or a sparse iterable of
-        (index, value) pairs.
-        """
-        dense = np.zeros(self.n)
-        arr = np.asarray(coefs, dtype=float)
-        if arr.ndim == 1 and arr.size == self.n:
-            dense = arr.copy()
-        elif arr.ndim == 2 and arr.shape[1] == 2:
-            for j, val in arr:
-                dense[int(j)] += float(val)
-        else:
-            raise ValueError("coefs must be a dense length-n vector or (index, value) pairs")
+        """Append one row, given as a dense length-n vector; its slack joins
+        the basis, preserving warm state."""
+        dense = np.array(coefs, dtype=float)
+        if dense.shape != (self.n,):
+            raise ValueError("coefs must be a dense length-n vector")
         slo, shi = _slack_bounds(sense)
         m_old = self.m
         self.A = np.asfortranarray(np.vstack([self.A, dense[None, :]]))
@@ -545,10 +536,8 @@ class SimplexSolver:
         )
 
 
-def solve_lp(problem: LpProblem, warm=None, record_pivots=False) -> LpSolution:
+def solve_lp(problem: LpProblem, record_pivots=False) -> LpSolution:
     solver = SimplexSolver(problem, record_pivots=record_pivots)
-    if warm is not None:
-        solver.load_state(*warm)
     sol = solver.solve()
     if record_pivots:
         sol.pivots = list(solver.pivot_log)

@@ -326,10 +326,10 @@ def _stall_after_cuts(monkeypatch, at_root, nth=1):
     """Make the re-solve after the `nth` separation that adds cuts, at the
     root or at an interior node, stall warm and cold.  Returns a dict whose
     "search" entry is the _Search that ran."""
-    seen = {"rounds": 0, "stalls_left": 0, "search": None}
+    seen = _record_search(monkeypatch)
+    seen.update(rounds=0, stalls_left=0)
     inner_sep = bnc._Search._separate_once
     inner_solve = SimplexSolver.solve
-    inner_run = bnc._Search.run
 
     def separate(self, values):
         found = inner_sep(self, values)
@@ -345,12 +345,20 @@ def _stall_after_cuts(monkeypatch, at_root, nth=1):
             raise SimplexStall("synthetic stall for testing")
         return inner_solve(self, max_iter)
 
+    monkeypatch.setattr(bnc._Search, "_separate_once", separate)
+    monkeypatch.setattr(SimplexSolver, "solve", solve_method)
+    return seen
+
+
+def _record_search(monkeypatch):
+    """Returns a dict whose "search" entry becomes the _Search that runs."""
+    seen = {"search": None}
+    inner_run = bnc._Search.run
+
     def run(self):
         seen["search"] = self
         return inner_run(self)
 
-    monkeypatch.setattr(bnc._Search, "_separate_once", separate)
-    monkeypatch.setattr(SimplexSolver, "solve", solve_method)
     monkeypatch.setattr(bnc._Search, "run", run)
     return seen
 
@@ -384,9 +392,29 @@ def test_stall_after_interior_cuts_is_contained(monkeypatch):
     assert res.bound is not None
     assert any("action=stall" in e and not e.startswith("node=0 ") for e in res.events)
     solver = seen["search"].solver
-    n = len(model.variables)
-    assert np.array_equal(solver.lb[:n], [v.lb for v in model.variables])
-    assert np.array_equal(solver.ub[:n], [v.ub for v in model.variables])
+    n = model.num_vars
+    assert np.array_equal(solver.lb[:n], model.lb)
+    assert np.array_equal(solver.ub[:n], model.ub)
+
+
+@pytest.mark.parametrize("node_limit", [None, 4])
+def test_search_ends_at_the_root_bounds(monkeypatch, node_limit):
+    # nodes re-set only the bounds that differ from the last node's; the
+    # root box comes back once, when the search ends (also at a limit)
+    inst = box_instance(5, n=12)
+    seen = _record_search(monkeypatch)
+    model = build_basic(inst)
+    res = solve(model, config=BncConfig(node_limit=node_limit, node_selection="depth-first"))
+    assert res.nodes > 2
+    if node_limit is None:
+        assert res.status == "optimal"
+    else:
+        assert res.status in ("feasible-gap", "no-incumbent") and res.nodes == node_limit
+    search = seen["search"]
+    assert search.applied == {}
+    n = model.num_vars
+    assert np.array_equal(search.solver.lb[:n], model.lb)
+    assert np.array_equal(search.solver.ub[:n], model.ub)
 
 
 # -- config validation -------------------------------------------------------

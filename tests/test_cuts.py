@@ -190,7 +190,7 @@ class TestSeparators:
                 values[model.block_indices("r")] = point.r
             if point.t is not None:
                 values[model.block_indices("t")[0]] = point.t
-            lhs = sum(values[j] * v for j, v in coefs)
+            lhs = float(values @ coefs)
             assert cut.violation == pytest.approx(rhs - lhs, abs=1e-9)
 
     def test_path_cut_structure(self):
@@ -205,7 +205,7 @@ class TestSeparators:
             values[model.block_indices("z")] = point.z
             values[model.block_indices("r")] = point.r
             values[model.block_indices("t")[0]] = point.t
-            lhs = sum(values[j] * v for j, v in coefs)
+            lhs = float(values @ coefs)
             assert cut.violation == pytest.approx(rhs - lhs, abs=1e-9)
 
     def test_path_needs_rt_values(self):

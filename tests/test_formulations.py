@@ -104,7 +104,7 @@ class TestRowContracts:
 
     def counts(self, model):
         return {
-            lbl: len(model.rows_labeled(lbl))
+            lbl: int(np.count_nonzero(model.labels == lbl))
             for lbl in ("domain", "budget", "indicator", "knapsack", "scenario",
                         "scenario_saa", "quantile_bound")
         }
@@ -144,8 +144,9 @@ class TestRowContracts:
         # Every z coefficient in a scenario row is the matching h entry.
         z_idx = set(m.block_indices("z"))
         seen = 0
-        for ridx in m.rows_labeled("scenario"):
-            for j, coef in m.constraints[ridx].coefs:
+        for ridx in np.flatnonzero(m.labels == "scenario"):
+            span = slice(m.start[ridx], m.start[ridx + 1])
+            for j, coef in zip(m.cols[span].tolist(), m.vals[span].tolist()):
                 if j in z_idx:
                     seen += 1
                     i = m.block_indices("z").index(j)
@@ -164,7 +165,7 @@ class TestRowContracts:
     def test_domain_rows_carried(self):
         tp, inst = small_transport(seed=3)
         m = F.build_compact(inst)
-        assert len(m.rows_labeled("domain")) == inst.domain.G.shape[0]
+        assert np.count_nonzero(m.labels == "domain") == inst.domain.G.shape[0]
         assert inst.domain.G.shape[0] > 0
 
     def test_zero_theta_rejected(self):
@@ -184,8 +185,10 @@ class TestRowContracts:
         inst, _, _ = case
         m = F.build_saa(inst, big_m=123.5)
         z_idx = set(m.block_indices("z"))
-        row = m.constraints[m.rows_labeled("scenario_saa")[0]]
-        zc = [coef for j, coef in row.coefs if j in z_idx]
+        ridx = np.flatnonzero(m.labels == "scenario_saa")[0]
+        span = slice(m.start[ridx], m.start[ridx + 1])
+        zc = [coef for j, coef in zip(m.cols[span].tolist(), m.vals[span].tolist())
+              if j in z_idx]
         assert zc == [123.5]
 
 
@@ -243,7 +246,7 @@ class TestThetaMax:
         inst = line_instance([0.1, 0.2], epsilon=0.5, theta=0.01)
         m = F.build_theta_variant(inst, matrix="compact")
         assert m.obj_sense == "max"
-        (j, coef), = m.objective
+        (j,), (coef,) = m.obj_cols.tolist(), m.obj_vals.tolist()
         assert j == m.block_indices("theta")[0] and coef == 1.0
 
     def test_grid_shape(self):

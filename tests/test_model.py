@@ -69,6 +69,19 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="theta"):
             line_instance([1.0], epsilon=0.2, theta=-0.1)
 
+    def test_non_finite_theta(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                line_instance([1.0], epsilon=0.2, theta=bad)
+
+    def test_non_finite_cost(self):
+        dom = Polyhedron(G=np.zeros((0, 2)), g=[], lb=[0, 0], ub=[1, 1])
+        row = SafetyRow(a=[1.0, 1.0], b=[1.0], d=0.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="cost must be finite"):
+                DrccpInstance(cost=[1.0, bad], domain=dom, rows=(row,),
+                              samples=SampleSet(np.ones((3, 1))), epsilon=0.2, theta=0.1)
+
     def test_dimension_mismatches(self):
         dom = Polyhedron(G=np.zeros((0, 2)), g=[], lb=[0, 0], ub=[1, 1])
         ss = SampleSet(np.ones((3, 2)))
@@ -91,6 +104,14 @@ class TestInstanceValidation:
     def test_polyhedron_bound_order(self):
         with pytest.raises(ValueError, match="lb exceeds ub"):
             Polyhedron(G=np.zeros((0, 1)), g=[], lb=[2.0], ub=[1.0])
+
+    def test_polyhedron_nan_bounds(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Polyhedron(G=np.zeros((0, 2)), g=[], lb=[0.0, math.nan], ub=[1.0, 1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            Polyhedron(G=np.zeros((0, 1)), g=[], lb=[0.0], ub=[math.nan])
+        # infinite bounds stay allowed
+        Polyhedron(G=np.zeros((0, 1)), g=[], lb=[-math.inf], ub=[math.inf])
 
     def test_k_property(self):
         inst = line_instance([0.1] * 10, epsilon=0.3, theta=0.1)
@@ -148,15 +169,15 @@ class TestMipModel:
         m, x, z = self.build_toy()
         assert m.block_indices("x") == [x]
         assert m.block_indices("z") == [z]
-        assert m.rows_labeled("domain") == [0]
-        assert m.rows_labeled("budget") == [1]
+        assert np.flatnonzero(m.labels == "domain").tolist() == [0]
+        assert np.flatnonzero(m.labels == "budget").tolist() == [1]
         assert m.num_vars == 2 and m.num_constraints == 2
         m.validate()
 
     def test_binary_bounds_clamped(self):
         m = MipModel()
         j = m.add_var("z", BINARY, lb=-3.0, ub=7.0)
-        assert m.variables[j].lb == 0.0 and m.variables[j].ub == 1.0
+        assert m.lb[j] == 0.0 and m.ub[j] == 1.0 and m.binary[j]
 
     def test_validate_catches_bad_index(self):
         m, x, z = self.build_toy()
@@ -170,6 +191,13 @@ class TestMipModel:
         m.add_var("x")
         with pytest.raises(ValueError, match="duplicate"):
             m.validate()
+
+    def test_validate_catches_non_finite_objective(self):
+        for bad in (math.inf, math.nan):
+            m, x, z = self.build_toy()
+            m.set_objective([(x, 1.0), (z, bad)])
+            with pytest.raises(ValueError, match="objective: non-finite"):
+                m.validate()
 
     def test_rejects_unknown_sense_and_kind(self):
         m = MipModel()
@@ -188,6 +216,26 @@ class TestMipModel:
         np.testing.assert_allclose(b, [1.5, 0.5])
         np.testing.assert_allclose(lb, [0.0, 0.0])
         np.testing.assert_allclose(ub, [4.0, 1.0])
+
+    def test_add_rows_drops_zeros_and_to_dense_sums_duplicates(self):
+        m = MipModel()
+        x = m.add_vars(["x0", "x1", "x2"], CONTINUOUS, 0.0, [1.0, 2.0, 3.0], block="x")
+        assert x.tolist() == [0, 1, 2] and m.ub.tolist() == [1.0, 2.0, 3.0]
+        # two rows over the same columns; the zero and minus-zero terms are dropped
+        m.add_rows(x, [[1.0, 0.0, 2.0], [0.0, -0.0, 3.0]], "<=", [4.0, 5.0], "domain")
+        assert m.start.tolist() == [0, 2, 3]
+        assert m.cols.tolist() == [0, 2, 2] and m.vals.tolist() == [1.0, 2.0, 3.0]
+        # a repeated index is kept as two terms and sums in to_dense
+        m.add_constraint([(x[0], 0.5), (x[1], 0.0), (x[0], 0.25)], ">=", 1.0, "budget")
+        assert m.start.tolist() == [0, 2, 3, 5] and m.cols.tolist()[3:] == [0, 0]
+        m.set_objective([(x[0], 0.0), (x[2], 1.5)])
+        assert m.obj_cols.tolist() == [2] and m.obj_vals.tolist() == [1.5]
+        c, A, senses, b, lb, ub = m.validate().to_dense()
+        assert A.tolist() == [[1.0, 0.0, 2.0], [0.0, 0.0, 3.0], [0.75, 0.0, 0.0]]
+        assert not np.any(np.signbit(A[A == 0.0]))
+        assert c.tolist() == [0.0, 0.0, 1.5]
+        assert senses == ["<=", "<=", ">="] and b.tolist() == [4.0, 5.0, 1.0]
+        assert m.to_text().splitlines()[2] == "domain: 3*x2 <= 5"
 
     def test_to_dense_negates_for_max(self):
         m, x, z = self.build_toy()

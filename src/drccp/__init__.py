@@ -9,7 +9,6 @@ from .cuts import (
     MixingSeparator,
     PathSeparator,
     best_path_sequence,
-    check_cut_validity,
     format_cut,
     most_violated_star,
 )
@@ -44,6 +43,7 @@ from .oracles import (
     CvarResult,
     EnumerationResult,
     FeasibilityCertificate,
+    check_cut_validity,
     cvar,
     enumerate_optimal,
     lemma_certificate,

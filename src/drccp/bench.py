@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .bnc import BncConfig, solve
-from .cuts import MixingSeparator, PathSeparator
+from .cuts import SEPARATORS
 from .formulations import (
     build_formulation,
     compute_quantiles,
@@ -163,11 +163,7 @@ def run_cell(config: ExperimentConfig, nf: int, nd: int, ns: int, rep: int) -> l
         for variant in config.variants:
             kind, families = VARIANTS[variant]
             model = build_formulation(inst, kind, big_m=big_m, quant=quant)
-            seps = []
-            if "mixing" in families:
-                seps.append(MixingSeparator(inst, quant))
-            if "path" in families:
-                seps.append(PathSeparator(inst, quant))
+            seps = [cls(inst, quant) for name, cls in SEPARATORS.items() if name in families]
             result = solve(model, seps, _bnc_config(config))
             rows.append({
                 "F": nf, "D": nd, "N": ns,

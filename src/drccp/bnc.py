@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cuts
 from .constants import DEFAULT_GAP_TOL, INT_TOL
 from .model import MipModel
 from .simplex import LpProblem, SimplexSolver, SimplexStall
@@ -206,15 +207,13 @@ class _Search:
     # -- cutting ------------------------------------------------------------
 
     def _separate_once(self, values):
-        from .cuts import cut_row, point_from_solution
-
-        point = point_from_solution(self.model, values)
+        point = cuts.point_from_solution(self.model, values)
         found = []
         for sep in self.separators:
             found.extend(sep.separate(point))
         found.sort(key=lambda c: (c.p, -c.violation, c.family))
         for cut in found:
-            coefs, rhs = cut_row(cut, self.model)
+            coefs, rhs = cuts.cut_row(cut, self.model)
             self.solver.add_row(coefs, ">=", rhs)
             self.cut_counts[cut.family] = self.cut_counts.get(cut.family, 0) + 1
         return len(found)

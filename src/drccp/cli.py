@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .bnc import BRANCHING_RULES, NODE_SELECTIONS, BncConfig, solve as bnc_solve
-from .cuts import MixingSeparator, PathSeparator, format_cut
+from .cuts import SEPARATORS, format_cut
 from .formulations import (
     FORMULATION_KINDS,
     build_formulation,
@@ -97,18 +97,15 @@ def _cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     families = [] if args.cuts == "none" else [s for s in args.cuts.split(",") if s]
     for fam in families:
-        if fam not in ("mixing", "path"):
-            raise ValueError(f"unknown cut family {fam!r}; choose from mixing, path or none")
+        if fam not in SEPARATORS:
+            raise ValueError(f"unknown cut family {fam!r}; "
+                             f"choose from {', '.join(SEPARATORS)} or none")
     model = build_formulation(inst, args.formulation)
     if args.dump_model:
         with open(args.dump_model, "w", encoding="utf-8") as fh:
             fh.write(model.to_text())
     quant = compute_quantiles(inst) if families else None
-    seps = []
-    if "mixing" in families:
-        seps.append(MixingSeparator(inst, quant))
-    if "path" in families:
-        seps.append(PathSeparator(inst, quant))
+    seps = [cls(inst, quant) for name, cls in SEPARATORS.items() if name in families]
     config = BncConfig(
         gap_tol=args.gap_tol,
         time_limit=args.time_limit,

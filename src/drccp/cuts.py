@@ -10,25 +10,18 @@ with a zero sentinel appended:
 Separation is exact: a greedy scan maximizes the star right-hand side and a
 quadratic dynamic program maximizes the path value.  Each routine returns at
 most one cut per row, the most violated one, and only when the violation
-clears CUT_VIOLATION_TOL.
-
-check_cut_validity is the independent referee: it minimizes the cut's
-left-hand side over every discard support of the exact knapsack-strengthened
-region and accepts only if no support can dip below the right-hand side.
+clears CUT_VIOLATION_TOL.  SEPARATORS maps each family name to its
+separator class.  The validity referee is `oracles.check_cut_validity`.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bnc import model_to_lp
-from .constants import CUT_VIOLATION_TOL, MARGIN_TOL
-from .formulations import QuantileData, build_knapsack, compute_quantiles
+from .constants import CUT_VIOLATION_TOL
+from .formulations import QuantileData, compute_quantiles
 from .model import DrccpInstance, row_scaling
-from .simplex import SimplexSolver
 
 
 @dataclass(frozen=True)
@@ -264,42 +257,4 @@ class PathSeparator(_SeparatorBase):
         )
 
 
-# ---------------------------------------------------------------------------
-# Independent validity referee
-# ---------------------------------------------------------------------------
-
-def check_cut_validity(cut: Cut, instance: DrccpInstance, big_m: float | None = None,
-                       max_supports: int = 20000) -> bool:
-    """True iff the cut holds at every point of the exact feasible region.
-
-    Enumerates all discard supports of size at most k; for each, fixes z and
-    minimizes the cut's left-hand side over the knapsack-strengthened
-    continuous region.  The cut is valid when no support reaches a value
-    below rhs - MARGIN_TOL.
-    """
-    n, k = instance.n, instance.k
-    total = sum(math.comb(n, j) for j in range(k + 1))
-    if total > max_supports:
-        raise ValueError(
-            f"validity check would try {total} supports, over the budget of {max_supports}"
-        )
-    model = build_knapsack(instance, big_m=big_m)
-    prob, _ = model_to_lp(model)
-    prob.c, _ = cut_row(cut, model)  # minimize the cut's left-hand side
-    solver = SimplexSolver(prob)
-    z_idx = model.block_indices("z")
-    for size in range(k + 1):
-        for support in itertools.combinations(range(n), size):
-            chosen = set(support)
-            for pos, j in enumerate(z_idx):
-                val = 1.0 if pos in chosen else 0.0
-                solver.set_bound(j, val, val)
-            solver.reset_basis()
-            sol = solver.solve()
-            if sol.status == "infeasible":
-                continue
-            if sol.status != "optimal":
-                return False
-            if sol.objective < cut.rhs - MARGIN_TOL:
-                return False
-    return True
+SEPARATORS = {"mixing": MixingSeparator, "path": PathSeparator}

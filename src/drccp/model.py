@@ -24,6 +24,7 @@ branch-and-cut driver.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -432,59 +433,31 @@ class MipModel:
 # Instance JSON serialization
 # ---------------------------------------------------------------------------
 
-def _fmt_number(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("NaN is not representable in instance JSON")
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def _emit(obj) -> str:
-    if isinstance(obj, dict):
-        inner = ",".join(f'"{k}":{_emit(v)}' for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, str):
-        return f'"{obj}"'
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    return _fmt_number(obj)
-
-
 def dump_instance(instance: DrccpInstance) -> str:
     """Serialize an instance to deterministic JSON.
 
-    Numbers are written with 17 significant digits so a dump/load round trip
-    reproduces every IEEE double exactly.  Infinite bounds are written as
-    (non-strict JSON) Infinity literals, which the stdlib parser accepts.
+    Numbers are written as their shortest round-trip `repr`, so a dump/load
+    round trip reproduces every IEEE double exactly.  Infinite bounds are
+    written as (non-strict JSON) Infinity literals, which the stdlib parser
+    accepts.  Instances never hold NaN: their constructors reject it.
     """
+    dom = instance.domain
     doc = {
         "L": instance.dim_x,
         "K": instance.samples.k,
-        "cost": list(instance.cost),
-        "domain": {
-            "G": [list(row) for row in instance.domain.G],
-            "g": list(instance.domain.g),
-            "lb": list(instance.domain.lb),
-            "ub": list(instance.domain.ub),
-        },
-        "rows": [
-            {"a": list(r.a), "b": list(r.b), "d": r.d} for r in instance.rows
-        ],
-        "samples": [list(row) for row in instance.samples.samples],
-        "epsilon": instance.epsilon,
-        "theta": instance.theta,
+        "cost": instance.cost.tolist(),
+        "domain": {"G": dom.G.tolist(), "g": dom.g.tolist(),
+                   "lb": dom.lb.tolist(), "ub": dom.ub.tolist()},
+        "rows": [{"a": r.a.tolist(), "b": r.b.tolist(), "d": r.d} for r in instance.rows],
+        "samples": instance.samples.samples.tolist(),
+        "epsilon": float(instance.epsilon),
+        "theta": float(instance.theta),
         "norm": instance.norm,
     }
-    return _emit(doc) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def load_instance(text: str) -> DrccpInstance:
-    import json
-
     doc = json.loads(text)
     dom = doc["domain"]
     L = int(doc["L"])

@@ -1,10 +1,13 @@
-"""Independent certificates for solutions of the chance-constrained program.
+"""Certificates and reference answers for the chance-constrained program.
 
-Everything here is deliberately decoupled from the MIP formulations: the
-worst-case probability comes from a one-dimensional breakpoint scan, the
-superquantile check from sorting, and the reference optimum from explicit
-support enumeration.  These routines are the ground truth the solver stack
-is tested against.
+The worst-case probability comes from a one-dimensional breakpoint scan and
+the superquantile check from sorting; neither touches the MIP formulations.
+The two referees enumerate discard supports instead: `enumerate_optimal`
+finds the exact optimum over the `basic` preset and `check_cut_validity`
+decides whether a cut holds over the `knapsack` preset, each by fixing z on
+every support and solving the LP relaxation with the in-package simplex.
+They share the formulation builder and the simplex with the solver stack
+they check, so the tests cross-check them against scipy.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cuts, formulations
 from .bnc import model_to_lp
 from .constants import FEAS_TOL, MARGIN_TOL
 from .model import DrccpInstance, distance_profile, floor_frac_count
@@ -127,44 +131,84 @@ class EnumerationResult:
     supports_tried: int
 
 
+def _solved_supports(model, instance: DrccpInstance, max_supports: int, what: str,
+                     objective=None):
+    """Solve the model's LP relaxation once per discard support.
+
+    Yields (support, solution) for every set of at most k scenarios, in
+    itertools.combinations order, with z fixed to 1 on the set and to 0
+    elsewhere.  `objective` replaces the model's cost vector.  Each solve
+    starts cold, and a cold start reads only the bounds, so only the z
+    bounds that differ from the previous support's are re-set.  Raises
+    before solving anything when the support count exceeds max_supports;
+    `what` names the caller in that message.
+    """
+    n, k = instance.n, instance.k
+    total = sum(math.comb(n, j) for j in range(k + 1))
+    if total > max_supports:
+        raise ValueError(
+            f"{what} would try {total} supports, over the budget of {max_supports}"
+        )
+    prob, _ = model_to_lp(model)
+    if objective is not None:
+        prob.c = objective
+    solver = SimplexSolver(prob)
+    z_idx = model.block_indices("z")
+    for j in z_idx:
+        solver.set_bound(j, 0.0, 0.0)
+    previous = set()
+    for size in range(k + 1):
+        for support in itertools.combinations(range(n), size):
+            chosen = set(support)
+            for pos in sorted(previous ^ chosen):
+                val = 1.0 if pos in chosen else 0.0
+                solver.set_bound(z_idx[pos], val, val)
+            previous = chosen
+            solver.reset_basis()
+            yield support, solver.solve()
+
+
 def enumerate_optimal(instance: DrccpInstance, big_m: float | None = None,
                       max_supports: int = 200000) -> EnumerationResult:
     """Reference optimum by brute force over discard sets.
 
     For every subset of at most k scenarios, fix z on that subset and solve
-    the continuous relaxation of the distance-based model; the best LP value
+    the continuous relaxation of the basic formulation; the best LP value
     over all subsets is the exact mixed-integer optimum.  Errors out when
     the subset count exceeds max_supports.
     """
-    from .formulations import build_basic
-
-    n, k = instance.n, instance.k
-    total = sum(math.comb(n, j) for j in range(k + 1))
-    if total > max_supports:
-        raise ValueError(
-            f"enumeration would try {total} supports, over the budget of {max_supports}"
-        )
-    model = build_basic(instance, big_m=big_m)
-    solver = SimplexSolver(model_to_lp(model)[0])
-    z_idx = model.block_indices("z")
+    model = formulations.build_basic(instance, big_m=big_m)
     x_idx = model.block_indices("x")
     best_obj = math.inf
     best_x = None
     best_support = None
     tried = 0
-    for size in range(k + 1):
-        for support in itertools.combinations(range(n), size):
-            tried += 1
-            chosen = set(support)
-            for pos, j in enumerate(z_idx):
-                val = 1.0 if pos in chosen else 0.0
-                solver.set_bound(j, val, val)
-            solver.reset_basis()
-            sol = solver.solve()
-            if sol.status == "optimal" and sol.objective < best_obj - 0.0:
-                best_obj = sol.objective
-                best_x = sol.x[x_idx].copy()
-                best_support = support
+    for support, sol in _solved_supports(model, instance, max_supports, "enumeration"):
+        tried += 1
+        if sol.status == "optimal" and sol.objective < best_obj:
+            best_obj = sol.objective
+            best_x = sol.x[x_idx].copy()
+            best_support = support
     if best_x is None:
         return EnumerationResult("infeasible", None, None, None, tried)
     return EnumerationResult("optimal", float(best_obj), best_x, best_support, tried)
+
+
+def check_cut_validity(cut: cuts.Cut, instance: DrccpInstance, big_m: float | None = None,
+                       max_supports: int = 20000) -> bool:
+    """True iff the cut holds at every point of the exact feasible region.
+
+    Enumerates all discard supports of size at most k; for each, fixes z and
+    minimizes the cut's left-hand side over the knapsack-strengthened
+    continuous region.  The cut is valid when no support reaches a value
+    below rhs - MARGIN_TOL.
+    """
+    model = formulations.build_knapsack(instance, big_m=big_m)
+    lhs, _ = cuts.cut_row(cut, model)
+    for _, sol in _solved_supports(model, instance, max_supports, "validity check",
+                                   objective=lhs):
+        if sol.status == "infeasible":
+            continue
+        if sol.status != "optimal" or sol.objective < cut.rhs - MARGIN_TOL:
+            return False
+    return True

@@ -89,7 +89,6 @@ class LpSolution:
     reduced_costs: np.ndarray = None
     iterations: int = 0
     basis: np.ndarray = None
-    var_status: np.ndarray = None
     ray: np.ndarray = None
     farkas: np.ndarray = None
 
@@ -112,7 +111,7 @@ def _slack_bounds(sense):
 class SimplexSolver:
     """Stateful solver: supports warm starts, row addition and bound edits."""
 
-    def __init__(self, problem: LpProblem, record_pivots: bool = False):
+    def __init__(self, problem: LpProblem):
         self.m = problem.num_rows
         self.n = problem.num_cols
         self.A = np.array(problem.A, dtype=float, order="F")
@@ -125,8 +124,6 @@ class SimplexSolver:
         self.ub[: self.n] = problem.ub
         for i, sense in enumerate(problem.senses):
             self.lb[self.n + i], self.ub[self.n + i] = _slack_bounds(sense)
-        self.record_pivots = record_pivots
-        self.pivot_log = []
         self.total_pivots = 0
         self._pivots_since_refactor = 0
         self.reset_basis()
@@ -425,8 +422,6 @@ class SimplexSolver:
             self.stat[leaving] = ST_UPPER if to_upper else ST_LOWER
             self.stat[q] = ST_BASIC
             self.basis[pos] = q
-            if self.record_pivots:
-                self.pivot_log.append((q, leaving))
             self._update_binv(w, pos)
             self._count_pivot()
 
@@ -510,7 +505,6 @@ class SimplexSolver:
             reduced_costs=d[: self.n].copy(),
             iterations=iters,
             basis=self.basis.copy(),
-            var_status=self.stat.copy(),
         )
 
     def _infeasible_solution(self, yb, iters):
@@ -519,7 +513,6 @@ class SimplexSolver:
             iterations=iters,
             farkas=yb.copy(),
             basis=self.basis.copy(),
-            var_status=self.stat.copy(),
         )
 
     def _unbounded_solution(self, q, sigma, w, iters):
@@ -532,13 +525,8 @@ class SimplexSolver:
             iterations=iters,
             ray=ray[: self.n].copy(),
             basis=self.basis.copy(),
-            var_status=self.stat.copy(),
         )
 
 
-def solve_lp(problem: LpProblem, record_pivots=False) -> LpSolution:
-    solver = SimplexSolver(problem, record_pivots=record_pivots)
-    sol = solver.solve()
-    if record_pivots:
-        sol.pivots = list(solver.pivot_log)
-    return sol
+def solve_lp(problem: LpProblem) -> LpSolution:
+    return SimplexSolver(problem).solve()

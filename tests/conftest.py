@@ -5,8 +5,11 @@ values frozen in the tests were produced by the independent oracles in
 drccp.oracles (breakpoint scans, support enumeration) or by hand algebra on
 tiny cases, never by the code under test.
 """
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from drccp.model import DrccpInstance, Polyhedron, SafetyRow, SampleSet
 from drccp import transport
@@ -57,6 +60,26 @@ def box_instance(seed, n=8, dim=2, rows=2, epsilon=0.25, theta=0.05):
 def small_transport(seed=7, factories=2, centers=3, n=10, epsilon=0.2, theta=0.05):
     tp = transport.generate(factories, centers, n, seed=seed, epsilon=epsilon)
     return tp, transport.to_drccp(tp, theta=theta)
+
+
+def milp_minimum(model, c=None):
+    """Minimum of `c` (default: the model's objective, negated for a max
+    model) over the model's mixed-binary region, by scipy's MILP solver;
+    +inf when the region is empty."""
+    model_c, A, senses, b, lb, ub = model.to_dense()
+    senses = np.asarray(senses)
+    res = milp(
+        model_c if c is None else c,
+        integrality=model.binary.astype(int),
+        bounds=Bounds(lb, ub),
+        constraints=LinearConstraint(A, np.where(senses == "<=", -np.inf, b),
+                                     np.where(senses == ">=", np.inf, b)),
+        options={"mip_rel_gap": 1e-9},
+    )
+    if res.status == 2:
+        return math.inf
+    assert res.status == 0, res.message
+    return res.fun
 
 
 @pytest.fixture

@@ -12,15 +12,15 @@ from drccp.cuts import (
     MixingSeparator,
     PathSeparator,
     best_path_sequence,
-    check_cut_validity,
     cut_row,
     format_cut,
     most_violated_star,
     point_from_solution,
 )
 from drccp.bnc import model_to_lp
+from drccp.oracles import check_cut_validity
 from drccp.simplex import solve_lp
-from conftest import box_instance, small_transport
+from conftest import box_instance, milp_minimum, small_transport
 
 
 def star_value(h, z, seq):
@@ -229,6 +229,16 @@ class TestSeparators:
             assert cuts == []
 
 
+def refereed(cut, inst, big_m):
+    """check_cut_validity's verdict, once it agrees with scipy's MILP minimum
+    of the cut's left-hand side over the same knapsack model."""
+    verdict = check_cut_validity(cut, inst, big_m=big_m)
+    model = F.build_knapsack(inst, big_m=big_m)
+    lhs, _ = cut_row(cut, model)
+    assert verdict == (milp_minimum(model, lhs) >= cut.rhs - 1e-6)
+    return verdict
+
+
 class TestValidityReferee:
     def test_emitted_cuts_are_valid(self):
         count = 0
@@ -238,7 +248,7 @@ class TestValidityReferee:
             point = point_from_solution(model, sol.x)
             for sep in (MixingSeparator(inst, quant), PathSeparator(inst, quant)):
                 for cut in sep.separate(point):
-                    assert check_cut_validity(cut, inst, big_m=bm)
+                    assert refereed(cut, inst, bm)
                     count += 1
         assert count >= 5
 
@@ -250,7 +260,7 @@ class TestValidityReferee:
             x_coefs=cut.x_coefs, z_coefs=cut.z_coefs, r_coefs=cut.r_coefs,
             t_coef=cut.t_coef, rhs=cut.rhs + 10.0, violation=cut.violation,
         )
-        assert not check_cut_validity(bad, inst, big_m=bm)
+        assert not refereed(bad, inst, bm)
 
     def test_referee_rejects_corrupted_path_cut(self):
         inst, model, point, cuts, bm = TestSeparators().find_instance_with_cut("path")
@@ -260,7 +270,7 @@ class TestValidityReferee:
             x_coefs=cut.x_coefs, z_coefs=cut.z_coefs, r_coefs=cut.r_coefs,
             t_coef=cut.t_coef, rhs=cut.rhs + 2.0, violation=cut.violation,
         )
-        assert not check_cut_validity(inflated, inst, big_m=bm)
+        assert not refereed(inflated, inst, bm)
         # Negated shortfall coefficients drop the lhs wherever r > 0.
         negated = Cut(
             family=cut.family, p=cut.p, sequence=cut.sequence,
@@ -268,7 +278,7 @@ class TestValidityReferee:
             r_coefs=tuple((j, -1.0) for j, _ in cut.r_coefs),
             t_coef=cut.t_coef, rhs=cut.rhs, violation=cut.violation,
         )
-        assert not check_cut_validity(negated, inst, big_m=bm)
+        assert not refereed(negated, inst, bm)
 
     def test_singleton_star_rows_valid_for_all_scenarios(self):
         # For every above-quantile scenario j the one-element star inequality

@@ -13,7 +13,7 @@ from drccp.oracles import (
     worst_case_prob,
 )
 from drccp import transport
-from conftest import box_instance, line_instance, small_transport
+from conftest import box_instance, line_instance, milp_minimum, small_transport
 
 
 def grid_scan_prob(distances, theta, points=200001):
@@ -208,6 +208,24 @@ class TestEnumeration:
         assert res.objective == pytest.approx(best, abs=1e-5)
         # Hand value: at x = 0.68, t = 0.23 closes the budget exactly.
         assert res.objective == pytest.approx(0.68, abs=1e-9)
+
+    def test_matches_scipy_milp_on_transport(self):
+        # The reference optimum against an outside MILP solver on the same
+        # basic model, since both share the formulation builder.
+        from drccp.formulations import build_basic
+
+        optimal = 0
+        for seed, centers in ((7, 3), (11, 2)):
+            for theta in (0.01, 0.05, 0.2):
+                _, inst = small_transport(seed=seed, centers=centers, theta=theta)
+                res = enumerate_optimal(inst)
+                expected = milp_minimum(build_basic(inst))
+                if res.status == "infeasible":
+                    assert expected == math.inf
+                    continue
+                optimal += 1
+                assert res.objective == pytest.approx(expected, rel=1e-6)
+        assert optimal >= 4
 
 
 class TestCrossChecks:

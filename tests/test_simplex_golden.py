@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from drccp.simplex import SimplexSolver, solve_lp
-from test_simplex import random_problem
+from test_simplex import random_problem, recorded_pivots
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,10 +54,10 @@ def _pivots(log):
     return tuple((int(q), int(out)) for q, out in log)
 
 
-def _solve_record(solver, sol):
+def _solve_record(log, sol):
     """Status, objective bits, iterations and the pivots since the last record."""
-    record = (sol.status, _hex(sol.objective), sol.iterations, _pivots(solver.pivot_log))
-    solver.pivot_log.clear()
+    record = (sol.status, _hex(sol.objective), sol.iterations, _pivots(log))
+    log.clear()
     return record
 
 
@@ -82,9 +82,10 @@ def replay_records():
     rng = np.random.default_rng(1234)
     out = []
     for _ in range(10):
-        sol = solve_lp(random_problem(rng), record_pivots=True)
+        with recorded_pivots() as log:
+            sol = solve_lp(random_problem(rng))
         objective = _hex(sol.objective) if sol.status == "optimal" else None
-        out.append((sol.status, objective, _sha(_pivots(sol.pivots))))
+        out.append((sol.status, objective, _sha(_pivots(log))))
     return out
 
 
@@ -102,16 +103,17 @@ def add_row_records():
     """Solve, append a row that cuts the optimum off, re-solve warm."""
     rng = np.random.default_rng(42)
     out = []
-    for _ in range(30):
-        prob = random_problem(rng, allow_equalities=False)
-        solver = SimplexSolver(prob, record_pivots=True)
-        first = solver.solve()
-        out.append(_solve_record(solver, first))
-        if first.status != "optimal":
-            continue
-        row = np.round(rng.normal(size=prob.num_cols), 3)
-        solver.add_row(row, "<=", row @ first.x - 0.25)
-        out.append(_solve_record(solver, solver.solve()) + (solver.total_pivots,))
+    with recorded_pivots() as log:
+        for _ in range(30):
+            prob = random_problem(rng, allow_equalities=False)
+            solver = SimplexSolver(prob)
+            first = solver.solve()
+            out.append(_solve_record(log, first))
+            if first.status != "optimal":
+                continue
+            row = np.round(rng.normal(size=prob.num_cols), 3)
+            solver.add_row(row, "<=", row @ first.x - 0.25)
+            out.append(_solve_record(log, solver.solve()) + (solver.total_pivots,))
     return out
 
 
@@ -119,18 +121,19 @@ def set_bound_records():
     """Solve, fix a bound and re-solve, restore bound and basis, re-solve."""
     rng = np.random.default_rng(4242)
     prob = random_problem(rng, allow_equalities=False)
-    solver = SimplexSolver(prob, record_pivots=True)
-    out = [_solve_record(solver, solver.solve())]
-    state = solver.get_state()
-    fixed = prob.ub[0] if math.isfinite(prob.ub[0]) else 1.0
-    solver.set_bound(0, fixed, fixed)
-    out.append(_solve_record(solver, solver.solve()))
-    solver.set_bound(0, prob.lb[0], prob.ub[0])
-    solver.load_state(*state)
-    # the retargeting pivots are counted but not logged
-    out.append((solver.total_pivots, tuple(int(j) for j in solver.basis),
-                tuple(int(s) for s in solver.stat)))
-    out.append(_solve_record(solver, solver.solve()))
+    solver = SimplexSolver(prob)
+    with recorded_pivots() as log:
+        out = [_solve_record(log, solver.solve())]
+        state = solver.get_state()
+        fixed = prob.ub[0] if math.isfinite(prob.ub[0]) else 1.0
+        solver.set_bound(0, fixed, fixed)
+        out.append(_solve_record(log, solver.solve()))
+        solver.set_bound(0, prob.lb[0], prob.ub[0])
+        solver.load_state(*state)
+        # the retargeting pivots are counted but not logged
+        out.append((solver.total_pivots, tuple(int(j) for j in solver.basis),
+                    tuple(int(s) for s in solver.stat)))
+        out.append(_solve_record(log, solver.solve()))
     out.append(solver.total_pivots)
     return out
 

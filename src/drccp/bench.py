@@ -6,18 +6,15 @@ a ten-point radius grid (0.001 first, then fractions of the ceiling) and
 runs the requested solver arms.  Results land in a flat CSV, one row per
 (cell, radius index, arm); a second pass aggregates over replications.
 
-Rows are emitted in a canonical order regardless of parallelism (set the
-DRCCP_THREADS environment variable to fan cells out over processes).  In
-deterministic mode the wall-clock columns are left blank so the CSV is
-byte-for-byte reproducible; everything else is seed-determined.
+Rows are emitted in a canonical order.  In deterministic mode the
+wall-clock columns are left blank so the CSV is byte-for-byte reproducible;
+everything else is seed-determined.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .bnc import BncConfig, solve
@@ -183,25 +180,15 @@ def run_cell(config: ExperimentConfig, nf: int, nd: int, ns: int, rep: int) -> l
     return rows
 
 
-def _run_cell_packed(args):
-    return run_cell(*args)
-
-
 def run_experiments(config: ExperimentConfig, csv_path=None, aggregate_path=None) -> list:
-    tasks = [
-        (config, nf, nd, ns, rep)
+    rows = [
+        row
         for nf in config.factories
         for nd in config.centers
         for ns in config.samples
         for rep in range(config.replications)
+        for row in run_cell(config, nf, nd, ns, rep)
     ]
-    threads = int(os.environ.get("DRCCP_THREADS", "1"))
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(_run_cell_packed, tasks))
-    else:
-        per_cell = [run_cell(*task) for task in tasks]
-    rows = [row for cell in per_cell for row in cell]
     if csv_path is not None:
         write_csv(rows, csv_path, CSV_COLUMNS)
     if aggregate_path is not None:

@@ -12,4 +12,4 @@ PIVOT_TOL = 1e-9          # smallest acceptable pivot element
 INT_TOL = 1e-6            # integrality test on binary variables
 K_NUDGE = 1e-12           # added to eps*N before flooring
 DEFAULT_GAP_TOL = 1e-4    # relative branch-and-bound gap (0.01 percent)
-REFACTOR_INTERVAL = 50    # simplex basis refactorization cadence, in pivots
+REFACTOR_INTERVAL = 50    # pivots between block refactorizations of the simplex basis inverse

@@ -5,7 +5,6 @@ fast; the statistical claims about larger grids live in the acceptance
 tests.
 """
 import itertools
-import os
 
 import pytest
 
@@ -136,17 +135,6 @@ def test_run_experiments_row_order_is_canonical(tmp_path):
     text_a = path.read_bytes()
     write_csv(run_experiments(cfg), path, CSV_COLUMNS)
     assert path.read_bytes() == text_a  # rerun is byte-identical
-
-
-def test_worker_fan_out_matches_serial(tmp_path):
-    cfg = tiny_config(centers=(2, 3), variants=("basic",))
-    serial = run_experiments(cfg)
-    os.environ["DRCCP_THREADS"] = "2"
-    try:
-        fanned = run_experiments(cfg)
-    finally:
-        del os.environ["DRCCP_THREADS"]
-    assert fanned == serial
 
 
 # -- CSV formatting -----------------------------------------------------------

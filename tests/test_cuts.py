@@ -280,6 +280,19 @@ class TestValidityReferee:
         )
         assert not refereed(negated, inst, bm)
 
+    def test_referee_rejects_cut_violated_only_at_full_discard(self):
+        # sum z <= k - 1 holds on every support but those of size exactly k;
+        # eps * N = 3.5 leaves budget for them (at an integral eps * N, k
+        # discards leave none and the cut is valid)
+        inst = box_instance(seed=1, n=10, dim=2, rows=2, epsilon=0.35, theta=0.05)
+        assert inst.k == 3
+        cut = Cut(
+            family="mixing", p=0, sequence=(), x_coefs=np.zeros(2),
+            z_coefs=tuple((j, -1.0) for j in range(inst.n)), r_coefs=(),
+            t_coef=0.0, rhs=-(inst.k - 1.0), violation=1.0,
+        )
+        assert not refereed(cut, inst, F.compute_big_m(inst))
+
     def test_singleton_star_rows_valid_for_all_scenarios(self):
         # For every above-quantile scenario j the one-element star inequality
         # margin_j(x) + h_j z_j >= 0 is valid; referee must agree.

@@ -370,3 +370,78 @@ class TestWarmStart:
         solver = SimplexSolver(prob)
         with pytest.raises(IndexError):
             solver.set_bound(1, 0.0, 0.0)
+
+
+def basis_matrix(solver):
+    """The basis as an explicit m x m matrix: basic columns of [A | I]."""
+    return np.hstack([solver.A, np.eye(solver.m)])[:, solver.basis]
+
+
+class TestRefactor:
+    @pytest.mark.parametrize("basis", [
+        [12, 10, 8, 11, 9],  # k = 0: slacks only, not on their own positions
+        [10, 3, 12, 0, 6],   # 0 < k < m: slacks of rows 2 and 4 at positions 0 and 2
+        [4, 0, 7, 2, 5],     # k = m: structurals only
+    ])
+    def test_inverse_of_every_block_shape(self, basis):
+        rng = np.random.default_rng(606)
+        prob = LpProblem(c=rng.normal(size=8), A=rng.normal(size=(5, 8)), senses=["<="] * 5,
+                         b=np.ones(5), lb=np.zeros(8), ub=np.ones(8))
+        solver = SimplexSolver(prob)
+        solver.basis = np.array(basis)
+        solver.stat = solver._settled(solver.stat)
+        solver._refactor()
+        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(5), atol=1e-9)
+
+    def test_singular_structural_block_is_repaired(self, monkeypatch):
+        # columns 0 and 1 are equal, so any basis holding both is singular
+        prob = LpProblem(c=[-1.0, -2.0, -1.0], A=[[1.0, 1.0, 2.0], [2.0, 2.0, 1.0], [1.0, 1.0, 1.0]],
+                         senses=["<=", "<=", "<="], b=[4.0, 5.0, 3.0],
+                         lb=np.zeros(3), ub=np.full(3, 10.0))
+        repairs = []
+        repair = SimplexSolver._repair_basis
+
+        def spy(self):
+            repairs.append(self.basis.copy())
+            repair(self)
+
+        monkeypatch.setattr(SimplexSolver, "_repair_basis", spy)
+        solver = SimplexSolver(prob)
+        solver.basis = np.array([0, 1, 5])
+        solver.stat = solver._settled(solver.stat)
+        solver._refactor()
+        assert len(repairs) == 1
+        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(3), atol=1e-9)
+        sol = solver.solve()
+        ref = scipy_solve(prob)
+        assert sol.status == "optimal" and ref.status == 0
+        assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+    def test_long_solves_through_refactors_match_reference(self, monkeypatch):
+        refactors = []
+        refactor = SimplexSolver._refactor
+
+        def spy(self):
+            refactors.append(self.total_pivots)
+            refactor(self)
+
+        monkeypatch.setattr(SimplexSolver, "_refactor", spy)
+        rng = np.random.default_rng(2024)
+        for _ in range(3):
+            m, n = 50, 80
+            A = np.round(rng.normal(size=(m, n)), 3)
+            lb = np.where(rng.random(n) < 0.9, 0.0, -math.inf)
+            ub = np.where(rng.random(n) < 0.9, np.round(rng.uniform(1, 5, n), 3), math.inf)
+            senses = list(rng.choice(["<=", ">=", "=="], size=m, p=[0.45, 0.45, 0.1]))
+            gap = np.abs(rng.normal(size=m))
+            side = np.select([np.array(senses) == "<=", np.array(senses) == ">="], [gap, -gap])
+            prob = LpProblem(c=np.round(rng.normal(size=n), 3), A=A, senses=senses,
+                             b=A @ (np.where(np.isfinite(ub), ub, 2.0) * 0.3) + side,
+                             lb=lb, ub=ub)
+            del refactors[:]
+            solver = SimplexSolver(prob)
+            sol = solver.solve()
+            ref = scipy_solve(prob)
+            assert solver.total_pivots >= 150 and len(refactors) >= 3
+            assert sol.status == "optimal" and ref.status == 0
+            assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))

@@ -256,7 +256,7 @@ class _Search:
 
     # -- tree ---------------------------------------------------------------
 
-    def _expand(self, sol, depth, overrides, node_id, state=None):
+    def _expand(self, sol, depth, overrides, node_id, state):
         """Turn a solved node into an incumbent or two children."""
         fractional = self._fractional(sol.x)
         if not fractional:
@@ -269,8 +269,6 @@ class _Search:
             return
         j = self._pick_branch_var(sol.x, fractional)
         frac = sol.x[j]
-        if state is None:
-            state = self.solver.get_state()
         lean = 1.0 if frac >= 0.5 else 0.0
         children = {}
         for fixed in (lean, 1.0 - lean):  # lean side gets the smaller seq

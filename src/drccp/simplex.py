@@ -19,10 +19,16 @@ k basic structurals only the k x k block on the rows without a basic slack
 is inverted, at O(k^3 + (m - k) k^2) instead of O(m^3), and the inverse's
 columns of the slack-covered rows come out as exact ones and zeros.
 
-Phase 1 minimizes the total bound violation of basic variables (no
-artificial columns), which lets any starting basis act as a warm start:
-after adding a cut row or tightening a branching bound the previous basis is
-simply reloaded and re-optimized.
+A basic variable counts as violating when it lies more than FEAS_TOL
+outside a bound.  That one test, made once per iteration, starts and ends
+phase 1, gives the phase-1 costs (-1 below, +1 above) and tells the ratio
+test which bound each basic blocks at; with no violating basic the
+iteration is a phase-2 one.  Phase 1 minimizes the total bound violation of
+basic variables (no artificial columns), which lets any starting basis act
+as a warm start: after adding a cut row or tightening a branching bound the
+previous basis is simply reloaded and re-optimized.  A singular basis found
+at refactorization is rebuilt from the slack basis by the same greedy
+pivots that retarget a warm start.
 State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
 the basis and the statuses; the primal values are recomputed once, when
 `solve` starts.
@@ -218,7 +224,7 @@ class SimplexSolver:
             return s
         return ST_LOWER if lo else ST_UPPER if hi else ST_FREE
 
-    def _retarget_basis(self, target):
+    def _retarget_basis(self, target, tol=PIVOT_TOL):
         in_target = np.zeros(self.nt, dtype=bool)
         in_target[target] = True
         in_current = np.zeros(self.nt, dtype=bool)
@@ -229,7 +235,7 @@ class SimplexSolver:
             if not replaceable.any():
                 break
             w = self.binv @ self._column(int(col))
-            pick = _pick_row(w, replaceable, PIVOT_TOL)
+            pick = _pick_row(w, replaceable, tol)
             if pick < 0:
                 continue  # dependent column; keep the incumbent basic there
             self._update_binv(w, pick)
@@ -279,25 +285,13 @@ class SimplexSolver:
         self._recompute_values()
 
     def _repair_basis(self):
-        """Rebuild a nonsingular basis greedily, keeping as many of the
-        current basic columns as possible (slacks fill the gaps)."""
-        wanted = list(self.basis)
+        """Retarget the slack basis to the current one: a nonsingular basis
+        keeping as many current basic columns as possible, slacks in the gaps."""
+        wanted = self.basis.copy()
         self.basis = np.arange(self.n, self.n + self.m)
         self.binv = np.eye(self.m)
-        taken = np.zeros(self.m, dtype=bool)
-        for col in wanted:
-            if col >= self.n:
-                idx = col - self.n
-                if not taken[idx] and int(self.basis[idx]) == col:
-                    taken[idx] = True
-                continue
-            w = self.binv @ self._column(int(col))
-            pick = _pick_row(w, ~taken, 1e-7)
-            if pick < 0:
-                continue
-            self._update_binv(w, pick)
-            self.basis[pick] = int(col)
-            taken[pick] = True
+        self._pivots_since_refactor = 0
+        self._retarget_basis(wanted, tol=1e-7)
         self.stat = self._settled(self.stat)
 
     # -- mutations ----------------------------------------------------------
@@ -337,12 +331,6 @@ class SimplexSolver:
 
     # -- solve --------------------------------------------------------------
 
-    def _infeasibility(self):
-        xb = self.xval[self.basis]
-        lo = self.lb[self.basis]
-        hi = self.ub[self.basis]
-        return np.sum(np.maximum(0.0, lo - xb)) + np.sum(np.maximum(0.0, xb - hi))
-
     def _price(self, costs):
         yb = costs[self.basis] @ self.binv
         d = np.empty(self.nt)
@@ -377,27 +365,26 @@ class SimplexSolver:
         degen_streak = 0
         self._recompute_values()
 
-        phase_one = self._infeasibility() > FEAS_TOL
+        phase_one = False
         while True:
             if iters > max_iter:
                 raise SimplexStall(f"iteration cap {max_iter} exceeded")
             iters += 1
 
-            if phase_one:
-                infeas = self._infeasibility()
-                if infeas <= FEAS_TOL:
-                    phase_one = False
-                    bland = False
-                    degen_streak = 0
-                    continue
-                costs = np.zeros(self.nt)
-                xb = self.xval[self.basis]
-                below = xb < self.lb[self.basis] - FEAS_TOL
-                above = xb > self.ub[self.basis] + FEAS_TOL
+            xb = self.xval[self.basis]
+            lo, hi = self.lb[self.basis], self.ub[self.basis]
+            below, above = xb < lo - FEAS_TOL, xb > hi + FEAS_TOL
+            costs = np.zeros(self.nt)
+            if below.any() or above.any():
+                phase_one = True
                 costs[self.basis[below]] = -1.0
                 costs[self.basis[above]] = 1.0
+            elif phase_one:
+                phase_one = False
+                bland = False
+                degen_streak = 0
+                continue
             else:
-                costs = np.zeros(self.nt)
                 costs[: self.n] = self.c
 
             yb, d = self._price(costs)
@@ -408,7 +395,7 @@ class SimplexSolver:
                 return self._optimal_solution(yb, d, iters)
 
             w = self.binv @ self._column(q)
-            step, pos, to_upper, flip = self._ratio(q, sigma, w, phase_one, bland)
+            step, pos, to_upper, flip = self._ratio(q, sigma, w, xb, lo, hi, below, above, bland)
             if step is None:
                 # no blocking event
                 if phase_one:
@@ -452,40 +439,31 @@ class SimplexSolver:
             return self.ub[q] - step
         return sigma * step  # free variables rest at zero
 
-    def _ratio(self, q, sigma, w, phase_one, bland=False):
-        """Blocking step for the entering variable.
+    def _ratio(self, q, sigma, w, xb, lo, hi, below, above, bland):
+        """Blocking step for the entering variable, given this iteration's
+        basic values `xb`, their bounds and violation masks.  A violating
+        basic blocks where it reaches the bound it violates, any other where
+        it leaves its bounds.
 
         Returns (step, position, leaving_to_upper, bound_flip); step is None
         when nothing blocks.
         """
-        xb = self.xval[self.basis]
-        lo = self.lb[self.basis]
-        hi = self.ub[self.basis]
         delta = sigma * w
         steps = np.full(self.m, math.inf)
         to_upper = np.zeros(self.m, dtype=bool)
         dec = delta > PIVOT_TOL
         inc = delta < -PIVOT_TOL
-        if phase_one:
-            below = xb < lo - FEAS_TOL
-            above = xb > hi + FEAS_TOL
-            inside = ~(below | above)
-            sel = dec & inside & np.isfinite(lo)
-            steps[sel] = (xb[sel] - lo[sel]) / delta[sel]
-            sel2 = dec & above & np.isfinite(hi)
-            steps[sel2] = (xb[sel2] - hi[sel2]) / delta[sel2]
-            to_upper[sel2] = True
-            sel3 = inc & inside & np.isfinite(hi)
-            steps[sel3] = (hi[sel3] - xb[sel3]) / (-delta[sel3])
-            to_upper[sel3] = True
-            sel4 = inc & below & np.isfinite(lo)
-            steps[sel4] = (lo[sel4] - xb[sel4]) / (-delta[sel4])
-        else:
-            sel = dec & np.isfinite(lo)
-            steps[sel] = (xb[sel] - lo[sel]) / delta[sel]
-            sel2 = inc & np.isfinite(hi)
-            steps[sel2] = (hi[sel2] - xb[sel2]) / (-delta[sel2])
-            to_upper[sel2] = True
+        inside = ~(below | above)
+        sel = dec & inside & np.isfinite(lo)
+        steps[sel] = (xb[sel] - lo[sel]) / delta[sel]
+        sel2 = dec & above  # a violated bound is finite
+        steps[sel2] = (xb[sel2] - hi[sel2]) / delta[sel2]
+        to_upper[sel2] = True
+        sel3 = inc & inside & np.isfinite(hi)
+        steps[sel3] = (hi[sel3] - xb[sel3]) / (-delta[sel3])
+        to_upper[sel3] = True
+        sel4 = inc & below
+        steps[sel4] = (lo[sel4] - xb[sel4]) / (-delta[sel4])
         steps = np.maximum(steps, 0.0)
         smin = float(np.min(steps)) if steps.size else math.inf
         own_range = self.ub[q] - self.lb[q]

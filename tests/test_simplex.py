@@ -1,12 +1,15 @@
 """LP solver: agreement with an independent solver, duality, certificates,
-anti-cycling, determinism and warm starts."""
+the feasibility tolerance, anti-cycling, determinism, warm starts and basis
+repair."""
 import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from drccp import simplex
 from drccp.simplex import (
     ST_BASIC,
     LpProblem,
@@ -168,6 +171,53 @@ class TestDuality:
         assert checked > 20
 
 
+@st.composite
+def tiny_feasible_problems(draw):
+    """An LP with a known feasible point, its rhs of size 1e-9 to 1e-6.
+
+    At that size each bound violation of the starting basis can lie within
+    FEAS_TOL while their sum does not.
+    """
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    coef = st.floats(-3.0, 3.0).map(lambda v: round(v, 2))
+    A = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=m, max_size=m)))
+    c = np.array(draw(st.lists(coef, min_size=n, max_size=n)))
+    senses = draw(st.lists(st.sampled_from(["<=", ">=", "=="]), min_size=m, max_size=m))
+    ub = np.array(draw(st.lists(st.one_of(st.floats(0.5, 2.0), st.just(math.inf)),
+                                min_size=n, max_size=n)))
+    share = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    gap = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    point = share * np.where(np.isfinite(ub), ub, 1.0)
+    b = A @ point + np.select([np.array(senses) == "<=", np.array(senses) == ">="], [gap, -gap])
+    peak = np.abs(b).max()
+    scale = draw(st.floats(1e-9, 1e-6)) / (peak if peak > 0 else 1.0)
+    prob = LpProblem(c=c, A=A, senses=senses, b=b * scale, lb=np.zeros(n), ub=ub * scale)
+    return prob, point * scale
+
+
+class TestFeasibilityTolerance:
+    @pytest.mark.parametrize("m, rhs", [(2, 6e-8), (3, 5e-8)])
+    def test_violations_within_tolerance_are_feasible(self, m, rhs):
+        # each slack of the cold basis violates its bound by rhs <= FEAS_TOL,
+        # their sum exceeds it
+        prob = LpProblem(c=np.ones(m), A=np.eye(m), senses=[">="] * m, b=np.full(m, rhs),
+                         lb=np.zeros(m), ub=np.full(m, math.inf))
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert abs(sol.objective - m * rhs) <= 1e-6
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tiny_feasible_problems())
+    def test_feasible_by_construction_is_never_infeasible(self, drawn):
+        prob, point = drawn
+        solver = SimplexSolver(prob)
+        assert solver.solve().status != "infeasible"
+        state = solver.get_state()
+        solver.set_bound(0, point[0], point[0])  # the known point stays feasible
+        solver.load_state(*state)
+        assert solver.solve().status != "infeasible"
+
+
 def certificate_refutes(prob, y):
     """True if y proves infeasibility: the aggregated row cannot be met by
     any point of the box.  Tries both sign orientations."""
@@ -257,6 +307,37 @@ class TestAntiCycling:
         assert sol.status == "optimal"
         assert abs(sol.objective - (-0.05)) <= 1e-9
         np.testing.assert_allclose(sol.x, [1.0 / 25.0, 0.0, 1.0, 0.0], atol=1e-9)
+
+    def test_bland_rule_matches_reference(self, monkeypatch):
+        # with no degenerate streak tolerated, Bland's rule takes over at the
+        # first degenerate step; many zero-rhs rows make most steps degenerate
+        # and leave ties in the ratio test
+        monkeypatch.setattr(simplex, "_DEGEN_STREAK", 0)
+        bland_calls = {"entering": 0, "ratio": 0}
+        eligible, ratio = SimplexSolver._eligible_entering, SimplexSolver._ratio
+
+        def eligible_spy(self, d, bland):
+            bland_calls["entering"] += bland
+            return eligible(self, d, bland)
+
+        def ratio_spy(self, q, sigma, w, xb, lo, hi, below, above, bland):
+            bland_calls["ratio"] += bland
+            return ratio(self, q, sigma, w, xb, lo, hi, below, above, bland)
+
+        monkeypatch.setattr(SimplexSolver, "_eligible_entering", eligible_spy)
+        monkeypatch.setattr(SimplexSolver, "_ratio", ratio_spy)
+        rng = np.random.default_rng(31337)
+        for _ in range(8):
+            m, n = 14, 7
+            A = np.round(rng.normal(size=(m, n)), 2)
+            b = np.where(np.arange(m) < 10, 0.0, np.round(rng.uniform(1, 3, m), 2))
+            prob = LpProblem(c=np.round(rng.normal(size=n), 2), A=A, senses=["<="] * m, b=b,
+                             lb=np.zeros(n), ub=np.round(rng.uniform(1, 4, n), 2))
+            sol = solve_lp(prob)
+            ref = scipy_solve(prob)
+            assert sol.status == "optimal" and ref.status == 0
+            assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+        assert bland_calls["entering"] > 0 and bland_calls["ratio"] > 0
 
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(9)
@@ -445,3 +526,21 @@ class TestRefactor:
             assert solver.total_pivots >= 150 and len(refactors) >= 3
             assert sol.status == "optimal" and ref.status == 0
             assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+    def test_repair_keeps_a_basic_slack_on_its_row(self):
+        # columns 0 and 1 are equal and largest on row 2, whose slack
+        # (column 5) is basic: the repair must not hand row 2 to column 0
+        prob = LpProblem(c=[-1.0, -2.0, -1.0], A=[[1.0, 1.0, 2.0], [2.0, 2.0, 1.0], [3.0, 3.0, 1.0]],
+                         senses=["<=", "<=", "<="], b=[4.0, 5.0, 3.0],
+                         lb=np.zeros(3), ub=np.full(3, 10.0))
+        solver = SimplexSolver(prob)
+        solver.basis = np.array([0, 1, 5])
+        solver.stat = solver._settled(solver.stat)
+        solver._refactor()
+        assert solver.basis[2] == 5 and 0 in solver.basis
+        assert solver.total_pivots == 1  # the repair's pivot is counted
+        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(3), atol=1e-9)
+        sol = solver.solve()
+        ref = scipy_solve(prob)
+        assert sol.status == "optimal" and ref.status == 0
+        assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))

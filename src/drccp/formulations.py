@@ -38,6 +38,7 @@ preset is the radius-zero baseline.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,9 +263,11 @@ def theta_max(instance: DrccpInstance, matrix: str = "compact", config=None) -> 
     """Largest Wasserstein radius that keeps the instance feasible.
 
     Solves the radius-maximization MIP and returns the incumbent objective,
-    which is a certified-feasible radius.  The default constraint matrix is
-    the compact one; the basic and knapsack matrices give the same optimum
-    and are available for cross-checks.
+    which is a certified-feasible radius.  When the search stops before it
+    proves that radius largest (a node or time limit), a RuntimeWarning
+    names the status and the gap.  The default constraint matrix is the
+    compact one; the basic and knapsack matrices give the same optimum and
+    are available for cross-checks.
     """
     from . import bnc
 
@@ -275,6 +278,12 @@ def theta_max(instance: DrccpInstance, matrix: str = "compact", config=None) -> 
     if result.objective <= MARGIN_TOL:
         raise ValueError(
             "no positive feasible radius: the empirical baseline is already infeasible"
+        )
+    if result.status != "optimal":
+        warnings.warn(
+            f"radius maximization ended {result.status!r} at a {result.gap_pct}% gap: "
+            "the returned radius is feasible but not proven largest",
+            RuntimeWarning, stacklevel=2,
         )
     return float(result.objective)
 

@@ -35,7 +35,9 @@ def worst_case_prob(distances, theta: float) -> float:
 
     capped at 1; the minimum is attained at one of the positive distance
     values, or in the t -> infinity limit.  With theta = 0 it reduces to the
-    empirical violation frequency.
+    empirical violation frequency.  After one sort, the mean at a breakpoint
+    t is (cnt - S / t) / n with cnt the number of d_i < t and S their sum,
+    so the scan is O(N log N).
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 1 or d.size == 0:
@@ -44,16 +46,16 @@ def worst_case_prob(distances, theta: float) -> float:
         raise ValueError("distances must be nonnegative")
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
-    d = np.maximum(d, 0.0)
+    d = np.sort(np.maximum(d, 0.0))
     n = d.size
-    zero_frac = float(np.count_nonzero(d == 0.0)) / n
     if theta == 0.0:
-        return zero_frac
-    best = 1.0  # t -> infinity moves every point for free rate 0, prob -> 1
-    for t in np.unique(d[d > 0.0]):
-        val = theta / t + float(np.mean(np.maximum(0.0, 1.0 - d / t)))
-        best = min(best, val)
-    return min(best, 1.0)
+        return float(np.count_nonzero(d == 0.0)) / n
+    t = np.unique(d[d > 0.0])
+    cnt = np.searchsorted(d, t)  # d_i < t; d_i = t adds nothing
+    prefix = np.concatenate([[0.0], np.cumsum(d)])
+    vals = theta / t + (cnt - prefix[cnt] / t) / n
+    # t -> infinity moves every point for free rate 0, prob -> 1
+    return min(float(vals.min(initial=1.0)), 1.0)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,14 @@ as a warm start: after adding a cut row or tightening a branching bound the
 previous basis is simply reloaded and re-optimized.  A singular basis found
 at refactorization is rebuilt from the slack basis by the same greedy
 pivots that retarget a warm start.
+
+Each iteration makes few numpy calls, since at these sizes their overhead,
+not the arithmetic, sets the time.  The entering column is the top of one
+score built from two move masks (nonbasics that may rise, nonbasics that may
+fall), which `solve` computes once and then updates one entry per status
+change.  The ratio test is one blocking-bound formula over all basics, and
+the FTRAN column of a slack is read straight from the inverse.
+
 State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
 the basis and the statuses; the primal values are recomputed once, when
 `solve` starts.
@@ -167,12 +175,25 @@ class SimplexSolver:
         resting = np.where(lo, ST_LOWER, np.where(hi, ST_UPPER, ST_FREE))
         return np.where(in_basis, ST_BASIC, np.where(keep, stat, resting)).astype(np.int8)
 
-    def _column(self, j):
+    def _ftran(self, j):
+        """binv @ (column j of [A | I]): a slack's is a column of the inverse."""
         if j < self.n:
-            return self.A[:, j]
-        col = np.zeros(self.m)
-        col[j - self.n] = 1.0
-        return col
+            return self.binv @ self.A[:, j]
+        return self.binv[:, j - self.n].copy()
+
+    def _moves(self):
+        """Masks of the nonbasic columns with room to rise (at a lower bound
+        or free) and to fall (at an upper bound or free)."""
+        movable, stat = self.ub - self.lb > 0, self.stat
+        self._up = movable & ((stat == ST_LOWER) | (stat == ST_FREE))
+        self._dn = movable & ((stat == ST_UPPER) | (stat == ST_FREE))
+
+    def _set_stat(self, j, s):
+        """Set one status and its entries of the move masks."""
+        self.stat[j] = s
+        movable = self.ub[j] - self.lb[j] > 0
+        self._up[j] = movable and s in (ST_LOWER, ST_FREE)
+        self._dn[j] = movable and s in (ST_UPPER, ST_FREE)
 
     def _recompute_values(self):
         stat = self.stat
@@ -234,7 +255,7 @@ class SimplexSolver:
         for col in missing:
             if not replaceable.any():
                 break
-            w = self.binv @ self._column(int(col))
+            w = self._ftran(int(col))
             pick = _pick_row(w, replaceable, tol)
             if pick < 0:
                 continue  # dependent column; keep the incumbent basic there
@@ -246,8 +267,8 @@ class SimplexSolver:
     def _update_binv(self, w, row_out):
         row = self.binv[row_out] / w[row_out]
         # columns where the pivot row is zero would subtract w * 0: skip them
-        nz = np.flatnonzero(row)
-        self.binv[:, nz] -= np.outer(w, row[nz])
+        nz = row.nonzero()[0]
+        self.binv[:, nz] -= w[:, None] * row[nz]
         self.binv[row_out] = row
 
     def _count_pivot(self):
@@ -293,6 +314,7 @@ class SimplexSolver:
         self._pivots_since_refactor = 0
         self._retarget_basis(wanted, tol=1e-7)
         self.stat = self._settled(self.stat)
+        self._moves()
 
     # -- mutations ----------------------------------------------------------
 
@@ -331,31 +353,18 @@ class SimplexSolver:
 
     # -- solve --------------------------------------------------------------
 
-    def _price(self, costs):
-        yb = costs[self.basis] @ self.binv
-        d = np.empty(self.nt)
-        d[: self.n] = costs[: self.n] - yb @ self.A
-        d[self.n:] = costs[self.n:] - yb
-        return yb, d
-
     def _eligible_entering(self, d, bland):
-        stat = self.stat
-        rng = self.ub - self.lb
-        can_up = (stat == ST_LOWER) | (stat == ST_FREE)
-        can_dn = (stat == ST_UPPER) | (stat == ST_FREE)
-        movable = rng > 0
-        up = can_up & movable & (d < -DUAL_TOL)
-        dn = can_dn & movable & (d > DUAL_TOL)
-        elig = up | dn
-        if not np.any(elig):
+        """Entering column and direction (+1 rises, -1 falls), or (-1, 0).
+
+        The score of a column is the reduced-cost gain of its allowed moves,
+        |d| exactly for every eligible column and at most DUAL_TOL for the
+        rest: Dantzig takes the first largest, Bland the first eligible.
+        """
+        score = np.maximum(np.where(self._up, -d, 0.0), np.where(self._dn, d, 0.0))
+        q = int((score > DUAL_TOL if bland else score).argmax())
+        if score[q] <= DUAL_TOL:
             return -1, 0
-        if bland:
-            q = int(np.argmax(elig))  # first True = lowest index
-        else:
-            score = np.where(elig, np.abs(d), -1.0)
-            q = int(np.argmax(score))
-        sigma = 1 if up[q] else -1
-        return q, sigma
+        return q, 1 if d[q] < 0 else -1
 
     def solve(self, max_iter=None) -> LpSolution:
         if max_iter is None:
@@ -364,6 +373,8 @@ class SimplexSolver:
         bland = False
         degen_streak = 0
         self._recompute_values()
+        self._moves()
+        c_pad = np.concatenate([self.c, np.zeros(self.m)])
 
         phase_one = False
         while True:
@@ -374,27 +385,28 @@ class SimplexSolver:
             xb = self.xval[self.basis]
             lo, hi = self.lb[self.basis], self.ub[self.basis]
             below, above = xb < lo - FEAS_TOL, xb > hi + FEAS_TOL
-            costs = np.zeros(self.nt)
             if below.any() or above.any():
+                # phase-1 costs are zero off the basis; basic columns are
+                # never eligible, so their entries of d do not matter
                 phase_one = True
-                costs[self.basis[below]] = -1.0
-                costs[self.basis[above]] = 1.0
+                yb = (above.astype(float) - below) @ self.binv
+                d = -np.concatenate([yb @ self.A, yb])
             elif phase_one:
                 phase_one = False
                 bland = False
                 degen_streak = 0
                 continue
             else:
-                costs[: self.n] = self.c
+                yb = c_pad[self.basis] @ self.binv
+                d = np.concatenate([self.c - yb @ self.A, -yb])
 
-            yb, d = self._price(costs)
             q, sigma = self._eligible_entering(d, bland)
             if q < 0:
                 if phase_one:
                     return self._infeasible_solution(yb, iters)
                 return self._optimal_solution(yb, d, iters)
 
-            w = self.binv @ self._column(q)
+            w = self._ftran(q)
             step, pos, to_upper, flip = self._ratio(q, sigma, w, xb, lo, hi, below, above, bland)
             if step is None:
                 # no blocking event
@@ -411,23 +423,19 @@ class SimplexSolver:
                 if not phase_one:
                     bland = False
 
+            self.xval[self.basis] -= sigma * step * w
             if flip:
                 # entering variable runs to its opposite bound
-                self.xval[self.basis] -= sigma * step * w
-                if self.stat[q] == ST_LOWER:
-                    self.stat[q] = ST_UPPER
-                    self.xval[q] = self.ub[q]
-                else:
-                    self.stat[q] = ST_LOWER
-                    self.xval[q] = self.lb[q]
+                at_lower = self.stat[q] == ST_LOWER
+                self._set_stat(q, ST_UPPER if at_lower else ST_LOWER)
+                self.xval[q] = self.ub[q] if at_lower else self.lb[q]
                 continue
 
             leaving = int(self.basis[pos])
-            self.xval[self.basis] -= sigma * step * w
             self.xval[q] = self._entering_value(q, sigma, step)
             self.xval[leaving] = self.ub[leaving] if to_upper else self.lb[leaving]
-            self.stat[leaving] = ST_UPPER if to_upper else ST_LOWER
-            self.stat[q] = ST_BASIC
+            self._set_stat(leaving, ST_UPPER if to_upper else ST_LOWER)
+            self._set_stat(q, ST_BASIC)
             self.basis[pos] = q
             self._update_binv(w, pos)
             self._count_pivot()
@@ -449,23 +457,16 @@ class SimplexSolver:
         when nothing blocks.
         """
         delta = sigma * w
+        dec, inc = delta > PIVOT_TOL, delta < -PIVOT_TOL
+        if below.any() or above.any():
+            # a violating basic keeps only the bound it violates (finite)
+            lo, hi = (np.where(above, hi, np.where(below, -math.inf, lo)),
+                      np.where(below, lo, np.where(above, math.inf, hi)))
+        # a falling basic blocks at lo, a rising one at hi (+inf if infinite)
         steps = np.full(self.m, math.inf)
-        to_upper = np.zeros(self.m, dtype=bool)
-        dec = delta > PIVOT_TOL
-        inc = delta < -PIVOT_TOL
-        inside = ~(below | above)
-        sel = dec & inside & np.isfinite(lo)
-        steps[sel] = (xb[sel] - lo[sel]) / delta[sel]
-        sel2 = dec & above  # a violated bound is finite
-        steps[sel2] = (xb[sel2] - hi[sel2]) / delta[sel2]
-        to_upper[sel2] = True
-        sel3 = inc & inside & np.isfinite(hi)
-        steps[sel3] = (hi[sel3] - xb[sel3]) / (-delta[sel3])
-        to_upper[sel3] = True
-        sel4 = inc & below
-        steps[sel4] = (lo[sel4] - xb[sel4]) / (-delta[sel4])
-        steps = np.maximum(steps, 0.0)
-        smin = float(np.min(steps)) if steps.size else math.inf
+        np.divide(xb - np.where(dec, lo, hi), delta, out=steps, where=dec | inc)
+        np.maximum(steps, 0.0, out=steps)
+        smin = float(steps.min()) if steps.size else math.inf
         own_range = self.ub[q] - self.lb[q]
         if own_range <= smin:
             if not math.isfinite(own_range):
@@ -473,20 +474,19 @@ class SimplexSolver:
             return own_range, -1, False, True
         if not math.isfinite(smin):
             return None, -1, False, False
-        near = steps <= smin + 1e-12
-        idxs = np.flatnonzero(near)
+        idxs = (steps <= smin + 1e-12).nonzero()[0]
         if len(idxs) == 1:
             pos = int(idxs[0])
         elif bland:
             # pure lowest-variable-index tie-break (anti-cycling)
-            pos = int(idxs[np.argmin(self.basis[idxs])])
+            pos = int(idxs[self.basis[idxs].argmin()])
         else:
             wb = np.abs(w[idxs])
             best = wb.max()
             cand = idxs[wb >= best - 1e-12]
             # prefer the largest pivot element, then the lowest variable index
-            pos = int(cand[np.argmin(self.basis[cand])])
-        return smin, pos, bool(to_upper[pos]), False
+            pos = int(cand[self.basis[cand].argmin()])
+        return smin, pos, bool(above[pos] if dec[pos] else not below[pos]), False
 
     # -- terminal states ----------------------------------------------------
 

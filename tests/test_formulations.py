@@ -1,12 +1,13 @@
 """Formulation builders: quantiles, big-M, row contracts, radius ceiling."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from drccp import formulations as F
 from drccp import transport
-from drccp.bnc import model_to_lp
+from drccp.bnc import BncConfig, model_to_lp
 from drccp.model import DrccpInstance, Polyhedron, SafetyRow, SampleSet
 from drccp.simplex import solve_lp
 from conftest import box_instance, line_instance, small_transport
@@ -224,6 +225,24 @@ class TestThetaMax:
                              lo=0.0, hi=1.0)
         val = F.theta_max(inst)
         assert val == pytest.approx(0.1, abs=1e-9)
+
+    def test_unproven_radius_warns(self):
+        # the root LP of the hand case is fractional, so its first incumbent
+        # comes from a child; a limit of 2 nodes stops before the proof (a
+        # limit of 1 cannot: a root incumbent means an integral root, which
+        # ends the search optimal)
+        inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.2, theta=0.01,
+                             lo=0.0, hi=1.0)
+        with pytest.warns(RuntimeWarning, match="'feasible-gap' at a .*% gap"):
+            val = F.theta_max(inst, config=BncConfig(node_limit=2))
+        assert val == pytest.approx(0.1, abs=1e-9)
+
+    def test_proven_radius_does_not_warn(self):
+        inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.2, theta=0.01,
+                             lo=0.0, hi=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert F.theta_max(inst) == pytest.approx(0.1, abs=1e-9)
 
     def test_matrices_agree(self):
         inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.2, theta=0.01,

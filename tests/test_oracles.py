@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drccp.oracles import (
     cvar,
@@ -25,7 +26,29 @@ def grid_scan_prob(distances, theta, points=200001):
     return min(1.0, float(vals.min()))
 
 
+def breakpoint_loop_prob(distances, theta):
+    """The O(N * unique) breakpoint scan: the mean evaluated afresh at every
+    distinct positive distance."""
+    d = np.maximum(np.asarray(distances, dtype=float), 0.0)
+    if theta == 0.0:
+        return float(np.count_nonzero(d == 0.0)) / d.size
+    best = 1.0
+    for t in np.unique(d[d > 0.0]):
+        best = min(best, theta / t + float(np.mean(np.maximum(0.0, 1.0 - d / t))))
+    return min(best, 1.0)
+
+
+# distances on a coarse grid, so ties and zeros are common
+grid_distances = st.lists(st.integers(0, 40).map(lambda k: k / 8.0), min_size=1, max_size=60)
+radii = st.sampled_from([0.0, 1e-3, 0.05, 0.3, 2.0]) | st.floats(0.0, 5.0)
+
+
 class TestWorstCaseProb:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(grid_distances, radii)
+    def test_prefix_sums_match_breakpoint_loop(self, d, theta):
+        assert abs(worst_case_prob(d, theta) - breakpoint_loop_prob(d, theta)) <= 1e-12
+
     def test_uniform_distances(self):
         # d = (1,1,1,1): optimum at t=1 gives theta/1 + 0.
         assert worst_case_prob([1.0, 1.0, 1.0, 1.0], 0.1) == pytest.approx(0.1, abs=1e-15)

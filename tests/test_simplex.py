@@ -1,6 +1,6 @@
 """LP solver: agreement with an independent solver, duality, certificates,
-the feasibility tolerance, anti-cycling, determinism, warm starts and basis
-repair."""
+the feasibility tolerance, anti-cycling, determinism, warm starts, basis
+repair, and the per-iteration selection rules and state."""
 import contextlib
 import math
 
@@ -10,8 +10,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from drccp import simplex
+from drccp.constants import DUAL_TOL, FEAS_TOL, PIVOT_TOL
 from drccp.simplex import (
     ST_BASIC,
+    ST_FREE,
+    ST_LOWER,
+    ST_UPPER,
     LpProblem,
     SimplexSolver,
     SimplexStall,
@@ -544,3 +548,241 @@ class TestRefactor:
         ref = scipy_solve(prob)
         assert sol.status == "optimal" and ref.status == 0
         assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+
+# -- the fused selection rules against their mask-by-mask originals ---------
+
+def reference_entering(solver, d, bland):
+    """Entering choice written mask by mask: eligible columns are those with
+    room to move whose reduced cost improves the objective past DUAL_TOL."""
+    stat = solver.stat
+    rng = solver.ub - solver.lb
+    can_up = (stat == ST_LOWER) | (stat == ST_FREE)
+    can_dn = (stat == ST_UPPER) | (stat == ST_FREE)
+    movable = rng > 0
+    up = can_up & movable & (d < -DUAL_TOL)
+    dn = can_dn & movable & (d > DUAL_TOL)
+    elig = up | dn
+    if not np.any(elig):
+        return -1, 0
+    if bland:
+        q = int(np.argmax(elig))  # first True = lowest index
+    else:
+        score = np.where(elig, np.abs(d), -1.0)
+        q = int(np.argmax(score))
+    sigma = 1 if up[q] else -1
+    return q, sigma
+
+
+def reference_ratio(solver, q, sigma, w, xb, lo, hi, below, above, bland):
+    """Ratio test written as one masked formula per (direction, violation)
+    case, each with its own leaving bound."""
+    delta = sigma * w
+    steps = np.full(solver.m, math.inf)
+    to_upper = np.zeros(solver.m, dtype=bool)
+    dec = delta > PIVOT_TOL
+    inc = delta < -PIVOT_TOL
+    inside = ~(below | above)
+    sel = dec & inside & np.isfinite(lo)
+    steps[sel] = (xb[sel] - lo[sel]) / delta[sel]
+    sel2 = dec & above  # a violated bound is finite
+    steps[sel2] = (xb[sel2] - hi[sel2]) / delta[sel2]
+    to_upper[sel2] = True
+    sel3 = inc & inside & np.isfinite(hi)
+    steps[sel3] = (hi[sel3] - xb[sel3]) / (-delta[sel3])
+    to_upper[sel3] = True
+    sel4 = inc & below
+    steps[sel4] = (lo[sel4] - xb[sel4]) / (-delta[sel4])
+    steps = np.maximum(steps, 0.0)
+    smin = float(np.min(steps)) if steps.size else math.inf
+    own_range = solver.ub[q] - solver.lb[q]
+    if own_range <= smin:
+        if not math.isfinite(own_range):
+            return None, -1, False, False
+        return own_range, -1, False, True
+    if not math.isfinite(smin):
+        return None, -1, False, False
+    near = steps <= smin + 1e-12
+    idxs = np.flatnonzero(near)
+    if len(idxs) == 1:
+        pos = int(idxs[0])
+    elif bland:
+        pos = int(idxs[np.argmin(solver.basis[idxs])])
+    else:
+        wb = np.abs(w[idxs])
+        best = wb.max()
+        cand = idxs[wb >= best - 1e-12]
+        pos = int(cand[np.argmin(solver.basis[cand])])
+    return smin, pos, bool(to_upper[pos]), False
+
+
+INF = math.inf
+BOUND_PAIRS = [(0.0, 1.0), (0.0, INF), (-INF, 0.0), (-INF, INF), (-1.0, 2.0),
+               (1.0, 1.0), (0.0, 0.0), (-2.0, -0.5)]
+# values on a coarse grid (exact ties) plus the thresholds themselves
+REDUCED_COSTS = [0.0, DUAL_TOL, -DUAL_TOL, 2 * DUAL_TOL, -2 * DUAL_TOL, 0.5, -0.5, 1.0, -1.0, 3.0]
+COLUMN_ENTRIES = [0.0, PIVOT_TOL, -PIVOT_TOL, 2e-9, -2e-9, 0.25, -0.25, 0.5, -0.5, 1.0, -2.0]
+BASIC_VALUES = [-3.0, -1.0, -0.5, 0.0, 1e-8, -1e-8, 0.5, 1.0, 1.0 + 2 * FEAS_TOL, 2.0, 4.0]
+
+
+@st.composite
+def selection_states(draw):
+    """A solver with drawn bounds, statuses and basis, a reduced-cost vector,
+    and one ratio-test call: entering column, direction, FTRAN column and
+    basic values (violating ones too)."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    nt = n + m
+    pairs = draw(st.lists(st.sampled_from(BOUND_PAIRS), min_size=nt, max_size=nt))
+    solver = SimplexSolver(LpProblem(c=np.zeros(n), A=np.zeros((m, n)), senses=["<="] * m,
+                                     b=np.zeros(m), lb=np.zeros(n), ub=np.ones(n)))
+    solver.lb = np.array([p[0] for p in pairs])
+    solver.ub = np.array([p[1] for p in pairs])
+    solver.basis = np.array(draw(st.permutations(range(nt)))[:m])
+    solver.stat = np.array(draw(st.lists(st.sampled_from([ST_LOWER, ST_UPPER, ST_FREE]),
+                                         min_size=nt, max_size=nt)), dtype=np.int8)
+    solver.stat[solver.basis] = ST_BASIC
+    solver._moves()
+    d = np.array(draw(st.lists(st.sampled_from(REDUCED_COSTS), min_size=nt, max_size=nt)))
+    q = draw(st.sampled_from(sorted(set(range(nt)) - set(solver.basis.tolist()))))
+    sigma = draw(st.sampled_from([1, -1]))
+    w = np.array(draw(st.lists(st.sampled_from(COLUMN_ENTRIES), min_size=m, max_size=m)))
+    xb = np.array(draw(st.lists(st.sampled_from(BASIC_VALUES), min_size=m, max_size=m)))
+    return solver, d, q, sigma, w, xb, draw(st.booleans())
+
+
+class TestSelectionRules:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(selection_states())
+    def test_entering_matches_mask_by_mask_rule(self, drawn):
+        solver, d, _, _, _, _, bland = drawn
+        assert solver._eligible_entering(d, bland) == reference_entering(solver, d, bland)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(selection_states())
+    def test_ratio_matches_mask_by_mask_rule(self, drawn):
+        solver, _, q, sigma, w, xb, bland = drawn
+        lo, hi = solver.lb[solver.basis], solver.ub[solver.basis]
+        below, above = xb < lo - FEAS_TOL, xb > hi + FEAS_TOL
+        args = (q, sigma, w, xb, lo, hi, below, above, bland)
+        assert solver._ratio(*args) == reference_ratio(solver, *args)
+
+
+# -- state the solve keeps per iteration -------------------------------------
+
+def fresh_moves(solver):
+    movable = solver.ub - solver.lb > 0
+    up = movable & np.isin(solver.stat, (ST_LOWER, ST_FREE))
+    dn = movable & np.isin(solver.stat, (ST_UPPER, ST_FREE))
+    return up, dn
+
+
+@contextlib.contextmanager
+def checked_moves(monkeypatch):
+    """Assert at every pricing of the block that the move masks equal a
+    fresh recompute; count the pivots and bound flips that preceded them."""
+    seen = {"checks": 0, "pivots": 0, "flips": 0}
+    eligible, ratio = SimplexSolver._eligible_entering, SimplexSolver._ratio
+
+    def eligible_spy(self, d, bland):
+        up, dn = fresh_moves(self)
+        np.testing.assert_array_equal(self._up, up)
+        np.testing.assert_array_equal(self._dn, dn)
+        seen["checks"] += 1
+        return eligible(self, d, bland)
+
+    def ratio_spy(self, *args):
+        step, pos, to_upper, flip = ratio(self, *args)
+        if step is not None:
+            seen["flips" if flip else "pivots"] += 1
+        return step, pos, to_upper, flip
+
+    monkeypatch.setattr(SimplexSolver, "_eligible_entering", eligible_spy)
+    monkeypatch.setattr(SimplexSolver, "_ratio", ratio_spy)
+    yield seen
+
+
+def boxed_problem(rng, m, n, A=None):
+    """Random LP with mixed senses, most columns boxed so bound flips occur."""
+    A = np.round(rng.normal(size=(m, n)), 3) if A is None else A
+    ub = np.where(rng.random(n) < 0.9, np.round(rng.uniform(0.2, 2, n), 3), math.inf)
+    senses = list(rng.choice(["<=", ">="], size=m))
+    gap = np.abs(rng.normal(size=m))
+    side = np.where(np.array(senses) == "<=", gap, -gap)
+    return LpProblem(c=np.round(rng.normal(size=n), 3), A=A, senses=senses,
+                     b=A @ (np.where(np.isfinite(ub), ub, 2.0) * 0.3) + side,
+                     lb=np.zeros(n), ub=ub)
+
+
+class TestMoveMasks:
+    def test_masks_follow_every_pivot_flip_and_refactor(self, monkeypatch):
+        monkeypatch.setattr(simplex, "REFACTOR_INTERVAL", 5)
+        refactors = []
+        refactor = SimplexSolver._refactor
+
+        def spy(self):
+            refactors.append(self.total_pivots)
+            refactor(self)
+
+        monkeypatch.setattr(SimplexSolver, "_refactor", spy)
+        rng = np.random.default_rng(808)
+        with checked_moves(monkeypatch) as seen:
+            for _ in range(4):
+                prob = boxed_problem(rng, 20, 30)
+                solver = SimplexSolver(prob)
+                sol = solver.solve()
+                ref = scipy_solve(prob)
+                assert sol.status == "optimal" and ref.status == 0
+                assert abs(sol.objective - ref.fun) <= TOL * max(1.0, abs(ref.fun))
+                up, dn = fresh_moves(solver)
+                assert np.array_equal(solver._up, up) and np.array_equal(solver._dn, dn)
+        assert seen["pivots"] > 0 and seen["flips"] > 0 and len(refactors) > 0
+
+    def test_masks_recomputed_after_repair(self, monkeypatch):
+        # every column has an equal twin; at the first refactorization a
+        # basic slack is swapped for the twin of a basic structural, so the
+        # basis is singular and `_repair_basis` re-settles the statuses
+        monkeypatch.setattr(simplex, "REFACTOR_INTERVAL", 3)
+        repairs = []
+        refactor, repair = SimplexSolver._refactor, SimplexSolver._repair_basis
+
+        def refactor_spy(self):
+            if not repairs:
+                pos_s = np.flatnonzero(self.basis < self.n)
+                pos_l = np.flatnonzero(self.basis >= self.n)
+                if pos_s.size and pos_l.size:
+                    twin = (self.basis[pos_s[0]] + self.n // 2) % self.n
+                    self.basis[pos_l[0]] = twin
+            refactor(self)
+
+        def repair_spy(self):
+            before = self.stat.copy()
+            repair(self)
+            repairs.append(not np.array_equal(before, self.stat))
+
+        monkeypatch.setattr(SimplexSolver, "_refactor", refactor_spy)
+        monkeypatch.setattr(SimplexSolver, "_repair_basis", repair_spy)
+        rng = np.random.default_rng(909)
+        half = np.round(rng.normal(size=(12, 8)), 3)
+        prob = boxed_problem(rng, 12, 16, A=np.hstack([half, half]))
+        with checked_moves(monkeypatch) as seen:
+            sol = SimplexSolver(prob).solve()
+        ref = scipy_solve(prob)
+        assert repairs and repairs[0]  # the repair changed some statuses
+        assert seen["pivots"] > 0 and seen["checks"] > seen["pivots"]
+        assert sol.status == "optimal" and ref.status == 0
+        assert abs(sol.objective - ref.fun) <= TOL * max(1.0, abs(ref.fun))
+
+
+class TestFtran:
+    def test_slack_column_is_read_from_the_inverse(self):
+        rng = np.random.default_rng(4242)
+        prob = boxed_problem(rng, 15, 20)
+        solver = SimplexSolver(prob)
+        assert solver.solve().status == "optimal" and solver.total_pivots > 5
+        eye = np.eye(solver.m)
+        for i in range(solver.m):
+            w = solver._ftran(solver.n + i)
+            assert np.array_equal(w, solver.binv @ eye[:, i])
+            assert not np.shares_memory(w, solver.binv)
+        for j in range(solver.n):
+            assert np.array_equal(solver._ftran(j), solver.binv @ solver.A[:, j])

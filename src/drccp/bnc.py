@@ -1,12 +1,26 @@
 """Branch and cut for mixed-binary linear models.
 
+Every node goes through `_visit`, which loads, solves, cuts, fathoms and
+expands it.  The root is node 0: it has no stored basis, so it starts cold,
+and it gets up to `max_root_cut_rounds` cut rounds.  Every other node
+warm-starts from its parent's basis and gets one round when
+`cut_interior_nodes` is set.  A node is fathomed when its relaxation is not
+optimal or reaches the incumbent, checked after every solve, and its
+children start from the basis it ends with (after its cuts).  `run` stops
+in one place: `_pick` gives the next node or the final status.  Node
+selection is best-bound (a heap), depth-first (one dive from the root with
+no budget) or dive-best-bound (best-bound with bounded dives).
+
 The search keeps a single stateful simplex instance for the whole tree:
 branching is done through bound overrides, and before a node is evaluated
 only the binaries whose bounds differ from the last evaluated node's are
-re-set (the root bounds come back once, when the search ends).  Every node
-warm-starts from its parent's basis.  Cutting planes are appended to the
-shared matrix (they are globally valid), so bases captured before a cut round
-stay loadable.
+re-set (the root bounds come back once, when the search ends).  Cutting
+planes are appended to the shared matrix (they are globally valid), so
+bases captured before a cut round stay loadable.
+
+A simplex stall that a cold restart does not resolve stops the search.
+Cuts and branching only tighten a relaxation, so the stalled node's bound,
+its last optimal relaxation value or else its parent's bound, still counts.
 
 Everything is deterministic for a fixed config: node ids break priority
 ties, pricing has no randomness, and wall time only matters when a time
@@ -108,10 +122,10 @@ def _gap_closed(ub, lb, tol) -> bool:
 @dataclass(order=True)
 class _Node:
     priority: tuple
-    lb: float = field(compare=False)
+    lb: float = field(compare=False)  # the parent's bound, then the node's last optimal value
     depth: int = field(compare=False)
     overrides: dict = field(compare=False)
-    state: tuple = field(compare=False)
+    state: tuple | None = field(compare=False)  # the parent's final basis; None at the root
     branch: tuple | None = field(compare=False, default=None)  # (var, frac, parent_obj)
 
 
@@ -129,26 +143,33 @@ class _Search:
         self.applied = {}  # the bound overrides the solver holds now
         self.incumbent_obj = math.inf
         self.incumbent = None
-        # dive-best-bound interleaves best-bound pops with bounded
-        # depth-first dive episodes (backtracking through siblings on a
-        # local stack): dives reach integral leaves and improve the
-        # incumbent, the pops in between drive the global bound.  Episodes
-        # seed from the best open node, every pop while no incumbent
-        # exists, then on a fixed pop interval; leftover episode nodes are
-        # flushed back to the heap when the budget runs out.
+        # Dives run on `dive_stack`, visiting the side each relaxation leans
+        # to first and backtracking through siblings.  depth-first is one
+        # dive from the root with no budget.  dive-best-bound interleaves
+        # best-bound pops with dive episodes of bounded size: dives reach
+        # integral leaves and improve the incumbent, the pops in between
+        # drive the global bound.  Episodes seed from the best open node,
+        # every pop while no incumbent exists, then on a fixed pop interval;
+        # leftover episode nodes are flushed back to the heap when the
+        # budget runs out.
+        depth_first = config.node_selection == "depth-first"
         self.plunge = config.node_selection == "dive-best-bound"
-        self.plunge_stack = []
-        self.in_episode = False
+        self.dive_stack = []
+        self.in_episode = depth_first
         self.episode_nodes = 0
-        self.episode_cap = max(64, 4 * len(self.binaries))
+        episode_cap = max(64, 4 * len(self.binaries))
+        self.episode_cap = math.inf if depth_first else episode_cap
         self.heap_pops = 0
-        self.dive_interval = 4 * self.episode_cap
-        self.open_nodes = []
+        self.dive_interval = 4 * episode_cap
+        self.open_nodes = []  # best-bound heap
+        self.root = _Node(priority=(), lb=-math.inf, depth=0, overrides={}, state=None)
         self.nodes_done = 0
         self.iterations = 0
         self.cut_counts = {}
         self.events = []
         self.seq = 0
+        self.started = self.root_time = None
+        self.stalled_lb = math.inf
         nb = len(self.binaries)
         # pseudo-cost statistics per binary: unit objective gains by direction
         self.pc_sum = np.zeros((2, nb))
@@ -168,8 +189,8 @@ class _Search:
     def _move_to(self, overrides):
         """Give the solver the root bounds plus `overrides`, re-setting only
         the binaries whose bounds differ from the ones it holds.  The order
-        of the calls does not matter: `load_state` re-settles every status
-        against the final bounds."""
+        of the calls does not matter: statuses are settled against the final
+        bounds when the next solve starts."""
         for j in self.applied:
             if j not in overrides:
                 pos = self.bin_pos[j]
@@ -198,11 +219,6 @@ class _Search:
         dist = np.abs(v - np.round(v))
         frac = dist > INT_TOL
         return list(zip(self.binaries[frac].tolist(), dist[frac].tolist()))
-
-    def _log_stall(self, node_id, lb, depth, exc):
-        """Stalls are always recorded: they explain an early stop."""
-        self.events.append(f"node={node_id} lb={lb:.10g} depth={depth} "
-                           f"action=stall detail={exc}")
 
     # -- cutting ------------------------------------------------------------
 
@@ -256,56 +272,74 @@ class _Search:
 
     # -- tree ---------------------------------------------------------------
 
-    def _expand(self, sol, depth, overrides, node_id, state):
-        """Turn a solved node into an incumbent or two children."""
+    def _visit(self, node, rounds):
+        """Load, solve, cut, fathom and expand one node.
+
+        The node warm-starts from its parent's basis (the root has none and
+        starts cold), then gets up to `rounds` cut rounds, each followed by a
+        re-solve.  After every solve, a relaxation that is not optimal or
+        reaches the incumbent fathoms the node; otherwise its value becomes
+        the node's bound.  A node that survives becomes an incumbent or two
+        children, which start from the basis it ends with."""
+        node_id = self.nodes_done
+        self.nodes_done += 1
+        self._move_to(node.overrides)
+        if node.state is not None:
+            self.solver.load_state(*node.state)
+        sol = self._solve_lp()
+        if sol.status == "unbounded":
+            raise ValueError("relaxation is unbounded; the domain must be compact")
+        self._record_pseudo_cost(node, sol.objective)
+        while True:
+            if sol.status == "optimal":
+                node.lb = sol.objective
+            if sol.status != "optimal" or node.lb >= self.incumbent_obj - 1e-9:
+                self.log(node_id, node.lb, "fathom", node.depth)
+                return
+            if rounds == 0 or not self._separate_once(sol.x):
+                break
+            rounds -= 1
+            self.log(node_id, node.lb, "cut", node.depth)
+            sol = self._solve_lp()
         fractional = self._fractional(sol.x)
         if not fractional:
-            if sol.objective < self.incumbent_obj - 1e-9:
-                self.incumbent_obj = sol.objective
-                self.incumbent = sol.x.copy()
-                self.log(node_id, sol.objective, "incumbent", depth)
-            else:
-                self.log(node_id, sol.objective, "fathom", depth)
+            self.incumbent_obj = sol.objective
+            self.incumbent = sol.x.copy()
+            self.log(node_id, sol.objective, "incumbent", node.depth)
             return
         j = self._pick_branch_var(sol.x, fractional)
         frac = sol.x[j]
         lean = 1.0 if frac >= 0.5 else 0.0
-        children = {}
+        state = self.solver.get_state()
+        children = []
         for fixed in (lean, 1.0 - lean):  # lean side gets the smaller seq
-            child_over = dict(overrides)
-            child_over[j] = (fixed, fixed)
             self.seq += 1
-            children[fixed] = _Node(
+            children.append(_Node(
                 priority=(sol.objective, self.seq),
                 lb=sol.objective,
-                depth=depth + 1,
-                overrides=child_over,
+                depth=node.depth + 1,
+                overrides={**node.overrides, j: (fixed, fixed)},
                 state=state,
                 branch=(j, frac, sol.objective),
-            )
-        self.log(node_id, sol.objective, "branch", depth)
-        if self.cfg.node_selection == "depth-first" or self.in_episode:
-            # dives visit the side the relaxation leans to first
-            stack = self.plunge_stack if self.in_episode else self.open_nodes
-            for fixed in (1.0 - lean, lean):
-                stack.append(children[fixed])
-            return
-        heapq.heappush(self.open_nodes, children[lean])
-        heapq.heappush(self.open_nodes, children[1.0 - lean])
+            ))
+        self.log(node_id, sol.objective, "branch", node.depth)
+        if self.in_episode:
+            self.dive_stack += children[::-1]  # dives visit the lean side first
+        else:
+            for child in children:
+                heapq.heappush(self.open_nodes, child)
 
     def _next_node(self):
-        if self.plunge_stack:
+        if self.dive_stack:
             if self.episode_nodes < self.episode_cap:
                 self.episode_nodes += 1
-                return self.plunge_stack.pop()
-            for node in self.plunge_stack:
+                return self.dive_stack.pop()
+            for node in self.dive_stack:
                 heapq.heappush(self.open_nodes, node)
-            self.plunge_stack.clear()
+            self.dive_stack.clear()
             self.in_episode = False
         elif self.in_episode and self.episode_nodes > 0:
             self.in_episode = False  # the dive exhausted its subtree
-        if self.cfg.node_selection == "depth-first":
-            return self.open_nodes.pop()
         if self.plunge and not self.in_episode:
             self.heap_pops += 1
             if self.incumbent is None or self.heap_pops >= self.dive_interval:
@@ -315,129 +349,78 @@ class _Search:
         return heapq.heappop(self.open_nodes)
 
     def _global_lb(self):
-        best = math.inf
-        if self.open_nodes:
-            if self.cfg.node_selection == "depth-first":
-                best = min(n.lb for n in self.open_nodes)
-            else:
-                best = self.open_nodes[0].lb
-        for node in self.plunge_stack:
+        best = self.open_nodes[0].lb if self.open_nodes else math.inf
+        for node in self.dive_stack:
             best = min(best, node.lb)
         if not math.isfinite(best):
             return self.incumbent_obj
         return best
 
+    def _stopped(self, limit):
+        """Status of a search cut short by `limit` ("node", "time" or "stall")."""
+        if self.incumbent is None:
+            return "no-incumbent"
+        return "time-limit" if limit == "time" else "feasible-gap"
+
+    def _pick(self):
+        """(next node to visit, None), or (None, the status the search ends
+        with).  Open nodes whose bound reaches the incumbent are fathomed on
+        the way; they do not count as visited."""
+        cfg = self.cfg
+        while self.open_nodes or self.dive_stack:
+            if (self.incumbent is not None
+                    and _gap_closed(self.incumbent_obj, self._global_lb(), cfg.gap_tol)):
+                return None, "optimal"
+            if cfg.node_limit is not None and self.nodes_done >= cfg.node_limit:
+                return None, self._stopped("node")
+            if (cfg.time_limit is not None
+                    and time.perf_counter() - self.started > cfg.time_limit):
+                return None, self._stopped("time")
+            node = self._next_node()
+            if node.lb < self.incumbent_obj - 1e-9:
+                return node, None
+            self.log(self.nodes_done, node.lb, "fathom", node.depth)
+        return None, "optimal" if self.incumbent is not None else "infeasible"
+
     # -- main loop ----------------------------------------------------------
 
     def run(self):
         cfg = self.cfg
-        started = time.perf_counter()
-        root_bound = None  # the last optimal root relaxation value
+        self.started = time.perf_counter()
+        node = self.root
         try:
-            sol = self._solve_lp()
-            if sol.status == "unbounded":
-                raise ValueError("relaxation is unbounded; the domain must be compact")
-            rounds = cfg.max_root_cut_rounds if self.separators else 0
-            for _ in range(rounds):
-                if sol.status != "optimal":
-                    break
-                root_bound = sol.objective
-                if not self._separate_once(sol.x):
-                    break
-                self.log(0, sol.objective, "cut", 0)
-                sol = self._solve_lp()
+            self._visit(node, cfg.max_root_cut_rounds if self.separators else 0)
+            self.root_time = time.perf_counter() - self.started
+            rounds = 1 if cfg.cut_interior_nodes and self.separators else 0
+            node, status = self._pick()
+            while node is not None:
+                self._visit(node, rounds)
+                node, status = self._pick()
         except SimplexStall as exc:
-            # the warm solve and its cold retry both stalled at the root; cuts
-            # only tighten the relaxation, so the last optimal value is a bound
-            self._log_stall(0, -math.inf if root_bound is None else root_bound, 0, exc)
-            return self._result("no-incumbent", root_bound, time.perf_counter() - started,
-                                started, node_count=1)
-        root_time = time.perf_counter() - started
-        if sol.status == "infeasible":
-            return self._result("infeasible", None, root_time, started, node_count=1)
-        root_bound = sol.objective
-        self.nodes_done = 1
-        root_state = self.solver.get_state()
-        self._expand(sol, 0, {}, node_id=0, state=root_state)
-
-        status = None
-        stalled_lb = math.inf
-        while self.open_nodes or self.plunge_stack:
-            lb_now = self._global_lb()
-            if (self.incumbent is not None
-                    and _gap_closed(self.incumbent_obj, lb_now, cfg.gap_tol)):
-                status = "optimal"
-                break
-            if cfg.node_limit is not None and self.nodes_done >= cfg.node_limit:
-                status = "feasible-gap" if self.incumbent is not None else "no-incumbent"
-                break
-            if (cfg.time_limit is not None
-                    and time.perf_counter() - started > cfg.time_limit):
-                status = "time-limit" if self.incumbent is not None else "no-incumbent"
-                break
-            node = self._next_node()
-            if node.lb >= self.incumbent_obj - 1e-9:
-                self.log(self.nodes_done, node.lb, "fathom", node.depth)
-                continue
-            self.nodes_done += 1
-            node_id = self.nodes_done - 1
-            self._move_to(node.overrides)
-            self.solver.load_state(*node.state)
-            try:
-                sol = self._solve_lp()
-                if sol.status != "optimal":
-                    self.log(node_id, node.lb, "fathom", node.depth)
-                    continue
-                self._record_pseudo_cost(node, sol.objective)
-                if sol.objective >= self.incumbent_obj - 1e-9:
-                    self.log(node_id, sol.objective, "fathom", node.depth)
-                    continue
-                state = self.solver.get_state()
-                if cfg.cut_interior_nodes and self.separators:
-                    if self._separate_once(sol.x):
-                        self.log(node_id, sol.objective, "cut", node.depth)
-                        sol = self._solve_lp()
-            except SimplexStall as exc:
-                # Unresolvable node (first solve or the re-solve after its
-                # cuts): stop with a diagnostic event instead of crashing the
-                # search; its bound still counts.
-                self._log_stall(node_id, node.lb, node.depth, exc)
-                stalled_lb = node.lb
-                status = "feasible-gap" if self.incumbent is not None else "no-incumbent"
-                break
-            if sol.status != "optimal":
-                self.log(node_id, node.lb, "fathom", node.depth)
-                continue
-            self._expand(sol, node.depth, node.overrides, node_id, state=state)
+            # the warm solve and its cold retry both stalled; the event is
+            # always recorded, it explains the early stop
+            self.events.append(f"node={self.nodes_done - 1} lb={node.lb:.10g} "
+                               f"depth={node.depth} action=stall detail={exc}")
+            self.stalled_lb = node.lb
+            status = self._stopped("stall")
         self._move_to({})
+        return self._result(status)
 
-        if status is None:
-            status = "optimal" if self.incumbent is not None else "infeasible"
-        return self._result(status, root_bound, root_time, started,
-                            node_count=self.nodes_done,
-                            final_lb=min(self._global_lb(), stalled_lb))
-
-    def _result(self, status, root_bound, root_time, started, node_count, final_lb=None):
-        wall = time.perf_counter() - started
+    def _result(self, status):
+        wall = time.perf_counter() - self.started
         sign = self.sign
         has_inc = self.incumbent is not None
-        bound = final_lb if final_lb is not None else root_bound
-        if status == "infeasible" or bound is None:
+        bound = min(self._global_lb(), self.stalled_lb, self.incumbent_obj)
+        if status == "infeasible" or not math.isfinite(bound):
             bound = None
-            gap = None
-        else:
-            bound = min(bound, self.incumbent_obj)
-            gap = compute_gap(self.incumbent_obj, bound) if has_inc else None
+        root_bound = self.root.lb if math.isfinite(self.root.lb) else None
+        gap = root_gap = None
+        if has_inc:
+            gap = compute_gap(self.incumbent_obj, bound)
+            if root_bound is not None:
+                root_gap = compute_gap(self.incumbent_obj, min(root_bound, self.incumbent_obj))
         x_idx = self.model.block_indices("x")
-        root_gap = None
-        if has_inc and root_bound is not None:
-            root_gap = compute_gap(self.incumbent_obj, min(root_bound, self.incumbent_obj))
-        if has_inc and x_idx:
-            x_out = self.incumbent[x_idx].copy()
-        elif has_inc:
-            x_out = self.incumbent.copy()
-        else:
-            x_out = None
+        x_out = (self.incumbent[x_idx] if x_idx else self.incumbent).copy() if has_inc else None
         return SolveResult(
             status=status,
             objective=sign * self.incumbent_obj if has_inc else None,
@@ -445,11 +428,11 @@ class _Search:
             gap_pct=gap,
             x=x_out,
             values=self.incumbent.copy() if has_inc else None,
-            nodes=node_count,
+            nodes=self.nodes_done,
             iterations=self.iterations,
             root_bound=sign * root_bound if root_bound is not None else None,
             root_gap_pct=root_gap,
-            root_time_s=root_time,
+            root_time_s=wall if self.root_time is None else self.root_time,
             time_s=wall,
             cuts=dict(self.cut_counts),
             events=list(self.events),

@@ -38,8 +38,9 @@ change.  The ratio test is one blocking-bound formula over all basics, and
 the FTRAN column of a slack is read straight from the inverse.
 
 State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
-the basis and the statuses; the primal values are recomputed once, when
-`solve` starts.
+the basis, the statuses and the bounds.  `solve` settles every status
+against the bounds and recomputes the primal values once, when it starts,
+so `set_bound` only writes the bounds.
 
 Determinism: Dantzig pricing with lowest-index tie-breaks, switching to
 Bland's rule after a run of degenerate steps; no randomness, no wall-clock
@@ -238,13 +239,6 @@ class SimplexSolver:
         # columns we could not make basic fall back to a bound
         self.stat = self._settled(stat)
 
-    def _normalize_status(self, j, s):
-        """`_settled` for one nonbasic column, without the array overhead."""
-        lo, hi = math.isfinite(self.lb[j]), math.isfinite(self.ub[j])
-        if (s == ST_LOWER and lo) or (s == ST_UPPER and hi) or (s == ST_FREE and not (lo or hi)):
-            return s
-        return ST_LOWER if lo else ST_UPPER if hi else ST_FREE
-
     def _retarget_basis(self, target, tol=PIVOT_TOL):
         in_target = np.zeros(self.nt, dtype=bool)
         in_target[target] = True
@@ -323,8 +317,6 @@ class SimplexSolver:
             raise IndexError("cannot rebound a slack column")
         self.lb[j] = lb
         self.ub[j] = ub
-        if self.stat[j] != ST_BASIC:
-            self.stat[j] = self._normalize_status(j, self.stat[j])
 
     def add_row(self, coefs, sense, rhs):
         """Append one row, given as a dense length-n vector; its slack joins
@@ -372,6 +364,7 @@ class SimplexSolver:
         iters = 0
         bland = False
         degen_streak = 0
+        self.stat = self._settled(self.stat)
         self._recompute_values()
         self._moves()
         c_pad = np.concatenate([self.c, np.zeros(self.m)])

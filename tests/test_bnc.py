@@ -92,6 +92,7 @@ def test_infeasible_model():
     assert res.objective is None
     assert res.bound is None
     assert res.x is None
+    assert res.nodes == 1
 
 
 def test_unbounded_relaxation_raises():
@@ -327,16 +328,22 @@ def _stall_after_cuts(monkeypatch, at_root, nth=1):
     root or at an interior node, stall warm and cold.  Returns a dict whose
     "search" entry is the _Search that ran."""
     seen = _record_search(monkeypatch)
-    seen.update(rounds=0, stalls_left=0)
+    seen.update(rounds=0, stalls_left=0, depth=None)
+    inner_visit = bnc._Search._visit
     inner_sep = bnc._Search._separate_once
     inner_solve = SimplexSolver.solve
 
+    def visit(self, node, rounds):
+        seen["depth"] = node.depth
+        return inner_visit(self, node, rounds)
+
     def separate(self, values):
         found = inner_sep(self, values)
-        if found and (self.nodes_done == 0) == at_root:
+        if found and (seen["depth"] == 0) == at_root:
             seen["rounds"] += 1
             if seen["rounds"] == nth:
                 seen["stalls_left"] = 2
+                seen["pre_cut"] = float(self.solver.c @ values)
         return found
 
     def solve_method(self, max_iter=None):
@@ -345,6 +352,7 @@ def _stall_after_cuts(monkeypatch, at_root, nth=1):
             raise SimplexStall("synthetic stall for testing")
         return inner_solve(self, max_iter)
 
+    monkeypatch.setattr(bnc._Search, "_visit", visit)
     monkeypatch.setattr(bnc._Search, "_separate_once", separate)
     monkeypatch.setattr(SimplexSolver, "solve", solve_method)
     return seen
@@ -381,7 +389,8 @@ def test_stall_in_the_root_cut_loop_keeps_the_root_bound(monkeypatch):
 
 def test_stall_after_interior_cuts_is_contained(monkeypatch):
     # the re-solve after an interior node's cuts stalls warm and cold: the
-    # search stops with an event and the node's bound overrides are undone
+    # search stops with an event and the node's bound overrides are undone;
+    # the event gives the node's pre-cut relaxation value as its bound
     inst = box_instance(48, n=12)
     seen = _stall_after_cuts(monkeypatch, at_root=False)
     model = build_basic(inst)
@@ -390,11 +399,29 @@ def test_stall_after_interior_cuts_is_contained(monkeypatch):
     assert seen["rounds"] == 1 and seen["stalls_left"] == 0
     assert res.status in ("feasible-gap", "no-incumbent")
     assert res.bound is not None
-    assert any("action=stall" in e and not e.startswith("node=0 ") for e in res.events)
+    stalls = [e for e in res.events if "action=stall" in e]
+    assert any(not e.startswith("node=0 ") for e in stalls)
+    assert stalls == [f"node=1 lb={seen['pre_cut']:.10g} depth=1 action=stall "
+                      "detail=synthetic stall for testing"]
     solver = seen["search"].solver
     n = model.num_vars
     assert np.array_equal(solver.lb[:n], model.lb)
     assert np.array_equal(solver.ub[:n], model.ub)
+
+
+def test_stall_after_interior_cuts_bounds_the_search(monkeypatch):
+    # Node 2, the root's second child, stalls after its cuts while the
+    # children of node 1 are open with bounds above node 2's pre-cut value.
+    # That value is the stalled node's bound (cuts only tighten its
+    # relaxation), so it is the bound the search reports, not the root's.
+    inst = box_instance(48, n=12)
+    seen = _stall_after_cuts(monkeypatch, at_root=False, nth=2)
+    res = solve(build_basic(inst), separators=[MixingSeparator(inst), PathSeparator(inst)],
+                config=BncConfig(cut_interior_nodes=True))
+    assert seen["rounds"] == 2 and seen["stalls_left"] == 0
+    assert res.status == "no-incumbent" and res.nodes == 3
+    assert res.bound == seen["pre_cut"] > res.root_bound
+    assert any(e.startswith("node=2 ") and "action=stall" in e for e in res.events)
 
 
 @pytest.mark.parametrize("node_limit", [None, 4])

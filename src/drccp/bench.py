@@ -146,11 +146,7 @@ def run_cell(config: ExperimentConfig, nf: int, nd: int, ns: int, rep: int) -> l
     tmax = theta_max(
         base_inst,
         matrix=config.theta_max_matrix,
-        config=BncConfig(
-            gap_tol=config.gap_tol,
-            node_limit=config.theta_max_node_limit,
-            node_selection="depth-first",
-        ),
+        config=BncConfig(gap_tol=config.gap_tol, node_limit=config.theta_max_node_limit),
     )
     grid = theta_grid(tmax)
     rows = []

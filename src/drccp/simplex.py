@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex on dense numpy arrays.
+"""Bounded-variable dual and primal simplex on dense numpy arrays.
 
 Solves   min c @ x   s.t.  A x {<=,>=,==} b,  lb <= x <= ub.
 
@@ -20,31 +20,44 @@ is inverted, at O(k^3 + (m - k) k^2) instead of O(m^3), and the inverse's
 columns of the slack-covered rows come out as exact ones and zeros.
 
 A basic variable counts as violating when it lies more than FEAS_TOL
-outside a bound.  That one test, made once per iteration, starts and ends
-phase 1, gives the phase-1 costs (-1 below, +1 above) and tells the ratio
-test which bound each basic blocks at; with no violating basic the
-iteration is a phase-2 one.  Phase 1 minimizes the total bound violation of
-basic variables (no artificial columns), which lets any starting basis act
-as a warm start: after adding a cut row or tightening a branching bound the
-previous basis is simply reloaded and re-optimized.  A singular basis found
-at refactorization is rebuilt from the slack basis by the same greedy
-pivots that retarget a warm start.
+outside a bound.  `solve` starts with the bounded dual simplex when some
+basic violates a bound and the starting basis is dual feasible (no column
+prices in under the phase-2 reduced costs).  That is the state a branching
+bound or an appended cut row leaves the previous optimal basis in, so a
+node or a post-cut re-solve reloads it and runs dual iterations: the most
+violating basic leaves at the bound it violates, and the entering column
+keeps the reduced costs dual feasible.  A row with no eligible entering
+column proves the LP infeasible and is returned as the Farkas row.
+
+The primal loop then confirms optimality, and it is the whole solve for a
+start that is not dual feasible or that violates no bound; it also cleans
+up after more than _DEGEN_STREAK degenerate dual steps in a row.  Its one
+violation test per iteration starts and ends phase 1, gives the phase-1
+costs (-1 below, +1 above) and tells the ratio test which bound each basic
+blocks at; with no violating basic the iteration is a phase-2 one.  Phase 1
+minimizes the total bound violation of basic variables (no artificial
+columns), so any starting basis is a valid warm start.  Both loops change
+the basis through one `_pivot` routine and draw on one budget of
+`max_iter` iterations; at the cap they raise SimplexStall.  A singular
+basis found at refactorization is rebuilt from the slack basis by the same
+greedy pivots that retarget a warm start.
 
 Each iteration makes few numpy calls, since at these sizes their overhead,
-not the arithmetic, sets the time.  The entering column is the top of one
-score built from two move masks (nonbasics that may rise, nonbasics that may
-fall), which `solve` computes once and then updates one entry per status
-change.  The ratio test is one blocking-bound formula over all basics, and
-the FTRAN column of a slack is read straight from the inverse.
+not the arithmetic, sets the time.  The entering choices of both loops read
+two move masks (nonbasics that may rise, nonbasics that may fall), which
+`solve` computes once and then updates one entry per status change.  The
+primal ratio test is one blocking-bound formula over all basics, and the
+FTRAN column of a slack is read straight from the inverse.
 
 State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
 the basis, the statuses and the bounds.  `solve` settles every status
 against the bounds and recomputes the primal values once, when it starts,
 so `set_bound` only writes the bounds.
 
-Determinism: Dantzig pricing with lowest-index tie-breaks, switching to
-Bland's rule after a run of degenerate steps; no randomness, no wall-clock
-dependence.  Identical inputs replay the identical pivot sequence.
+Determinism: Dantzig pricing and the dual ratio test break ties by pivot
+size, then by lowest index; the primal loop switches to Bland's rule after a
+run of degenerate steps; no randomness, no wall-clock dependence.
+Identical inputs replay the identical pivot sequence.
 """
 from __future__ import annotations
 
@@ -107,7 +120,8 @@ class LpSolution:
     objective: float = math.nan
     duals: np.ndarray = None
     reduced_costs: np.ndarray = None
-    iterations: int = 0
+    iterations: int = 0  # primal and dual
+    dual_iterations: int = 0
     basis: np.ndarray = None
     ray: np.ndarray = None
     farkas: np.ndarray = None
@@ -359,16 +373,82 @@ class SimplexSolver:
         return q, 1 if d[q] < 0 else -1
 
     def solve(self, max_iter=None) -> LpSolution:
+        """Optimize from the current basis: the dual loop first, when it
+        applies, then the primal loop, on one budget of `max_iter`
+        iterations between them."""
         if max_iter is None:
             max_iter = max(5000, 60 * (self.m + self.n))
-        iters = 0
-        bland = False
-        degen_streak = 0
         self.stat = self._settled(self.stat)
         self._recompute_values()
         self._moves()
         c_pad = np.concatenate([self.c, np.zeros(self.m)])
+        dual_iters, sol = self._dual(c_pad, max_iter)
+        if sol is None:
+            sol = self._primal(c_pad, max_iter, dual_iters)
+        sol.dual_iterations = dual_iters
+        return sol
 
+    def _dual(self, c_pad, max_iter):
+        """Bounded dual simplex, run while some basic violates a bound and
+        the starting basis is dual feasible.
+
+        Each iteration the basic with the largest violation (the first, on
+        ties) leaves at the bound it violates.  `y` is its row of the
+        inverse, negated when it lies below its lower bound, so that raising
+        column j of [A | I] moves it toward that bound exactly when
+        y @ a_j > 0: the phase-1 pricing of this one violation.  A column
+        that may rise is eligible where y @ a_j > PIVOT_TOL, one that may
+        fall where y @ a_j < -PIVOT_TOL.  The entering column keeps the
+        reduced costs dual feasible: the least |d_j| / |y @ a_j|, ties to the
+        largest |y @ a_j|, then the lowest index.  With no eligible column the
+        basic cannot reach its bound and `y` certifies the LP infeasible.
+
+        Returns (iterations, solution).  The solution is None when the
+        primal loop takes over: the basis is primal feasible (the primal
+        loop confirms optimality), the start is not dual feasible, or more
+        than _DEGEN_STREAK dual steps in a row were degenerate.
+        """
+        iters = degen_streak = 0
+        while self.m:  # a basis of no rows violates nothing
+            xb = self.xval[self.basis]
+            lo, hi = self.lb[self.basis], self.ub[self.basis]
+            viol = np.maximum(lo - xb, xb - hi)
+            r = int(viol.argmax())
+            if viol[r] <= FEAS_TOL:
+                break
+            yb = c_pad[self.basis] @ self.binv
+            d = np.concatenate([self.c - yb @ self.A, -yb])
+            if iters == 0 and self._eligible_entering(d, False)[0] >= 0:
+                break
+            if iters > max_iter:
+                raise SimplexStall(f"iteration cap {max_iter} exceeded")
+            iters += 1
+
+            below = xb[r] < lo[r]
+            y = -self.binv[r] if below else self.binv[r]
+            gamma = np.concatenate([y @ self.A, y])
+            score = np.maximum(np.where(self._up, gamma, 0.0), np.where(self._dn, -gamma, 0.0))
+            eligible = score > PIVOT_TOL
+            if not eligible.any():
+                return iters, self._infeasible_solution(y, iters)
+            ratios = np.full(self.nt, math.inf)
+            np.divide(np.abs(d), score, out=ratios, where=eligible)
+            tmin = ratios.min()
+            q = int(np.where(ratios <= tmin + 1e-12, score, 0.0).argmax())
+            degen_streak = degen_streak + 1 if tmin <= 1e-11 else 0
+
+            w = self._ftran(q)
+            bound = lo[r] if below else hi[r]
+            self._pivot(q, r, w, (xb[r] - bound) / w[r], not below)
+            if degen_streak > _DEGEN_STREAK:
+                break
+        return iters, None
+
+    def _primal(self, c_pad, max_iter, iters):
+        """Primal simplex from the current basis, phase 1 while some basic
+        violates a bound; `iters` iterations of the budget are spent."""
+        bland = False
+        degen_streak = 0
         phase_one = False
         while True:
             if iters > max_iter:
@@ -416,29 +496,28 @@ class SimplexSolver:
                 if not phase_one:
                     bland = False
 
-            self.xval[self.basis] -= sigma * step * w
             if flip:
                 # entering variable runs to its opposite bound
+                self.xval[self.basis] -= sigma * step * w
                 at_lower = self.stat[q] == ST_LOWER
                 self._set_stat(q, ST_UPPER if at_lower else ST_LOWER)
                 self.xval[q] = self.ub[q] if at_lower else self.lb[q]
                 continue
+            self._pivot(q, pos, w, sigma * step, to_upper)
 
-            leaving = int(self.basis[pos])
-            self.xval[q] = self._entering_value(q, sigma, step)
-            self.xval[leaving] = self.ub[leaving] if to_upper else self.lb[leaving]
-            self._set_stat(leaving, ST_UPPER if to_upper else ST_LOWER)
-            self._set_stat(q, ST_BASIC)
-            self.basis[pos] = q
-            self._update_binv(w, pos)
-            self._count_pivot()
-
-    def _entering_value(self, q, sigma, step):
-        if self.stat[q] == ST_LOWER:
-            return self.lb[q] + step
-        if self.stat[q] == ST_UPPER:
-            return self.ub[q] - step
-        return sigma * step  # free variables rest at zero
+    def _pivot(self, q, pos, w, theta, to_upper):
+        """Column q enters the basis at `pos`, its value moved by `theta` and
+        the basics by -theta * w; the leaving column rests at its upper bound
+        if `to_upper`, else at its lower one."""
+        leaving = int(self.basis[pos])
+        self.xval[self.basis] -= theta * w
+        self.xval[q] += theta
+        self.xval[leaving] = self.ub[leaving] if to_upper else self.lb[leaving]
+        self._set_stat(leaving, ST_UPPER if to_upper else ST_LOWER)
+        self._set_stat(q, ST_BASIC)
+        self.basis[pos] = q
+        self._update_binv(w, pos)
+        self._count_pivot()
 
     def _ratio(self, q, sigma, w, xb, lo, hi, below, above, bland):
         """Blocking step for the entering variable, given this iteration's

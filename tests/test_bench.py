@@ -9,6 +9,7 @@ import itertools
 import pytest
 
 from drccp import bench
+from drccp.bnc import BncConfig
 from drccp.bench import (
     AGG_COLUMNS,
     CSV_COLUMNS,
@@ -101,6 +102,26 @@ def test_variant_table_shape():
 
 
 # -- cells and rows -----------------------------------------------------------
+
+def test_run_cell_proves_theta_max_best_bound(monkeypatch):
+    # the grid's radius comes from a best-bound search; a depth-first one
+    # proves the same radius
+    calls = []
+    inner = bench.theta_max
+
+    def spy(inst, matrix="compact", config=None):
+        calls.append((inst, config, inner(inst, matrix=matrix, config=config)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(bench, "theta_max", spy)
+    rows = run_cell(tiny_config(theta_indices=(6,)), 2, 2, 6, 0)
+    ((inst, config, radius),) = calls
+    assert config.node_selection == "best-bound"
+    assert rows[0]["theta"] == pytest.approx(0.5 * radius, abs=1e-15)
+    depth_first = inner(inst, config=BncConfig(gap_tol=config.gap_tol, node_limit=config.node_limit,
+                                               node_selection="depth-first"))
+    assert abs(depth_first - radius) <= 1e-9
+
 
 def test_run_cell_row_schema():
     rows = run_cell(tiny_config(), 2, 2, 6, 0)

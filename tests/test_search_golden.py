@@ -41,12 +41,12 @@ from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_basic, build_compact, build_theta_variant
 
 GOLDEN = {
-    "box50": "f85a29a5ec9c152d",
-    "box47": "677a2ebcb8ed8ed1",
-    "transport": "7632f97381a571c1",
-    "box50-node-limit-7": "8daa8832bb346bcd",
-    "theta": "89db83dd6894849b",
-    "interior-cuts": "2c1b1737f454fe28",
+    "box50": "34072c5d18c3e4fd",
+    "box47": "2d203e6ccecf0664",
+    "transport": "963feab1af361171",
+    "box50-node-limit-7": "9062e21c733887de",
+    "theta": "70aeded04d176277",
+    "interior-cuts": "c9f3a22b6ea084f9",
 }
 
 

@@ -1,6 +1,7 @@
 """LP solver: agreement with an independent solver, duality, certificates,
-the feasibility tolerance, anti-cycling, determinism, warm starts, basis
-repair, and the per-iteration selection rules and state."""
+the feasibility tolerance, anti-cycling, determinism, warm starts, the dual
+loop of warm re-solves, basis repair, and the per-iteration selection rules
+and state."""
 import contextlib
 import math
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from drccp import simplex
+from conftest import box_instance
+from drccp import bnc, simplex
 from drccp.constants import DUAL_TOL, FEAS_TOL, PIVOT_TOL
+from drccp.formulations import build_compact
 from drccp.simplex import (
     ST_BASIC,
     ST_FREE,
@@ -29,25 +32,22 @@ TOL = 1e-7
 def recorded_pivots():
     """Log (entering, leaving) of every pivot the simplex takes in the block.
 
-    The solve loop pivots exactly when its ratio test returns a finite step
-    that is not a bound flip; the leaving column is `basis[pos]` at that
-    moment.  Basis retargeting in `load_state` does not go through the ratio
-    test, so its pivots are not logged.
+    Both solve loops, primal and dual, pivot through `_pivot`; the leaving
+    column is `basis[pos]` when it is called.  Basis retargeting in
+    `load_state` does not go through it, so its pivots are not logged.
     """
     log = []
-    ratio = SimplexSolver._ratio
+    pivot = SimplexSolver._pivot
 
-    def spy(self, q, *args, **kwargs):
-        step, pos, to_upper, flip = ratio(self, q, *args, **kwargs)
-        if step is not None and not flip:
-            log.append((int(q), int(self.basis[pos])))
-        return step, pos, to_upper, flip
+    def spy(self, q, pos, *args):
+        log.append((int(q), int(self.basis[pos])))
+        return pivot(self, q, pos, *args)
 
-    SimplexSolver._ratio = spy
+    SimplexSolver._pivot = spy
     try:
         yield log
     finally:
-        SimplexSolver._ratio = ratio
+        SimplexSolver._pivot = pivot
 
 
 def random_problem(rng, allow_equalities=True):
@@ -455,6 +455,200 @@ class TestWarmStart:
         solver = SimplexSolver(prob)
         with pytest.raises(IndexError):
             solver.set_bound(1, 0.0, 0.0)
+
+
+# -- warm re-solves through the dual loop -------------------------------------
+
+def warm_child(prob, fixes, cuts, max_iter=None):
+    """Solve `prob`, fix columns (j, value) and append rows (coefs, sense,
+    offset) that cut its optimum x off by `offset`, reload the optimal basis
+    and re-solve with `max_iter`.  Returns the solver, the first and the warm
+    solutions and the child LP as one problem, for a cold reference solve."""
+    solver = SimplexSolver(prob)
+    first = solver.solve()
+    assert first.status == "optimal"
+    state = solver.get_state()
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    for j, value in fixes:
+        solver.set_bound(j, value, value)
+        lb[j] = ub[j] = value
+    rows, senses, rhs = [prob.A], list(prob.senses), [prob.b]
+    for coefs, sense, offset in cuts:
+        cut = coefs @ first.x + (offset if sense == ">=" else -offset)
+        solver.add_row(coefs, sense, cut)
+        rows.append(coefs[None, :])
+        senses.append(sense)
+        rhs.append([cut])
+    solver.load_state(*state)
+    warm = solver.solve(max_iter=max_iter)
+    child = LpProblem(c=prob.c, A=np.vstack(rows), senses=senses, b=np.concatenate(rhs),
+                      lb=lb, ub=ub)
+    return solver, first, warm, child
+
+
+def random_edits(rng, prob, x):
+    """Up to two fixes (at a bound or in between) and up to two cuts, at
+    least one edit in all."""
+    n = prob.num_cols
+    fixes, cuts = [], []
+    for _ in range(rng.integers(0, 3)):
+        j = int(rng.integers(n))
+        lo = prob.lb[j] if math.isfinite(prob.lb[j]) else x[j] - 2.0
+        hi = prob.ub[j] if math.isfinite(prob.ub[j]) else x[j] + 2.0
+        fixes.append((j, float(np.round(lo + rng.choice([0.0, 1.0, rng.random()]) * (hi - lo), 3))))
+    for _ in range(rng.integers(0 if fixes else 1, 3)):
+        cuts.append((np.round(rng.normal(size=n), 3), str(rng.choice(["<=", ">="])),
+                     float(np.round(rng.uniform(0.05, 2.0), 3))))
+    return fixes, cuts
+
+
+@st.composite
+def bounded_lps_with_edits(draw):
+    """A boxed LP with mixed senses, feasible at a drawn point of the box,
+    plus the fixes and cuts (at least one edit) of one warm child."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    coef = st.integers(-30, 30).map(lambda v: v / 10)
+    A = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=m, max_size=m)))
+    c = np.array(draw(st.lists(coef, min_size=n, max_size=n)))
+    lb = np.array(draw(st.lists(st.integers(-3, 0), min_size=n, max_size=n)), dtype=float)
+    ub = lb + np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    senses = draw(st.lists(st.sampled_from(["<=", ">=", "=="]), min_size=m, max_size=m))
+    share = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    gap = np.array(draw(st.lists(st.integers(0, 10), min_size=m, max_size=m))) / 10
+    b = A @ (lb + share * (ub - lb)) + np.select(
+        [np.array(senses) == "<=", np.array(senses) == ">="], [gap, -gap])
+    prob = LpProblem(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub)
+    shares = st.sampled_from([0.0, 1.0, 0.25])
+    fixes = [(j, float(lb[j] + f * (ub[j] - lb[j])))
+             for j, f in draw(st.lists(st.tuples(st.integers(0, n - 1), shares), max_size=2))]
+    cut = st.tuples(st.lists(coef, min_size=n, max_size=n).map(np.array),
+                    st.sampled_from(["<=", ">="]), st.integers(1, 20).map(lambda v: v / 10))
+    cuts = draw(st.lists(cut, min_size=0 if fixes else 1, max_size=2))
+    return prob, fixes, cuts
+
+
+def row_certifies_infeasible(solver, y):
+    """True if the row y @ [A | I] v = y @ b, which gives one basic column
+    in terms of the nonbasic ones, cannot put that basic within its bounds:
+    its reachable range over the nonbasic bounds misses them."""
+    alpha = np.concatenate([y @ solver.A, y])
+    alpha[np.abs(alpha) <= 1e-12] = 0.0  # rounding of exact zeros
+    pos = int(np.abs(alpha[solver.basis]).argmax())
+    r = solver.basis[pos]
+    others = np.delete(alpha[solver.basis], pos)
+    assert abs(abs(alpha[r]) - 1.0) <= 1e-9 and np.all(np.abs(others) <= 1e-9)
+    nonbasic = np.flatnonzero(alpha != 0.0)
+    nonbasic = nonbasic[~np.isin(nonbasic, solver.basis)]
+    a = alpha[nonbasic]
+    lo, hi = solver.lb[nonbasic], solver.ub[nonbasic]
+    # alpha_r v_r = y @ b - sum over nonbasics of a_j v_j
+    least = y @ solver.b - np.where(a > 0, a * hi, a * lo).sum()
+    most = y @ solver.b - np.where(a > 0, a * lo, a * hi).sum()
+    if alpha[r] < 0:
+        least, most = -most, -least
+    return most < solver.lb[r] or least > solver.ub[r]
+
+
+class TestDualSimplex:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bounded_lps_with_edits())
+    def test_warm_children_match_reference(self, drawn):
+        prob, fixes, cuts = drawn
+        solver, _, warm, child = warm_child(prob, fixes, cuts)
+        ref = scipy_solve(child)
+        assert ref.status in (0, 2)  # bounded by construction
+        if ref.status == 2:
+            assert warm.status == "infeasible"
+        else:
+            assert warm.status == "optimal"
+            assert abs(warm.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+        up, dn = fresh_moves(solver)
+        assert np.array_equal(solver._up, up) and np.array_equal(solver._dn, dn)
+
+    def test_dual_infeasibility_row_is_a_certificate(self):
+        rng = np.random.default_rng(2005)
+        certified = dual_optimal = 0
+        for _ in range(80):
+            prob = random_problem(rng)
+            first = solve_lp(prob)
+            if first.status != "optimal":
+                continue
+            solver, _, warm, child = warm_child(prob, *random_edits(rng, prob, first.x))
+            dual_optimal += warm.status == "optimal" and warm.dual_iterations > 0
+            if warm.status == "infeasible" and warm.iterations == warm.dual_iterations:
+                assert row_certifies_infeasible(solver, warm.farkas)
+                assert scipy_solve(child).status == 2
+                certified += 1
+        assert certified >= 20 and dual_optimal >= 10
+
+    def test_warm_resolve_counts_dual_iterations(self):
+        prob = boxed_problem(np.random.default_rng(1), 15, 20)
+        solver, first, warm, _ = warm_child(prob, [(13, 0.0)], [])
+        assert first.dual_iterations == 0 and first.iterations > 0
+        assert warm.status == "optimal"
+        assert 0 < warm.dual_iterations < warm.iterations
+        again = solver.solve()  # the basis is optimal already
+        assert again.dual_iterations == 0 and again.iterations == 1
+
+    def test_cold_dual_infeasible_start_is_primal(self):
+        # the slack basis violates the >= row and x0 prices in (c0 < 0)
+        prob = LpProblem(c=[-1.0, 2.0], A=[[1.0, 1.0]], senses=[">="], b=[1.0],
+                         lb=[0.0, 0.0], ub=[3.0, 3.0])
+        sol = solve_lp(prob)
+        assert sol.status == "optimal" and sol.objective == -3.0
+        assert sol.dual_iterations == 0 and sol.iterations > 0
+
+    def test_cold_dual_feasible_start_is_dual(self):
+        prob = LpProblem(c=[1.0, 2.0], A=[[1.0, 1.0], [1.0, -1.0]], senses=[">=", "<="],
+                         b=[1.0, -0.5], lb=[0.0, 0.0], ub=[3.0, 3.0])
+        sol = solve_lp(prob)
+        assert sol.status == "optimal" and abs(sol.objective - 1.75) <= 1e-12
+        assert sol.dual_iterations == 2 and sol.iterations == 3
+
+    def test_iteration_cap_is_shared_with_the_dual_loop(self):
+        prob = boxed_problem(np.random.default_rng(1), 15, 20)
+
+        def resolve(max_iter):
+            return warm_child(prob, [(13, 0.0)], [], max_iter)[2]
+
+        full = resolve(None)
+        k = full.dual_iterations
+        assert k >= 2 and full.iterations == k + 1
+        with pytest.raises(SimplexStall):
+            resolve(1)
+        # after k dual iterations a cap of k leaves the primal loop one
+        assert resolve(k).objective == full.objective
+        with pytest.raises(SimplexStall):
+            resolve(k - 1)
+
+    def test_dual_stall_in_branch_and_cut_is_contained(self, monkeypatch):
+        # node 1's warm re-solve takes several dual iterations; capped at one
+        # it stalls in the dual loop, and the cold restart hides the stall
+        model = build_compact(box_instance(50))
+        expected = bnc.solve(model)
+        seen = {"calls": 0, "dual_iterations": [], "dual_stalls": 0}
+        solve, dual = SimplexSolver.solve, SimplexSolver._dual
+
+        def solve_spy(self, max_iter=None):
+            seen["calls"] += 1
+            sol = solve(self, 1 if seen["calls"] == 2 else max_iter)
+            seen["dual_iterations"].append(sol.dual_iterations)
+            return sol
+
+        def dual_spy(self, *args):
+            try:
+                return dual(self, *args)
+            except SimplexStall:
+                seen["dual_stalls"] += 1
+                raise
+
+        monkeypatch.setattr(SimplexSolver, "solve", solve_spy)
+        monkeypatch.setattr(SimplexSolver, "_dual", dual_spy)
+        res = bnc.solve(model)
+        assert seen["dual_stalls"] == 1
+        assert seen["dual_iterations"][0] > 0  # the root: a dual feasible cold start
+        assert res.status == "optimal"
+        assert abs(res.objective - expected.objective) <= 1e-9 * max(1.0, abs(expected.objective))
 
 
 def basis_matrix(solver):

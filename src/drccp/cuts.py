@@ -26,7 +26,8 @@ from .model import DrccpInstance, row_scaling
 
 @dataclass(frozen=True)
 class FractionalPoint:
-    """Relaxation values split into the shared variable blocks."""
+    """Relaxation values split into the shared variable blocks; z and r are
+    indexed by sample id."""
 
     x: np.ndarray
     z: np.ndarray
@@ -34,16 +35,23 @@ class FractionalPoint:
     t: float | None = None
 
 
+def _by_sample(model, values, tag):
+    cols = model.sample_columns(tag)
+    out = np.zeros(cols.size)
+    kept = cols >= 0
+    out[kept] = values[cols[kept]]
+    return out
+
+
 def point_from_solution(model, values):
+    """The blocks of a solution; z and r hold one entry per sample, 0 for a
+    sample the model leaves out."""
     values = np.asarray(values, dtype=float)
-    x = values[model.block_indices("x")]
-    z = values[model.block_indices("z")]
-    r_idx = model.block_indices("r")
     t_idx = model.block_indices("t")
     return FractionalPoint(
-        x=x,
-        z=z,
-        r=values[r_idx] if r_idx else None,
+        x=values[model.block_indices("x")],
+        z=_by_sample(model, values, "z"),
+        r=_by_sample(model, values, "r") if model.block_indices("r") else None,
         t=float(values[t_idx[0]]) if t_idx else None,
     )
 
@@ -74,18 +82,21 @@ def _short_sci(v: float) -> str:
 def cut_row(cut: Cut, model):
     """The cut as a dense row over the model variables: (coefs, rhs), sense >=.
 
-    Absent variables get +0.0 (a -0.0 coefficient comes out as +0.0 too).
+    z and r coefficients land on the columns of their sample ids.  Absent
+    variables get +0.0 (a -0.0 coefficient comes out as +0.0 too).
     """
-    r_idx = model.block_indices("r")
     t_idx = model.block_indices("t")
-    if cut.r_coefs and not r_idx:
+    if cut.r_coefs and not model.block_indices("r"):
         raise ValueError("cut uses shortfall variables the model does not have")
     if cut.t_coef != 0.0 and not t_idx:
         raise ValueError("cut uses the threshold variable the model does not have")
-    z_idx = model.block_indices("z")
     terms = list(zip(model.block_indices("x"), cut.x_coefs))
-    terms += [(z_idx[i], v) for i, v in cut.z_coefs]
-    terms += [(r_idx[i], v) for i, v in cut.r_coefs]
+    for tag, coefs in (("z", cut.z_coefs), ("r", cut.r_coefs)):
+        if coefs:
+            cols = model.sample_columns(tag)[[i for i, _ in coefs]]
+            if np.any(cols < 0):
+                raise ValueError(f"cut names a sample without a {tag} column in the model")
+            terms += zip(cols.tolist(), [v for _, v in coefs])
     if cut.t_coef != 0.0:
         terms.append((t_idx[0], cut.t_coef))
     coefs = np.zeros(model.num_vars)
@@ -229,11 +240,11 @@ class PathSeparator(_SeparatorBase):
     family = "path"
 
     def _separate_row(self, p, point):
-        if point.r is None or point.t is None:
-            raise ValueError("path separation needs the shortfall and threshold values")
         cand = self.quant.surviving[p]
         if cand.size == 0:
             return None
+        if point.r is None or point.t is None:
+            raise ValueError("path separation needs the shortfall and threshold values")
         h = self.quant.h[cand, p]
         positions, val = best_path_sequence(h, point.z[cand], point.r[cand])
         u_star = self._g_star(p, point.x) - point.t

@@ -2,8 +2,11 @@
 
 One builder emits every model over one variable layout: the x block, the z
 block, then the r block and t in the distance-based presets, and theta in the
-radius-maximization variant.  A preset picks which row families appear; they
-always come in this order:
+radius-maximization variant.  z_i and r_i belong to sample i; the model
+records the sample id of each z/r column (`MipModel.sample_ids`, with
+`MipModel.num_samples` = N), and `MipModel.sample_columns` maps sample ids
+back to columns.  A preset picks which row families appear; they always come
+in this order:
 
     domain -> budget -> indicator -> knapsack -> scenario -> scenario_saa
            -> quantile_bound
@@ -28,7 +31,13 @@ The presets:
                    coefficient the quantile-shifted constant h[i, p]; big-M
                    survives only in the indicator rows.
 * ``compact``   -- reduced, keeping scenario rows only for samples above the
-                   per-row quantile, plus the quantile_bound rows.
+                   per-row quantile, plus the quantile_bound rows.  z_i, r_i
+                   and the indicator row exist only for the samples above the
+                   quantile in some row (the union of `surviving`, at most
+                   k*P samples): any other sample has no scenario row, the
+                   quantile_bound rows keep t <= M, so z_i = r_i = 0 is always
+                   as good.  The budget row keeps the -1/N weight on each
+                   remaining r_i, with N the full sample count.
 
 All scenario data is pre-normalized by the dual norm of each safety row, so
 row coefficients are exactly the quantities the separation routines reason
@@ -128,7 +137,8 @@ def _linear_range(dom, a):
 
 # Row families after the domain rows, and the z coefficient of the scenario
 # rows: "big_m", "h" (quantile-shifted), or "h_surviving" (h, keeping only the
-# rows of samples above the quantile).
+# scenario rows of samples above the quantile, and z, r and the indicator row
+# only for samples above it in some row).
 _PRESETS = {
     "saa": (("knapsack", "scenario_saa"), None),
     "basic": (("budget", "indicator", "scenario"), "big_m"),
@@ -156,54 +166,64 @@ def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
     if quant is None and z_rule in ("h", "h_surviving"):
         quant = compute_quantiles(instance)
     n, p_count, dom = instance.n, instance.p, instance.domain
+    # scenario-type rows come one per (i, p) pair, i-major; `keep` marks the
+    # pairs that get a row and `ids` the samples that get z, r and an
+    # indicator row: in compact, those above the quantile in some row
+    keep = slice(None)
+    ids = np.arange(n)
+    if z_rule == "h_surviving":
+        surviving = np.zeros((n, p_count), dtype=bool)
+        for p, s in enumerate(quant.surviving):
+            surviving[s, p] = True
+        keep = surviving.ravel()
+        ids = np.flatnonzero(surviving.any(axis=1))
 
     m = MipModel()
     x = m.add_vars([f"x[{j}]" for j in range(instance.dim_x)], CONTINUOUS,
                    dom.lb, dom.ub, "x")
-    z = m.add_vars([f"z[{i}]" for i in range(n)], BINARY, 0.0, 1.0, "z")
+    z = m.add_vars([f"z[{i}]" for i in ids.tolist()], BINARY, 0.0, 1.0, "z")
     if with_rt:
-        r = m.add_vars([f"r[{i}]" for i in range(n)], CONTINUOUS, 0.0, math.inf, "r")
+        r = m.add_vars([f"r[{i}]" for i in ids.tolist()], CONTINUOUS, 0.0, math.inf, "r")
         t = m.add_var("t", CONTINUOUS, 0.0, math.inf, "t")
     if max_theta:
         theta = m.add_var("theta", CONTINUOUS, 0.0, math.inf, "theta")
+    m.num_samples, m.sample_ids = n, ids
+    # z and r column of each kept sample; the r block follows the z block
+    z_of = np.empty(n, dtype=np.intp)
+    z_of[ids] = z
+    r_of = z_of + ids.size
 
     scales, products = row_scaling(instance)
     d = np.array([row.d for row in instance.rows])
     x_coefs = -(np.array([row.a for row in instance.rows]) / scales[:, None])  # (P, L)
     bxi = (products + d) / scales  # (N, P)
-    # scenario-type rows come one per (i, p) pair, i-major
     row_i = np.repeat(np.arange(n), p_count)
     row_p = np.tile(np.arange(p_count), n)
-    x_cols = np.broadcast_to(x, (row_i.size, x.size))
 
     m.add_rows(x, dom.G, "<=", dom.g, "domain")
     if "budget" in families:
         cols = np.concatenate([[t], r, [theta] if max_theta else []])
-        vals = np.concatenate([[instance.epsilon], np.full(n, -1.0 / n),
+        vals = np.concatenate([[instance.epsilon], np.full(ids.size, -1.0 / n),
                                [-1.0] if max_theta else []])
         m.add_rows(cols, vals, ">=", 0.0 if max_theta else instance.theta, "budget")
     if "indicator" in families:
-        m.add_rows(np.column_stack([z, np.full(n, t), r]), [-big_m, -1.0, 1.0], ">=",
+        m.add_rows(np.column_stack([z, np.full(ids.size, t), r]), [-big_m, -1.0, 1.0], ">=",
                    -big_m, "indicator")
     if "knapsack" in families:
         m.add_rows(z, 1.0, "<=", float(instance.k), "knapsack")
     if "scenario" in families:
-        keep = slice(None)
+        si, sp = row_i[keep], row_p[keep]
         if z_rule == "big_m":
-            z_coef = np.full(row_i.size, float(big_m))
+            z_coef = np.full(si.size, float(big_m))
         else:
-            z_coef = quant.h[row_i, row_p]
-            if z_rule == "h_surviving":
-                surviving = np.zeros((n, p_count), dtype=bool)
-                for p, s in enumerate(quant.surviving):
-                    surviving[s, p] = True
-                keep = surviving.ravel()
-        cols = np.column_stack([x_cols, z[row_i], np.full(row_i.size, t), r[row_i]])
-        vals = np.column_stack([x_coefs[row_p], z_coef, np.full(row_i.size, -1.0),
-                                np.ones(row_i.size)])
-        m.add_rows(cols[keep], vals[keep], ">=", -bxi[row_i, row_p][keep], "scenario")
+            z_coef = quant.h[si, sp]
+        cols = np.column_stack([np.broadcast_to(x, (si.size, x.size)), z_of[si],
+                                np.full(si.size, t), r_of[si]])
+        vals = np.column_stack([x_coefs[sp], z_coef, np.full(si.size, -1.0),
+                                np.ones(si.size)])
+        m.add_rows(cols, vals, ">=", -bxi[si, sp], "scenario")
     if "scenario_saa" in families:
-        cols = np.column_stack([x_cols, z[row_i]])
+        cols = np.column_stack([np.broadcast_to(x, (row_i.size, x.size)), z_of[row_i]])
         vals = np.column_stack([x_coefs[row_p], np.full(row_i.size, float(big_m))])
         m.add_rows(cols, vals, ">=", -bxi[row_i, row_p], "scenario_saa")
     if "quantile_bound" in families:

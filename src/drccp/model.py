@@ -279,6 +279,13 @@ class MipModel:
     they were given, with the provenance label labels[i].  The objective is
     sum(obj_vals * x[obj_cols]), minimized or maximized per obj_sense.  A
     stored row or objective never holds a zero coefficient.
+
+    The z and r blocks stand for samples.  A formulation builder records
+    num_samples (N) and sample_ids, the sample of each z column in block
+    order; the r columns, when present, follow the same ids.  A model may
+    leave samples out, and `sample_columns` maps ids back to columns.  A
+    hand-built model leaves both None: the i-th column of each block is
+    sample i.
     """
 
     def __init__(self):
@@ -296,6 +303,8 @@ class MipModel:
         self.obj_cols = np.empty(0, dtype=np.intp)
         self.obj_vals = np.empty(0)
         self.obj_sense = "min"
+        self.num_samples = None
+        self.sample_ids = None
 
     def add_vars(self, names, kind=CONTINUOUS, lb=-math.inf, ub=math.inf, block="aux"):
         """One variable per name, all of one kind and block (lb and ub
@@ -363,6 +372,18 @@ class MipModel:
 
     def block_indices(self, tag: str) -> list:
         return np.flatnonzero(self.blocks == tag).tolist()
+
+    def sample_columns(self, tag: str) -> np.ndarray:
+        """Column of each sample in the z or r block, -1 for a sample the
+        block leaves out; one entry per sample when a map is recorded, the
+        block's columns otherwise."""
+        cols = np.flatnonzero(self.blocks == tag)
+        if self.sample_ids is None:
+            return cols
+        out = np.full(self.num_samples, -1, dtype=np.intp)
+        if cols.size:
+            out[self.sample_ids] = cols
+        return out
 
     def validate(self):
         """Sanity-check bounds, index ranges, finiteness and names."""

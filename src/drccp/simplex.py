@@ -327,8 +327,12 @@ class SimplexSolver:
     # -- mutations ----------------------------------------------------------
 
     def set_bound(self, j, lb, ub):
+        """New bounds on structural column j.  NaN, lb > ub and an infinite
+        fixed value (lb = +inf or ub = -inf) are rejected."""
         if j >= self.n:
             raise IndexError("cannot rebound a slack column")
+        if not lb <= ub or lb == math.inf or ub == -math.inf:
+            raise ValueError(f"invalid bounds [{lb}, {ub}] on column {j}")
         self.lb[j] = lb
         self.ub[j] = ub
 

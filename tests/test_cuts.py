@@ -150,6 +150,83 @@ class TestFormatting:
             cut_row(cut, saa)
 
 
+def column_values(model, point):
+    """The point as a vector over the model columns, z and r placed on the
+    columns of their sample ids."""
+    values = np.zeros(model.num_vars)
+    values[model.block_indices("x")] = point.x
+    for tag, by_sample in (("z", point.z), ("r", point.r)):
+        if by_sample is not None:
+            cols = model.sample_columns(tag)
+            values[cols[cols >= 0]] = by_sample[cols >= 0]
+    if point.t is not None:
+        values[model.block_indices("t")[0]] = point.t
+    return values
+
+
+class TestSampleMap:
+    """The compact model carries z and r only for the samples above the
+    quantile in some row; cuts and points address them by sample id."""
+
+    @pytest.fixture
+    def case(self):
+        inst = box_instance(seed=5, n=8, dim=2, rows=3, epsilon=0.25, theta=0.04)
+        quant = F.compute_quantiles(inst)
+        model = F.build_compact(inst, quant=quant)
+        kept = sorted(set(np.concatenate(quant.surviving).tolist()))
+        dropped = sorted(set(range(inst.n)) - set(kept))
+        assert kept and dropped
+        return inst, model, kept, dropped
+
+    def test_columns_follow_sample_ids(self, case):
+        inst, model, kept, dropped = case
+        names = model.names.tolist()
+        for tag in ("z", "r"):
+            cols = model.sample_columns(tag)
+            assert cols.size == inst.n
+            assert [names[cols[i]] for i in kept] == [f"{tag}[{i}]" for i in kept]
+            assert (cols[dropped] == -1).all()
+
+    def test_point_scatters_by_sample_id(self, case):
+        inst, model, kept, dropped = case
+        values = np.arange(1.0, model.num_vars + 1.0)
+        pt = point_from_solution(model, values)
+        assert pt.z.shape == pt.r.shape == (inst.n,)
+        assert (pt.z[dropped] == 0.0).all() and (pt.r[dropped] == 0.0).all()
+        col = {name: j for j, name in enumerate(model.names.tolist())}
+        for i in kept:
+            assert pt.z[i] == values[col[f"z[{i}]"]]
+            assert pt.r[i] == values[col[f"r[{i}]"]]
+        assert pt.t == values[col["t"]]
+
+    def test_cut_row_places_coefficients_by_sample_id(self, case):
+        inst, model, kept, dropped = case
+        seq = tuple(kept[::-1])
+        cut = Cut(
+            family="path", p=0, sequence=seq, x_coefs=np.zeros(inst.dim_x),
+            z_coefs=tuple((i, 0.5 + i) for i in seq), r_coefs=tuple((i, 2.0 + i) for i in seq),
+            t_coef=-1.0, rhs=0.0, violation=1.0,
+        )
+        coefs, _ = cut_row(cut, model)
+        col = {name: j for j, name in enumerate(model.names.tolist())}
+        for i in seq:
+            assert coefs[col[f"z[{i}]"]] == 0.5 + i
+            assert coefs[col[f"r[{i}]"]] == 2.0 + i
+        assert coefs[col["t"]] == -1.0
+        assert np.count_nonzero(coefs) == 2 * len(seq) + 1
+
+    def test_cut_naming_a_dropped_sample_raises(self, case):
+        inst, model, kept, dropped = case
+        for z_coefs, r_coefs in ((((dropped[0], 1.0),), ()),
+                                 (((kept[0], 1.0),), ((dropped[0], 1.0),))):
+            cut = Cut(
+                family="path", p=0, sequence=(dropped[0],), x_coefs=np.zeros(inst.dim_x),
+                z_coefs=z_coefs, r_coefs=r_coefs, t_coef=0.0, rhs=0.0, violation=1.0,
+            )
+            with pytest.raises(ValueError, match="sample"):
+                cut_row(cut, model)
+
+
 def fractional_root(inst, kind="compact"):
     bm = F.compute_big_m(inst)
     quant = F.compute_quantiles(inst)
@@ -183,14 +260,7 @@ class TestSeparators:
             assert total == pytest.approx(quant.h[cut.sequence[0], cut.p], abs=1e-12)
             # Violation equals rhs minus the lhs value at the point.
             coefs, rhs = cut_row(cut, model)
-            values = np.zeros(model.num_vars)
-            values[model.block_indices("x")] = point.x
-            values[model.block_indices("z")] = point.z
-            if point.r is not None:
-                values[model.block_indices("r")] = point.r
-            if point.t is not None:
-                values[model.block_indices("t")[0]] = point.t
-            lhs = float(values @ coefs)
+            lhs = float(column_values(model, point) @ coefs)
             assert cut.violation == pytest.approx(rhs - lhs, abs=1e-9)
 
     def test_path_cut_structure(self):
@@ -200,12 +270,7 @@ class TestSeparators:
             assert cut.t_coef == -1.0
             assert all(v == 1.0 for _, v in cut.r_coefs)
             coefs, rhs = cut_row(cut, model)
-            values = np.zeros(model.num_vars)
-            values[model.block_indices("x")] = point.x
-            values[model.block_indices("z")] = point.z
-            values[model.block_indices("r")] = point.r
-            values[model.block_indices("t")[0]] = point.t
-            lhs = float(values @ coefs)
+            lhs = float(column_values(model, point) @ coefs)
             assert cut.violation == pytest.approx(rhs - lhs, abs=1e-9)
 
     def test_path_needs_rt_values(self):

@@ -162,6 +162,13 @@ class TestRowContracts:
         c = self.counts(m)
         assert c["scenario"] == sum(s.size for s in quant.surviving)
         assert c["quantile_bound"] == inst.p
+        # z, r and the indicator rows only for the union of the surviving sets
+        union = np.unique(np.concatenate(quant.surviving))
+        assert 0 < union.size < inst.n
+        assert len(m.block_indices("z")) == len(m.block_indices("r")) == union.size
+        assert c["indicator"] == union.size
+        np.testing.assert_array_equal(m.sample_ids, union)
+        assert m.num_samples == inst.n
 
     def test_domain_rows_carried(self):
         tp, inst = small_transport(seed=3)
@@ -274,3 +281,62 @@ class TestThetaMax:
         assert grid[0] == 0.001
         np.testing.assert_allclose(grid[1:], [j / 10.0 for j in range(1, 10)])
         assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+class TestCompactAgreesWithBasic:
+    """compact drops z, r and the indicator row of every sample that is above
+    the quantile in no row; the optimum must not move."""
+
+    CELLS = {
+        "box5": lambda: box_instance(seed=5, n=8, dim=2, rows=3, epsilon=0.25, theta=0.04),
+        "box9": lambda: box_instance(seed=9, n=10, dim=3, rows=2, epsilon=0.3, theta=0.03),
+        "transport7": lambda: small_transport(seed=7)[1],
+        "transport11": lambda: small_transport(seed=11, theta=0.02)[1],
+    }
+
+    @staticmethod
+    def union_size(inst):
+        return np.unique(np.concatenate(F.compute_quantiles(inst).surviving)).size
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_optimum_matches_basic_and_enumeration(self, cell):
+        from drccp import bnc
+        from drccp.cuts import MixingSeparator, PathSeparator
+        from drccp.oracles import enumerate_optimal
+
+        inst = self.CELLS[cell]()
+        assert self.union_size(inst) < inst.n
+        ref = enumerate_optimal(inst)
+        assert ref.status == "optimal"
+        config = BncConfig(gap_tol=1e-9)
+        runs = [("basic", ()), ("compact", ()),
+                ("compact", (MixingSeparator(inst), PathSeparator(inst)))]
+        for kind, separators in runs:
+            res = bnc.solve(F.build_formulation(inst, kind), separators, config)
+            assert res.status == "optimal", (kind, separators)
+            assert res.objective == pytest.approx(ref.objective, abs=1e-6)
+
+    @pytest.mark.parametrize("cell", ["box5", "transport7"])
+    def test_theta_max_matches_basic(self, cell):
+        inst = self.CELLS[cell]()
+        assert self.union_size(inst) < inst.n
+        config = BncConfig(gap_tol=1e-9)
+        compact = F.theta_max(inst, matrix="compact", config=config)
+        basic = F.theta_max(inst, matrix="basic", config=config)
+        assert compact == pytest.approx(basic, abs=1e-6)
+
+    def test_no_discards_leaves_no_binaries(self):
+        # k = 0: no sample is above the quantile, so compact has no z, no r
+        # and no indicator rows, and the path separator finds no candidates
+        from drccp import bnc
+        from drccp.cuts import MixingSeparator, PathSeparator
+        from drccp.oracles import enumerate_optimal
+
+        inst = box_instance(seed=3, n=8, epsilon=0.1, theta=0.01)
+        assert inst.k == 0
+        model = F.build_compact(inst)
+        assert model.block_indices("z") == model.block_indices("r") == []
+        assert not np.any(model.labels == "indicator")
+        res = bnc.solve(model, [MixingSeparator(inst), PathSeparator(inst)])
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(enumerate_optimal(inst).objective, abs=1e-6)

@@ -85,14 +85,14 @@ TEXT_DIGESTS = {
     "box1/knapsack/explicit": "b05fabcc91a1557b",
     "box1/reduced/default": "684053656d3ea839",
     "box1/reduced/explicit": "74ad6da543631f39",
-    "box1/compact/default": "e0b3dcfe77b72ad7",
-    "box1/compact/explicit": "c70a63f82245ccc7",
+    "box1/compact/default": "73232cd37d70b787",
+    "box1/compact/explicit": "6a5f8bcdc109f298",
     "box1/theta-basic/default": "13ef48c715602312",
     "box1/theta-basic/explicit": "8cfa45773cbc2cad",
     "box1/theta-knapsack/default": "f5fc362c48d3cabc",
     "box1/theta-knapsack/explicit": "f4057c055df3bc18",
-    "box1/theta-compact/default": "136fdef30de8f9fa",
-    "box1/theta-compact/explicit": "e62c0382a7aa00a1",
+    "box1/theta-compact/default": "39be507e13a65da4",
+    "box1/theta-compact/explicit": "a5a0120b3dba5554",
     "box5/saa/default": "dd7fdd250d6d930d",
     "box5/saa/explicit": "4c506aa09bda12ce",
     "box5/basic/default": "725e45ae72bb2954",
@@ -101,14 +101,14 @@ TEXT_DIGESTS = {
     "box5/knapsack/explicit": "edfafcff76437e2e",
     "box5/reduced/default": "bd78f3e1581c4335",
     "box5/reduced/explicit": "4786f704fbda0f15",
-    "box5/compact/default": "2f31a71bed08d6e3",
-    "box5/compact/explicit": "9b583ad3097ce8ff",
+    "box5/compact/default": "a53855df78e671c9",
+    "box5/compact/explicit": "af30027f50ac34cb",
     "box5/theta-basic/default": "261c7be0e0505975",
     "box5/theta-basic/explicit": "ce363e79161983cf",
     "box5/theta-knapsack/default": "75be1f5f85f8268e",
     "box5/theta-knapsack/explicit": "fe39a6fea8303690",
-    "box5/theta-compact/default": "ebe6ab7478730f60",
-    "box5/theta-compact/explicit": "50a57eee422e1c68",
+    "box5/theta-compact/default": "77d68f8407d7d61b",
+    "box5/theta-compact/explicit": "d59728bc731397b0",
     "box9/saa/default": "47bfdcb320f598ea",
     "box9/saa/explicit": "68ecec90ecf87abe",
     "box9/basic/default": "6be30984647e354d",
@@ -117,14 +117,14 @@ TEXT_DIGESTS = {
     "box9/knapsack/explicit": "6b3d6828b061d06d",
     "box9/reduced/default": "d7d6f6b8daa2a094",
     "box9/reduced/explicit": "6fc3cf497f68c5ea",
-    "box9/compact/default": "defdbad7331b2b98",
-    "box9/compact/explicit": "f840999a9899c144",
+    "box9/compact/default": "b968cf284b937d75",
+    "box9/compact/explicit": "724676ffef2d66dc",
     "box9/theta-basic/default": "78d1207d7561c9ac",
     "box9/theta-basic/explicit": "2ea67ce9a99eebc2",
     "box9/theta-knapsack/default": "493bc0afaa0db9fa",
     "box9/theta-knapsack/explicit": "ad3b669be6d0e976",
-    "box9/theta-compact/default": "0eb937c2b10d8aeb",
-    "box9/theta-compact/explicit": "22b9b69bf5bb2764",
+    "box9/theta-compact/default": "01a97681338f399c",
+    "box9/theta-compact/explicit": "282f06c2eaf6c8ee",
     "line/saa/default": "1ef259888813c073",
     "line/saa/explicit": "245571f247432da1",
     "line/basic/default": "9937e2b8d585bce4",
@@ -133,14 +133,14 @@ TEXT_DIGESTS = {
     "line/knapsack/explicit": "8c88bdaa8ef65a4c",
     "line/reduced/default": "a36e65d3bc9d0518",
     "line/reduced/explicit": "3df4f89b130fb5a7",
-    "line/compact/default": "dc1720ec25ad92ed",
-    "line/compact/explicit": "f68c067757b2367b",
+    "line/compact/default": "2c4707af57ef6a45",
+    "line/compact/explicit": "8f387bfa32571c3e",
     "line/theta-basic/default": "33a3b6aa239b273d",
     "line/theta-basic/explicit": "0800e825ef7a9165",
     "line/theta-knapsack/default": "66a98acaea1be5a7",
     "line/theta-knapsack/explicit": "33e3e4b121f5e9c5",
-    "line/theta-compact/default": "97c7dd0348a1c525",
-    "line/theta-compact/explicit": "a2e73fb60588e8c4",
+    "line/theta-compact/default": "7c3308cf436b7c46",
+    "line/theta-compact/explicit": "033446c8b52b61e0",
     "transport/saa/default": "9df3bae56b6c6d5b",
     "transport/saa/explicit": "2d32826343d7e823",
     "transport/basic/default": "b6f0ec51ecca28ee",
@@ -149,14 +149,14 @@ TEXT_DIGESTS = {
     "transport/knapsack/explicit": "8455a1cf644904b2",
     "transport/reduced/default": "e6ed3f965e4a6811",
     "transport/reduced/explicit": "f75319ab8a674522",
-    "transport/compact/default": "93bb9636749e5cdc",
-    "transport/compact/explicit": "6481ba7f9ede048a",
+    "transport/compact/default": "5709178f65495cdb",
+    "transport/compact/explicit": "e46f8789adfdacf2",
     "transport/theta-basic/default": "47b3336095069b89",
     "transport/theta-basic/explicit": "50bb73a10a52e16f",
     "transport/theta-knapsack/default": "d7e3223bce331d0a",
     "transport/theta-knapsack/explicit": "8031c205920c4b27",
-    "transport/theta-compact/default": "91885a8a170fb9ba",
-    "transport/theta-compact/explicit": "686fb57b98b9e674",
+    "transport/theta-compact/default": "ddd30d149afa3857",
+    "transport/theta-compact/explicit": "31d4292583065d2e",
     "transport50/saa/default": "cb9c220f5ed803b0",
     "transport50/saa/explicit": "b270b4e43b089ad3",
     "transport50/basic/default": "a011635979c20bd9",
@@ -165,14 +165,14 @@ TEXT_DIGESTS = {
     "transport50/knapsack/explicit": "5f97db2f834d6bd2",
     "transport50/reduced/default": "da4c115c6130ae05",
     "transport50/reduced/explicit": "b8b521a1bc6cc118",
-    "transport50/compact/default": "122f2874b62097ec",
-    "transport50/compact/explicit": "f2883a63d6da8a70",
+    "transport50/compact/default": "ed9390c79e8168f0",
+    "transport50/compact/explicit": "bf26942b420741fa",
     "transport50/theta-basic/default": "e2b7d6909127a89f",
     "transport50/theta-basic/explicit": "f07f9d86e7d9fa2b",
     "transport50/theta-knapsack/default": "bbd2ce4868b66cd4",
     "transport50/theta-knapsack/explicit": "5a34c152b4ff8794",
-    "transport50/theta-compact/default": "3c51cbd7f324465f",
-    "transport50/theta-compact/explicit": "2bbf3d8de85b455d",
+    "transport50/theta-compact/default": "df75773d83eaad9d",
+    "transport50/theta-compact/explicit": "0a2ee8d2b43790b2",
 }
 
 DENSE_DIGESTS = {
@@ -184,14 +184,14 @@ DENSE_DIGESTS = {
     "transport/knapsack/explicit": "dae365ec5a0f28e8",
     "transport/reduced/default": "4ed7c181daeb1e64",
     "transport/reduced/explicit": "a7de60db0160c3d1",
-    "transport/compact/default": "09364a9593473d04",
-    "transport/compact/explicit": "aff42876bf2ba1f9",
+    "transport/compact/default": "18da2f5a6c1cdee4",
+    "transport/compact/explicit": "26ec5ed466bc5a46",
     "transport/theta-basic/default": "b823969893be9416",
     "transport/theta-basic/explicit": "18d25a03a9b5e45f",
     "transport/theta-knapsack/default": "fe157acc9587ebe1",
     "transport/theta-knapsack/explicit": "7a0399856d504883",
-    "transport/theta-compact/default": "f6eb509e3cbd34a4",
-    "transport/theta-compact/explicit": "4d1b5d6e156750f4",
+    "transport/theta-compact/default": "e2b6638095b7d460",
+    "transport/theta-compact/explicit": "8585dfcc7b076060",
     "transport50/saa/default": "c60d1a6dd148c227",
     "transport50/saa/explicit": "070063d03163e903",
     "transport50/basic/default": "2c620a8aeba5118c",
@@ -200,14 +200,14 @@ DENSE_DIGESTS = {
     "transport50/knapsack/explicit": "6f0038228f57d733",
     "transport50/reduced/default": "2ef14e32428f4612",
     "transport50/reduced/explicit": "6f6c636545f64c80",
-    "transport50/compact/default": "dbd75f2f12db9bcd",
-    "transport50/compact/explicit": "e8b019bda3092b15",
+    "transport50/compact/default": "7a51504f9e7be2f7",
+    "transport50/compact/explicit": "b567052c0db6c550",
     "transport50/theta-basic/default": "e6a275267028f6bf",
     "transport50/theta-basic/explicit": "d40d19f1895e4e83",
     "transport50/theta-knapsack/default": "24193ffbb6080083",
     "transport50/theta-knapsack/explicit": "ec27f1adf655045a",
-    "transport50/theta-compact/default": "5729c9dba47ae62a",
-    "transport50/theta-compact/explicit": "5e29ce52384bced3",
+    "transport50/theta-compact/default": "ec30d054088ba7b3",
+    "transport50/theta-compact/explicit": "3cf389956a83b20f",
 }
 
 

@@ -41,12 +41,12 @@ from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_basic, build_compact, build_theta_variant
 
 GOLDEN = {
-    "box50": "34072c5d18c3e4fd",
-    "box47": "2d203e6ccecf0664",
-    "transport": "963feab1af361171",
-    "box50-node-limit-7": "9062e21c733887de",
-    "theta": "70aeded04d176277",
-    "interior-cuts": "c9f3a22b6ea084f9",
+    "box50": "2835e0010fa7268e",
+    "box47": "05db2251b20d6af6",
+    "transport": "e804bac90284c84a",
+    "box50-node-limit-7": "a6886a0f05ccb9a6",
+    "theta": "c2a286a2293d6a00",
+    "interior-cuts": "a84fcf7a686a4dbd",
 }
 
 

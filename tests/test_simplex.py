@@ -456,6 +456,28 @@ class TestWarmStart:
         with pytest.raises(IndexError):
             solver.set_bound(1, 0.0, 0.0)
 
+    @pytest.mark.parametrize("lb, ub", [
+        (math.inf, math.inf), (-math.inf, -math.inf), (math.nan, 1.0), (0.0, math.nan),
+        (math.nan, math.nan), (2.0, 1.0), (math.inf, 1.0), (0.0, -math.inf),
+    ])
+    def test_set_bound_rejects_invalid_bounds(self, lb, ub):
+        prob = LpProblem(c=[1.0], A=[[1.0]], senses=["<="], b=[1.0], lb=[0.0], ub=[2.0])
+        solver = SimplexSolver(prob)
+        with pytest.raises(ValueError, match="invalid bounds"):
+            solver.set_bound(0, lb, ub)
+        # the rejected call leaves the bounds as they were
+        assert (solver.lb[0], solver.ub[0]) == (0.0, 2.0)
+        sol = solver.solve()
+        assert sol.status == "optimal" and sol.objective == 0.0
+
+    @pytest.mark.parametrize("lb, ub", [(-math.inf, math.inf), (1.0, 1.0), (-math.inf, -3.0),
+                                        (5.0, math.inf)])
+    def test_set_bound_accepts_valid_bounds(self, lb, ub):
+        prob = LpProblem(c=[0.0], A=[[1.0]], senses=["<="], b=[10.0], lb=[0.0], ub=[2.0])
+        solver = SimplexSolver(prob)
+        solver.set_bound(0, lb, ub)
+        assert solver.solve().status == "optimal"
+
 
 # -- warm re-solves through the dual loop -------------------------------------
 

@@ -157,8 +157,8 @@ GRID_THETA_MAX = 0.1676598856181914  # perfbench/reference.json, grid-narrow the
 GRID_ARMS = {
     # arm: (status, repr(objective), nodes, iterations, pivots)
     "basic": ("optimal", "39.10998585393173", 82, 1996, 3608),
-    "improved": ("optimal", "39.10998585393173", 101, 513, 663),
-    "mixingpath": ("optimal", "39.109985853931725", 101, 824, 1089),
+    "improved": ("optimal", "39.10998585393173", 31, 256, 293),
+    "mixingpath": ("optimal", "39.10998585393173", 31, 412, 470),
     "basicmixingpath": ("optimal", "39.10998585393174", 35, 593, 641),
 }
 

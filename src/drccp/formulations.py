@@ -209,7 +209,7 @@ def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
     if "indicator" in families:
         m.add_rows(np.column_stack([z, np.full(ids.size, t), r]), [-big_m, -1.0, 1.0], ">=",
                    -big_m, "indicator")
-    if "knapsack" in families:
+    if "knapsack" in families and ids.size:  # with no z the row would be empty
         m.add_rows(z, 1.0, "<=", float(instance.k), "knapsack")
     if "scenario" in families:
         si, sp = row_i[keep], row_p[keep]

@@ -38,9 +38,14 @@ blocks at; with no violating basic the iteration is a phase-2 one.  Phase 1
 minimizes the total bound violation of basic variables (no artificial
 columns), so any starting basis is a valid warm start.  Both loops change
 the basis through one `_pivot` routine and draw on one budget of
-`max_iter` iterations; at the cap they raise SimplexStall.  A singular
-basis found at refactorization is rebuilt from the slack basis by the same
-greedy pivots that retarget a warm start.
+`max_iter` iterations; at the cap they raise SimplexStall.
+
+A warm start installs its stored basis directly: `load_state` sets the basis
+and builds the inverse from its structural block, as above, with no pivots
+towards it; the solve that follows recomputes the primal values.  A
+singular basis, whether installed or found at a periodic refactorization,
+is rebuilt from the slack basis by greedy pivots that keep as many of its
+columns as possible.
 
 Each iteration makes few numpy calls, since at these sizes their overhead,
 not the arithmetic, sets the time.  The entering choices of both loops read
@@ -125,13 +130,6 @@ class LpSolution:
     basis: np.ndarray = None
     ray: np.ndarray = None
     farkas: np.ndarray = None
-
-
-def _pick_row(w, allowed, tol):
-    """First position with the largest |w| among `allowed`, if above `tol`."""
-    score = np.where(allowed, np.abs(w), 0.0)
-    i = int(np.argmax(score))
-    return i if score[i] > tol else -1
 
 
 def _slack_bounds(sense):
@@ -229,11 +227,12 @@ class SimplexSolver:
         """Warm start from a stored (basis, status) pair.
 
         Statuses are normalized against the current bounds, so the caller may
-        have tightened bounds since the state was captured.  If the stored
-        basis differs from the current one the inverse is retargeted with
-        rank-one pivots rather than rebuilt.
+        have tightened bounds since the state was captured.  A stored basis
+        that differs from the current one is installed as it is, its inverse
+        built by one block refactorization (`_factor`) with no pivots; the
+        basic values are left to the next `solve`, which recomputes them.
         """
-        basis = np.asarray(basis, dtype=int)
+        basis = np.array(basis, dtype=int)  # a copy: pivots edit self.basis in place
         stat = np.asarray(stat, dtype=np.int8)
         if stat.size < self.nt:
             # rows were appended after this state was captured; their slacks
@@ -249,28 +248,10 @@ class SimplexSolver:
         if basis.size != self.m:
             raise ValueError("stored basis does not match solver shape")
         if not np.array_equal(basis, self.basis):
-            self._retarget_basis(basis)
-        # columns we could not make basic fall back to a bound
+            self.basis = basis
+            self._factor()
+        # columns the repair of a singular basis left out rest at a bound
         self.stat = self._settled(stat)
-
-    def _retarget_basis(self, target, tol=PIVOT_TOL):
-        in_target = np.zeros(self.nt, dtype=bool)
-        in_target[target] = True
-        in_current = np.zeros(self.nt, dtype=bool)
-        in_current[self.basis] = True
-        missing = target[~in_current[target]]
-        replaceable = ~in_target[self.basis]  # by basis position
-        for col in missing:
-            if not replaceable.any():
-                break
-            w = self._ftran(int(col))
-            pick = _pick_row(w, replaceable, tol)
-            if pick < 0:
-                continue  # dependent column; keep the incumbent basic there
-            self._update_binv(w, pick)
-            self.basis[pick] = int(col)
-            replaceable[pick] = False
-            self._count_pivot()
 
     def _update_binv(self, w, row_out):
         row = self.binv[row_out] / w[row_out]
@@ -286,41 +267,67 @@ class SimplexSolver:
             self._refactor()
 
     def _refactor(self):
-        """Rebuild the inverse from the structural block of the basis.
+        """Rebuild the inverse (`_factor`) and recompute the primal values."""
+        self._factor()
+        self._recompute_values()
+
+    def _factor(self):
+        """Build the inverse from the structural block of the basis.
 
         With the positions S of the k basic structurals, the positions L of
         the basic slacks and their rows R_L, the basis is block triangular
         after a permutation; the rows R_S without a basic slack carry the
-        k x k block A[R_S, cols_S], and only that block is inverted.
+        k x k block A[R_S, cols_S], and only that block is inverted.  A
+        singular block hands the basis to `_repair_basis`.
         """
         struct = self.basis < self.n
         pos_s, pos_l = np.flatnonzero(struct), np.flatnonzero(~struct)
-        cols_s = self.basis[pos_s]
         rows_l = self.basis[pos_l] - self.n
         has_slack = np.zeros(self.m, dtype=bool)
         has_slack[rows_l] = True
         rows_s = np.flatnonzero(~has_slack)
+        a_s = self.A[:, self.basis[pos_s]]
         try:
-            inv_ss = np.linalg.inv(self.A[np.ix_(rows_s, cols_s)])
+            inv_ss = np.linalg.inv(a_s[rows_s])
         except np.linalg.LinAlgError:
             self._repair_basis()
         else:
-            binv = np.zeros((self.m, self.m))
-            binv[np.ix_(pos_s, rows_s)] = inv_ss
-            binv[np.ix_(pos_l, rows_s)] = -(self.A[np.ix_(rows_l, cols_s)] @ inv_ss)
+            block = np.empty((self.m, rows_s.size))
+            block[pos_s] = inv_ss
+            block[pos_l] = a_s[rows_l] @ -inv_ss
+            binv = self.binv  # always m x m: rebuilt in place, no new array per install
+            binv.fill(0.0)
+            binv[:, rows_s] = block
             binv[pos_l, rows_l] = 1.0
-            self.binv = binv
         self._pivots_since_refactor = 0
-        self._recompute_values()
 
     def _repair_basis(self):
-        """Retarget the slack basis to the current one: a nonsingular basis
-        keeping as many current basic columns as possible, slacks in the gaps."""
+        """Replace a singular basis by a nonsingular one that keeps as many
+        of its columns as possible, slacks in the gaps.
+
+        From the slack basis, each basic structural in turn pivots in on the
+        free slack position with the largest pivot (above 1e-7); one with no
+        such pivot depends on those already in and stays out.  A slack that
+        was basic keeps its own row.  The pivots are counted.
+        """
         wanted = self.basis.copy()
         self.basis = np.arange(self.n, self.n + self.m)
         self.binv = np.eye(self.m)
         self._pivots_since_refactor = 0
-        self._retarget_basis(wanted, tol=1e-7)
+        replaceable = np.ones(self.m, dtype=bool)  # by basis position
+        replaceable[wanted[wanted >= self.n] - self.n] = False
+        for col in wanted[wanted < self.n]:
+            if not replaceable.any():
+                break
+            w = self._ftran(int(col))
+            score = np.where(replaceable, np.abs(w), 0.0)
+            pick = int(score.argmax())
+            if score[pick] <= 1e-7:
+                continue
+            self._update_binv(w, pick)
+            self.basis[pick] = int(col)
+            replaceable[pick] = False
+            self._count_pivot()
         self.stat = self._settled(self.stat)
         self._moves()
 

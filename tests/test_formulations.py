@@ -326,8 +326,9 @@ class TestCompactAgreesWithBasic:
         assert compact == pytest.approx(basic, abs=1e-6)
 
     def test_no_discards_leaves_no_binaries(self):
-        # k = 0: no sample is above the quantile, so compact has no z, no r
-        # and no indicator rows, and the path separator finds no candidates
+        # k = 0: no sample is above the quantile, so compact has no z, no r,
+        # no indicator rows and no knapsack row (it would have no terms), and
+        # the path separator finds no candidates
         from drccp import bnc
         from drccp.cuts import MixingSeparator, PathSeparator
         from drccp.oracles import enumerate_optimal
@@ -336,7 +337,12 @@ class TestCompactAgreesWithBasic:
         assert inst.k == 0
         model = F.build_compact(inst)
         assert model.block_indices("z") == model.block_indices("r") == []
-        assert not np.any(model.labels == "indicator")
+        assert not np.any(np.isin(model.labels, ["indicator", "knapsack"]))
+        assert np.all(np.diff(model.start) > 0)  # every row has a term
+        ref = enumerate_optimal(inst).objective
         res = bnc.solve(model, [MixingSeparator(inst), PathSeparator(inst)])
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(enumerate_optimal(inst).objective, abs=1e-6)
+        assert res.objective == pytest.approx(ref, abs=1e-6)
+        basic = bnc.solve(F.build_basic(inst))
+        assert basic.status == "optimal"
+        assert basic.objective == pytest.approx(ref, abs=1e-6)

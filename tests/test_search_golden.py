@@ -41,12 +41,12 @@ from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_basic, build_compact, build_theta_variant
 
 GOLDEN = {
-    "box50": "2835e0010fa7268e",
-    "box47": "05db2251b20d6af6",
-    "transport": "e804bac90284c84a",
-    "box50-node-limit-7": "a6886a0f05ccb9a6",
-    "theta": "c2a286a2293d6a00",
-    "interior-cuts": "a84fcf7a686a4dbd",
+    "box50": "aae5b4609a758a41",
+    "box47": "845c0d6140bdd261",
+    "transport": "9f3dcd256c41d19e",
+    "box50-node-limit-7": "ba7fbe015657e5b4",
+    "theta": "c4e1e22a0ff473fc",
+    "interior-cuts": "3f7fef78631d34bf",
 }
 
 

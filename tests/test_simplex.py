@@ -33,8 +33,9 @@ def recorded_pivots():
     """Log (entering, leaving) of every pivot the simplex takes in the block.
 
     Both solve loops, primal and dual, pivot through `_pivot`; the leaving
-    column is `basis[pos]` when it is called.  Basis retargeting in
-    `load_state` does not go through it, so its pivots are not logged.
+    column is `basis[pos]` when it is called.  `load_state` installs a basis
+    by refactorization and takes no pivots; the pivots of `_repair_basis`
+    do not go through `_pivot` and are not logged.
     """
     log = []
     pivot = SimplexSolver._pivot
@@ -760,6 +761,90 @@ class TestRefactor:
         assert solver.basis[2] == 5 and 0 in solver.basis
         assert solver.total_pivots == 1  # the repair's pivot is counted
         np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(3), atol=1e-9)
+        sol = solver.solve()
+        ref = scipy_solve(prob)
+        assert sol.status == "optimal" and ref.status == 0
+        assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+
+class TestInstall:
+    """`load_state` installs a stored basis by one block refactorization:
+    no pivots, an exact inverse, and the repair for a singular one."""
+
+    @staticmethod
+    def moved_away(rng):
+        """Solve a boxed LP, then force a third of its columns up and
+        re-solve, so the basis moves away from the first optimum; the bounds
+        are restored.  Returns the problem, the solver, the first solution,
+        its state and the pivots taken since."""
+        prob = boxed_problem(rng, 20, 30)
+        solver = SimplexSolver(prob)
+        first = solver.solve()
+        assert first.status == "optimal"
+        state = solver.get_state()
+        pivots = solver.total_pivots
+        for j in range(0, prob.num_cols, 3):
+            solver.set_bound(j, prob.ub[j] if math.isfinite(prob.ub[j]) else 1.0, math.inf)
+        solver.solve()
+        for j in range(0, prob.num_cols, 3):
+            solver.set_bound(j, prob.lb[j], prob.ub[j])
+        return prob, solver, first, state, solver.total_pivots - pivots
+
+    def test_earlier_basis_installs_without_pivots(self):
+        prob, solver, first, state, moved = self.moved_away(np.random.default_rng(515))
+        assert moved >= 10 and not np.array_equal(solver.basis, state[0])
+        before = solver.total_pivots
+        solver.load_state(*state)
+        assert solver.total_pivots == before
+        np.testing.assert_array_equal(solver.basis, state[0])
+        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(solver.m),
+                                   atol=1e-9)
+        again = solver.solve()
+        assert again.status == "optimal" and solver.total_pivots == before
+        assert abs(again.objective - first.objective) <= 1e-9 * max(1.0, abs(first.objective))
+
+    def test_state_from_before_add_row_installs_padded(self):
+        prob, solver, first, state, _ = self.moved_away(np.random.default_rng(616))
+        for _ in range(2):
+            solver.add_row(np.ones(prob.num_cols), "<=", 1e3)
+        solver.solve()
+        before = solver.total_pivots
+        solver.load_state(*state)
+        assert solver.total_pivots == before
+        np.testing.assert_array_equal(solver.basis, np.append(state[0], [solver.nt - 2,
+                                                                         solver.nt - 1]))
+        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(solver.m),
+                                   atol=1e-9)
+        assert solver.stat[-2:].tolist() == [ST_BASIC, ST_BASIC]
+
+    def test_singular_stored_basis_is_repaired(self, monkeypatch):
+        # every column has an equal twin: a stored basis holding a basic
+        # structural and its twin is singular
+        repairs = []
+        repair = SimplexSolver._repair_basis
+
+        def spy(self):
+            repairs.append(self.basis.copy())
+            repair(self)
+
+        monkeypatch.setattr(SimplexSolver, "_repair_basis", spy)
+        rng = np.random.default_rng(717)
+        half = np.round(rng.normal(size=(12, 8)), 3)
+        prob = boxed_problem(rng, 12, 16, A=np.hstack([half, half]))
+        solver = SimplexSolver(prob)
+        assert solver.solve().status == "optimal"
+        basis, stat = solver.get_state()
+        pos_s, pos_l = np.flatnonzero(basis < solver.n), np.flatnonzero(basis >= solver.n)
+        assert pos_s.size and pos_l.size
+        basis[pos_l[0]] = (basis[pos_s[0]] + solver.n // 2) % solver.n
+        stat[basis[pos_l[0]]] = ST_BASIC
+        solver.reset_basis()
+        solver.load_state(basis, stat)
+        assert len(repairs) == 1 and np.array_equal(repairs[0], basis)
+        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(solver.m),
+                                   atol=1e-9)
+        left_out = np.setdiff1d(basis, solver.basis)
+        assert left_out.size and np.all(solver.stat[left_out] != ST_BASIC)
         sol = solver.solve()
         ref = scipy_solve(prob)
         assert sol.status == "optimal" and ref.status == 0

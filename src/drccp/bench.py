@@ -82,6 +82,9 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
+        # the search options fail here, before any cell is generated
+        _bnc_config(self)
+        _theta_max_config(self)
 
 
 def default_config() -> ExperimentConfig:
@@ -136,6 +139,10 @@ def _bnc_config(config: ExperimentConfig) -> BncConfig:
     )
 
 
+def _theta_max_config(config: ExperimentConfig) -> BncConfig:
+    return BncConfig(gap_tol=config.gap_tol, node_limit=config.theta_max_node_limit)
+
+
 def run_cell(config: ExperimentConfig, nf: int, nd: int, ns: int, rep: int) -> list:
     """All CSV rows for one (F, D, N, rep) cell."""
     seed = cell_seed(config.base_seed, nf, nd, ns, rep)
@@ -146,7 +153,7 @@ def run_cell(config: ExperimentConfig, nf: int, nd: int, ns: int, rep: int) -> l
     tmax = theta_max(
         base_inst,
         matrix=config.theta_max_matrix,
-        config=BncConfig(gap_tol=config.gap_tol, node_limit=config.theta_max_node_limit),
+        config=_theta_max_config(config),
     )
     grid = theta_grid(tmax)
     rows = []

@@ -7,9 +7,10 @@ warm-starts from its parent's basis and gets one round when
 `cut_interior_nodes` is set.  A node is fathomed when its relaxation is not
 optimal or reaches the incumbent, checked after every solve, and its
 children start from the basis it ends with (after its cuts).  `run` stops
-in one place: `_pick` gives the next node or the final status.  Node
-selection is best-bound (a heap), depth-first (one dive from the root with
-no budget) or dive-best-bound (best-bound with bounded dives).
+in one place: `_pick` gives the next node or the final status, and stops
+when the reported gap is at most `gap_tol`.  Node selection is best-bound
+(a heap), depth-first (one dive from the root with no budget) or
+dive-best-bound (best-bound with bounded dives).
 
 The search keeps a single stateful simplex instance for the whole tree:
 branching is done through bound overrides, and before a node is evaluated
@@ -19,8 +20,9 @@ planes are appended to the shared matrix (they are globally valid), so
 bases captured before a cut round stay loadable.
 
 A simplex stall that a cold restart does not resolve stops the search.
-Cuts and branching only tighten a relaxation, so the stalled node's bound,
-its last optimal relaxation value or else its parent's bound, still counts.
+Cuts and branching only tighten a relaxation, so the stalled node rejoins
+the open set: its bound, its last optimal relaxation value or else its
+parent's bound, still counts.
 
 Everything is deterministic for a fixed config: node ids break priority
 ties, pricing has no randomness, and wall time only matters when a time
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -60,6 +63,11 @@ class BncConfig:
             raise ValueError(f"unknown node selection {self.node_selection!r}")
         if self.branching not in BRANCHING_RULES:
             raise ValueError(f"unknown branching rule {self.branching!r}")
+        for name in ("gap_tol", "time_limit", "node_limit", "max_root_cut_rounds"):
+            value = getattr(self, name)
+            if not (value is None and name in ("time_limit", "node_limit")
+                    or isinstance(value, numbers.Real) and value >= 0):
+                raise ValueError(f"{name} must be a nonnegative number, got {value!r}")
 
 
 @dataclass
@@ -90,33 +98,23 @@ def model_to_lp(model: MipModel):
     return LpProblem(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub), sign
 
 
-def compute_gap(ub, lb) -> float | None:
-    """Percent gap (ub - lb) / |lb| * 100 for a minimization bound pair.
+def _relative_gap(ub, lb) -> float:
+    """max(ub - lb, 0) / |lb| for a minimization bound pair, 0 or inf at
+    lb = 0; the search stops when it is at most `gap_tol`.  A max-sense
+    model is minimized negated, so |lb| keeps its gap nonnegative."""
+    diff = max(ub - lb, 0.0)
+    if lb == 0.0:
+        return 0.0 if diff == 0.0 else math.inf
+    return diff / abs(lb)
 
-    A max-sense model is solved as a minimization of the negated objective,
-    so its bounds are negative; dividing by |lb| keeps the gap nonnegative.
-    """
+
+def compute_gap(ub, lb) -> float | None:
+    """Percent gap, 100 times the relative gap; None if either bound is."""
     if ub is None or lb is None:
         return None
     if ub < lb - 1e-7 * max(1.0, abs(lb)):
         raise ValueError(f"bound inversion: ub={ub} < lb={lb}")
-    diff = max(ub - lb, 0.0)
-    if lb == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / abs(lb) * 100.0
-
-
-def _gap_closed(ub, lb, tol) -> bool:
-    """Termination test, consistent with the reported (UB-LB)/LB gap so a
-    result flagged optimal never shows a gap above the tolerance.  For
-    nonpositive bounds (where that ratio loses meaning) a symmetric
-    relative gap takes over."""
-    if not math.isfinite(ub):
-        return False
-    diff = max(ub - lb, 0.0)
-    if lb > 0.0:
-        return diff / lb <= tol
-    return diff / max(abs(ub), abs(lb), 1e-10) <= tol
+    return _relative_gap(ub, lb) * 100.0
 
 
 @dataclass(order=True)
@@ -169,7 +167,6 @@ class _Search:
         self.events = []
         self.seq = 0
         self.started = self.root_time = None
-        self.stalled_lb = math.inf
         nb = len(self.binaries)
         # pseudo-cost statistics per binary: unit objective gains by direction
         self.pc_sum = np.zeros((2, nb))
@@ -293,7 +290,7 @@ class _Search:
         while True:
             if sol.status == "optimal":
                 node.lb = sol.objective
-            if sol.status != "optimal" or node.lb >= self.incumbent_obj - 1e-9:
+            if sol.status != "optimal" or self._reaches_incumbent(node.lb):
                 self.log(node_id, node.lb, "fathom", node.depth)
                 return
             if rounds == 0 or not self._separate_once(sol.x):
@@ -348,13 +345,15 @@ class _Search:
                 self.episode_nodes = 0
         return heapq.heappop(self.open_nodes)
 
-    def _global_lb(self):
+    def _reaches_incumbent(self, lb):
+        return lb >= self.incumbent_obj - 1e-9
+
+    def _bound(self):
+        """Least open bound (heap top, dive nodes), clamped at the incumbent."""
         best = self.open_nodes[0].lb if self.open_nodes else math.inf
         for node in self.dive_stack:
             best = min(best, node.lb)
-        if not math.isfinite(best):
-            return self.incumbent_obj
-        return best
+        return min(best, self.incumbent_obj)
 
     def _stopped(self, limit):
         """Status of a search cut short by `limit` ("node", "time" or "stall")."""
@@ -369,7 +368,7 @@ class _Search:
         cfg = self.cfg
         while self.open_nodes or self.dive_stack:
             if (self.incumbent is not None
-                    and _gap_closed(self.incumbent_obj, self._global_lb(), cfg.gap_tol)):
+                    and _relative_gap(self.incumbent_obj, self._bound()) <= cfg.gap_tol):
                 return None, "optimal"
             if cfg.node_limit is not None and self.nodes_done >= cfg.node_limit:
                 return None, self._stopped("node")
@@ -377,7 +376,7 @@ class _Search:
                     and time.perf_counter() - self.started > cfg.time_limit):
                 return None, self._stopped("time")
             node = self._next_node()
-            if node.lb < self.incumbent_obj - 1e-9:
+            if not self._reaches_incumbent(node.lb):
                 return node, None
             self.log(self.nodes_done, node.lb, "fathom", node.depth)
         return None, "optimal" if self.incumbent is not None else "infeasible"
@@ -401,7 +400,7 @@ class _Search:
             # always recorded, it explains the early stop
             self.events.append(f"node={self.nodes_done - 1} lb={node.lb:.10g} "
                                f"depth={node.depth} action=stall detail={exc}")
-            self.stalled_lb = node.lb
+            self.dive_stack.append(node)  # rejoins the open set, bound and all
             status = self._stopped("stall")
         self._move_to({})
         return self._result(status)
@@ -410,7 +409,7 @@ class _Search:
         wall = time.perf_counter() - self.started
         sign = self.sign
         has_inc = self.incumbent is not None
-        bound = min(self._global_lb(), self.stalled_lb, self.incumbent_obj)
+        bound = self._bound()
         if status == "infeasible" or not math.isfinite(bound):
             bound = None
         root_bound = self.root.lb if math.isfinite(self.root.lb) else None

@@ -1,7 +1,11 @@
 """Shared numeric tolerances.
 
-Every sign test, feasibility check and cut comparison in the package reads
-from this table so thresholds stay consistent across modules.
+The thresholds that several modules must agree on (margin signs, cut
+violation, simplex feasibility and pivots, integrality, the default gap)
+live here.  Some local thresholds are still literals: `bnc` uses 1e-9 for
+pruning against the incumbent and in pseudo-costs, and 1e-7 to detect a bound
+inversion; `simplex` uses 1e-11 and 1e-12 in its ratio tests and 1e-7 in
+basis repair.
 """
 
 MARGIN_TOL = 1e-9         # margin sign tests, oracle comparisons, cut validity

@@ -24,6 +24,17 @@ from .model import DrccpInstance, distance_profile, floor_frac_count
 from .simplex import SimplexSolver
 
 
+def _distances(distances) -> np.ndarray:
+    """A distance profile as a nonempty float vector, with round-off below
+    zero (down to -MARGIN_TOL) clamped to 0."""
+    d = np.asarray(distances, dtype=float)
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError("distances must be a nonempty vector")
+    if np.any(d < -MARGIN_TOL):
+        raise ValueError("distances must be nonnegative")
+    return np.maximum(d, 0.0)
+
+
 def worst_case_prob(distances, theta: float) -> float:
     """Largest violation probability over all distributions within
     transport cost theta of the empirical one.
@@ -39,14 +50,10 @@ def worst_case_prob(distances, theta: float) -> float:
     t is (cnt - S / t) / n with cnt the number of d_i < t and S their sum,
     so the scan is O(N log N).
     """
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("distances must be a nonempty vector")
-    if np.any(d < -MARGIN_TOL):
-        raise ValueError("distances must be nonnegative")
+    d = _distances(distances)
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
-    d = np.sort(np.maximum(d, 0.0))
+    d = np.sort(d)
     n = d.size
     if theta == 0.0:
         return float(np.count_nonzero(d == 0.0)) / n
@@ -110,12 +117,7 @@ def lemma_certificate(distances, epsilon: float, theta: float) -> FeasibilityCer
     at the distances, so the (k+1)-th smallest distance maximizes the slack
     (k = floor(epsilon * n)); evaluating there decides feasibility.
     """
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("distances must be a nonempty vector")
-    if np.any(d < -MARGIN_TOL):
-        raise ValueError("distances must be nonnegative")
-    d = np.maximum(d, 0.0)
+    d = _distances(distances)
     n = d.size
     k = floor_frac_count(epsilon, n)
     t = float(np.sort(d)[k])

@@ -106,8 +106,7 @@ class LpProblem:
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bound length mismatch")
         for s in self.senses:
-            if s not in ("<=", ">=", "=="):
-                raise ValueError(f"unknown sense {s!r}")
+            _slack_bounds(s)
 
     @property
     def num_rows(self):
@@ -133,11 +132,14 @@ class LpSolution:
 
 
 def _slack_bounds(sense):
+    """Bounds of the slack s = b - a x of a row with this sense."""
     if sense == "<=":
         return 0.0, math.inf
     if sense == ">=":
         return -math.inf, 0.0
-    return 0.0, 0.0
+    if sense == "==":
+        return 0.0, 0.0
+    raise ValueError(f"unknown sense {sense!r}")
 
 
 class SimplexSolver:
@@ -345,10 +347,13 @@ class SimplexSolver:
 
     def add_row(self, coefs, sense, rhs):
         """Append one row, given as a dense length-n vector; its slack joins
-        the basis, preserving warm state."""
+        the basis, preserving warm state.  An unknown sense or a non-finite
+        coefficient or rhs is rejected before anything changes."""
         dense = np.array(coefs, dtype=float)
         if dense.shape != (self.n,):
             raise ValueError("coefs must be a dense length-n vector")
+        if not (np.isfinite(dense).all() and math.isfinite(rhs)):
+            raise ValueError("row coefficients and rhs must be finite")
         slo, shi = _slack_bounds(sense)
         m_old = self.m
         self.A = np.asfortranarray(np.vstack([self.A, dense[None, :]]))

@@ -68,14 +68,17 @@ def milp_minimum(model, c=None):
     +inf when the region is empty."""
     model_c, A, senses, b, lb, ub = model.to_dense()
     senses = np.asarray(senses)
-    res = milp(
-        model_c if c is None else c,
-        integrality=model.binary.astype(int),
-        bounds=Bounds(lb, ub),
-        constraints=LinearConstraint(A, np.where(senses == "<=", -np.inf, b),
-                                     np.where(senses == ">=", np.inf, b)),
-        options={"mip_rel_gap": 1e-9},
-    )
+    for presolve in (True, False):
+        res = milp(
+            model_c if c is None else c,
+            integrality=model.binary.astype(int),
+            bounds=Bounds(lb, ub),
+            constraints=LinearConstraint(A, np.where(senses == "<=", -np.inf, b),
+                                         np.where(senses == ">=", np.inf, b)),
+            options={"mip_rel_gap": 1e-9, "presolve": presolve},
+        )
+        if res.status != 4:  # HiGHS presolve fails on a few tiny models
+            break
     if res.status == 2:
         return math.inf
     assert res.status == 0, res.message

@@ -92,6 +92,26 @@ def test_config_rejects_unknown_variant():
         ExperimentConfig(variants=("fancy",))
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("node_selection", "bogus", "node selection"),
+    ("branching", "bogus", "branching"),
+    ("gap_tol", -0.01, "gap_tol"),
+    ("gap_tol", float("nan"), "gap_tol"),
+    ("time_limit", -1.0, "time_limit"),
+    ("node_limit", -1, "node_limit"),
+    ("max_root_cut_rounds", -1, "max_root_cut_rounds"),
+    ("theta_max_node_limit", -1, "node_limit"),
+])
+def test_config_rejects_bad_search_options(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**{field: value})
+
+
+def test_load_config_rejects_bad_search_options():
+    with pytest.raises(ValueError, match="node selection"):
+        load_config({"node_selection": "bogus"})
+
+
 def test_variant_table_shape():
     assert set(VARIANTS) == {
         "basic", "improved", "mixing", "path", "mixingpath", "basicmixingpath",

@@ -8,8 +8,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import box_instance, line_instance, small_transport
+from conftest import box_instance, line_instance, milp_minimum, small_transport
 from drccp import bnc, oracles
 from drccp.bnc import BncConfig, compute_gap, solve
 from drccp.cuts import MixingSeparator, PathSeparator
@@ -155,6 +156,67 @@ def test_compute_gap_zero_bound():
 def test_compute_gap_rejects_inverted_bounds():
     with pytest.raises(ValueError, match="bound inversion"):
         compute_gap(3.0, 4.0)
+
+
+def sign_change_toy():
+    """min b + x, b binary, x in [-5, 5], -4b + x >= -1.5, 3b + x >= 0.5.
+
+    The root relaxation (b = 1/7, x = 1/14) is worth -1/14; b = 0 gives
+    x = 0.5 (objective 0.5), b = 1 gives x = 2.5 (objective 3.5).  The
+    root bound is negative under a positive incumbent.
+    """
+    m = MipModel()
+    b = m.add_var("b", BINARY, block="z")
+    x = m.add_var("x", CONTINUOUS, lb=-5.0, ub=5.0, block="x")
+    m.add_constraint(((b, -4.0), (x, 1.0)), ">=", -1.5, "r1")
+    m.add_constraint(((b, 3.0), (x, 1.0)), ">=", 0.5, "r2")
+    m.set_objective(((b, 1.0), (x, 1.0)))
+    return m.validate()
+
+
+def test_optimal_with_a_negative_bound_keeps_the_gap_within_tolerance():
+    # the first incumbent 0.5 against the open bound -1/14 is a reported
+    # gap of 800%; a search that stops there must not call it optimal at
+    # gap_tol = 2 (200%)
+    res = solve(sign_change_toy(), config=BncConfig(gap_tol=2.0))
+    assert res.root_bound == pytest.approx(-1.0 / 14.0, abs=1e-9)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(0.5, abs=1e-9)
+    assert res.gap_pct <= 200.0
+    assert res.bound <= res.objective
+
+
+@st.composite
+def tiny_mips(draw):
+    """Four binaries and one continuous x in [-5, 5] (the last column),
+    three random >= rows, an objective of either sign."""
+    m = MipModel()
+    cols = [m.add_var(f"b{i}", BINARY, block="z") for i in range(4)]
+    cols.append(m.add_var("x", CONTINUOUS, lb=-5.0, ub=5.0, block="x"))
+    coef = st.integers(-4, 4).map(float)
+    for r in range(3):
+        row = draw(st.lists(coef, min_size=5, max_size=5))
+        rhs = draw(st.integers(-10, 10)) / 2.0
+        m.add_constraint(tuple(zip(cols, row)), ">=", rhs, f"r{r}")
+    m.set_objective(tuple(zip(cols, draw(st.lists(coef, min_size=5, max_size=5)))))
+    return m.validate()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tiny_mips(), st.sampled_from([1e-4, 0.5, 1.0, 2.0, 3.0]))
+def test_optimal_means_the_reported_gap_is_within_tolerance(model, gap_tol):
+    res = solve(model, config=BncConfig(gap_tol=gap_tol))
+    ref = milp_minimum(model)
+    if res.status == "infeasible":
+        assert ref == math.inf
+        return
+    assert res.status == "optimal"
+    assert res.gap_pct <= 100.0 * gap_tol
+    assert res.bound <= res.objective
+    # HiGHS holds rows to about 1e-6, hence the 1e-5 slack on its optimum
+    assert res.bound <= ref + 1e-5
+    if gap_tol <= 1e-4:
+        assert ref - 1e-5 <= res.objective <= ref + gap_tol * abs(res.bound) + 1e-5
 
 
 def test_max_sense_gaps_are_nonnegative():
@@ -454,6 +516,23 @@ def test_rejects_unknown_node_selection():
 def test_rejects_unknown_branching_rule():
     with pytest.raises(ValueError, match="branching"):
         BncConfig(branching="strong")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_root_cut_rounds", -1), ("node_limit", -1), ("time_limit", -0.5),
+    ("gap_tol", -1e-4), ("gap_tol", math.nan), ("time_limit", math.nan),
+    ("gap_tol", None), ("max_root_cut_rounds", None), ("gap_tol", "0.01"),
+    ("node_limit", "100"),
+])
+def test_rejects_invalid_limits(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a nonnegative number"):
+        BncConfig(**{field: value})
+
+
+def test_accepts_zero_limits():
+    res = solve(fractional_toy(), config=BncConfig(
+        gap_tol=0.0, node_limit=0, time_limit=0.0, max_root_cut_rounds=0))
+    assert res.status == "no-incumbent" and res.nodes == 1
 
 
 # -- chance-constrained specifics --------------------------------------------

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from drccp import bench
 from drccp.cli import (
     EXIT_INFEASIBLE,
     EXIT_NO_INCUMBENT,
@@ -196,3 +197,22 @@ def test_bench_rejects_bad_config(tmp_path, capsys):
     rc = main(["bench", "--config", str(cfg)])
     assert rc == EXIT_USAGE
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("node_selection", "bogus", "unknown node selection 'bogus'"),
+    ("gap_tol", "0.01", "gap_tol must be a nonnegative number"),
+])
+def test_bench_rejects_bad_search_option_before_solving(tmp_path, capsys, monkeypatch,
+                                                        key, value, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bench, "generate", no_solve)
+    monkeypatch.setattr(bench, "theta_max", no_solve)
+    monkeypatch.setattr(bench, "solve", no_solve)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = main(["bench", "--config", str(cfg)])
+    assert rc == EXIT_USAGE
+    assert message in capsys.readouterr().err

@@ -479,6 +479,39 @@ class TestWarmStart:
         solver.set_bound(0, lb, ub)
         assert solver.solve().status == "optimal"
 
+    @pytest.mark.parametrize("coefs, sense, rhs, match", [
+        ([1.0, 0.0], "=>", 0.5, "unknown sense"),
+        ([1.0, 0.0], "=", 0.5, "unknown sense"),
+        ([1.0, math.nan], ">=", 0.5, "finite"),
+        ([math.inf, 0.0], "<=", 0.5, "finite"),
+        ([1.0, 0.0], ">=", math.nan, "finite"),
+        ([1.0, 0.0], "<=", -math.inf, "finite"),
+    ])
+    def test_add_row_rejects_bad_rows(self, coefs, sense, rhs, match):
+        prob = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[">="], b=[1.0],
+                         lb=[0.0, 0.0], ub=[2.0, 2.0])
+        solver = SimplexSolver(prob)
+        solver.solve()
+        m, A, basis = solver.m, solver.A.copy(), solver.basis.copy()
+        with pytest.raises(ValueError, match=match):
+            solver.add_row(coefs, sense, rhs)
+        # the rejected row leaves the solver as it was
+        assert solver.m == m
+        assert np.array_equal(solver.A, A)
+        assert np.array_equal(solver.basis, basis)
+        assert solver.lb.size == solver.ub.size == solver.stat.size == solver.nt
+        sol = solver.solve()
+        assert sol.status == "optimal" and sol.objective == pytest.approx(1.0)
+
+    def test_lp_problem_and_add_row_share_the_sense_check(self):
+        with pytest.raises(ValueError, match="unknown sense '=>'"):
+            LpProblem(c=[1.0], A=[[1.0]], senses=["=>"], b=[1.0], lb=[0.0], ub=[2.0])
+        for sense in ("<=", ">=", "=="):
+            prob = LpProblem(c=[1.0], A=[[1.0]], senses=[sense], b=[1.0], lb=[0.0], ub=[2.0])
+            solver = SimplexSolver(prob)
+            solver.add_row([1.0], sense, 1.0)
+            assert solver.m == 2
+
 
 # -- warm re-solves through the dual loop -------------------------------------
 

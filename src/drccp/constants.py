@@ -17,3 +17,4 @@ INT_TOL = 1e-6            # integrality test on binary variables
 K_NUDGE = 1e-12           # added to eps*N before flooring
 DEFAULT_GAP_TOL = 1e-4    # relative branch-and-bound gap (0.01 percent)
 REFACTOR_INTERVAL = 50    # pivots between block refactorizations of the simplex basis inverse
+FACTOR_TOL = 1e-6         # largest |A_SS @ inv - I| entry of a nonsingular structural block

@@ -9,15 +9,23 @@ Each row gets a logical (slack) column so the working system is
     >=  row:  slack in (-inf, 0]
     ==  row:  slack fixed at 0
 
-The basis inverse is kept explicitly as a dense C-ordered m x m array.  A
-pivot applies the rank-one update  binv -= outer(w, row)  in place, only on
-the columns where the pivot row is nonzero.  The skipped entries would
-subtract an exact zero, so the update is bit-identical to the full one (up to
-the sign of a zero).  Every REFACTOR_INTERVAL pivots the inverse is rebuilt
-from the basis's structural block: a basic slack covers its own row, so with
-k basic structurals only the k x k block on the rows without a basic slack
-is inverted, at O(k^3 + (m - k) k^2) instead of O(m^3), and the inverse's
-columns of the slack-covered rows come out as exact ones and zeros.
+Only the structural part of the basis inverse is stored.  A basic slack
+covers its own row: the inverse's column of that row is the unit vector at
+the slack's basis position, so it is never stored.  With the k rows that
+have no basic slack in `rows_s`, the inverse is kept as `binv_s`, its m x k
+block of those rows' columns, next to `slack_pos`, the basis position of
+each row's slack (-1 when it is not basic).  Every product with the inverse
+(pricing, the dual ratio row, FTRAN, the basic values) and every pivot then
+costs O(m k) instead of O(m^2), and a DR-CCP basis is mostly slacks.  A
+pivot applies the rank-one update  binv_s -= outer(w, row)  in place.
+Before it, a leaving slack's row stores its unit column, which the update
+makes dense, and an entering slack's row drops its column, which the update
+would make a unit vector (the last column moves into the hole, since the
+order of `rows_s` is free).  Every REFACTOR_INTERVAL pivots the block is
+rebuilt from the basis's structural block: only the k x k block of the k
+basic structurals on `rows_s` is inverted, at O(k^3 + (m - k) k^2) instead
+of O(m^3).  A block whose inverse misses the identity by more than
+FACTOR_TOL counts as singular.
 
 A basic variable counts as violating when it lies more than FEAS_TOL
 outside a bound.  `solve` starts with the bounded dual simplex when some
@@ -52,7 +60,7 @@ not the arithmetic, sets the time.  The entering choices of both loops read
 two move masks (nonbasics that may rise, nonbasics that may fall), which
 `solve` computes once and then updates one entry per status change.  The
 primal ratio test is one blocking-bound formula over all basics, and the
-FTRAN column of a slack is read straight from the inverse.
+FTRAN column of a slack is read straight from `binv_s`.
 
 State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
 the basis, the statuses and the bounds.  `solve` settles every status
@@ -71,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DUAL_TOL, FEAS_TOL, PIVOT_TOL, REFACTOR_INTERVAL
+from .constants import DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL, REFACTOR_INTERVAL
 
 ST_LOWER, ST_UPPER, ST_BASIC, ST_FREE = 0, 1, 2, 3
 
@@ -160,6 +168,9 @@ class SimplexSolver:
             self.lb[self.n + i], self.ub[self.n + i] = _slack_bounds(sense)
         self.total_pivots = 0
         self._pivots_since_refactor = 0
+        self._binv_buf = np.empty((self.m, 0), order="F")  # binv_s and room to grow
+        self._rows_buf = np.empty(self.m, dtype=np.intp)  # rows_s and room to grow
+        self._set_k(0)
         self.reset_basis()
 
     # -- state management ---------------------------------------------------
@@ -172,8 +183,7 @@ class SimplexSolver:
         """Cold start: all slacks basic, structurals at a finite bound."""
         self.basis = np.arange(self.n, self.n + self.m)
         self.stat = self._settled(np.full(self.nt, ST_BASIC, dtype=np.int8))
-        self.binv = np.eye(self.m)
-        self._pivots_since_refactor = 0
+        self._factor()
 
     def _settled(self, stat):
         """`stat` made consistent with the basis and the bounds.
@@ -190,11 +200,41 @@ class SimplexSolver:
         resting = np.where(lo, ST_LOWER, np.where(hi, ST_UPPER, ST_FREE))
         return np.where(in_basis, ST_BASIC, np.where(keep, stat, resting)).astype(np.int8)
 
+    def _set_k(self, k):
+        """Point `binv_s` and `rows_s` at the first k stored columns."""
+        self.binv_s = self._binv_buf[:, :k]
+        self.rows_s = self._rows_buf[:k]
+
+    def _binv_times(self, v):
+        """B^-1 @ v: the stored columns times v on rows_s, plus v on each
+        covered row at its slack's position."""
+        at_slack = np.zeros(self.m + 1)
+        at_slack[self.slack_pos] = v  # rows_s land on the last entry, dropped
+        w = self.binv_s @ v[self.rows_s]
+        w += at_slack[:-1]
+        return w
+
+    def _btran(self, cb):
+        """cb @ B^-1: a covered row takes the entry of its slack's position."""
+        y = cb[self.slack_pos]  # rows_s read cb[-1] here and are overwritten
+        y[self.rows_s] = cb @ self.binv_s
+        return y
+
+    def _col(self, row):
+        """Index of the stored column of a row without a basic slack."""
+        return int((self.rows_s == row).argmax())
+
     def _ftran(self, j):
-        """binv @ (column j of [A | I]): a slack's is a column of the inverse."""
+        """B^-1 @ (column j of [A | I]): a slack's is its row's column of
+        the inverse, stored unless the slack is basic."""
         if j < self.n:
-            return self.binv @ self.A[:, j]
-        return self.binv[:, j - self.n].copy()
+            return self._binv_times(self.A[:, j])
+        pos = self.slack_pos[j - self.n]
+        if pos < 0:
+            return self.binv_s[:, self._col(j - self.n)].copy()
+        w = np.zeros(self.m)
+        w[pos] = 1.0
+        return w
 
     def _moves(self):
         """Masks of the nonbasic columns with room to rise (at a lower bound
@@ -220,7 +260,7 @@ class SimplexSolver:
         if cols.size:
             rhs -= self.A[:, cols] @ vals[cols]
         # nonbasic slacks always rest at 0, so they drop out of the rhs
-        self.xval[self.basis] = self.binv @ rhs
+        self.xval[self.basis] = self._binv_times(rhs)
 
     def get_state(self):
         return self.basis.copy(), self.stat.copy()
@@ -255,12 +295,45 @@ class SimplexSolver:
         # columns the repair of a singular basis left out rest at a bound
         self.stat = self._settled(stat)
 
-    def _update_binv(self, w, row_out):
-        row = self.binv[row_out] / w[row_out]
-        # columns where the pivot row is zero would subtract w * 0: skip them
-        nz = row.nonzero()[0]
-        self.binv[:, nz] -= w[:, None] * row[nz]
-        self.binv[row_out] = row
+    def _update_binv(self, w, pos, q):
+        """Column q, with FTRAN column w, replaces the basic at `pos`.
+
+        An entering slack's row drops its stored column, which the pivot
+        turns into the unit vector at `pos`; a leaving slack's row stores its
+        unit column e_pos, which the pivot turns dense.  Then every stored
+        column takes the rank-one update.
+        """
+        k = self.rows_s.size
+        if q >= self.n:
+            c, k = self._col(q - self.n), k - 1
+            self._binv_buf[:, c] = self._binv_buf[:, k]
+            self._rows_buf[c] = self._rows_buf[k]
+            self._set_k(k)
+            self.slack_pos[q - self.n] = pos
+        leaving = int(self.basis[pos])
+        if leaving >= self.n:
+            self._reserve(k + 1)
+            self._binv_buf[:, k] = 0.0
+            self._binv_buf[pos, k] = 1.0
+            self._rows_buf[k] = leaving - self.n
+            self._set_k(k + 1)
+            self.slack_pos[leaving - self.n] = -1
+        row = self.binv_s[pos] / w[pos]
+        # outer(row, w).T is laid out like binv_s, columns contiguous
+        self.binv_s -= np.multiply.outer(row, w).T
+        self.binv_s[pos] = row
+        self.basis[pos] = q
+
+    def _reserve(self, k):
+        """Room for k stored columns, keeping the current ones: a full
+        buffer is replaced by one of twice the room, up to m columns."""
+        if self._binv_buf.shape[1] >= k:
+            return
+        buf = np.empty((self.m, min(self.m, max(2 * k, 8))), order="F")
+        kept = self.rows_s.size
+        buf[:, :kept] = self.binv_s
+        self._binv_buf = buf
+        self._set_k(kept)
 
     def _count_pivot(self):
         self.total_pivots += 1
@@ -274,33 +347,41 @@ class SimplexSolver:
         self._recompute_values()
 
     def _factor(self):
-        """Build the inverse from the structural block of the basis.
+        """Build `binv_s` from the structural block of the basis.
 
         With the positions S of the k basic structurals, the positions L of
         the basic slacks and their rows R_L, the basis is block triangular
         after a permutation; the rows R_S without a basic slack carry the
-        k x k block A[R_S, cols_S], and only that block is inverted.  A
-        singular block hands the basis to `_repair_basis`.
+        k x k block A[R_S, cols_S], and only that block is inverted.  The
+        inverse's columns of R_S are that inverse on S and
+        -A[R_L, cols_S] @ inv on L, and they are stored as `binv_s` as they
+        are computed; the columns of R_L are unit vectors and are not.  A
+        block that `inv` rejects, or whose inverse misses the identity by
+        more than FACTOR_TOL, is singular and hands the basis to
+        `_repair_basis`.
         """
         struct = self.basis < self.n
         pos_s, pos_l = np.flatnonzero(struct), np.flatnonzero(~struct)
         rows_l = self.basis[pos_l] - self.n
-        has_slack = np.zeros(self.m, dtype=bool)
-        has_slack[rows_l] = True
-        rows_s = np.flatnonzero(~has_slack)
+        slack_pos = np.full(self.m, -1)
+        slack_pos[rows_l] = pos_l
+        rows_s = np.flatnonzero(slack_pos < 0)
         a_s = self.A[:, self.basis[pos_s]]
+        a_ss = a_s[rows_s]
         try:
-            inv_ss = np.linalg.inv(a_s[rows_s])
+            inv_ss = np.linalg.inv(a_ss)
         except np.linalg.LinAlgError:
+            inv_ss = None
+        k = rows_s.size
+        if inv_ss is None or (k and np.abs(a_ss @ inv_ss - np.eye(k)).max() > FACTOR_TOL):
             self._repair_basis()
         else:
-            block = np.empty((self.m, rows_s.size))
-            block[pos_s] = inv_ss
-            block[pos_l] = a_s[rows_l] @ -inv_ss
-            binv = self.binv  # always m x m: rebuilt in place, no new array per install
-            binv.fill(0.0)
-            binv[:, rows_s] = block
-            binv[pos_l, rows_l] = 1.0
+            self.slack_pos = slack_pos
+            self._reserve(k)
+            self._binv_buf[pos_s, :k] = inv_ss
+            self._binv_buf[pos_l, :k] = a_s[rows_l] @ -inv_ss
+            self._rows_buf[:k] = rows_s
+            self._set_k(k)
         self._pivots_since_refactor = 0
 
     def _repair_basis(self):
@@ -310,12 +391,13 @@ class SimplexSolver:
         From the slack basis, each basic structural in turn pivots in on the
         free slack position with the largest pivot (above 1e-7); one with no
         such pivot depends on those already in and stays out.  A slack that
-        was basic keeps its own row.  The pivots are counted.
+        was basic keeps its own row.  The pivots count in `total_pivots` but
+        never trigger a refactorization, as the statuses are not settled
+        until the repair ends.
         """
         wanted = self.basis.copy()
         self.basis = np.arange(self.n, self.n + self.m)
-        self.binv = np.eye(self.m)
-        self._pivots_since_refactor = 0
+        self._factor()  # the slack basis stores no column
         replaceable = np.ones(self.m, dtype=bool)  # by basis position
         replaceable[wanted[wanted >= self.n] - self.n] = False
         for col in wanted[wanted < self.n]:
@@ -326,10 +408,9 @@ class SimplexSolver:
             pick = int(score.argmax())
             if score[pick] <= 1e-7:
                 continue
-            self._update_binv(w, pick)
-            self.basis[pick] = int(col)
+            self._update_binv(w, pick, int(col))
             replaceable[pick] = False
-            self._count_pivot()
+            self.total_pivots += 1
         self.stat = self._settled(self.stat)
         self._moves()
 
@@ -348,7 +429,11 @@ class SimplexSolver:
     def add_row(self, coefs, sense, rhs):
         """Append one row, given as a dense length-n vector; its slack joins
         the basis, preserving warm state.  An unknown sense or a non-finite
-        coefficient or rhs is rejected before anything changes."""
+        coefficient or rhs is rejected before anything changes.
+
+        The new row is covered by its slack, so the inverse gains no stored
+        column: `binv_s` gains the row -(a_B @ binv_s), where a_B holds the
+        row's coefficients on the basic columns."""
         dense = np.array(coefs, dtype=float)
         if dense.shape != (self.n,):
             raise ValueError("coefs must be a dense length-n vector")
@@ -366,11 +451,14 @@ class SimplexSolver:
         a_basic = np.zeros(m_old)
         struct = self.basis < self.n
         a_basic[struct] = dense[self.basis[struct]]
-        new_binv = np.zeros((self.m, self.m))
-        new_binv[:m_old, :m_old] = self.binv
-        new_binv[m_old, :m_old] = -a_basic @ self.binv
-        new_binv[m_old, m_old] = 1.0
-        self.binv = new_binv
+        k = self.rows_s.size
+        buf = np.empty((self.m, self._binv_buf.shape[1]), order="F")
+        buf[:m_old, :k] = self.binv_s
+        buf[m_old, :k] = -(a_basic @ self.binv_s)
+        self._binv_buf = buf
+        self._rows_buf = np.append(self._rows_buf, 0)
+        self._set_k(k)
+        self.slack_pos = np.append(self.slack_pos, m_old)
         self.basis = np.append(self.basis, self.n + m_old)
 
     # -- solve --------------------------------------------------------------
@@ -432,7 +520,7 @@ class SimplexSolver:
             r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
                 break
-            yb = c_pad[self.basis] @ self.binv
+            yb = self._btran(c_pad[self.basis])
             d = np.concatenate([self.c - yb @ self.A, -yb])
             if iters == 0 and self._eligible_entering(d, False)[0] >= 0:
                 break
@@ -441,7 +529,13 @@ class SimplexSolver:
             iters += 1
 
             below = xb[r] < lo[r]
-            y = -self.binv[r] if below else self.binv[r]
+            # row r of the inverse: binv_s[r], and a 1 on the row of a slack at r
+            y = np.zeros(self.m)
+            y[self.rows_s] = self.binv_s[r]
+            if self.basis[r] >= self.n:
+                y[self.basis[r] - self.n] = 1.0
+            if below:
+                y = -y
             gamma = np.concatenate([y @ self.A, y])
             score = np.maximum(np.where(self._up, gamma, 0.0), np.where(self._dn, -gamma, 0.0))
             eligible = score > PIVOT_TOL
@@ -478,7 +572,7 @@ class SimplexSolver:
                 # phase-1 costs are zero off the basis; basic columns are
                 # never eligible, so their entries of d do not matter
                 phase_one = True
-                yb = (above.astype(float) - below) @ self.binv
+                yb = self._btran(above.astype(float) - below)
                 d = -np.concatenate([yb @ self.A, yb])
             elif phase_one:
                 phase_one = False
@@ -486,7 +580,7 @@ class SimplexSolver:
                 degen_streak = 0
                 continue
             else:
-                yb = c_pad[self.basis] @ self.binv
+                yb = self._btran(c_pad[self.basis])
                 d = np.concatenate([self.c - yb @ self.A, -yb])
 
             q, sigma = self._eligible_entering(d, bland)
@@ -531,8 +625,7 @@ class SimplexSolver:
         self.xval[leaving] = self.ub[leaving] if to_upper else self.lb[leaving]
         self._set_stat(leaving, ST_UPPER if to_upper else ST_LOWER)
         self._set_stat(q, ST_BASIC)
-        self.basis[pos] = q
-        self._update_binv(w, pos)
+        self._update_binv(w, pos, q)
         self._count_pivot()
 
     def _ratio(self, q, sigma, w, xb, lo, hi, below, above, bland):

@@ -41,12 +41,12 @@ from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_basic, build_compact, build_theta_variant
 
 GOLDEN = {
-    "box50": "aae5b4609a758a41",
-    "box47": "845c0d6140bdd261",
-    "transport": "9f3dcd256c41d19e",
-    "box50-node-limit-7": "ba7fbe015657e5b4",
-    "theta": "c4e1e22a0ff473fc",
-    "interior-cuts": "3f7fef78631d34bf",
+    "box50": "f17c7b8484c15d98",
+    "box47": "becaa0e9e341f591",
+    "transport": "f4b07b0e9ee496d1",
+    "box50-node-limit-7": "57c3283e640c245e",
+    "theta": "7d71c78efcbc0c01",
+    "interior-cuts": "2c4c6d572781756d",
 }
 
 

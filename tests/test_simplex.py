@@ -1,7 +1,7 @@
 """LP solver: agreement with an independent solver, duality, certificates,
 the feasibility tolerance, anti-cycling, determinism, warm starts, the dual
-loop of warm re-solves, basis repair, and the per-iteration selection rules
-and state."""
+loop of warm re-solves, basis repair, the stored structural block of the
+inverse, and the per-iteration selection rules and state."""
 import contextlib
 import math
 
@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from conftest import box_instance
 from drccp import bnc, simplex
-from drccp.constants import DUAL_TOL, FEAS_TOL, PIVOT_TOL
+from drccp.constants import DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
 from drccp.formulations import build_compact
 from drccp.simplex import (
     ST_BASIC,
@@ -712,6 +712,17 @@ def basis_matrix(solver):
     return np.hstack([solver.A, np.eye(solver.m)])[:, solver.basis]
 
 
+def dense_inverse(solver):
+    """The basis inverse as an explicit m x m matrix: the stored columns
+    `binv_s` on the rows `rows_s`, and on each row covered by a basic slack
+    the unit vector at that slack's basis position."""
+    binv = np.zeros((solver.m, solver.m))
+    binv[:, solver.rows_s] = solver.binv_s
+    covered = np.flatnonzero(solver.slack_pos >= 0)
+    binv[solver.slack_pos[covered], covered] = 1.0
+    return binv
+
+
 class TestRefactor:
     @pytest.mark.parametrize("basis", [
         [12, 10, 8, 11, 9],  # k = 0: slacks only, not on their own positions
@@ -726,7 +737,7 @@ class TestRefactor:
         solver.basis = np.array(basis)
         solver.stat = solver._settled(solver.stat)
         solver._refactor()
-        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(5), atol=1e-9)
+        np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(5), atol=1e-9)
 
     def test_singular_structural_block_is_repaired(self, monkeypatch):
         # columns 0 and 1 are equal, so any basis holding both is singular
@@ -746,7 +757,7 @@ class TestRefactor:
         solver.stat = solver._settled(solver.stat)
         solver._refactor()
         assert len(repairs) == 1
-        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(3), atol=1e-9)
+        np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(3), atol=1e-9)
         sol = solver.solve()
         ref = scipy_solve(prob)
         assert sol.status == "optimal" and ref.status == 0
@@ -793,11 +804,66 @@ class TestRefactor:
         solver._refactor()
         assert solver.basis[2] == 5 and 0 in solver.basis
         assert solver.total_pivots == 1  # the repair's pivot is counted
-        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(3), atol=1e-9)
+        np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(3), atol=1e-9)
         sol = solver.solve()
         ref = scipy_solve(prob)
         assert sol.status == "optimal" and ref.status == 0
         assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+
+    @staticmethod
+    def twin_columns_install():
+        """70 `<=` rows, columns 0 and 1 equal, and a stored basis of columns
+        0-59 plus the slacks of rows 60-69: its structural block is singular,
+        but `np.linalg.inv` returns an inverse for it without raising."""
+        A = np.random.default_rng(1).normal(size=(70, 80))
+        A[:, 1] = A[:, 0]
+        prob = LpProblem(c=-np.ones(80), A=A, senses=["<="] * 70, b=np.ones(70),
+                         lb=np.zeros(80), ub=np.ones(80))
+        basis = np.concatenate([np.arange(60), 80 + np.arange(60, 70)])
+        stat = np.full(150, ST_LOWER, dtype=np.int8)
+        stat[basis] = ST_BASIC
+        return prob, basis, stat
+
+    def test_singular_block_that_inv_accepts_is_repaired(self, monkeypatch):
+        prob, basis, stat = self.twin_columns_install()
+        a_ss = prob.A[:60, :60]
+        inv = np.linalg.inv(a_ss)  # does not raise
+        assert np.abs(a_ss @ inv - np.eye(60)).max() > FACTOR_TOL
+        repairs = []
+        repair = SimplexSolver._repair_basis
+
+        def spy(self):
+            repairs.append(self.basis.copy())
+            repair(self)
+
+        monkeypatch.setattr(SimplexSolver, "_repair_basis", spy)
+        solver = SimplexSolver(prob)
+        solver.load_state(basis, stat)
+        assert len(repairs) == 1 and np.array_equal(repairs[0], basis)
+        np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(70),
+                                   atol=1e-9)
+        sol = solver.solve()
+        ref = scipy_solve(prob)
+        assert sol.status == "optimal" and ref.status == 0
+        assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+    def test_repair_pivots_never_trigger_a_refactor(self, monkeypatch):
+        # the repair brings in 59 structurals, more than REFACTOR_INTERVAL
+        prob, basis, stat = self.twin_columns_install()
+        refactors = []
+        refactor = SimplexSolver._refactor
+
+        def spy(self):
+            refactors.append(self.total_pivots)
+            refactor(self)
+
+        monkeypatch.setattr(SimplexSolver, "_refactor", spy)
+        solver = SimplexSolver(prob)
+        solver.load_state(basis, stat)
+        assert solver.total_pivots == 59 > simplex.REFACTOR_INTERVAL
+        assert refactors == []
+        assert solver._pivots_since_refactor == 0
 
 
 class TestInstall:
@@ -830,7 +896,7 @@ class TestInstall:
         solver.load_state(*state)
         assert solver.total_pivots == before
         np.testing.assert_array_equal(solver.basis, state[0])
-        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(solver.m),
+        np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(solver.m),
                                    atol=1e-9)
         again = solver.solve()
         assert again.status == "optimal" and solver.total_pivots == before
@@ -846,7 +912,7 @@ class TestInstall:
         assert solver.total_pivots == before
         np.testing.assert_array_equal(solver.basis, np.append(state[0], [solver.nt - 2,
                                                                          solver.nt - 1]))
-        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(solver.m),
+        np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(solver.m),
                                    atol=1e-9)
         assert solver.stat[-2:].tolist() == [ST_BASIC, ST_BASIC]
 
@@ -874,7 +940,7 @@ class TestInstall:
         solver.reset_basis()
         solver.load_state(basis, stat)
         assert len(repairs) == 1 and np.array_equal(repairs[0], basis)
-        np.testing.assert_allclose(solver.binv @ basis_matrix(solver), np.eye(solver.m),
+        np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(solver.m),
                                    atol=1e-9)
         left_out = np.setdiff1d(basis, solver.basis)
         assert left_out.size and np.all(solver.stat[left_out] != ST_BASIC)
@@ -1113,10 +1179,82 @@ class TestFtran:
         prob = boxed_problem(rng, 15, 20)
         solver = SimplexSolver(prob)
         assert solver.solve().status == "optimal" and solver.total_pivots > 5
-        eye = np.eye(solver.m)
+        eye, binv = np.eye(solver.m), dense_inverse(solver)
         for i in range(solver.m):
             w = solver._ftran(solver.n + i)
-            assert np.array_equal(w, solver.binv @ eye[:, i])
-            assert not np.shares_memory(w, solver.binv)
+            assert np.array_equal(w, binv @ eye[:, i])
+            assert not np.shares_memory(w, solver.binv_s)
+        # a structural's FTRAN sums the k stored columns and adds its entry on
+        # each covered row: the dense product's terms in another order
         for j in range(solver.n):
-            assert np.array_equal(solver._ftran(j), solver.binv @ solver.A[:, j])
+            np.testing.assert_allclose(solver._ftran(j), binv @ solver.A[:, j], rtol=0,
+                                       atol=1e-12)
+
+
+@st.composite
+def lps_with_steps(draw):
+    """A boxed LP with integer data, feasible at a drawn point of the box
+    (m = 0 and all-`==` rows included), and a sequence of solver steps that
+    keep that point feasible: `solve`, `set_bound` to a sub-interval that
+    holds it, `add_row` with it on the feasible side and `load_state` of a
+    state captured at an earlier solve."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    coef = st.integers(-5, 5).map(float)
+    A = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=m,
+                               max_size=m))).reshape(m, n)
+    c = np.array(draw(st.lists(coef, min_size=n, max_size=n)))
+    lb = np.array(draw(st.lists(st.integers(-3, 0), min_size=n, max_size=n)), dtype=float)
+    ub = lb + np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    quarters = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    point = lb + np.array(draw(st.lists(quarters, min_size=n, max_size=n))) * (ub - lb)
+    kinds = ["=="] if draw(st.booleans()) else ["<=", ">=", "=="]
+    senses = draw(st.lists(st.sampled_from(kinds), min_size=m, max_size=m))
+    gap = np.array(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))) / 2
+    b = A @ point + np.select([np.array(senses) == "<=", np.array(senses) == ">="],
+                              [gap, -gap]) if m else np.zeros(0)
+    prob = LpProblem(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub)
+    halves = st.sampled_from([0.0, 0.5, 1.0])
+    step = st.one_of(
+        st.just(("solve",)),
+        st.tuples(st.just("bound"), st.integers(0, n - 1), halves, halves),
+        st.tuples(st.just("row"), st.lists(coef, min_size=n, max_size=n),
+                  st.sampled_from(["<=", ">=", "=="]), st.integers(0, 4)),
+        st.tuples(st.just("load"), st.integers(0, 5)),
+    )
+    return prob, point, draw(st.lists(step, min_size=1, max_size=10))
+
+
+class TestStructuralInverse:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lps_with_steps())
+    def test_inverse_and_optima_through_every_step(self, drawn):
+        """After every step the inverse assembled from `binv_s`, `rows_s`
+        and `slack_pos` inverts the basis, and every solve is optimal and
+        agrees with scipy on the LP as edited so far."""
+        prob, point, steps = drawn
+        A, senses, b = prob.A, list(prob.senses), prob.b
+        lb, ub = prob.lb.copy(), prob.ub.copy()
+        solver = SimplexSolver(prob)
+        states = [solver.get_state()]
+        for op in steps + [("solve",)]:
+            if op[0] == "solve":
+                sol = solver.solve()
+                ref = scipy_solve(LpProblem(c=prob.c, A=A, senses=senses, b=b, lb=lb, ub=ub))
+                assert sol.status == "optimal" and ref.status == 0
+                assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+                states.append(solver.get_state())
+            elif op[0] == "bound":
+                _, j, below, above = op
+                lb[j] = lb[j] + below * (point[j] - lb[j])
+                ub[j] = ub[j] - above * (ub[j] - point[j])
+                solver.set_bound(j, lb[j], ub[j])
+            elif op[0] == "row":
+                _, coefs, sense, gap = op
+                coefs = np.array(coefs)
+                rhs = coefs @ point + {"<=": gap, ">=": -gap, "==": 0.0}[sense] / 2
+                solver.add_row(coefs, sense, rhs)
+                A, senses, b = np.vstack([A, coefs[None, :]]), senses + [sense], np.append(b, rhs)
+            else:
+                solver.load_state(*states[op[1] % len(states)])
+            np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver),
+                                       np.eye(solver.m), atol=1e-9)

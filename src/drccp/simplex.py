@@ -326,7 +326,8 @@ class SimplexSolver:
 
     def _reserve(self, k):
         """Room for k stored columns, keeping the current ones: a full
-        buffer is replaced by one of twice the room, up to m columns."""
+        buffer is replaced by one of twice the room, up to m columns.  (A
+        reallocation per added column ran slower on the grid workloads.)"""
         if self._binv_buf.shape[1] >= k:
             return
         buf = np.empty((self.m, min(self.m, max(2 * k, 8))), order="F")
@@ -529,13 +530,9 @@ class SimplexSolver:
             iters += 1
 
             below = xb[r] < lo[r]
-            # row r of the inverse: binv_s[r], and a 1 on the row of a slack at r
-            y = np.zeros(self.m)
-            y[self.rows_s] = self.binv_s[r]
-            if self.basis[r] >= self.n:
-                y[self.basis[r] - self.n] = 1.0
-            if below:
-                y = -y
+            e_r = np.zeros(self.m)
+            e_r[r] = -1.0 if below else 1.0
+            y = self._btran(e_r)
             gamma = np.concatenate([y @ self.A, y])
             score = np.maximum(np.where(self._up, gamma, 0.0), np.where(self._dn, -gamma, 0.0))
             eligible = score > PIVOT_TOL

@@ -1184,11 +1184,17 @@ class TestFtran:
             w = solver._ftran(solver.n + i)
             assert np.array_equal(w, binv @ eye[:, i])
             assert not np.shares_memory(w, solver.binv_s)
-        # a structural's FTRAN sums the k stored columns and adds its entry on
-        # each covered row: the dense product's terms in another order
+        # a structural's FTRAN is the k stored columns times its entries on
+        # rows_s, plus its entry on each covered row at that slack's position;
+        # the dense product sums the same terms in another order
+        assert solver.rows_s.size > 0
+        covered = np.flatnonzero(solver.slack_pos >= 0)
         for j in range(solver.n):
-            np.testing.assert_allclose(solver._ftran(j), binv @ solver.A[:, j], rtol=0,
-                                       atol=1e-12)
+            w = solver._ftran(j)
+            exp = solver.binv_s @ solver.A[solver.rows_s, j]
+            exp[solver.slack_pos[covered]] += solver.A[covered, j]
+            assert np.array_equal(w, exp)
+            np.testing.assert_allclose(w, binv @ solver.A[:, j], rtol=0, atol=1e-12)
 
 
 @st.composite

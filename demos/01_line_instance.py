@@ -14,7 +14,7 @@ from drccp import (
     Polyhedron,
     SafetyRow,
     SampleSet,
-    build_compact,
+    build_formulation,
     distance_profile,
     enumerate_optimal,
     lemma_certificate,
@@ -54,7 +54,7 @@ ref = enumerate_optimal(inst)
 print(f"support enumeration: optimum {ref.objective:.6f} at x={ref.x[0]:.6f}, "
       f"uncovered support {list(ref.support)} ({ref.supports_tried} supports tried)")
 
-res = solve(build_compact(inst), config=BncConfig(log_events=True))
+res = solve(build_formulation(inst, "compact"), config=BncConfig(log_events=True))
 print(f"branch and cut:      optimum {res.objective:.6f} "
       f"({res.nodes} nodes, status {res.status})")
 

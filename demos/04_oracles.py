@@ -12,7 +12,7 @@ to grade the solver in the test suite:
 import numpy as np
 
 from drccp import (
-    build_compact,
+    build_formulation,
     cvar,
     distance_profile,
     enumerate_optimal,
@@ -46,7 +46,7 @@ boundary, cheapest first; the scan touches only the distance breakpoints.
 # --- auditing a solve ----------------------------------------------------------
 tp = generate(2, 3, 12, seed=321)
 inst = to_drccp(tp, theta=0.03)
-result = solve(build_compact(inst))
+result = solve(build_formulation(inst, "compact"))
 dists = distance_profile(inst, result.x)
 wcp = worst_case_prob(dists, inst.theta)
 cert = lemma_certificate(dists, inst.epsilon, inst.theta)

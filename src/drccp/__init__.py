@@ -16,11 +16,7 @@ from .formulations import (
     FORMULATION_KINDS,
     QuantileData,
     build_basic,
-    build_compact,
     build_formulation,
-    build_knapsack,
-    build_reduced,
-    build_saa,
     compute_big_m,
     compute_quantiles,
     theta_grid,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from .bnc import BncConfig, solve
 from .cuts import SEPARATORS
 from .formulations import (
+    THETA_MATRICES,
     build_formulation,
     compute_quantiles,
     theta_grid,
@@ -76,6 +77,15 @@ class ExperimentConfig:
         self.samples = tuple(int(v) for v in self.samples)
         self.theta_indices = tuple(int(v) for v in self.theta_indices)
         self.variants = tuple(self.variants)
+        for name in ("factories", "centers", "samples"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ValueError(f"{name} must be positive")
+        if not (isinstance(self.replications, int) and self.replications >= 1):
+            raise ValueError("replications must be a positive integer")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must lie in (0, 1)")
+        if self.theta_max_matrix not in THETA_MATRICES:
+            raise ValueError(f"unsupported theta_max_matrix {self.theta_max_matrix!r}")
         for idx in self.theta_indices:
             if not 1 <= idx <= 10:
                 raise ValueError("theta indices run from 1 to 10")

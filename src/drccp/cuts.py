@@ -10,8 +10,9 @@ with a zero sentinel appended:
 Separation is exact: a greedy scan maximizes the star right-hand side and a
 quadratic dynamic program maximizes the path value.  Each routine returns at
 most one cut per row, the most violated one, and only when the violation
-clears CUT_VIOLATION_TOL.  SEPARATORS maps each family name to its
-separator class.  The validity referee is `oracles.check_cut_validity`.
+clears CUT_VIOLATION_TOL.  Both separators read a_p, the sample terms and
+h from the `QuantileData` record the formulation builder reads, and share
+one row routine.  SEPARATORS maps each family name to its separator class.  The validity referee is `oracles.check_cut_validity`.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .constants import CUT_VIOLATION_TOL
 from .formulations import QuantileData, compute_quantiles
-from .model import DrccpInstance, row_scaling
+from .model import DrccpInstance
 
 
 @dataclass(frozen=True)
@@ -179,20 +180,13 @@ def best_path_sequence(h, z, r):
 # ---------------------------------------------------------------------------
 
 class _SeparatorBase:
+    """A family supplies `_sequence` (its sequence routine and the threshold
+    it subtracts from g*_p(x)) and `_terms` (the r, t and rhs of its cut)."""
+
     def __init__(self, instance: DrccpInstance, quant: QuantileData | None = None):
         self.instance = instance
         self.quant = quant if quant is not None else compute_quantiles(instance)
         self.emitted = []
-        self._rows = []
-        scales, products = row_scaling(instance)
-        for p, row in enumerate(instance.rows):
-            scale = scales[p]
-            bxi = (products[:, p] + row.d) / scale
-            self._rows.append((row.a / scale, bxi, (row.d - self.quant.q[p]) / scale))
-
-    def _g_star(self, p, x):
-        a_sc, _, gconst = self._rows[p]
-        return gconst - float(a_sc @ x)
 
     def separate(self, point: FractionalPoint):
         cuts = []
@@ -203,69 +197,55 @@ class _SeparatorBase:
                 self.emitted.append(cut)
         return cuts
 
-
-class MixingSeparator(_SeparatorBase):
-    family = "mixing"
-
     def _separate_row(self, p, point):
-        cand = self.quant.surviving[p]
+        quant = self.quant
+        cand = quant.surviving[p]
         if cand.size == 0:
             return None
-        h = self.quant.h[cand, p]
-        positions, val = most_violated_star(h, point.z[cand])
-        viol = val - self._g_star(p, point.x)
+        positions, val, threshold = self._sequence(quant.h[cand, p], cand, point)
+        g_star = quant.g0[p] - float(quant.a[p] @ point.x)
+        viol = val - (g_star - threshold)
         if viol <= CUT_VIOLATION_TOL or not positions:
             return None
         seq = tuple(int(cand[pos]) for pos in positions)
-        hs = [self.quant.h[j, p] for j in seq]
-        z_coefs = tuple(
-            (seq[a], hs[a] - (hs[a + 1] if a + 1 < len(seq) else 0.0))
-            for a in range(len(seq))
-        )
-        a_sc, bxi, _ = self._rows[p]
+        hs = [quant.h[j, p] for j in seq]
+        deltas = [hs[a] - (hs[a + 1] if a + 1 < len(seq) else 0.0) for a in range(len(seq))]
+        r_coefs, t_coef, rhs = self._terms(p, seq, deltas)
         return Cut(
             family=self.family,
             p=p,
             sequence=seq,
-            x_coefs=-a_sc,
-            z_coefs=z_coefs,
-            r_coefs=(),
-            t_coef=0.0,
-            rhs=-float(bxi[seq[0]]),
+            x_coefs=-quant.a[p],
+            z_coefs=tuple(zip(seq, deltas)),
+            r_coefs=r_coefs,
+            t_coef=t_coef,
+            rhs=rhs,
             violation=float(viol),
         )
+
+
+class MixingSeparator(_SeparatorBase):
+    family = "mixing"
+
+    def _sequence(self, h, cand, point):
+        positions, val = most_violated_star(h, point.z[cand])
+        return positions, val, 0.0
+
+    def _terms(self, p, seq, deltas):
+        return (), 0.0, -float(self.quant.bxi[seq[0], p])
 
 
 class PathSeparator(_SeparatorBase):
     family = "path"
 
-    def _separate_row(self, p, point):
-        cand = self.quant.surviving[p]
-        if cand.size == 0:
-            return None
+    def _sequence(self, h, cand, point):
         if point.r is None or point.t is None:
             raise ValueError("path separation needs the shortfall and threshold values")
-        h = self.quant.h[cand, p]
         positions, val = best_path_sequence(h, point.z[cand], point.r[cand])
-        u_star = self._g_star(p, point.x) - point.t
-        viol = val - u_star
-        if viol <= CUT_VIOLATION_TOL or not positions:
-            return None
-        seq = tuple(int(cand[pos]) for pos in positions)
-        hs = [self.quant.h[j, p] for j in seq]
-        deltas = [hs[a] - (hs[a + 1] if a + 1 < len(seq) else 0.0) for a in range(len(seq))]
-        a_sc, _, gconst = self._rows[p]
-        return Cut(
-            family=self.family,
-            p=p,
-            sequence=seq,
-            x_coefs=-a_sc,
-            z_coefs=tuple(zip(seq, deltas)),
-            r_coefs=tuple((j, 1.0) for j in seq),
-            t_coef=-1.0,
-            rhs=float(sum(deltas) - gconst),
-            violation=float(viol),
-        )
+        return positions, val, point.t
+
+    def _terms(self, p, seq, deltas):
+        return tuple((j, 1.0) for j in seq), -1.0, float(sum(deltas) - self.quant.g0[p])
 
 
 SEPARATORS = {"mixing": MixingSeparator, "path": PathSeparator}

@@ -39,10 +39,12 @@ The presets:
                    as good.  The budget row keeps the -1/N weight on each
                    remaining r_i, with N the full sample count.
 
-All scenario data is pre-normalized by the dual norm of each safety row, so
-row coefficients are exactly the quantities the separation routines reason
-about.  theta must be positive for the distance-based models; the saa
-preset is the radius-zero baseline.
+Every row coefficient that depends on the safety rows comes from one
+`QuantileData` record (computed here when none is given), the same record
+the separators in `cuts` read, so the model rows and the cuts share every
+bit of their scaled data.  Callers pick a preset with
+`build_formulation(instance, kind)`.  theta must be positive for the
+distance-based models; the saa preset is the radius-zero baseline.
 """
 from __future__ import annotations
 
@@ -64,24 +66,38 @@ from .simplex import LpProblem, solve_lp
 
 @dataclass(frozen=True)
 class QuantileData:
-    """Per-row order statistics of the scenario terms.
+    """The per-row data that the builder and both separators read, scaled
+    by the dual norm scale[p] = ||b_p||_* of each safety row.
 
-    q[p] is the (k+1)-th largest value of -b_p @ xi_i over the N samples
-    (duplicates counted separately), h[i, p] = (-b_p @ xi_i - q[p]) scaled by
-    the dual norm, and surviving[p] lists the scenario indices with
-    -b_p @ xi_i strictly above q[p]; there are never more than k of them.
+    a[p] = a_p / scale[p] (P x L) and bxi[i, p] = (b_p @ xi_i + d_p) /
+    scale[p] (N x P), so the scaled margin of sample i in row p is
+    bxi[i, p] - a[p] @ x.  q[p] is the (k+1)-th largest value of -b_p @ xi_i
+    over the N samples (duplicates counted separately), h[i, p] =
+    (-b_p @ xi_i - q[p]) / scale[p], and surviving[p] lists the scenario
+    indices with -b_p @ xi_i strictly above q[p]; there are never more than
+    k of them.  g0 is the constant of the quantile margin
+    g*_p(x) = g0[p] - a[p] @ x.
     """
 
     k: int
     q: np.ndarray
     h: np.ndarray
     surviving: tuple
+    scale: np.ndarray
+    d: np.ndarray
+    a: np.ndarray
+    bxi: np.ndarray
+
+    @property
+    def g0(self) -> np.ndarray:
+        return (self.d - self.q) / self.scale
 
 
 def compute_quantiles(instance: DrccpInstance) -> QuantileData:
     k = instance.k
     n, p_count = instance.n, instance.p
     scales, products = row_scaling(instance)
+    d = np.array([row.d for row in instance.rows])
     q = np.empty(p_count)
     h = np.empty((n, p_count))
     surviving = []
@@ -91,7 +107,9 @@ def compute_quantiles(instance: DrccpInstance) -> QuantileData:
         q[p] = v[order[k]]
         h[:, p] = (v - q[p]) / scales[p]
         surviving.append(np.flatnonzero(v > q[p]))
-    return QuantileData(k=k, q=q, h=h, surviving=tuple(surviving))
+    return QuantileData(k=k, q=q, h=h, surviving=tuple(surviving), scale=scales, d=d,
+                        a=np.array([row.a for row in instance.rows]) / scales[:, None],
+                        bxi=(products + d) / scales)
 
 
 def compute_big_m(instance: DrccpInstance) -> float:
@@ -148,6 +166,7 @@ _PRESETS = {
                 "h_surviving"),
 }
 FORMULATION_KINDS = tuple(_PRESETS)
+THETA_MATRICES = ("basic", "knapsack", "compact")
 
 
 def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
@@ -163,7 +182,7 @@ def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
         )
     if big_m is None:
         big_m = compute_big_m(instance)
-    if quant is None and z_rule in ("h", "h_surviving"):
+    if quant is None:
         quant = compute_quantiles(instance)
     n, p_count, dom = instance.n, instance.p, instance.domain
     # scenario-type rows come one per (i, p) pair, i-major; `keep` marks the
@@ -193,10 +212,7 @@ def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
     z_of[ids] = z
     r_of = z_of + ids.size
 
-    scales, products = row_scaling(instance)
-    d = np.array([row.d for row in instance.rows])
-    x_coefs = -(np.array([row.a for row in instance.rows]) / scales[:, None])  # (P, L)
-    bxi = (products + d) / scales  # (N, P)
+    x_coefs, bxi = -quant.a, quant.bxi
     row_i = np.repeat(np.arange(n), p_count)
     row_p = np.tile(np.arange(p_count), n)
 
@@ -228,7 +244,7 @@ def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
         m.add_rows(cols, vals, ">=", -bxi[row_i, row_p], "scenario_saa")
     if "quantile_bound" in families:
         m.add_rows(np.append(x, t), np.column_stack([x_coefs, np.full(p_count, -1.0)]),
-                   ">=", (quant.q - d) / scales, "quantile_bound")
+                   ">=", (quant.q - quant.d) / quant.scale, "quantile_bound")
 
     if max_theta:
         m.set_objective([(theta, 1.0)], "max")
@@ -237,27 +253,8 @@ def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
     return m.validate()
 
 
-def build_saa(instance: DrccpInstance, big_m: float | None = None) -> MipModel:
-    """Radius-zero baseline: at most k scenarios violated."""
-    return _build(instance, "saa", big_m)
-
-
 def build_basic(instance: DrccpInstance, big_m: float | None = None) -> MipModel:
     return _build(instance, "basic", big_m)
-
-
-def build_knapsack(instance: DrccpInstance, big_m: float | None = None) -> MipModel:
-    return _build(instance, "knapsack", big_m)
-
-
-def build_reduced(instance: DrccpInstance, big_m: float | None = None,
-                  quant: QuantileData | None = None) -> MipModel:
-    return _build(instance, "reduced", big_m, quant)
-
-
-def build_compact(instance: DrccpInstance, big_m: float | None = None,
-                  quant: QuantileData | None = None) -> MipModel:
-    return _build(instance, "compact", big_m, quant)
 
 
 def build_formulation(instance, kind, big_m=None, quant=None) -> MipModel:
@@ -274,7 +271,7 @@ def build_theta_variant(instance: DrccpInstance, matrix: str = "compact",
                         big_m: float | None = None) -> MipModel:
     """The radius-maximization model: theta becomes a variable, objective
     max theta, all other rows taken from the chosen formulation matrix."""
-    if matrix not in ("basic", "knapsack", "compact"):
+    if matrix not in THETA_MATRICES:
         raise ValueError(f"unsupported theta-variant matrix {matrix!r}")
     return _build(instance, matrix, big_m, max_theta=True)
 

@@ -220,11 +220,12 @@ def row_scaling(instance: DrccpInstance):
     """Dual-norm scaling data of every safety row: (scales, products).
 
     scales[p] is ||b_p||_* and products[:, p] is samples @ b_p, shape (N, P).
-    Every scaled quantity in the package (margins, model coefficients,
-    quantiles, big-M, cut data) derives from these two arrays.  The products
-    are taken one row at a time: a single samples @ B.T can differ from them
-    in the last bits, and the search is sensitive to every bit of a model
-    coefficient.
+    `margins`, `formulations.compute_big_m` and
+    `formulations.compute_quantiles` each start from these two arrays; the
+    model rows and the cuts read the record that `compute_quantiles` makes.
+    The products are taken one row at a time: a single samples @ B.T can
+    differ from them in the last bits, and the search is sensitive to every
+    bit of a model coefficient.
     """
     samples = instance.samples.samples
     scales = np.empty(instance.p)

@@ -35,6 +35,14 @@ def _distances(distances) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
+def _check_budget(theta, epsilon=None):
+    """Reject a NaN or negative radius and an epsilon outside (0, 1)."""
+    if not theta >= 0.0:
+        raise ValueError("theta must be nonnegative")
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+
+
 def worst_case_prob(distances, theta: float) -> float:
     """Largest violation probability over all distributions within
     transport cost theta of the empirical one.
@@ -51,8 +59,7 @@ def worst_case_prob(distances, theta: float) -> float:
     so the scan is O(N log N).
     """
     d = _distances(distances)
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    _check_budget(theta)
     d = np.sort(d)
     n = d.size
     if theta == 0.0:
@@ -118,6 +125,7 @@ def lemma_certificate(distances, epsilon: float, theta: float) -> FeasibilityCer
     (k = floor(epsilon * n)); evaluating there decides feasibility.
     """
     d = _distances(distances)
+    _check_budget(theta, epsilon)
     n = d.size
     k = floor_frac_count(epsilon, n)
     t = float(np.sort(d)[k])
@@ -207,7 +215,7 @@ def check_cut_validity(cut: cuts.Cut, instance: DrccpInstance, big_m: float | No
     continuous region.  The cut is valid when no support reaches a value
     below rhs - MARGIN_TOL.
     """
-    model = formulations.build_knapsack(instance, big_m=big_m)
+    model = formulations.build_formulation(instance, "knapsack", big_m=big_m)
     lhs, _ = cuts.cut_row(cut, model)
     for _, sol in _solved_supports(model, instance, max_supports, "validity check",
                                    objective=lhs):

@@ -14,7 +14,7 @@ from conftest import box_instance, line_instance, milp_minimum, small_transport
 from drccp import bnc, oracles
 from drccp.bnc import BncConfig, compute_gap, solve
 from drccp.cuts import MixingSeparator, PathSeparator
-from drccp.formulations import build_basic, build_compact, build_theta_variant
+from drccp.formulations import build_basic, build_formulation, build_theta_variant
 from drccp.model import BINARY, CONTINUOUS, MipModel
 from drccp.simplex import SimplexSolver, SimplexStall
 
@@ -124,7 +124,7 @@ def test_time_limit_zero_stops_after_root():
 def test_gap_tolerance_allows_early_stop():
     # a loose tolerance accepts the first incumbent of the dive
     res = solve(
-        build_compact(box_instance(41)),
+        build_formulation(box_instance(41), "compact"),
         config=BncConfig(gap_tol=0.5, node_selection="dive-best-bound"),
     )
     assert res.status == "optimal"
@@ -133,7 +133,7 @@ def test_gap_tolerance_allows_early_stop():
 
 def test_bound_never_exceeds_objective():
     for seed in (40, 41, 42):
-        res = solve(build_compact(box_instance(seed)))
+        res = solve(build_formulation(box_instance(seed), "compact"))
         assert res.status == "optimal"
         assert res.bound <= res.objective + 1e-6 * (1.0 + abs(res.objective))
 
@@ -234,8 +234,8 @@ def test_matches_enumeration(seed):
     inst = box_instance(seed)
     ref = oracles.enumerate_optimal(inst)
     assert ref is not None
-    for build in (build_basic, build_compact):
-        res = solve(build(inst))
+    for kind in ("basic", "compact"):
+        res = solve(build_formulation(inst, kind))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(ref.objective, abs=1e-7)
 
@@ -244,7 +244,7 @@ def test_matches_enumeration(seed):
 def test_node_selections_agree(selection):
     inst = box_instance(45)
     ref = oracles.enumerate_optimal(inst)
-    res = solve(build_compact(inst), config=BncConfig(node_selection=selection))
+    res = solve(build_formulation(inst, "compact"), config=BncConfig(node_selection=selection))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(ref.objective, abs=1e-7)
 
@@ -253,7 +253,7 @@ def test_node_selections_agree(selection):
 def test_branching_rules_agree(rule):
     inst = box_instance(46)
     ref = oracles.enumerate_optimal(inst)
-    res = solve(build_compact(inst), config=BncConfig(branching=rule))
+    res = solve(build_formulation(inst, "compact"), config=BncConfig(branching=rule))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(ref.objective, abs=1e-7)
 
@@ -289,8 +289,8 @@ def test_root_cuts_tighten_the_root_bound():
 def test_identical_runs_are_identical():
     inst = box_instance(44)
     cfg = BncConfig(log_events=True, branching="pseudo-cost")
-    a = solve(build_compact(inst), config=cfg)
-    b = solve(build_compact(inst), config=cfg)
+    a = solve(build_formulation(inst, "compact"), config=cfg)
+    b = solve(build_formulation(inst, "compact"), config=cfg)
     assert a.objective == b.objective
     assert a.nodes == b.nodes
     assert a.iterations == b.iterations
@@ -304,7 +304,7 @@ EVENT_RE = re.compile(
 
 
 def test_event_log_shape():
-    res = solve(build_compact(box_instance(50)), config=BncConfig(log_events=True))
+    res = solve(build_formulation(box_instance(50), "compact"), config=BncConfig(log_events=True))
     assert res.events  # a fractional root must branch at least once
     for line in res.events:
         assert EVENT_RE.match(line), line
@@ -319,7 +319,7 @@ def test_event_log_shape():
 
 
 def test_events_off_by_default():
-    res = solve(build_compact(box_instance(50)))
+    res = solve(build_formulation(box_instance(50), "compact"))
     assert res.events == []
 
 
@@ -546,6 +546,6 @@ def test_line_instance_end_to_end():
     ref = oracles.enumerate_optimal(inst)
     assert ref.objective == pytest.approx(4.004, abs=1e-9)
     assert ref.support == ()
-    res = solve(build_compact(inst))
+    res = solve(build_formulation(inst, "compact"))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(ref.objective, abs=1e-7)

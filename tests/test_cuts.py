@@ -1,5 +1,6 @@
 """Cut separation: greedy/DP cores against brute force, emitted-cut algebra,
 and the independent validity referee."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -140,7 +141,7 @@ class TestFormatting:
 
     def test_cut_row_requires_blocks(self):
         inst = box_instance(seed=2, n=5, dim=2, rows=1)
-        saa = F.build_saa(inst)  # no r/t blocks
+        saa = F.build_formulation(inst, "saa")  # no r/t blocks
         cut = Cut(
             family="path", p=0, sequence=(0,), x_coefs=np.zeros(2),
             z_coefs=((0, 0.5),), r_coefs=((0, 1.0),), t_coef=-1.0,
@@ -172,7 +173,7 @@ class TestSampleMap:
     def case(self):
         inst = box_instance(seed=5, n=8, dim=2, rows=3, epsilon=0.25, theta=0.04)
         quant = F.compute_quantiles(inst)
-        model = F.build_compact(inst, quant=quant)
+        model = F.build_formulation(inst, "compact", quant=quant)
         kept = sorted(set(np.concatenate(quant.surviving).tolist()))
         dropped = sorted(set(range(inst.n)) - set(kept))
         assert kept and dropped
@@ -237,6 +238,29 @@ def fractional_root(inst, kind="compact"):
     return model, sol, bm, quant
 
 
+def test_one_record_feeds_the_builder_and_the_separator():
+    # Scenario rows and emitted cuts take a_p and the sample terms from the
+    # record they are given, so a perturbed record shows up in both.
+    inst = box_instance(seed=3, epsilon=0.3)
+    quant = F.compute_quantiles(inst)
+    bent = dataclasses.replace(quant, a=quant.a + 0.25, bxi=quant.bxi - 0.5)
+    model = F.build_formulation(inst, "basic", quant=bent)
+    _, A, _, b, _, _ = model.to_dense()
+    x = model.block_indices("x")
+    rows = np.flatnonzero(model.labels == "scenario")  # i-major over (i, p)
+    assert rows.size == inst.n * inst.p
+    for ridx, (i, p) in zip(rows, itertools.product(range(inst.n), range(inst.p))):
+        np.testing.assert_array_equal(A[ridx, x], -bent.a[p])
+        assert b[ridx] == -bent.bxi[i, p]
+    # far along a_0 the quantile margin g*_0(x) is very negative
+    point = FractionalPoint(x=100.0 * bent.a[0], z=np.zeros(inst.n))
+    cuts = MixingSeparator(inst, bent).separate(point)
+    assert any(cut.p == 0 for cut in cuts)
+    for cut in cuts:
+        np.testing.assert_array_equal(cut.x_coefs, -bent.a[cut.p])
+        assert cut.rhs == -bent.bxi[cut.sequence[0], cut.p]
+
+
 class TestSeparators:
     def find_instance_with_cut(self, family):
         for seed in range(40):
@@ -286,7 +310,7 @@ class TestSeparators:
 
         for seed in (3, 7):
             tp, inst = small_transport(seed=seed)
-            model = F.build_compact(inst)
+            model = F.build_formulation(inst, "compact")
             res = bnc.solve(model)
             assert res.status == "optimal"
             point = point_from_solution(model, res.values)
@@ -298,7 +322,7 @@ def refereed(cut, inst, big_m):
     """check_cut_validity's verdict, once it agrees with scipy's MILP minimum
     of the cut's left-hand side over the same knapsack model."""
     verdict = check_cut_validity(cut, inst, big_m=big_m)
-    model = F.build_knapsack(inst, big_m=big_m)
+    model = F.build_formulation(inst, "knapsack", big_m=big_m)
     lhs, _ = cut_row(cut, model)
     assert verdict == (milp_minimum(model, lhs) >= cut.rhs - 1e-6)
     return verdict
@@ -364,14 +388,12 @@ class TestValidityReferee:
         inst = box_instance(seed=4, n=8, dim=2, rows=1, epsilon=0.3, theta=0.05)
         quant = F.compute_quantiles(inst)
         bm = F.compute_big_m(inst)
-        sep = MixingSeparator(inst, quant)
         p = 0
         for j in map(int, quant.surviving[p]):
-            a_sc, bxi, _ = sep._rows[p]
             cut = Cut(
                 family="mixing", p=p, sequence=(j,),
-                x_coefs=-a_sc, z_coefs=((j, float(quant.h[j, p])),), r_coefs=(),
-                t_coef=0.0, rhs=-float(bxi[j]), violation=1.0,
+                x_coefs=-quant.a[p], z_coefs=((j, float(quant.h[j, p])),), r_coefs=(),
+                t_coef=0.0, rhs=-float(quant.bxi[j, p]), violation=1.0,
             )
             assert check_cut_validity(cut, inst, big_m=bm)
 

@@ -112,7 +112,7 @@ class TestRowContracts:
 
     def test_saa_layout(self, case):
         inst, bm, _ = case
-        m = F.build_saa(inst, big_m=bm)
+        m = F.build_formulation(inst, "saa", big_m=bm)
         c = self.counts(m)
         assert c == {"domain": 0, "budget": 0, "indicator": 0, "knapsack": 1,
                      "scenario": 0, "scenario_saa": inst.n * inst.p, "quantile_bound": 0}
@@ -131,14 +131,14 @@ class TestRowContracts:
 
     def test_knapsack_layout(self, case):
         inst, bm, _ = case
-        c = self.counts(F.build_knapsack(inst, big_m=bm))
+        c = self.counts(F.build_formulation(inst, "knapsack", big_m=bm))
         assert c["knapsack"] == 1
         assert c["scenario"] == inst.n * inst.p
         assert c["scenario_saa"] == inst.n * inst.p
 
     def test_reduced_layout(self, case):
         inst, bm, quant = case
-        m = F.build_reduced(inst, big_m=bm, quant=quant)
+        m = F.build_formulation(inst, "reduced", big_m=bm, quant=quant)
         c = self.counts(m)
         assert c["scenario"] == inst.n * inst.p
         assert c["scenario_saa"] == 0 and c["quantile_bound"] == 0
@@ -158,7 +158,7 @@ class TestRowContracts:
 
     def test_compact_layout(self, case):
         inst, bm, quant = case
-        m = F.build_compact(inst, big_m=bm, quant=quant)
+        m = F.build_formulation(inst, "compact", big_m=bm, quant=quant)
         c = self.counts(m)
         assert c["scenario"] == sum(s.size for s in quant.surviving)
         assert c["quantile_bound"] == inst.p
@@ -172,7 +172,7 @@ class TestRowContracts:
 
     def test_domain_rows_carried(self):
         tp, inst = small_transport(seed=3)
-        m = F.build_compact(inst)
+        m = F.build_formulation(inst, "compact")
         assert np.count_nonzero(m.labels == "domain") == inst.domain.G.shape[0]
         assert inst.domain.G.shape[0] > 0
 
@@ -182,7 +182,7 @@ class TestRowContracts:
             with pytest.raises(ValueError, match="saa formulation"):
                 F.build_formulation(inst, kind)
         # The empirical baseline accepts radius zero.
-        F.build_saa(inst)
+        F.build_formulation(inst, "saa")
 
     def test_unknown_kind_rejected(self):
         inst = line_instance([0.1, 0.9], epsilon=0.5, theta=0.1)
@@ -191,7 +191,7 @@ class TestRowContracts:
 
     def test_big_m_override_lands_in_rows(self, case):
         inst, _, _ = case
-        m = F.build_saa(inst, big_m=123.5)
+        m = F.build_formulation(inst, "saa", big_m=123.5)
         z_idx = set(m.block_indices("z"))
         ridx = np.flatnonzero(m.labels == "scenario_saa")[0]
         span = slice(m.start[ridx], m.start[ridx + 1])
@@ -335,7 +335,7 @@ class TestCompactAgreesWithBasic:
 
         inst = box_instance(seed=3, n=8, epsilon=0.1, theta=0.01)
         assert inst.k == 0
-        model = F.build_compact(inst)
+        model = F.build_formulation(inst, "compact")
         assert model.block_indices("z") == model.block_indices("r") == []
         assert not np.any(np.isin(model.labels, ["indicator", "knapsack"]))
         assert np.all(np.diff(model.start) > 0)  # every row has a term

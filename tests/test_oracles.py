@@ -92,6 +92,8 @@ class TestWorstCaseProb:
             worst_case_prob([-0.5, 1.0], 0.1)
         with pytest.raises(ValueError, match="theta"):
             worst_case_prob([1.0], -0.1)
+        with pytest.raises(ValueError, match="theta"):
+            worst_case_prob([1.0], float("nan"))
 
 
 class TestCvar:
@@ -186,6 +188,18 @@ class TestLemmaCertificate:
             checked += 1
         assert checked > 150
 
+    @pytest.mark.parametrize("epsilon, theta, match", [
+        (0.3, -1.0, "theta"),
+        (0.3, float("nan"), "theta"),
+        (1.5, 0.1, "epsilon"),
+        (0.0, 0.1, "epsilon"),
+        (-0.2, 0.1, "epsilon"),
+        (float("nan"), 0.1, "epsilon"),
+    ])
+    def test_input_validation(self, epsilon, theta, match):
+        with pytest.raises(ValueError, match=match):
+            lemma_certificate([0.0, 0.5, 1.0, 2.0], epsilon, theta)
+
 
 class TestEnumeration:
     def test_line_instance_exact(self):
@@ -257,7 +271,7 @@ class TestCrossChecks:
         from drccp.model import distance_profile
 
         tp, inst = small_transport(seed=42, theta=0.05)
-        model = formulations.build_compact(inst)
+        model = formulations.build_formulation(inst, "compact")
         res = bnc.solve(model)
         assert res.status == "optimal"
         dists = distance_profile(inst, res.x)

@@ -38,7 +38,7 @@ from conftest import box_instance, small_transport
 from drccp import bnc
 from drccp.bnc import BncConfig
 from drccp.cuts import MixingSeparator, PathSeparator
-from drccp.formulations import build_basic, build_compact, build_theta_variant
+from drccp.formulations import build_formulation, build_theta_variant
 
 GOLDEN = {
     "box50": "f17c7b8484c15d98",
@@ -76,12 +76,12 @@ def _grid(inst, cut_interior_nodes=False, **config):
     """One record per model, separator set, node selection and branching rule."""
     out = []
     cut_sets = [True] if cut_interior_nodes else [False, True]
-    for build, with_cuts, selection, rule in itertools.product(
-            (build_basic, build_compact), cut_sets, bnc.NODE_SELECTIONS, bnc.BRANCHING_RULES):
+    for kind, with_cuts, selection, rule in itertools.product(
+            ("basic", "compact"), cut_sets, bnc.NODE_SELECTIONS, bnc.BRANCHING_RULES):
         seps = [MixingSeparator(inst), PathSeparator(inst)] if with_cuts else []
         cfg = BncConfig(node_selection=selection, branching=rule, log_events=True,
                         cut_interior_nodes=cut_interior_nodes, **config)
-        out.append(_record(bnc.solve(build(inst), seps, cfg)))
+        out.append(_record(bnc.solve(build_formulation(inst, kind), seps, cfg)))
     return out
 
 

@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 from conftest import box_instance
 from drccp import bnc, simplex
 from drccp.constants import DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
-from drccp.formulations import build_compact
+from drccp.formulations import build_formulation
 from drccp.simplex import (
     ST_BASIC,
     ST_FREE,
@@ -680,7 +680,7 @@ class TestDualSimplex:
     def test_dual_stall_in_branch_and_cut_is_contained(self, monkeypatch):
         # node 1's warm re-solve takes several dual iterations; capped at one
         # it stalls in the dual loop, and the cold restart hides the stall
-        model = build_compact(box_instance(50))
+        model = build_formulation(box_instance(50), "compact")
         expected = bnc.solve(model)
         seen = {"calls": 0, "dual_iterations": [], "dual_stalls": 0}
         solve, dual = SimplexSolver.solve, SimplexSolver._dual

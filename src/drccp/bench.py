@@ -19,13 +19,7 @@ from dataclasses import dataclass, fields
 
 from .bnc import BncConfig, solve
 from .cuts import SEPARATORS
-from .formulations import (
-    THETA_MATRICES,
-    build_formulation,
-    compute_quantiles,
-    theta_grid,
-    theta_max,
-)
+from .formulations import build_formulation, compute_quantiles, theta_grid, theta_max
 from .transport import generate, to_drccp, transport_big_m
 
 # arm name -> (formulation kind, cut families)
@@ -50,6 +44,8 @@ AGG_COLUMNS = [
     "mixing_cuts_mean", "path_cuts_mean", "root_time_mean_s", "time_mean_s",
 ]
 
+_SEARCH_DEFAULTS = BncConfig()
+
 
 @dataclass
 class ExperimentConfig:
@@ -61,13 +57,11 @@ class ExperimentConfig:
     theta_indices: tuple = (1, 6, 10)
     variants: tuple = tuple(VARIANTS)
     base_seed: int = 20240801
-    gap_tol: float = 1e-4
+    gap_tol: float = _SEARCH_DEFAULTS.gap_tol
     time_limit: float | None = None
     node_limit: int | None = 1500
-    node_selection: str = "best-bound"
-    branching: str = "most-fractional"
-    max_root_cut_rounds: int = 30
-    theta_max_matrix: str = "compact"
+    node_selection: str = _SEARCH_DEFAULTS.node_selection
+    branching: str = _SEARCH_DEFAULTS.branching
     theta_max_node_limit: int | None = 4000
     deterministic: bool = True
 
@@ -84,8 +78,6 @@ class ExperimentConfig:
             raise ValueError("replications must be a positive integer")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.theta_max_matrix not in THETA_MATRICES:
-            raise ValueError(f"unsupported theta_max_matrix {self.theta_max_matrix!r}")
         for idx in self.theta_indices:
             if not 1 <= idx <= 10:
                 raise ValueError("theta indices run from 1 to 10")
@@ -145,7 +137,6 @@ def _bnc_config(config: ExperimentConfig) -> BncConfig:
         node_limit=config.node_limit,
         node_selection=config.node_selection,
         branching=config.branching,
-        max_root_cut_rounds=config.max_root_cut_rounds,
     )
 
 
@@ -160,11 +151,7 @@ def run_cell(config: ExperimentConfig, nf: int, nd: int, ns: int, rep: int) -> l
     big_m = transport_big_m(tp)
     base_inst = to_drccp(tp, theta=0.001)
     quant = compute_quantiles(base_inst)
-    tmax = theta_max(
-        base_inst,
-        matrix=config.theta_max_matrix,
-        config=_theta_max_config(config),
-    )
+    tmax = theta_max(base_inst, config=_theta_max_config(config))
     grid = theta_grid(tmax)
     rows = []
     for idx in config.theta_indices:

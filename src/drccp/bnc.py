@@ -2,7 +2,7 @@
 
 Every node goes through `_visit`, which loads, solves, cuts, fathoms and
 expands it.  The root is node 0: it has no stored basis, so it starts cold,
-and it gets up to `max_root_cut_rounds` cut rounds.  Every other node
+and it gets up to `ROOT_CUT_ROUNDS` cut rounds.  Every other node
 warm-starts from its parent's basis and gets one round when
 `cut_interior_nodes` is set.  A node is fathomed when its relaxation is not
 optimal or reaches the incumbent, checked after every solve, and its
@@ -39,22 +39,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cuts
-from .constants import DEFAULT_GAP_TOL, INT_TOL
+from .constants import INT_TOL
 from .model import MipModel
 from .simplex import LpProblem, SimplexSolver, SimplexStall
 
 NODE_SELECTIONS = ("best-bound", "depth-first", "dive-best-bound")
 BRANCHING_RULES = ("most-fractional", "pseudo-cost")
+ROOT_CUT_ROUNDS = 30  # cap on the root's cut rounds; no default-grid root needs more than 10
 
 
 @dataclass
 class BncConfig:
-    gap_tol: float = DEFAULT_GAP_TOL
+    """The search options; the bench config and `drccp solve` take their defaults from here."""
+
+    gap_tol: float = 1e-4  # relative gap (0.01 percent)
     time_limit: float | None = None
     node_limit: int | None = None
     node_selection: str = "best-bound"
     branching: str = "most-fractional"
-    max_root_cut_rounds: int = 30
     cut_interior_nodes: bool = False
     log_events: bool = False
 
@@ -63,11 +65,13 @@ class BncConfig:
             raise ValueError(f"unknown node selection {self.node_selection!r}")
         if self.branching not in BRANCHING_RULES:
             raise ValueError(f"unknown branching rule {self.branching!r}")
-        for name in ("gap_tol", "time_limit", "node_limit", "max_root_cut_rounds"):
+        for name, kind, what in (("gap_tol", numbers.Real, "number"),
+                                 ("time_limit", numbers.Real, "number of seconds"),
+                                 ("node_limit", numbers.Integral, "number of nodes")):
             value = getattr(self, name)
-            if not (value is None and name in ("time_limit", "node_limit")
-                    or isinstance(value, numbers.Real) and value >= 0):
-                raise ValueError(f"{name} must be a nonnegative number, got {value!r}")
+            if not (value is None and name != "gap_tol"
+                    or isinstance(value, kind) and not isinstance(value, bool) and value >= 0):
+                raise ValueError(f"{name} must be a nonnegative {what}, got {value!r}")
 
 
 @dataclass
@@ -388,7 +392,7 @@ class _Search:
         self.started = time.perf_counter()
         node = self.root
         try:
-            self._visit(node, cfg.max_root_cut_rounds if self.separators else 0)
+            self._visit(node, ROOT_CUT_ROUNDS if self.separators else 0)
             self.root_time = time.perf_counter() - self.started
             rounds = 1 if cfg.cut_interior_nodes and self.separators else 0
             node, status = self._pick()

@@ -25,7 +25,7 @@ from .formulations import (
 )
 from .model import NORM_KINDS, distance_profile, read_instance, save_instance
 from .oracles import lemma_certificate, worst_case_prob
-from .transport import generate, to_drccp, transport_big_m
+from .transport import generate, to_drccp
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -58,12 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--formulation", choices=FORMULATION_KINDS, default="compact")
     solve.add_argument("--cuts", default="none",
                        help="comma list from {mixing,path}, or 'none'")
-    solve.add_argument("--gap-tol", type=float, default=1e-4)
-    solve.add_argument("--time-limit", type=float, default=None)
-    solve.add_argument("--node-limit", type=int, default=None)
+    defaults = BncConfig()
+    solve.add_argument("--gap-tol", type=float, default=defaults.gap_tol)
+    solve.add_argument("--time-limit", type=float, default=defaults.time_limit)
+    solve.add_argument("--node-limit", type=int, default=defaults.node_limit)
     solve.add_argument("--node-selection", choices=NODE_SELECTIONS,
-                       default="best-bound")
-    solve.add_argument("--branching", choices=BRANCHING_RULES, default="most-fractional")
+                       default=defaults.node_selection)
+    solve.add_argument("--branching", choices=BRANCHING_RULES, default=defaults.branching)
     solve.add_argument("--interior-cuts", action="store_true")
     solve.add_argument("--out", default=None, help="write the result as JSON")
     solve.add_argument("--dump-model", default=None, help="write the model text dump")
@@ -174,6 +175,8 @@ def _cmd_oracle(args) -> int:
     x = np.asarray(data, dtype=float)
     if x.size != inst.dim_x:
         raise ValueError(f"plan has {x.size} entries, the instance needs {inst.dim_x}")
+    if not np.isfinite(x).all():
+        raise ValueError("plan entries must be finite")
     dists = distance_profile(inst, x)
     prob = worst_case_prob(dists, inst.theta)
     cert = lemma_certificate(dists, inst.epsilon, inst.theta)

@@ -26,10 +26,13 @@ from .simplex import SimplexSolver
 
 def _distances(distances) -> np.ndarray:
     """A distance profile as a nonempty float vector, with round-off below
-    zero (down to -MARGIN_TOL) clamped to 0."""
+    zero (down to -MARGIN_TOL) clamped to 0.  NaN is rejected: comparisons
+    and sorts would pass it over silently."""
     d = np.asarray(distances, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("distances must be a nonempty vector")
+    if np.isnan(d).any():
+        raise ValueError("distances must not be NaN")
     if np.any(d < -MARGIN_TOL):
         raise ValueError("distances must be nonnegative")
     return np.maximum(d, 0.0)
@@ -92,6 +95,8 @@ def cvar(values, epsilon: float) -> CvarResult:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a nonempty vector")
+    if np.isnan(v).any():
+        raise ValueError("values must not be NaN")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     n = v.size

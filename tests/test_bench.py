@@ -99,7 +99,7 @@ def test_config_rejects_unknown_variant():
     ("gap_tol", float("nan"), "gap_tol"),
     ("time_limit", -1.0, "time_limit"),
     ("node_limit", -1, "node_limit"),
-    ("max_root_cut_rounds", -1, "max_root_cut_rounds"),
+    ("node_limit", 1.5, "node_limit"),
     ("theta_max_node_limit", -1, "node_limit"),
     ("epsilon", 1.5, "epsilon"),
     ("epsilon", float("nan"), "epsilon"),
@@ -107,7 +107,6 @@ def test_config_rejects_unknown_variant():
     ("replications", 1.5, "replications"),
     ("factories", (0,), "factories"),
     ("samples", (10, 0), "samples"),
-    ("theta_max_matrix", "reduced", "theta_max_matrix"),
 ])
 def test_config_rejects_bad_search_options(field, value, match):
     with pytest.raises(ValueError, match=match):

@@ -249,6 +249,31 @@ def test_node_selections_agree(selection):
     assert res.objective == pytest.approx(ref.objective, abs=1e-7)
 
 
+def test_dive_episode_flushes_at_its_cap():
+    # an episode that reaches its node cap with dive nodes left pushes them
+    # back onto the best-bound heap, and the search still proves the optimum
+    model = build_formulation(box_instance(48, n=12), "compact")
+    expected = solve(model)
+    search = bnc._Search(model, (), BncConfig(node_selection="dive-best-bound"))
+    search.episode_cap = 2
+    flushed = []
+    next_node = search._next_node
+
+    def spy():
+        if search.dive_stack and search.episode_nodes >= search.episode_cap:
+            flushed.append(len(search.dive_stack))
+            node = next_node()
+            assert not search.dive_stack  # the nodes went to the heap
+            return node
+        return next_node()
+
+    search._next_node = spy
+    res = search.run()
+    assert flushed
+    assert res.status == expected.status == "optimal"
+    assert res.objective == pytest.approx(expected.objective, abs=1e-9)
+
+
 @pytest.mark.parametrize("rule", bnc.BRANCHING_RULES)
 def test_branching_rules_agree(rule):
     inst = box_instance(46)
@@ -437,8 +462,9 @@ def test_stall_in_the_root_cut_loop_keeps_the_root_bound(monkeypatch):
     # the re-solve after the second round of root cuts stalls: the value
     # after the first round is still a valid bound and must be reported
     inst = box_instance(47, n=12)  # each root round raises the bound
-    one_round = solve(build_basic(inst), separators=[MixingSeparator(inst)],
-                      config=BncConfig(max_root_cut_rounds=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(bnc, "ROOT_CUT_ROUNDS", 1)
+        one_round = solve(build_basic(inst), separators=[MixingSeparator(inst)])
     seen = _stall_after_cuts(monkeypatch, at_root=True, nth=2)
     res = solve(build_basic(inst), separators=[MixingSeparator(inst)])
     assert seen["rounds"] == 2 and seen["stalls_left"] == 0
@@ -519,10 +545,10 @@ def test_rejects_unknown_branching_rule():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_root_cut_rounds", -1), ("node_limit", -1), ("time_limit", -0.5),
+    ("node_limit", -1), ("time_limit", -0.5),
     ("gap_tol", -1e-4), ("gap_tol", math.nan), ("time_limit", math.nan),
-    ("gap_tol", None), ("max_root_cut_rounds", None), ("gap_tol", "0.01"),
-    ("node_limit", "100"),
+    ("gap_tol", None), ("gap_tol", "0.01"), ("gap_tol", True),
+    ("node_limit", "100"), ("node_limit", 1.5), ("node_limit", True),
 ])
 def test_rejects_invalid_limits(field, value):
     with pytest.raises(ValueError, match=f"{field} must be a nonnegative number"):
@@ -531,7 +557,7 @@ def test_rejects_invalid_limits(field, value):
 
 def test_accepts_zero_limits():
     res = solve(fractional_toy(), config=BncConfig(
-        gap_tol=0.0, node_limit=0, time_limit=0.0, max_root_cut_rounds=0))
+        gap_tol=0.0, node_limit=0, time_limit=0.0))
     assert res.status == "no-incumbent" and res.nodes == 1
 
 

@@ -161,6 +161,17 @@ def test_oracle_rejects_wrong_plan_length(instance_path, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_oracle_rejects_non_finite_plan(instance_path, tmp_path, capsys):
+    # a NaN entry is a usage error, not an infeasible verdict with t = nan
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([0.0] * 5 + [float("nan")]))
+    rc = main(["oracle", str(instance_path), "--x", str(plan)])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "drccp oracle: error: plan entries must be finite" in captured.err
+    assert "verdict" not in captured.out
+
+
 # -- bench --------------------------------------------------------------------
 
 def test_bench_write_default_config(tmp_path, capsys):

@@ -94,6 +94,9 @@ class TestWorstCaseProb:
             worst_case_prob([1.0], -0.1)
         with pytest.raises(ValueError, match="theta"):
             worst_case_prob([1.0], float("nan"))
+        # dropping the NaN sample would return 0.0999, a pass at epsilon = 0.1
+        with pytest.raises(ValueError, match="NaN"):
+            worst_case_prob([0.1, float("nan"), 0.3], 0.01)
 
 
 class TestCvar:
@@ -140,6 +143,8 @@ class TestCvar:
             cvar([], 0.5)
         with pytest.raises(ValueError, match="epsilon"):
             cvar([1.0], 0.0)
+        with pytest.raises(ValueError, match="NaN"):
+            cvar([1.0, float("nan"), 2.0], 0.5)
 
 
 class TestLemmaCertificate:
@@ -199,6 +204,11 @@ class TestLemmaCertificate:
     def test_input_validation(self, epsilon, theta, match):
         with pytest.raises(ValueError, match=match):
             lemma_certificate([0.0, 0.5, 1.0, 2.0], epsilon, theta)
+
+    def test_rejects_nan_distances(self):
+        # the slack would come out NaN, neither feasible nor infeasible
+        with pytest.raises(ValueError, match="NaN"):
+            lemma_certificate([0.1, float("nan"), 0.3, 0.5], 0.3, 0.01)
 
 
 class TestEnumeration:

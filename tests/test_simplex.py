@@ -677,6 +677,36 @@ class TestDualSimplex:
         with pytest.raises(SimplexStall):
             resolve(k - 1)
 
+    def test_degenerate_hand_off_reaches_the_optimum(self, monkeypatch):
+        # with the streak at -1 every dual run hands its basis to the primal
+        # loop after one step; warm re-solves after set_bound and after
+        # add_row still end at the cold optimum, which scipy confirms
+        monkeypatch.setattr(simplex, "_DEGEN_STREAK", -1)
+        rng = np.random.default_rng(1616)
+        handed_off = {"set_bound": 0, "add_row": 0}
+        for _ in range(80):
+            prob = random_problem(rng, allow_equalities=False)
+            first = solve_lp(prob)
+            if first.status != "optimal":
+                continue
+            fixes, cuts = random_edits(rng, prob, first.x)
+            for edit, edits in (("set_bound", (fixes, [])), ("add_row", ([], cuts))):
+                if not any(edits):
+                    continue
+                _, _, warm, child = warm_child(prob, *edits)
+                cold, ref = solve_lp(child), scipy_solve(child)
+                assert warm.status == cold.status
+                assert warm.dual_iterations <= 1
+                if warm.status == "infeasible":
+                    assert ref.status == 2
+                    continue
+                assert warm.status == "optimal" and ref.status == 0
+                scale = max(1.0, abs(ref.fun))
+                assert abs(warm.objective - cold.objective) <= 1e-7 * scale
+                assert abs(warm.objective - ref.fun) <= 1e-7 * scale
+                handed_off[edit] += warm.dual_iterations == 1 < warm.iterations
+        assert min(handed_off.values()) >= 5
+
     def test_dual_stall_in_branch_and_cut_is_contained(self, monkeypatch):
         # node 1's warm re-solve takes several dual iterations; capped at one
         # it stalls in the dual loop, and the cold restart hides the stall

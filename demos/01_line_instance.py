@@ -21,6 +21,7 @@ from drccp import (
     solve,
     worst_case_prob,
 )
+from drccp.model import distance_discard_count
 
 samples = np.array([[1.0], [2.0], [3.0], [4.0]])
 inst = DrccpInstance(
@@ -32,7 +33,10 @@ inst = DrccpInstance(
     theta=0.001,
 )
 print(f"N={inst.n} samples, epsilon={inst.epsilon}, theta={inst.theta}")
-print(f"k = floor(eps*N) = {inst.k} sample may go uncovered\n")
+print(f"k  = floor(eps*N)    = {inst.k}: samples the saa model (theta = 0) and the "
+      "referees may leave uncovered")
+print(f"k' = ceil(eps*N) - 1 = {distance_discard_count(inst.epsilon, inst.n)}: samples "
+      "the distance-based models may discard at theta > 0\n")
 
 for x in (2.5, 3.5, 4.004):
     d = distance_profile(inst, [x])
@@ -47,7 +51,10 @@ boundary, landing at 0.25 + theta/0.5 = 0.252.  Because eps*N is integral
 here, uncovering a whole sample eats the entire 25% allowance and leaves
 nothing to absorb the radius, so the only way to afford theta is clearance
 on the covered side: every sample covered with theta/eps = 0.004 of
-headroom, hence the optimum x = 4.004.
+headroom, hence the optimum x = 4.004.  That is why the distance-based
+models allow k' = 0 discards here: the compact model has no z and solves as
+one LP at the root, while the enumeration still tries every support of
+size k = 1 and finds each LP infeasible.
 """)
 
 ref = enumerate_optimal(inst)

@@ -15,12 +15,16 @@ from drccp import (
     to_drccp,
 )
 from drccp.bnc import model_to_lp
+from drccp.model import distance_discard_count
 
 tp = generate(n_factories=3, n_centers=4, n_samples=20, seed=2024)
 inst = to_drccp(tp, theta=0.05)
 print(f"transport instance: {tp.n_factories} factories x {tp.n_centers} centers, "
       f"N={inst.n}, eps={inst.epsilon}, theta={inst.theta}")
-print(f"decision dimension L={inst.dim_x}, k={inst.k}\n")
+print(f"decision dimension L={inst.dim_x}")
+print(f"discards: k = floor(eps*N) = {inst.k} in saa, "
+      f"k' = ceil(eps*N) - 1 = {distance_discard_count(inst.epsilon, inst.n)} in the "
+      "four distance-based models\n")
 
 print(f"{'model':>10s} {'vars':>6s} {'rows':>6s} {'LP bound':>12s} {'optimum':>12s} {'nodes':>6s}")
 for kind in FORMULATION_KINDS:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .bnc import BncConfig, solve
@@ -66,15 +67,16 @@ class ExperimentConfig:
     deterministic: bool = True
 
     def __post_init__(self):
-        self.factories = tuple(int(v) for v in self.factories)
-        self.centers = tuple(int(v) for v in self.centers)
-        self.samples = tuple(int(v) for v in self.samples)
-        self.theta_indices = tuple(int(v) for v in self.theta_indices)
+        for name in ("factories", "centers", "samples", "theta_indices"):
+            values = tuple(getattr(self, name))
+            if not all(_is_int(v) for v in values):
+                raise ValueError(f"{name} must hold integers, got {values!r}")
+            setattr(self, name, tuple(int(v) for v in values))
         self.variants = tuple(self.variants)
         for name in ("factories", "centers", "samples"):
             if min(getattr(self, name), default=1) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not (isinstance(self.replications, int) and self.replications >= 1):
+        if not (_is_int(self.replications) and self.replications >= 1):
             raise ValueError("replications must be a positive integer")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -87,6 +89,11 @@ class ExperimentConfig:
         # the search options fail here, before any cell is generated
         _bnc_config(self)
         _theta_max_config(self)
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (True would pass for 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def default_config() -> ExperimentConfig:

@@ -14,6 +14,6 @@ FEAS_TOL = 1e-7           # simplex primal feasibility
 DUAL_TOL = 1e-7           # simplex reduced-cost (dual feasibility) threshold
 PIVOT_TOL = 1e-9          # smallest acceptable pivot element
 INT_TOL = 1e-6            # integrality test on binary variables
-K_NUDGE = 1e-12           # added to eps*N before flooring
+K_NUDGE = 1e-12           # tolerance on eps*N in both discard counts (model.py)
 REFACTOR_INTERVAL = 50    # pivots between block refactorizations of the simplex basis inverse
 FACTOR_TOL = 1e-6         # largest |A_SS @ inv - I| entry of a nonsingular structural block

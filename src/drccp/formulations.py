@@ -14,12 +14,21 @@ in this order:
 * domain          -- G x <= g (every preset).
 * budget          -- the Wasserstein budget row eps*t >= theta + mean(r).
 * indicator       -- r_i >= t - M (1 - z_i), big-M on the shortfall.
-* knapsack        -- sum(z) <= k.
+* knapsack        -- sum(z) <= k'; k' = ceil(eps*N) - 1 (`quant.k`) in the
+                     distance-based presets, k = floor(eps*N) in saa.
 * scenario        -- sample i is either discarded (z_i = 1) or its distance
                      to the unsafe region reaches t - r_i, one row per (i, p).
 * scenario_saa    -- the radius-zero scenario rows reusing the same z.
-* quantile_bound  -- one row per p forcing the (k+1)-smallest margin to
+* quantile_bound  -- one row per p forcing the (k'+1)-th smallest margin to
                      reach t.
+
+Two discard counts appear.  The distance-based presets discard at most
+k' = `model.distance_discard_count`: a discarded sample has r_i >= t, so
+the budget row gives t * (eps - |U|/N) >= theta > 0 and |U| < eps*N.  That
+is one fewer than floor(eps*N) when eps*N is an integer and floor(eps*N)
+otherwise.  The radius-maximization variant uses k' too: every point with
+a positive radius obeys it, so a positive maximum does not move.  The saa
+preset at radius zero keeps k = floor(eps*N) (`DrccpInstance.k`).
 
 The presets:
 
@@ -34,7 +43,7 @@ The presets:
                    per-row quantile, plus the quantile_bound rows.  z_i, r_i
                    and the indicator row exist only for the samples above the
                    quantile in some row (the union of `surviving`, at most
-                   k*P samples): any other sample has no scenario row, the
+                   k'*P samples): any other sample has no scenario row, the
                    quantile_bound rows keep t <= M, so z_i = r_i = 0 is always
                    as good.  The budget row keeps the -1/N weight on each
                    remaining r_i, with N the full sample count.
@@ -60,6 +69,7 @@ from .model import (
     CONTINUOUS,
     DrccpInstance,
     MipModel,
+    distance_discard_count,
     row_scaling,
 )
 from .simplex import LpProblem, solve_lp
@@ -69,14 +79,16 @@ class QuantileData:
     """The per-row data that the builder and both separators read, scaled
     by the dual norm scale[p] = ||b_p||_* of each safety row.
 
-    a[p] = a_p / scale[p] (P x L) and bxi[i, p] = (b_p @ xi_i + d_p) /
-    scale[p] (N x P), so the scaled margin of sample i in row p is
-    bxi[i, p] - a[p] @ x.  q[p] is the (k+1)-th largest value of -b_p @ xi_i
-    over the N samples (duplicates counted separately), h[i, p] =
-    (-b_p @ xi_i - q[p]) / scale[p], and surviving[p] lists the scenario
-    indices with -b_p @ xi_i strictly above q[p]; there are never more than
-    k of them.  g0 is the constant of the quantile margin
-    g*_p(x) = g0[p] - a[p] @ x.
+    k is the discard count, by default ceil(eps*N) - 1; the knapsack row of
+    every distance-based preset reads it.  a[p] = a_p / scale[p] (P x L)
+    and bxi[i, p] = (b_p @ xi_i + d_p) / scale[p] (N x P), so the scaled
+    margin of sample i in row p is bxi[i, p] - a[p] @ x.  q[p] is the
+    (k+1)-th largest value of -b_p @ xi_i over the N samples (duplicates
+    counted separately), so the quantile margin of row p is the (k+1)-th
+    smallest sample margin.  h[i, p] = (-b_p @ xi_i - q[p]) / scale[p], and
+    surviving[p] lists the scenario indices with -b_p @ xi_i strictly above
+    q[p]; there are never more than k of them.  g0 is the constant of the
+    quantile margin g*_p(x) = g0[p] - a[p] @ x.
     """
 
     k: int
@@ -93,8 +105,11 @@ class QuantileData:
         return (self.d - self.q) / self.scale
 
 
-def compute_quantiles(instance: DrccpInstance) -> QuantileData:
-    k = instance.k
+def compute_quantiles(instance: DrccpInstance, k: int | None = None) -> QuantileData:
+    """The scaled row data at discard count k, by default
+    `distance_discard_count` (the count every distance-based model uses)."""
+    if k is None:
+        k = distance_discard_count(instance.epsilon, instance.n)
     n, p_count = instance.n, instance.p
     scales, products = row_scaling(instance)
     d = np.array([row.d for row in instance.rows])
@@ -226,7 +241,7 @@ def _build(instance: DrccpInstance, kind: str, big_m=None, quant=None,
         m.add_rows(np.column_stack([z, np.full(ids.size, t), r]), [-big_m, -1.0, 1.0], ">=",
                    -big_m, "indicator")
     if "knapsack" in families and ids.size:  # with no z the row would be empty
-        m.add_rows(z, 1.0, "<=", float(instance.k), "knapsack")
+        m.add_rows(z, 1.0, "<=", float(quant.k if with_rt else instance.k), "knapsack")
     if "scenario" in families:
         si, sp = row_i[keep], row_p[keep]
         if z_rule == "big_m":
@@ -282,7 +297,9 @@ def theta_max(instance: DrccpInstance, matrix: str = "compact", config=None) -> 
     Solves the radius-maximization MIP and returns the incumbent objective,
     which is a certified-feasible radius.  When the search stops before it
     proves that radius largest (a node or time limit), a RuntimeWarning
-    names the status and the gap.  The default constraint matrix is the
+    names the status and the gap.  A ValueError says when no positive
+    radius is feasible, and when a limit stops the search before it finds a
+    feasible point.  The default constraint matrix is the
     compact one; the basic and knapsack matrices give the same optimum and
     are available for cross-checks.
     """
@@ -290,12 +307,16 @@ def theta_max(instance: DrccpInstance, matrix: str = "compact", config=None) -> 
 
     model = build_theta_variant(instance, matrix=matrix)
     result = bnc.solve(model, config=config)
-    if result.status == "infeasible" or result.objective is None:
-        raise ValueError("radius maximization found no feasible point")
-    if result.objective <= MARGIN_TOL:
-        raise ValueError(
-            "no positive feasible radius: the empirical baseline is already infeasible"
-        )
+    # the compact and knapsack matrices allow ceil(eps*N) - 1 discards, so
+    # they are infeasible exactly when no positive radius is feasible; the
+    # basic matrix ends at radius zero instead
+    if result.status == "infeasible" or (result.objective is not None
+                                         and result.objective <= MARGIN_TOL):
+        raise ValueError("no positive feasible radius: every point has at least eps*N "
+                         "samples at distance zero")
+    if result.objective is None:
+        raise ValueError(f"radius maximization ended {result.status!r} before it found "
+                         "a feasible point")
     if result.status != "optimal":
         warnings.warn(
             f"radius maximization ended {result.status!r} at a {result.gap_pct}% gap: "

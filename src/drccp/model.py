@@ -151,6 +151,16 @@ def floor_frac_count(epsilon: float, n: int) -> int:
     return int(math.floor(epsilon * n + K_NUDGE))
 
 
+def distance_discard_count(epsilon: float, n: int) -> int:
+    """k' = ceil(epsilon * N) - 1, the most samples a distance-based model
+    with a positive radius can discard, under the same nudge as
+    `floor_frac_count`.  Discarded samples have shortfall r_i >= t, so the
+    budget row gives t * (epsilon - |U| / N) >= theta > 0 and |U| < eps*N.
+    k' is floor(eps*N) - 1 when eps*N is an integer and floor(eps*N)
+    otherwise."""
+    return max(int(math.ceil(epsilon * n - K_NUDGE)) - 1, 0)
+
+
 @dataclass(frozen=True)
 class DrccpInstance:
     """Full problem instance.
@@ -212,7 +222,9 @@ class DrccpInstance:
 
     @property
     def k(self) -> int:
-        """Largest admissible number of discarded scenarios, floor(eps*N)."""
+        """Largest admissible number of discarded scenarios at radius zero,
+        floor(eps*N): the count of the saa model and of the referees.  The
+        distance-based models discard at most `distance_discard_count`."""
         return floor_frac_count(self.epsilon, self.n)
 
 

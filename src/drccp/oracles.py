@@ -7,7 +7,10 @@ finds the exact optimum over the `basic` preset and `check_cut_validity`
 decides whether a cut holds over the `knapsack` preset, each by fixing z on
 every support and solving the LP relaxation with the in-package simplex.
 They share the formulation builder and the simplex with the solver stack
-they check, so the tests cross-check them against scipy.
+they check, so the tests cross-check them against scipy.  Every referee
+counts discards with floor(eps*N), never with the one fewer that the
+distance-based models allow when eps*N is an integer, so it checks that
+count too.
 """
 from __future__ import annotations
 
@@ -126,14 +129,25 @@ def lemma_certificate(distances, epsilon: float, theta: float) -> FeasibilityCer
     The point is robustly feasible iff for some t >= 0 the shortfalls
     r_i = max(0, t - d_i) satisfy epsilon * t >= theta + mean(r).  The left
     side minus the right is concave piecewise linear in t with breakpoints
-    at the distances, so the (k+1)-th smallest distance maximizes the slack
-    (k = floor(epsilon * n)); evaluating there decides feasibility.
+    at the distances and slope epsilon - j/n past the j-th smallest, so the
+    (k+1)-th smallest distance maximizes the slack (k = floor(epsilon * n));
+    evaluating there decides feasibility.  When that distance is infinite,
+    the m <= k finite ones end in a last piece of slope epsilon - m/n >= 0:
+    t starts at the largest finite distance (0 if none) and, on a positive
+    slope, moves on to where the slack reaches zero.
     """
     d = _distances(distances)
     _check_budget(theta, epsilon)
     n = d.size
     k = floor_frac_count(epsilon, n)
     t = float(np.sort(d)[k])
+    if math.isinf(t):
+        finite = d[np.isfinite(d)]
+        t = float(finite.max(initial=0.0))
+        slope = epsilon - finite.size / n
+        deficit = theta + float(np.mean(np.maximum(0.0, t - d))) - epsilon * t
+        if deficit > 0.0 and slope > 0.0:
+            t += deficit / slope
     r = np.maximum(0.0, t - d)
     slack = epsilon * t - theta - float(np.mean(r))
     return FeasibilityCertificate(feasible=slack >= -FEAS_TOL, t=t, r=r, budget_slack=slack)
@@ -189,10 +203,13 @@ def enumerate_optimal(instance: DrccpInstance, big_m: float | None = None,
                       max_supports: int = 200000) -> EnumerationResult:
     """Reference optimum by brute force over discard sets.
 
-    For every subset of at most k scenarios, fix z on that subset and solve
-    the continuous relaxation of the basic formulation; the best LP value
-    over all subsets is the exact mixed-integer optimum.  Errors out when
-    the subset count exceeds max_supports.
+    For every subset of at most k = floor(eps*N) scenarios, fix z on that
+    subset and solve the continuous relaxation of the basic formulation; the
+    best LP value over all subsets is the exact mixed-integer optimum.  The
+    basic model has no knapsack row, so when eps*N is an integer the subsets
+    of size k, which the solver's models leave out at a positive radius,
+    are tried too (their LPs are infeasible).  Errors out when the subset
+    count exceeds max_supports.
     """
     model = formulations.build_basic(instance, big_m=big_m)
     x_idx = model.block_indices("x")
@@ -215,12 +232,13 @@ def check_cut_validity(cut: cuts.Cut, instance: DrccpInstance, big_m: float | No
                        max_supports: int = 20000) -> bool:
     """True iff the cut holds at every point of the exact feasible region.
 
-    Enumerates all discard supports of size at most k; for each, fixes z and
-    minimizes the cut's left-hand side over the knapsack-strengthened
-    continuous region.  The cut is valid when no support reaches a value
-    below rhs - MARGIN_TOL.
+    Enumerates all discard supports of size at most k = floor(eps*N); for
+    each, fixes z and minimizes the cut's left-hand side over the
+    knapsack-strengthened continuous region, with the knapsack row at k too.
+    The cut is valid when no support reaches a value below rhs - MARGIN_TOL.
     """
-    model = formulations.build_formulation(instance, "knapsack", big_m=big_m)
+    quant = formulations.compute_quantiles(instance, k=instance.k)
+    model = formulations.build_formulation(instance, "knapsack", big_m=big_m, quant=quant)
     lhs, _ = cuts.cut_row(cut, model)
     for _, sol in _solved_supports(model, instance, max_supports, "validity check",
                                    objective=lhs):

@@ -107,6 +107,11 @@ def test_config_rejects_unknown_variant():
     ("replications", 1.5, "replications"),
     ("factories", (0,), "factories"),
     ("samples", (10, 0), "samples"),
+    ("factories", (2.7,), "factories"),
+    ("centers", (3, 10.0), "centers"),
+    ("theta_indices", (1.9,), "theta_indices"),
+    ("samples", (True,), "samples"),
+    ("replications", True, "replications"),
 ])
 def test_config_rejects_bad_search_options(field, value, match):
     with pytest.raises(ValueError, match=match):

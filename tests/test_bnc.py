@@ -252,7 +252,8 @@ def test_node_selections_agree(selection):
 def test_dive_episode_flushes_at_its_cap():
     # an episode that reaches its node cap with dive nodes left pushes them
     # back onto the best-bound heap, and the search still proves the optimum
-    model = build_formulation(box_instance(48, n=12), "compact")
+    # (eps*N = 3.06 is not an integer, so the model may discard 3 samples)
+    model = build_formulation(box_instance(48, n=12, epsilon=0.255), "compact")
     expected = solve(model)
     search = bnc._Search(model, (), BncConfig(node_selection="dive-best-bound"))
     search.episode_cap = 2
@@ -461,7 +462,8 @@ def _record_search(monkeypatch):
 def test_stall_in_the_root_cut_loop_keeps_the_root_bound(monkeypatch):
     # the re-solve after the second round of root cuts stalls: the value
     # after the first round is still a valid bound and must be reported
-    inst = box_instance(47, n=12)  # each root round raises the bound
+    # each root round raises the bound; eps*N = 3.06 leaves 3 discards
+    inst = box_instance(47, n=12, epsilon=0.255)
     with monkeypatch.context() as patch:
         patch.setattr(bnc, "ROOT_CUT_ROUNDS", 1)
         one_round = solve(build_basic(inst), separators=[MixingSeparator(inst)])
@@ -479,7 +481,7 @@ def test_stall_after_interior_cuts_is_contained(monkeypatch):
     # the re-solve after an interior node's cuts stalls warm and cold: the
     # search stops with an event and the node's bound overrides are undone;
     # the event gives the node's pre-cut relaxation value as its bound
-    inst = box_instance(48, n=12)
+    inst = box_instance(48, n=12, epsilon=0.255)  # eps*N = 3.06: 3 discards
     seen = _stall_after_cuts(monkeypatch, at_root=False)
     model = build_basic(inst)
     res = solve(model, separators=[MixingSeparator(inst), PathSeparator(inst)],
@@ -502,7 +504,7 @@ def test_stall_after_interior_cuts_bounds_the_search(monkeypatch):
     # children of node 1 are open with bounds above node 2's pre-cut value.
     # That value is the stalled node's bound (cuts only tighten its
     # relaxation), so it is the bound the search reports, not the root's.
-    inst = box_instance(48, n=12)
+    inst = box_instance(48, n=12, epsilon=0.255)  # eps*N = 3.06: 3 discards
     seen = _stall_after_cuts(monkeypatch, at_root=False, nth=2)
     res = solve(build_basic(inst), separators=[MixingSeparator(inst), PathSeparator(inst)],
                 config=BncConfig(cut_interior_nodes=True))

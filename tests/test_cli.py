@@ -98,8 +98,14 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     assert "status=infeasible" in capsys.readouterr().out
 
 
-def test_solve_no_incumbent_exit_code(instance_path, capsys):
-    rc = main(["solve", str(instance_path), "--node-limit", "1"])
+def test_solve_no_incumbent_exit_code(tmp_path, capsys):
+    # eps*N = 1.5 lets the compact model discard one sample, so it branches;
+    # at eps*N = 1 it would discard none and solve as an LP at the root
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--factories", "2", "--centers", "3", "--samples", "10",
+                 "--seed", "42", "--theta", "0.05", "--epsilon", "0.15",
+                 "--out", str(path)]) == EXIT_OK
+    rc = main(["solve", str(path), "--node-limit", "1"])
     assert rc == EXIT_NO_INCUMBENT
     assert "status=no-incumbent" in capsys.readouterr().out
 

@@ -320,9 +320,11 @@ class TestSeparators:
 
 def refereed(cut, inst, big_m):
     """check_cut_validity's verdict, once it agrees with scipy's MILP minimum
-    of the cut's left-hand side over the same knapsack model."""
+    of the cut's left-hand side over the same knapsack model (its knapsack
+    row at floor(eps*N))."""
     verdict = check_cut_validity(cut, inst, big_m=big_m)
-    model = F.build_formulation(inst, "knapsack", big_m=big_m)
+    model = F.build_formulation(inst, "knapsack", big_m=big_m,
+                                quant=F.compute_quantiles(inst, k=inst.k))
     lhs, _ = cut_row(cut, model)
     assert verdict == (milp_minimum(model, lhs) >= cut.rhs - 1e-6)
     return verdict

@@ -1,16 +1,18 @@
 """Formulation builders: quantiles, big-M, row contracts, radius ceiling."""
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drccp import formulations as F
 from drccp import transport
 from drccp.bnc import BncConfig, model_to_lp
 from drccp.model import DrccpInstance, Polyhedron, SafetyRow, SampleSet
 from drccp.simplex import solve_lp
-from conftest import box_instance, line_instance, small_transport
+from conftest import box_instance, line_instance, milp_minimum, small_transport
 
 
 def values_instance(values, epsilon, theta=0.05):
@@ -29,13 +31,28 @@ def values_instance(values, epsilon, theta=0.05):
 
 class TestQuantiles:
     def test_hand_case(self):
-        inst = values_instance([3.0, 1.0, 4.0, 1.0, 5.0], epsilon=0.2)
+        # eps*N = 1.5 is not an integer, so k = floor(eps*N) = 1
+        inst = values_instance([3.0, 1.0, 4.0, 1.0, 5.0], epsilon=0.3)
         quant = F.compute_quantiles(inst)
-        assert quant.k == 1
+        assert quant.k == inst.k == 1
         # Second largest of (3, 1, 4, 1, 5) is 4.
         np.testing.assert_allclose(quant.q, [4.0])
         np.testing.assert_allclose(quant.h[:, 0], [-1.0, -3.0, 0.0, -3.0, 1.0])
         np.testing.assert_array_equal(quant.surviving[0], [4])
+
+    def test_integral_eps_n_counts_one_discard_fewer(self):
+        # eps*N = 1: at a positive radius no sample may be discarded, so q is
+        # the largest value and no sample lies above it
+        inst = values_instance([3.0, 1.0, 4.0, 1.0, 5.0], epsilon=0.2)
+        quant = F.compute_quantiles(inst)
+        assert quant.k == 0 and inst.k == 1
+        np.testing.assert_allclose(quant.q, [5.0])
+        np.testing.assert_allclose(quant.h[:, 0], [-2.0, -4.0, -1.0, -4.0, 0.0])
+        assert quant.surviving[0].size == 0
+        # an explicit count overrides the default
+        floor = F.compute_quantiles(inst, k=inst.k)
+        assert floor.k == 1
+        np.testing.assert_allclose(floor.q, [4.0])
 
     def test_ties_leave_no_survivors(self):
         inst = values_instance([2.0, 2.0, 2.0], epsilon=0.4)
@@ -49,7 +66,7 @@ class TestQuantiles:
             inst = box_instance(seed=seed, n=12, rows=3, epsilon=0.25)
             quant = F.compute_quantiles(inst)
             for surv in quant.surviving:
-                assert surv.size <= inst.k
+                assert surv.size <= quant.k
 
     def test_h_scaled_by_dual_norm(self):
         # b = [-3, -4] under the l2 norm: scale 5.
@@ -234,15 +251,36 @@ class TestThetaMax:
         assert val == pytest.approx(0.1, abs=1e-9)
 
     def test_unproven_radius_warns(self):
-        # the root LP of the hand case is fractional, so its first incumbent
-        # comes from a child; a limit of 2 nodes stops before the proof (a
-        # limit of 1 cannot: a root incumbent means an integral root, which
-        # ends the search optimal)
-        inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.2, theta=0.01,
+        # the hand case at eps = 0.3: eps*N = 1.5 lets the model discard one
+        # sample, and the maximum 0.3 t - mean((t - d)^+) is 0.16 at t = 0.6.
+        # The root LP is fractional, so its first incumbent comes from a
+        # child; a limit of 2 nodes stops before the proof (a limit of 1
+        # cannot: a root incumbent means an integral root, which ends the
+        # search optimal)
+        inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.3, theta=0.01,
                              lo=0.0, hi=1.0)
         with pytest.warns(RuntimeWarning, match="'feasible-gap' at a .*% gap"):
             val = F.theta_max(inst, config=BncConfig(node_limit=2))
-        assert val == pytest.approx(0.1, abs=1e-9)
+        assert val == pytest.approx(0.16, abs=1e-9)
+
+    def test_no_positive_radius(self):
+        # x <= 0.5 leaves the sample at 0.9 unsafe, and at eps*N = 1 one unsafe
+        # sample takes the whole budget: only radius zero is feasible, and the
+        # model, which may discard no sample, is infeasible
+        inst = line_instance([0.1, 0.9], epsilon=0.5, theta=0.01, lo=0.0, hi=0.5)
+        assert F.compute_quantiles(inst).k == 0
+        with pytest.raises(ValueError, match="^no positive feasible radius: every point "
+                                             "has at least eps\\*N samples at distance zero$"):
+            F.theta_max(inst)
+
+    def test_limit_before_a_feasible_point(self):
+        # the eps = 0.3 hand case has a fractional root, so one node finds
+        # no incumbent
+        inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.3, theta=0.01,
+                             lo=0.0, hi=1.0)
+        with pytest.raises(ValueError, match="ended 'no-incumbent' before it found a "
+                                             "feasible point"):
+            F.theta_max(inst, config=BncConfig(node_limit=1))
 
     def test_proven_radius_does_not_warn(self):
         inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.2, theta=0.01,
@@ -346,3 +384,64 @@ class TestCompactAgreesWithBasic:
         basic = bnc.solve(F.build_basic(inst))
         assert basic.status == "optimal"
         assert basic.objective == pytest.approx(ref, abs=1e-6)
+
+
+@st.composite
+def integral_eps_n_boxes(draw):
+    """A small box instance whose eps*N is an integer, at a positive radius."""
+    n, k = draw(st.sampled_from([(5, 1), (4, 2), (6, 2), (8, 2), (6, 3), (9, 3)]))
+    return box_instance(seed=draw(st.integers(0, 10**6)), n=n,
+                        rows=draw(st.integers(1, 2)), epsilon=k / n,
+                        theta=draw(st.sampled_from([0.002, 0.01, 0.03, 0.06])))
+
+
+class TestDistanceDiscardCount:
+    """The distance-based models discard at most ceil(eps*N) - 1 samples;
+    the referees still count floor(eps*N)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(integral_eps_n_boxes())
+    def test_one_discard_fewer_keeps_the_optimum(self, inst):
+        from drccp import bnc
+        from drccp.cuts import MixingSeparator, PathSeparator
+        from drccp.model import distance_profile
+        from drccp.oracles import enumerate_optimal, lemma_certificate, worst_case_prob
+
+        k = inst.k
+        assert F.compute_quantiles(inst).k == k - 1
+        ref = enumerate_optimal(inst)
+        compact = bnc.solve(F.build_formulation(inst, "compact"),
+                            [MixingSeparator(inst), PathSeparator(inst)])
+        knapsack = bnc.solve(F.build_formulation(inst, "knapsack"))
+        for res in (compact, knapsack):
+            assert res.status == ref.status
+            if ref.status == "optimal":
+                assert res.objective == pytest.approx(ref.objective, abs=1e-6)
+                dist = distance_profile(inst, res.x)
+                assert lemma_certificate(dist, inst.epsilon, inst.theta).feasible
+                assert worst_case_prob(dist, inst.theta) <= inst.epsilon + 1e-7
+        # the count the referee allows but the models leave out: at a
+        # positive radius the budget row rules out every such support
+        basic = F.build_basic(inst)
+        z_cols = basic.sample_columns("z")
+        for support in itertools.combinations(range(inst.n), k):
+            basic.lb[z_cols] = basic.ub[z_cols] = 0.0
+            basic.lb[z_cols[list(support)]] = basic.ub[z_cols[list(support)]] = 1.0
+            assert milp_minimum(basic) == math.inf
+
+    def test_one_sample_budget_solves_at_the_root(self):
+        # eps*N = 1: no sample may be discarded at a positive radius, so the
+        # compact model has no z and its root LP is the answer
+        from drccp import bnc
+        from drccp.cuts import MixingSeparator, PathSeparator
+        from drccp.oracles import enumerate_optimal
+
+        inst = box_instance(seed=3, n=10, epsilon=0.1, theta=0.01)
+        assert inst.k == 1 and F.compute_quantiles(inst).k == 0
+        model = F.build_formulation(inst, "compact")
+        assert model.block_indices("z") == []
+        res = bnc.solve(model, [MixingSeparator(inst), PathSeparator(inst)],
+                        BncConfig(log_events=True))
+        assert res.status == "optimal" and res.nodes == 1
+        assert res.events and all(e.startswith("node=0 ") for e in res.events)
+        assert res.objective == pytest.approx(enumerate_optimal(inst).objective, abs=1e-6)

@@ -81,98 +81,98 @@ TEXT_DIGESTS = {
     "box1/saa/explicit": "9345ebf422e9b08c",
     "box1/basic/default": "2c70dae7cb5f68aa",
     "box1/basic/explicit": "0063bb6f4c81a9dd",
-    "box1/knapsack/default": "9111b82877d74c98",
-    "box1/knapsack/explicit": "b05fabcc91a1557b",
-    "box1/reduced/default": "684053656d3ea839",
-    "box1/reduced/explicit": "74ad6da543631f39",
-    "box1/compact/default": "73232cd37d70b787",
-    "box1/compact/explicit": "6a5f8bcdc109f298",
+    "box1/knapsack/default": "2e7bc80439318298",
+    "box1/knapsack/explicit": "34cfadb18c1aac89",
+    "box1/reduced/default": "41f4d14558dab137",
+    "box1/reduced/explicit": "066e3f635e349c2f",
+    "box1/compact/default": "4da6a6b6050f2c5f",
+    "box1/compact/explicit": "83d9fc896c523b4e",
     "box1/theta-basic/default": "13ef48c715602312",
     "box1/theta-basic/explicit": "8cfa45773cbc2cad",
-    "box1/theta-knapsack/default": "f5fc362c48d3cabc",
-    "box1/theta-knapsack/explicit": "f4057c055df3bc18",
-    "box1/theta-compact/default": "39be507e13a65da4",
-    "box1/theta-compact/explicit": "a5a0120b3dba5554",
+    "box1/theta-knapsack/default": "c269761de21a8993",
+    "box1/theta-knapsack/explicit": "a5e2c6afda482602",
+    "box1/theta-compact/default": "2dcdbd999614804c",
+    "box1/theta-compact/explicit": "f0f3485c5b6a956a",
     "box5/saa/default": "dd7fdd250d6d930d",
     "box5/saa/explicit": "4c506aa09bda12ce",
     "box5/basic/default": "725e45ae72bb2954",
     "box5/basic/explicit": "004839c83b541c3a",
-    "box5/knapsack/default": "026af82b88595d9f",
-    "box5/knapsack/explicit": "edfafcff76437e2e",
-    "box5/reduced/default": "bd78f3e1581c4335",
-    "box5/reduced/explicit": "4786f704fbda0f15",
-    "box5/compact/default": "a53855df78e671c9",
-    "box5/compact/explicit": "af30027f50ac34cb",
+    "box5/knapsack/default": "90e43e4c5faf8232",
+    "box5/knapsack/explicit": "9df01c605cddc86a",
+    "box5/reduced/default": "8a0799c32ebe15ac",
+    "box5/reduced/explicit": "ae06b9bc4a0ed46e",
+    "box5/compact/default": "61624ea1aa6f7ecc",
+    "box5/compact/explicit": "94b3464928045e4c",
     "box5/theta-basic/default": "261c7be0e0505975",
     "box5/theta-basic/explicit": "ce363e79161983cf",
-    "box5/theta-knapsack/default": "75be1f5f85f8268e",
-    "box5/theta-knapsack/explicit": "fe39a6fea8303690",
-    "box5/theta-compact/default": "77d68f8407d7d61b",
-    "box5/theta-compact/explicit": "d59728bc731397b0",
+    "box5/theta-knapsack/default": "8507584a8d1611b1",
+    "box5/theta-knapsack/explicit": "c932747c33c20046",
+    "box5/theta-compact/default": "323d406fa8c272f9",
+    "box5/theta-compact/explicit": "fc28f30850281c63",
     "box9/saa/default": "47bfdcb320f598ea",
     "box9/saa/explicit": "68ecec90ecf87abe",
     "box9/basic/default": "6be30984647e354d",
     "box9/basic/explicit": "09c08d3877ab1e79",
-    "box9/knapsack/default": "b02eccd0d73a1fef",
-    "box9/knapsack/explicit": "6b3d6828b061d06d",
-    "box9/reduced/default": "d7d6f6b8daa2a094",
-    "box9/reduced/explicit": "6fc3cf497f68c5ea",
-    "box9/compact/default": "b968cf284b937d75",
-    "box9/compact/explicit": "724676ffef2d66dc",
+    "box9/knapsack/default": "b7812eadf3d4b501",
+    "box9/knapsack/explicit": "68b213b4f48d3daf",
+    "box9/reduced/default": "8d15a335354d56b7",
+    "box9/reduced/explicit": "e08fe10b7284dd47",
+    "box9/compact/default": "8ef877098d15dd43",
+    "box9/compact/explicit": "1823927d37051571",
     "box9/theta-basic/default": "78d1207d7561c9ac",
     "box9/theta-basic/explicit": "2ea67ce9a99eebc2",
-    "box9/theta-knapsack/default": "493bc0afaa0db9fa",
-    "box9/theta-knapsack/explicit": "ad3b669be6d0e976",
-    "box9/theta-compact/default": "01a97681338f399c",
-    "box9/theta-compact/explicit": "282f06c2eaf6c8ee",
+    "box9/theta-knapsack/default": "c3780989a0edafdd",
+    "box9/theta-knapsack/explicit": "eae3e86e15a3c98a",
+    "box9/theta-compact/default": "8a97c29d8d714592",
+    "box9/theta-compact/explicit": "69d123eea4b4ce03",
     "line/saa/default": "1ef259888813c073",
     "line/saa/explicit": "245571f247432da1",
     "line/basic/default": "9937e2b8d585bce4",
     "line/basic/explicit": "7c572baa72bdc442",
-    "line/knapsack/default": "edc5002579a1e6a2",
-    "line/knapsack/explicit": "8c88bdaa8ef65a4c",
-    "line/reduced/default": "a36e65d3bc9d0518",
-    "line/reduced/explicit": "3df4f89b130fb5a7",
-    "line/compact/default": "2c4707af57ef6a45",
-    "line/compact/explicit": "8f387bfa32571c3e",
+    "line/knapsack/default": "11a72ddb48c3e7c4",
+    "line/knapsack/explicit": "90561fc7e6bf3b3e",
+    "line/reduced/default": "142a2954d99e6dc9",
+    "line/reduced/explicit": "22b60a7960026716",
+    "line/compact/default": "9849eae657bc5f14",
+    "line/compact/explicit": "7eb9ed6b57b04d2b",
     "line/theta-basic/default": "33a3b6aa239b273d",
     "line/theta-basic/explicit": "0800e825ef7a9165",
-    "line/theta-knapsack/default": "66a98acaea1be5a7",
-    "line/theta-knapsack/explicit": "33e3e4b121f5e9c5",
-    "line/theta-compact/default": "7c3308cf436b7c46",
-    "line/theta-compact/explicit": "033446c8b52b61e0",
+    "line/theta-knapsack/default": "b8953e145ecc0814",
+    "line/theta-knapsack/explicit": "2724661d03560415",
+    "line/theta-compact/default": "7bd8af3ce3cfc98c",
+    "line/theta-compact/explicit": "7bd8af3ce3cfc98c",
     "transport/saa/default": "9df3bae56b6c6d5b",
     "transport/saa/explicit": "2d32826343d7e823",
     "transport/basic/default": "b6f0ec51ecca28ee",
     "transport/basic/explicit": "c26c31eb934eaff0",
-    "transport/knapsack/default": "b5dce0cdb42692e4",
-    "transport/knapsack/explicit": "8455a1cf644904b2",
-    "transport/reduced/default": "e6ed3f965e4a6811",
-    "transport/reduced/explicit": "f75319ab8a674522",
-    "transport/compact/default": "5709178f65495cdb",
-    "transport/compact/explicit": "e46f8789adfdacf2",
+    "transport/knapsack/default": "588a07400382a6f2",
+    "transport/knapsack/explicit": "aec51d316ff31583",
+    "transport/reduced/default": "36547c637abf6391",
+    "transport/reduced/explicit": "54fe8e07c30d15ea",
+    "transport/compact/default": "d0b39f4adceafdbc",
+    "transport/compact/explicit": "156e330b2d8b291d",
     "transport/theta-basic/default": "47b3336095069b89",
     "transport/theta-basic/explicit": "50bb73a10a52e16f",
-    "transport/theta-knapsack/default": "d7e3223bce331d0a",
-    "transport/theta-knapsack/explicit": "8031c205920c4b27",
-    "transport/theta-compact/default": "ddd30d149afa3857",
-    "transport/theta-compact/explicit": "31d4292583065d2e",
+    "transport/theta-knapsack/default": "3b9171a4942d1e36",
+    "transport/theta-knapsack/explicit": "e12a4368dc033f1b",
+    "transport/theta-compact/default": "faab68997201511a",
+    "transport/theta-compact/explicit": "e1a6ea6eafd7964c",
     "transport50/saa/default": "cb9c220f5ed803b0",
     "transport50/saa/explicit": "b270b4e43b089ad3",
     "transport50/basic/default": "a011635979c20bd9",
     "transport50/basic/explicit": "068294871f1c4be8",
-    "transport50/knapsack/default": "fd858d8c01b397d8",
-    "transport50/knapsack/explicit": "5f97db2f834d6bd2",
-    "transport50/reduced/default": "da4c115c6130ae05",
-    "transport50/reduced/explicit": "b8b521a1bc6cc118",
-    "transport50/compact/default": "ed9390c79e8168f0",
-    "transport50/compact/explicit": "bf26942b420741fa",
+    "transport50/knapsack/default": "2749810751fb2895",
+    "transport50/knapsack/explicit": "7cc4a51c260e2977",
+    "transport50/reduced/default": "237272649f4656cb",
+    "transport50/reduced/explicit": "6647de0d7e0cae60",
+    "transport50/compact/default": "132ea19087f5340a",
+    "transport50/compact/explicit": "6cc4ea90d7188553",
     "transport50/theta-basic/default": "e2b7d6909127a89f",
     "transport50/theta-basic/explicit": "f07f9d86e7d9fa2b",
-    "transport50/theta-knapsack/default": "bbd2ce4868b66cd4",
-    "transport50/theta-knapsack/explicit": "5a34c152b4ff8794",
-    "transport50/theta-compact/default": "df75773d83eaad9d",
-    "transport50/theta-compact/explicit": "0a2ee8d2b43790b2",
+    "transport50/theta-knapsack/default": "fb5543db5a60f531",
+    "transport50/theta-knapsack/explicit": "68b687e7e3280783",
+    "transport50/theta-compact/default": "63967c1205c58437",
+    "transport50/theta-compact/explicit": "9af776146f43be01",
 }
 
 DENSE_DIGESTS = {
@@ -180,34 +180,34 @@ DENSE_DIGESTS = {
     "transport/saa/explicit": "0c0863f8664a8a37",
     "transport/basic/default": "1af16e847930e494",
     "transport/basic/explicit": "e6807347f72c2513",
-    "transport/knapsack/default": "bc209b410c1cdeb5",
-    "transport/knapsack/explicit": "dae365ec5a0f28e8",
-    "transport/reduced/default": "4ed7c181daeb1e64",
-    "transport/reduced/explicit": "a7de60db0160c3d1",
-    "transport/compact/default": "18da2f5a6c1cdee4",
-    "transport/compact/explicit": "26ec5ed466bc5a46",
+    "transport/knapsack/default": "e616875e7feba847",
+    "transport/knapsack/explicit": "12f37def63d56d0f",
+    "transport/reduced/default": "4368d5549721f7b1",
+    "transport/reduced/explicit": "523eb1308f6543a1",
+    "transport/compact/default": "2c32e03321dde3d4",
+    "transport/compact/explicit": "9509c75334655b7f",
     "transport/theta-basic/default": "b823969893be9416",
     "transport/theta-basic/explicit": "18d25a03a9b5e45f",
-    "transport/theta-knapsack/default": "fe157acc9587ebe1",
-    "transport/theta-knapsack/explicit": "7a0399856d504883",
-    "transport/theta-compact/default": "e2b6638095b7d460",
-    "transport/theta-compact/explicit": "8585dfcc7b076060",
+    "transport/theta-knapsack/default": "67e1cea9643acb3a",
+    "transport/theta-knapsack/explicit": "6fe4bf8d32c3bedb",
+    "transport/theta-compact/default": "9ba17683927768e1",
+    "transport/theta-compact/explicit": "352379a94cc785ed",
     "transport50/saa/default": "c60d1a6dd148c227",
     "transport50/saa/explicit": "070063d03163e903",
     "transport50/basic/default": "2c620a8aeba5118c",
     "transport50/basic/explicit": "3569987ec38a1afc",
-    "transport50/knapsack/default": "8a610c1a35bfcacb",
-    "transport50/knapsack/explicit": "6f0038228f57d733",
-    "transport50/reduced/default": "2ef14e32428f4612",
-    "transport50/reduced/explicit": "6f6c636545f64c80",
-    "transport50/compact/default": "7a51504f9e7be2f7",
-    "transport50/compact/explicit": "b567052c0db6c550",
+    "transport50/knapsack/default": "e12343091e9a3b7c",
+    "transport50/knapsack/explicit": "e58b1fc13d5c0b19",
+    "transport50/reduced/default": "ce3ae589ba79ac47",
+    "transport50/reduced/explicit": "8fe1910e88fbd84f",
+    "transport50/compact/default": "6a02b6c5d26c098b",
+    "transport50/compact/explicit": "3ba747808134d549",
     "transport50/theta-basic/default": "e6a275267028f6bf",
     "transport50/theta-basic/explicit": "d40d19f1895e4e83",
-    "transport50/theta-knapsack/default": "24193ffbb6080083",
-    "transport50/theta-knapsack/explicit": "ec27f1adf655045a",
-    "transport50/theta-compact/default": "ec30d054088ba7b3",
-    "transport50/theta-compact/explicit": "3cf389956a83b20f",
+    "transport50/theta-knapsack/default": "26256c45f0499bf5",
+    "transport50/theta-knapsack/explicit": "c62ecc03ff9353fc",
+    "transport50/theta-compact/default": "8dc66df93a3fe967",
+    "transport50/theta-compact/explicit": "c54f25c73221d655",
 }
 
 

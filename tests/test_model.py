@@ -12,6 +12,7 @@ from drccp.model import (
     Polyhedron,
     SafetyRow,
     SampleSet,
+    distance_discard_count,
     distance_profile,
     dual_norm,
     dump_instance,
@@ -56,6 +57,20 @@ class TestFloorFracCount:
         assert floor_frac_count(0.25, 10) == 2
         assert floor_frac_count(0.15, 10) == 1
         assert floor_frac_count(0.05, 10) == 0
+
+
+class TestDistanceDiscardCount:
+    def test_integral_product_drops_one(self):
+        # 0.3 * 10 is 2.9999999999999996 and 0.28 * 25 is 7.000000000000001
+        # in doubles; both are integral under the nudge
+        assert distance_discard_count(0.3, 10) == 2
+        assert distance_discard_count(0.28, 25) == 6
+        assert distance_discard_count(0.1, 100) == 9
+        assert distance_discard_count(0.1, 10) == 0
+
+    def test_non_integral_product_matches_the_floor(self):
+        for eps, n in ((0.25, 10), (0.15, 10), (0.05, 10), (0.255, 12)):
+            assert distance_discard_count(eps, n) == floor_frac_count(eps, n)
 
 
 class TestInstanceValidation:

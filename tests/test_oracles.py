@@ -205,6 +205,23 @@ class TestLemmaCertificate:
         with pytest.raises(ValueError, match=match):
             lemma_certificate([0.0, 0.5, 1.0, 2.0], epsilon, theta)
 
+    def test_infinite_quantile_distance(self):
+        # the (k+1)-th smallest distance is infinite.  Past the largest finite
+        # one (2) the slack is flat at eps = m/n = 0.5: t = 2, r = (1, 0, 0, 0),
+        # slack = 1 - 0.01 - 0.25
+        d = [1.0, math.inf, 2.0, math.inf]
+        cert = lemma_certificate(d, 0.5, 0.01)
+        assert cert.feasible and cert.t == 2.0
+        np.testing.assert_array_equal(cert.r, [1.0, 0.0, 0.0, 0.0])
+        assert cert.budget_slack == pytest.approx(0.74, abs=1e-12)
+        assert worst_case_prob(d, 0.01) <= 0.5
+        # with eps = 0.6 the last piece rises at rate eps - 1/2 = 0.1: the
+        # slack -theta at t = 0 reaches 0 at t = theta / 0.1
+        cert = lemma_certificate([0.0, math.inf], 0.6, 0.01)
+        assert cert.feasible and cert.t == pytest.approx(0.1, abs=1e-12)
+        assert cert.budget_slack == pytest.approx(0.0, abs=1e-12)
+        assert worst_case_prob([0.0, math.inf], 0.01) <= 0.6
+
     def test_rejects_nan_distances(self):
         # the slack would come out NaN, neither feasible nor infeasible
         with pytest.raises(ValueError, match="NaN"):

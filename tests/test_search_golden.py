@@ -41,12 +41,12 @@ from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_formulation, build_theta_variant
 
 GOLDEN = {
-    "box50": "f17c7b8484c15d98",
-    "box47": "becaa0e9e341f591",
-    "transport": "f4b07b0e9ee496d1",
-    "box50-node-limit-7": "57c3283e640c245e",
-    "theta": "7d71c78efcbc0c01",
-    "interior-cuts": "2c4c6d572781756d",
+    "box50": "476e04adfdec5be3",
+    "box47": "650b046c2cc1830f",
+    "transport": "c457ef5fa4d93639",
+    "box50-node-limit-7": "01ffe25fdadfcc63",
+    "theta": "71d7edbd0ff89c7f",
+    "interior-cuts": "e6072c95ec5af361",
 }
 
 

@@ -710,7 +710,8 @@ class TestDualSimplex:
     def test_dual_stall_in_branch_and_cut_is_contained(self, monkeypatch):
         # node 1's warm re-solve takes several dual iterations; capped at one
         # it stalls in the dual loop, and the cold restart hides the stall
-        model = build_formulation(box_instance(50), "compact")
+        # (eps*N = 2.4, so the model may discard 2 samples and branches)
+        model = build_formulation(box_instance(50, epsilon=0.3), "compact")
         expected = bnc.solve(model)
         seen = {"calls": 0, "dual_iterations": [], "dual_stalls": 0}
         solve, dual = SimplexSolver.solve, SimplexSolver._dual

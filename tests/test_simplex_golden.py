@@ -159,9 +159,9 @@ GRID_THETA_MAX = 0.1676598856181914  # perfbench/reference.json, grid-narrow the
 GRID_ARMS = {
     # arm: (status, repr(objective), nodes, iterations, pivots)
     "basic": ("optimal", "39.10998585393173", 80, 2141, 2054),
-    "improved": ("optimal", "39.10998585393173", 31, 257, 226),
-    "mixingpath": ("optimal", "39.109985853931725", 31, 364, 323),
-    "basicmixingpath": ("optimal", "39.10998585393173", 31, 534, 492),
+    "improved": ("optimal", "39.10998585393174", 25, 202, 177),
+    "mixingpath": ("optimal", "39.10998585393173", 25, 238, 208),
+    "basicmixingpath": ("optimal", "39.10998585393173", 27, 594, 558),
 }
 
 _GRID_SCRIPT = """

@@ -2,22 +2,22 @@
 
 Every node goes through `_visit`, which loads, solves, cuts, fathoms and
 expands it.  The root is node 0: it has no stored basis, so it starts cold,
-and it gets up to `ROOT_CUT_ROUNDS` cut rounds.  Every other node
-warm-starts from its parent's basis and gets one round when
-`cut_interior_nodes` is set.  A node is fathomed when its relaxation is not
-optimal or reaches the incumbent, checked after every solve, and its
-children start from the basis it ends with (after its cuts).  `run` stops
-in one place: `_pick` gives the next node or the final status, and stops
-when the reported gap is at most `gap_tol`.  Node selection is best-bound
-(a heap), depth-first (one dive from the root with no budget) or
-dive-best-bound (best-bound with bounded dives).
+and it is the only node that cuts, with up to `ROOT_CUT_ROUNDS` rounds.
+Every other node warm-starts from its parent's basis.  A node is fathomed
+when its relaxation is not optimal or reaches the incumbent, checked after
+every solve, and its children start from the basis it ends with (the
+root's after its cuts).  `run` stops in one place: `_pick` gives the next
+node or the final status, and stops when the reported gap is at most
+`gap_tol`.  Node selection is best-bound (a heap), depth-first (one dive
+from the root with no budget) or dive-best-bound (best-bound with bounded
+dives).
 
 The search keeps a single stateful simplex instance for the whole tree:
 branching is done through bound overrides, and before a node is evaluated
 only the binaries whose bounds differ from the last evaluated node's are
 re-set (the root bounds come back once, when the search ends).  Cutting
-planes are appended to the shared matrix (they are globally valid), so
-bases captured before a cut round stay loadable.
+planes are appended to the shared matrix (they are globally valid) before
+the root branches, so every stored basis has the LP's final row count.
 
 A simplex stall that a cold restart does not resolve stops the search.
 Cuts and branching only tighten a relaxation, so the stalled node rejoins
@@ -57,7 +57,6 @@ class BncConfig:
     node_limit: int | None = None
     node_selection: str = "best-bound"
     branching: str = "most-fractional"
-    cut_interior_nodes: bool = False
     log_events: bool = False
 
     def __post_init__(self):
@@ -127,7 +126,7 @@ class _Node:
     lb: float = field(compare=False)  # the parent's bound, then the node's last optimal value
     depth: int = field(compare=False)
     overrides: dict = field(compare=False)
-    state: tuple | None = field(compare=False)  # the parent's final basis; None at the root
+    state: tuple | None = field(compare=False)  # the parent's final basis (all rows); None at the root
     branch: tuple | None = field(compare=False, default=None)  # (var, frac, parent_obj)
 
 
@@ -273,18 +272,19 @@ class _Search:
 
     # -- tree ---------------------------------------------------------------
 
-    def _visit(self, node, rounds):
+    def _visit(self, node):
         """Load, solve, cut, fathom and expand one node.
 
-        The node warm-starts from its parent's basis (the root has none and
-        starts cold), then gets up to `rounds` cut rounds, each followed by a
-        re-solve.  After every solve, a relaxation that is not optimal or
-        reaches the incumbent fathoms the node; otherwise its value becomes
-        the node's bound.  A node that survives becomes an incumbent or two
-        children, which start from the basis it ends with."""
+        The node warm-starts from its parent's basis; the root has none,
+        starts cold and alone gets cut rounds, up to ROOT_CUT_ROUNDS, each
+        followed by a re-solve.  After every solve, a relaxation that is not
+        optimal or reaches the incumbent fathoms the node; otherwise its
+        value becomes the node's bound.  A node that survives becomes an
+        incumbent or two children, which start from the basis it ends with."""
         node_id = self.nodes_done
         self.nodes_done += 1
         self._move_to(node.overrides)
+        rounds = ROOT_CUT_ROUNDS if node is self.root and self.separators else 0
         if node.state is not None:
             self.solver.load_state(*node.state)
         sol = self._solve_lp()
@@ -388,16 +388,14 @@ class _Search:
     # -- main loop ----------------------------------------------------------
 
     def run(self):
-        cfg = self.cfg
         self.started = time.perf_counter()
         node = self.root
         try:
-            self._visit(node, ROOT_CUT_ROUNDS if self.separators else 0)
+            self._visit(node)
             self.root_time = time.perf_counter() - self.started
-            rounds = 1 if cfg.cut_interior_nodes and self.separators else 0
             node, status = self._pick()
             while node is not None:
-                self._visit(node, rounds)
+                self._visit(node)
                 node, status = self._pick()
         except SimplexStall as exc:
             # the warm solve and its cold retry both stalled; the event is

@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--node-selection", choices=NODE_SELECTIONS,
                        default=defaults.node_selection)
     solve.add_argument("--branching", choices=BRANCHING_RULES, default=defaults.branching)
-    solve.add_argument("--interior-cuts", action="store_true")
     solve.add_argument("--out", default=None, help="write the result as JSON")
     solve.add_argument("--dump-model", default=None, help="write the model text dump")
     solve.add_argument("--dump-cuts", default=None, help="write emitted cut lines")
@@ -101,11 +100,11 @@ def _cmd_solve(args) -> int:
         if fam not in SEPARATORS:
             raise ValueError(f"unknown cut family {fam!r}; "
                              f"choose from {', '.join(SEPARATORS)} or none")
-    model = build_formulation(inst, args.formulation)
+    quant = compute_quantiles(inst)  # one record for the model rows and the separators
+    model = build_formulation(inst, args.formulation, quant=quant)
     if args.dump_model:
         with open(args.dump_model, "w", encoding="utf-8") as fh:
             fh.write(model.to_text())
-    quant = compute_quantiles(inst) if families else None
     seps = [cls(inst, quant) for name, cls in SEPARATORS.items() if name in families]
     config = BncConfig(
         gap_tol=args.gap_tol,
@@ -113,7 +112,6 @@ def _cmd_solve(args) -> int:
         node_limit=args.node_limit,
         node_selection=args.node_selection,
         branching=args.branching,
-        cut_interior_nodes=args.interior_cuts,
         log_events=args.log_events is not None,
     )
     result = bnc_solve(model, seps, config)

@@ -13,6 +13,7 @@ CUT_VIOLATION_TOL = 1e-6  # minimum violation before a cut is emitted
 FEAS_TOL = 1e-7           # simplex primal feasibility
 DUAL_TOL = 1e-7           # simplex reduced-cost (dual feasibility) threshold
 PIVOT_TOL = 1e-9          # smallest acceptable pivot element
+DUAL_PIVOT_TOL = 1e-7     # smallest dual-simplex pivot element from an updated inverse (simplex._dual)
 INT_TOL = 1e-6            # integrality test on binary variables
 K_NUDGE = 1e-12           # tolerance on eps*N in both discard counts (model.py)
 REFACTOR_INTERVAL = 50    # pivots between block refactorizations of the simplex basis inverse

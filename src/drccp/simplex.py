@@ -34,8 +34,8 @@ prices in under the phase-2 reduced costs).  That is the state a branching
 bound or an appended cut row leaves the previous optimal basis in, so a
 node or a post-cut re-solve reloads it and runs dual iterations: the most
 violating basic leaves at the bound it violates, and the entering column
-keeps the reduced costs dual feasible.  A row with no eligible entering
-column proves the LP infeasible and is returned as the Farkas row.
+keeps the reduced costs dual feasible.  A row with no entering column
+beyond PIVOT_TOL proves the LP infeasible and is returned as the Farkas row.
 
 The primal loop then confirms optimality, and it is the whole solve for a
 start that is not dual feasible or that violates no bound; it also cleans
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL, REFACTOR_INTERVAL
+from .constants import DUAL_PIVOT_TOL, DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL, REFACTOR_INTERVAL
 
 ST_LOWER, ST_UPPER, ST_BASIC, ST_FREE = 0, 1, 2, 3
 
@@ -268,6 +268,8 @@ class SimplexSolver:
     def load_state(self, basis, stat):
         """Warm start from a stored (basis, status) pair.
 
+        The state must have the solver's current shape: one captured before
+        `add_row` is rejected with a ValueError, and nothing changes.
         Statuses are normalized against the current bounds, so the caller may
         have tightened bounds since the state was captured.  A stored basis
         that differs from the current one is installed as it is, its inverse
@@ -276,18 +278,7 @@ class SimplexSolver:
         """
         basis = np.array(basis, dtype=int)  # a copy: pivots edit self.basis in place
         stat = np.asarray(stat, dtype=np.int8)
-        if stat.size < self.nt:
-            # rows were appended after this state was captured; their slacks
-            # join the basis, exactly as add_row would have left them
-            m_then = stat.size - self.n
-            if m_then < 0 or basis.size != m_then:
-                raise ValueError("stored basis does not match solver shape")
-            extra = np.arange(self.n + m_then, self.nt)
-            basis = np.concatenate([basis, extra])
-            stat = np.concatenate([stat, np.full(extra.size, ST_BASIC, dtype=np.int8)])
-        elif stat.size != self.nt:
-            raise ValueError("stored status vector does not match solver shape")
-        if basis.size != self.m:
+        if basis.size != self.m or stat.size != self.nt:
             raise ValueError("stored basis does not match solver shape")
         if not np.array_equal(basis, self.basis):
             self.basis = basis
@@ -502,11 +493,13 @@ class SimplexSolver:
         inverse, negated when it lies below its lower bound, so that raising
         column j of [A | I] moves it toward that bound exactly when
         y @ a_j > 0: the phase-1 pricing of this one violation.  A column
-        that may rise is eligible where y @ a_j > PIVOT_TOL, one that may
-        fall where y @ a_j < -PIVOT_TOL.  The entering column keeps the
-        reduced costs dual feasible: the least |d_j| / |y @ a_j|, ties to the
-        largest |y @ a_j|, then the lowest index.  With no eligible column the
-        basic cannot reach its bound and `y` certifies the LP infeasible.
+        that may rise is eligible where y @ a_j > DUAL_PIVOT_TOL, one that
+        may fall where y @ a_j < -DUAL_PIVOT_TOL.  The entering column keeps
+        the reduced costs dual feasible: the least |d_j| / |y @ a_j|, ties to
+        the largest |y @ a_j|, then the lowest index.  With no column beyond
+        PIVOT_TOL the basic cannot reach its bound and `y` certifies the LP
+        infeasible; with some, but none beyond DUAL_PIVOT_TOL, the row is
+        priced again from a refactorized inverse, where PIVOT_TOL suffices.
 
         Returns (iterations, solution).  The solution is None when the
         primal loop takes over: the basis is primal feasible (the primal
@@ -535,9 +528,15 @@ class SimplexSolver:
             y = self._btran(e_r)
             gamma = np.concatenate([y @ self.A, y])
             score = np.maximum(np.where(self._up, gamma, 0.0), np.where(self._dn, -gamma, 0.0))
-            eligible = score > PIVOT_TOL
+            eligible = score > DUAL_PIVOT_TOL
             if not eligible.any():
-                return iters, self._infeasible_solution(y, iters)
+                eligible = score > PIVOT_TOL
+                if not eligible.any():
+                    return iters, self._infeasible_solution(y, iters)
+                if self._pivots_since_refactor:
+                    # the tiny entries may be drift in the updated inverse
+                    self._refactor()
+                    continue
             ratios = np.full(self.nt, math.inf)
             np.divide(np.abs(d), score, out=ratios, where=eligible)
             tmin = ratios.min()

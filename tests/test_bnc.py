@@ -290,11 +290,7 @@ def test_cuts_do_not_change_the_optimum():
     seps = [MixingSeparator(inst), PathSeparator(inst)]
     plain = solve(build_basic(inst))
     with_cuts = solve(build_basic(inst), separators=seps)
-    interior = solve(
-        build_basic(inst), separators=seps,
-        config=BncConfig(cut_interior_nodes=True),
-    )
-    for res in (plain, with_cuts, interior):
+    for res in (plain, with_cuts):
         assert res.status == "optimal"
         assert res.objective == pytest.approx(ref.objective, abs=1e-7)
     assert sum(with_cuts.cuts.values()) >= 0  # counts are per family
@@ -411,27 +407,20 @@ def test_stall_after_an_incumbent_reports_a_gap(monkeypatch):
     assert any(e.startswith("node=4 ") and "action=stall" in e for e in res.events)
 
 
-def _stall_after_cuts(monkeypatch, at_root, nth=1):
-    """Make the re-solve after the `nth` separation that adds cuts, at the
-    root or at an interior node, stall warm and cold.  Returns a dict whose
-    "search" entry is the _Search that ran."""
-    seen = _record_search(monkeypatch)
-    seen.update(rounds=0, stalls_left=0, depth=None)
-    inner_visit = bnc._Search._visit
+def _stall_after_cuts(monkeypatch, nth):
+    """Make the re-solve after the `nth` root separation that adds cuts
+    stall warm and cold.  Returns a dict that counts those separations
+    ("rounds") and the stalls still to raise ("stalls_left")."""
+    seen = {"rounds": 0, "stalls_left": 0}
     inner_sep = bnc._Search._separate_once
     inner_solve = SimplexSolver.solve
 
-    def visit(self, node, rounds):
-        seen["depth"] = node.depth
-        return inner_visit(self, node, rounds)
-
     def separate(self, values):
         found = inner_sep(self, values)
-        if found and (seen["depth"] == 0) == at_root:
+        if found:
             seen["rounds"] += 1
             if seen["rounds"] == nth:
                 seen["stalls_left"] = 2
-                seen["pre_cut"] = float(self.solver.c @ values)
         return found
 
     def solve_method(self, max_iter=None):
@@ -440,7 +429,6 @@ def _stall_after_cuts(monkeypatch, at_root, nth=1):
             raise SimplexStall("synthetic stall for testing")
         return inner_solve(self, max_iter)
 
-    monkeypatch.setattr(bnc._Search, "_visit", visit)
     monkeypatch.setattr(bnc._Search, "_separate_once", separate)
     monkeypatch.setattr(SimplexSolver, "solve", solve_method)
     return seen
@@ -467,7 +455,7 @@ def test_stall_in_the_root_cut_loop_keeps_the_root_bound(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(bnc, "ROOT_CUT_ROUNDS", 1)
         one_round = solve(build_basic(inst), separators=[MixingSeparator(inst)])
-    seen = _stall_after_cuts(monkeypatch, at_root=True, nth=2)
+    seen = _stall_after_cuts(monkeypatch, nth=2)
     res = solve(build_basic(inst), separators=[MixingSeparator(inst)])
     assert seen["rounds"] == 2 and seen["stalls_left"] == 0
     assert res.status == "no-incumbent"
@@ -475,43 +463,6 @@ def test_stall_in_the_root_cut_loop_keeps_the_root_bound(monkeypatch):
     assert res.root_bound == one_round.root_bound > 0.0  # the uncut value is 0
     assert res.bound == one_round.root_bound
     assert any(e.startswith("node=0 ") and "action=stall" in e for e in res.events)
-
-
-def test_stall_after_interior_cuts_is_contained(monkeypatch):
-    # the re-solve after an interior node's cuts stalls warm and cold: the
-    # search stops with an event and the node's bound overrides are undone;
-    # the event gives the node's pre-cut relaxation value as its bound
-    inst = box_instance(48, n=12, epsilon=0.255)  # eps*N = 3.06: 3 discards
-    seen = _stall_after_cuts(monkeypatch, at_root=False)
-    model = build_basic(inst)
-    res = solve(model, separators=[MixingSeparator(inst), PathSeparator(inst)],
-                config=BncConfig(cut_interior_nodes=True))
-    assert seen["rounds"] == 1 and seen["stalls_left"] == 0
-    assert res.status in ("feasible-gap", "no-incumbent")
-    assert res.bound is not None
-    stalls = [e for e in res.events if "action=stall" in e]
-    assert any(not e.startswith("node=0 ") for e in stalls)
-    assert stalls == [f"node=1 lb={seen['pre_cut']:.10g} depth=1 action=stall "
-                      "detail=synthetic stall for testing"]
-    solver = seen["search"].solver
-    n = model.num_vars
-    assert np.array_equal(solver.lb[:n], model.lb)
-    assert np.array_equal(solver.ub[:n], model.ub)
-
-
-def test_stall_after_interior_cuts_bounds_the_search(monkeypatch):
-    # Node 2, the root's second child, stalls after its cuts while the
-    # children of node 1 are open with bounds above node 2's pre-cut value.
-    # That value is the stalled node's bound (cuts only tighten its
-    # relaxation), so it is the bound the search reports, not the root's.
-    inst = box_instance(48, n=12, epsilon=0.255)  # eps*N = 3.06: 3 discards
-    seen = _stall_after_cuts(monkeypatch, at_root=False, nth=2)
-    res = solve(build_basic(inst), separators=[MixingSeparator(inst), PathSeparator(inst)],
-                config=BncConfig(cut_interior_nodes=True))
-    assert seen["rounds"] == 2 and seen["stalls_left"] == 0
-    assert res.status == "no-incumbent" and res.nodes == 3
-    assert res.bound == seen["pre_cut"] > res.root_bound
-    assert any(e.startswith("node=2 ") and "action=stall" in e for e in res.events)
 
 
 @pytest.mark.parametrize("node_limit", [None, 4])

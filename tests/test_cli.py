@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from drccp import bench
+from drccp import bench, formulations
 from drccp.cli import (
     EXIT_INFEASIBLE,
     EXIT_NO_INCUMBENT,
@@ -72,6 +72,23 @@ def test_solve_writes_result_and_artifacts(instance_path, tmp_path, capsys):
     for line in cuts.read_text().splitlines():
         assert line.startswith(("mixing ", "path "))
     assert events.read_text().strip()  # event log was requested and written
+
+
+def test_solve_computes_one_quantile_record(instance_path, monkeypatch, capsys):
+    # the model rows and both separators read the record the command builds
+    calls = []
+    inner = formulations.compute_quantiles
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    for module in ("formulations", "cuts", "cli"):
+        monkeypatch.setattr(f"drccp.{module}.compute_quantiles", counted)
+    rc = main(["solve", str(instance_path), "--cuts", "mixing,path"])
+    assert rc == EXIT_OK
+    assert "status=optimal" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_solve_formulations_agree(instance_path, capsys):

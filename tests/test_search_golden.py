@@ -16,10 +16,7 @@ plus path, every node selection, every branching rule):
   and radius 0.01, with no node limit;
 * `box50-node-limit-7`: the first box instance with a limit of 7 nodes;
 * `theta`: the radius-maximization model of the transport instance, once
-  per node selection;
-* `interior-cuts`: both box instances with mixing plus path separated at
-  every node (`cut_interior_nodes`), where a node passes its children the
-  basis it ends with after its cuts.
+  per node selection.
 
 The digests belong to this numpy/OpenBLAS build (numpy 2.4.6 with
 scipy-openblas 0.3.31, Haswell kernels, x86-64).  BLAS kernels choose their
@@ -46,7 +43,6 @@ GOLDEN = {
     "transport": "c457ef5fa4d93639",
     "box50-node-limit-7": "01ffe25fdadfcc63",
     "theta": "71d7edbd0ff89c7f",
-    "interior-cuts": "e6072c95ec5af361",
 }
 
 
@@ -72,15 +68,13 @@ def _instances():
     }
 
 
-def _grid(inst, cut_interior_nodes=False, **config):
+def _grid(inst, **config):
     """One record per model, separator set, node selection and branching rule."""
     out = []
-    cut_sets = [True] if cut_interior_nodes else [False, True]
     for kind, with_cuts, selection, rule in itertools.product(
-            ("basic", "compact"), cut_sets, bnc.NODE_SELECTIONS, bnc.BRANCHING_RULES):
+            ("basic", "compact"), (False, True), bnc.NODE_SELECTIONS, bnc.BRANCHING_RULES):
         seps = [MixingSeparator(inst), PathSeparator(inst)] if with_cuts else []
-        cfg = BncConfig(node_selection=selection, branching=rule, log_events=True,
-                        cut_interior_nodes=cut_interior_nodes, **config)
+        cfg = BncConfig(node_selection=selection, branching=rule, log_events=True, **config)
         out.append(_record(bnc.solve(build_formulation(inst, kind), seps, cfg)))
     return out
 
@@ -95,12 +89,10 @@ def group_records(group):
         model = build_theta_variant(insts["transport"])
         return [_record(bnc.solve(model, (), BncConfig(node_selection=s, log_events=True)))
                 for s in bnc.NODE_SELECTIONS]
-    if group == "interior-cuts":
-        return _grid(insts["box50"], True) + _grid(insts["box47"], True)
     raise KeyError(group)
 
 
-GROUPS = ("box50", "box47", "transport", "box50-node-limit-7", "theta", "interior-cuts")
+GROUPS = ("box50", "box47", "transport", "box50-node-limit-7", "theta")
 
 
 @pytest.mark.parametrize("group", GROUPS)

@@ -12,8 +12,10 @@ from scipy.optimize import linprog
 
 from conftest import box_instance
 from drccp import bnc, simplex
-from drccp.constants import DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
-from drccp.formulations import build_formulation
+from drccp.bench import cell_seed
+from drccp.bnc import BncConfig
+from drccp.constants import DUAL_PIVOT_TOL, DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
+from drccp.formulations import build_formulation, theta_grid, theta_max
 from drccp.simplex import (
     ST_BASIC,
     ST_FREE,
@@ -24,6 +26,7 @@ from drccp.simplex import (
     SimplexStall,
     solve_lp,
 )
+from drccp.transport import generate, to_drccp, transport_big_m
 
 TOL = 1e-7
 
@@ -424,7 +427,7 @@ class TestWarmStart:
         assert again.status == "optimal"
         assert abs(again.objective - base.objective) <= 1e-9 * max(1.0, abs(base.objective))
 
-    def test_load_state_pads_after_add_row(self):
+    def test_load_state_rejects_state_from_before_add_row(self):
         prob = LpProblem(
             c=[1.0, 2.0],
             A=[[1.0, 1.0]],
@@ -438,8 +441,9 @@ class TestWarmStart:
         assert first.status == "optimal"
         state = solver.get_state()
         solver.add_row([0.0, 1.0], ">=", 0.25)
-        solver.load_state(*state)  # captured before the row existed
-        sol = solver.solve()
+        with pytest.raises(ValueError, match="does not match solver shape"):
+            solver.load_state(*state)  # captured before the row existed
+        sol = solver.solve()  # warm from the basis add_row extended
         assert sol.status == "optimal"
         assert abs(sol.objective - 1.25) <= 1e-9  # x = (0.75, 0.25)
 
@@ -517,13 +521,13 @@ class TestWarmStart:
 
 def warm_child(prob, fixes, cuts, max_iter=None):
     """Solve `prob`, fix columns (j, value) and append rows (coefs, sense,
-    offset) that cut its optimum x off by `offset`, reload the optimal basis
-    and re-solve with `max_iter`.  Returns the solver, the first and the warm
-    solutions and the child LP as one problem, for a cold reference solve."""
+    offset) that cut its optimum x off by `offset`, then re-solve with
+    `max_iter` warm from the optimal basis, which `add_row` extends by the
+    new rows' slacks.  Returns the solver, the first and the warm solutions
+    and the child LP as one problem, for a cold reference solve."""
     solver = SimplexSolver(prob)
     first = solver.solve()
     assert first.status == "optimal"
-    state = solver.get_state()
     lb, ub = prob.lb.copy(), prob.ub.copy()
     for j, value in fixes:
         solver.set_bound(j, value, value)
@@ -535,7 +539,6 @@ def warm_child(prob, fixes, cuts, max_iter=None):
         rows.append(coefs[None, :])
         senses.append(sense)
         rhs.append([cut])
-    solver.load_state(*state)
     warm = solver.solve(max_iter=max_iter)
     child = LpProblem(c=prob.c, A=np.vstack(rows), senses=senses, b=np.concatenate(rhs),
                       lb=lb, ub=ub)
@@ -737,6 +740,62 @@ class TestDualSimplex:
         assert res.status == "optimal"
         assert abs(res.objective - expected.objective) <= 1e-9 * max(1.0, abs(expected.objective))
 
+    def test_tiny_dual_pivot_from_a_fresh_inverse_is_taken(self):
+        # the cold slack basis violates the >= row and is dual feasible; the
+        # row's only entry, 5e-8, lies between PIVOT_TOL and DUAL_PIVOT_TOL,
+        # and with no pivot since the last factorization the dual loop
+        # pivots on it: a badly scaled row is not a Farkas certificate
+        assert PIVOT_TOL < 5e-8 < DUAL_PIVOT_TOL
+        prob = LpProblem(c=[1.0], A=[[5e-8]], senses=[">="], b=[2.5e-6],
+                         lb=[0.0], ub=[100.0])
+        with recorded_pivots() as log:
+            sol = solve_lp(prob)
+        assert sol.status == "optimal" and sol.dual_iterations == 1
+        assert abs(sol.objective - 50.0) <= 1e-9 and abs(sol.x[0] - 50.0) <= 1e-9
+        assert len(log) == 1
+        # at or below PIVOT_TOL the dual loop certifies infeasibility itself
+        prob.A[0, 0] = 5e-10
+        sol = solve_lp(prob)
+        assert sol.status == "infeasible" and sol.iterations == sol.dual_iterations == 1
+
+    def test_tiny_dual_pivots_after_updates_refactorize_first(self, monkeypatch):
+        # a row whose entries all lie within DUAL_PIVOT_TOL once pivots have
+        # updated the inverse is priced again from a refactorized one
+        prob = LpProblem(c=[1.0, 1.0], A=[[1.0, 0.0], [0.0, 5e-8]],
+                         senses=[">=", ">="], b=[1.0, 2.5e-6],
+                         lb=[0.0, 0.0], ub=[10.0, 100.0])
+        solver = SimplexSolver(prob)
+        refactors = []
+        refactor = SimplexSolver._refactor
+
+        def spy(self):
+            refactors.append(self._pivots_since_refactor)
+            return refactor(self)
+
+        monkeypatch.setattr(SimplexSolver, "_refactor", spy)
+        sol = solver.solve()
+        assert sol.status == "optimal" and abs(sol.objective - 51.0) <= 1e-9
+        assert refactors == [1]
+
+    def test_dual_pivots_stay_above_the_dual_pivot_tolerance(self, monkeypatch):
+        # on this transport cell the dual loop used to pivot on elements
+        # down to exactly 0.0 and carry inf/NaN until the next refactorization
+        tp = generate(5, 10, 50, cell_seed(20240801, 5, 10, 50, 0), 0.1)
+        tmax = theta_max(to_drccp(tp, theta=0.001), config=BncConfig(node_limit=4000))
+        inst = to_drccp(tp, theta=theta_grid(tmax)[9])
+        elements = []
+        pivot = SimplexSolver._pivot
+
+        def spy(self, q, pos, w, *args):
+            elements.append(abs(w[pos]))
+            return pivot(self, q, pos, w, *args)
+
+        monkeypatch.setattr(SimplexSolver, "_pivot", spy)
+        res = bnc.solve(build_formulation(inst, "compact", big_m=transport_big_m(tp)))
+        assert res.status == "optimal"
+        assert abs(res.objective - 313.92868384229604) <= 1e-6
+        assert elements and min(elements) > DUAL_PIVOT_TOL
+
 
 def basis_matrix(solver):
     """The basis as an explicit m x m matrix: basic columns of [A | I]."""
@@ -933,19 +992,20 @@ class TestInstall:
         assert again.status == "optimal" and solver.total_pivots == before
         assert abs(again.objective - first.objective) <= 1e-9 * max(1.0, abs(first.objective))
 
-    def test_state_from_before_add_row_installs_padded(self):
-        prob, solver, first, state, _ = self.moved_away(np.random.default_rng(616))
+    def test_state_from_before_add_row_is_rejected(self):
+        # every stored state has the LP's final row count: one captured
+        # before a row was appended is refused and the solver keeps its basis
+        prob, solver, _, state, _ = self.moved_away(np.random.default_rng(616))
         for _ in range(2):
             solver.add_row(np.ones(prob.num_cols), "<=", 1e3)
         solver.solve()
-        before = solver.total_pivots
-        solver.load_state(*state)
-        assert solver.total_pivots == before
-        np.testing.assert_array_equal(solver.basis, np.append(state[0], [solver.nt - 2,
-                                                                         solver.nt - 1]))
-        np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(solver.m),
-                                   atol=1e-9)
-        assert solver.stat[-2:].tolist() == [ST_BASIC, ST_BASIC]
+        basis, stat = solver.get_state()
+        inverse = dense_inverse(solver)
+        with pytest.raises(ValueError, match="does not match solver shape"):
+            solver.load_state(*state)
+        np.testing.assert_array_equal(solver.basis, basis)
+        np.testing.assert_array_equal(solver.stat, stat)
+        np.testing.assert_array_equal(dense_inverse(solver), inverse)
 
     def test_singular_stored_basis_is_repaired(self, monkeypatch):
         # every column has an equal twin: a stored basis holding a basic
@@ -1234,7 +1294,7 @@ def lps_with_steps(draw):
     (m = 0 and all-`==` rows included), and a sequence of solver steps that
     keep that point feasible: `solve`, `set_bound` to a sub-interval that
     holds it, `add_row` with it on the feasible side and `load_state` of a
-    state captured at an earlier solve."""
+    state captured at an earlier solve (rejected if rows came since)."""
     n, m = draw(st.integers(1, 5)), draw(st.integers(0, 6))
     coef = st.integers(-5, 5).map(float)
     A = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=m,
@@ -1292,6 +1352,13 @@ class TestStructuralInverse:
                 solver.add_row(coefs, sense, rhs)
                 A, senses, b = np.vstack([A, coefs[None, :]]), senses + [sense], np.append(b, rhs)
             else:
-                solver.load_state(*states[op[1] % len(states)])
+                basis, stat = states[op[1] % len(states)]
+                if basis.size == solver.m:
+                    solver.load_state(basis, stat)
+                else:
+                    kept = solver.basis.copy()
+                    with pytest.raises(ValueError, match="does not match solver shape"):
+                        solver.load_state(basis, stat)
+                    np.testing.assert_array_equal(solver.basis, kept)
             np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver),
                                        np.eye(solver.m), atol=1e-9)

@@ -15,9 +15,9 @@ dives).
 The search keeps a single stateful simplex instance for the whole tree:
 branching is done through bound overrides, and before a node is evaluated
 only the binaries whose bounds differ from the last evaluated node's are
-re-set (the root bounds come back once, when the search ends).  Cutting
-planes are appended to the shared matrix (they are globally valid) before
-the root branches, so every stored basis has the LP's final row count.
+re-set.  Cutting planes are appended to the shared matrix (they are
+globally valid) before the root branches, so every stored basis has the
+LP's final row count.
 
 A simplex stall that a cold restart does not resolve stops the search.
 Cuts and branching only tighten a relaxation, so the stalled node rejoins
@@ -139,8 +139,6 @@ class _Search:
         self.solver = SimplexSolver(prob)
         self.binaries = np.flatnonzero(model.binary)
         self.bin_pos = {j: i for i, j in enumerate(self.binaries.tolist())}
-        self.root_lb = model.lb[self.binaries]
-        self.root_ub = model.ub[self.binaries]
         self.applied = {}  # the bound overrides the solver holds now
         self.incumbent_obj = math.inf
         self.incumbent = None
@@ -187,14 +185,13 @@ class _Search:
         )
 
     def _move_to(self, overrides):
-        """Give the solver the root bounds plus `overrides`, re-setting only
-        the binaries whose bounds differ from the ones it holds.  The order
-        of the calls does not matter: statuses are settled against the final
-        bounds when the next solve starts."""
+        """Give the solver the model's bounds plus `overrides`, re-setting
+        only the binaries whose bounds differ from the ones it holds.  The
+        order of the calls does not matter: statuses are settled against the
+        final bounds when the next solve starts."""
         for j in self.applied:
             if j not in overrides:
-                pos = self.bin_pos[j]
-                self.solver.set_bound(j, self.root_lb[pos], self.root_ub[pos])
+                self.solver.set_bound(j, self.model.lb[j], self.model.ub[j])
         for j, (lo, hi) in overrides.items():
             if self.applied.get(j) != (lo, hi):
                 self.solver.set_bound(j, lo, hi)
@@ -404,7 +401,6 @@ class _Search:
                                f"depth={node.depth} action=stall detail={exc}")
             self.dive_stack.append(node)  # rejoins the open set, bound and all
             status = self._stopped("stall")
-        self._move_to({})
         return self._result(status)
 
     def _result(self, status):

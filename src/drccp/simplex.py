@@ -44,16 +44,18 @@ violation test per iteration starts and ends phase 1, gives the phase-1
 costs (-1 below, +1 above) and tells the ratio test which bound each basic
 blocks at; with no violating basic the iteration is a phase-2 one.  Phase 1
 minimizes the total bound violation of basic variables (no artificial
-columns), so any starting basis is a valid warm start.  Both loops change
-the basis through one `_pivot` routine and draw on one budget of
-`max_iter` iterations; at the cap they raise SimplexStall.
+columns), so any starting basis is a valid warm start.  Like the dual loop,
+it proves infeasibility only when no column gains beyond PIVOT_TOL from a
+fresh inverse.  Both loops change the basis through one `_pivot` routine
+and draw on one budget of `max_iter` iterations; at the cap they raise
+SimplexStall.
 
 A warm start installs its stored basis directly: `load_state` sets the basis
-and builds the inverse from its structural block, as above, with no pivots
-towards it; the solve that follows recomputes the primal values.  A
-singular basis, whether installed or found at a periodic refactorization,
-is rebuilt from the slack basis by greedy pivots that keep as many of its
-columns as possible.
+and the statuses and builds the inverse from the basis's structural block,
+as above, with no pivots towards it; the solve that follows settles the
+statuses and recomputes the primal values.  A singular basis, whether
+installed or found at a periodic refactorization, is rebuilt from the slack
+basis by greedy pivots that keep as many of its columns as possible.
 
 Each iteration makes few numpy calls, since at these sizes their overhead,
 not the arithmetic, sets the time.  The entering choices of both loops read
@@ -180,9 +182,9 @@ class SimplexSolver:
         return self.n + self.m
 
     def reset_basis(self):
-        """Cold start: all slacks basic, structurals at a finite bound."""
+        """Cold start: all slacks basic; `solve` rests the structurals at a bound."""
         self.basis = np.arange(self.n, self.n + self.m)
-        self.stat = self._settled(np.full(self.nt, ST_BASIC, dtype=np.int8))
+        self.stat = np.full(self.nt, ST_BASIC, dtype=np.int8)
         self._factor()
 
     def _settled(self, stat):
@@ -225,16 +227,11 @@ class SimplexSolver:
         return int((self.rows_s == row).argmax())
 
     def _ftran(self, j):
-        """B^-1 @ (column j of [A | I]): a slack's is its row's column of
-        the inverse, stored unless the slack is basic."""
+        """B^-1 @ (column j of [A | I]) for a nonbasic column j: a slack's is
+        its row's stored column of the inverse."""
         if j < self.n:
             return self._binv_times(self.A[:, j])
-        pos = self.slack_pos[j - self.n]
-        if pos < 0:
-            return self.binv_s[:, self._col(j - self.n)].copy()
-        w = np.zeros(self.m)
-        w[pos] = 1.0
-        return w
+        return self.binv_s[:, self._col(j - self.n)].copy()
 
     def _moves(self):
         """Masks of the nonbasic columns with room to rise (at a lower bound
@@ -269,22 +266,21 @@ class SimplexSolver:
         """Warm start from a stored (basis, status) pair.
 
         The state must have the solver's current shape: one captured before
-        `add_row` is rejected with a ValueError, and nothing changes.
-        Statuses are normalized against the current bounds, so the caller may
-        have tightened bounds since the state was captured.  A stored basis
-        that differs from the current one is installed as it is, its inverse
-        built by one block refactorization (`_factor`) with no pivots; the
-        basic values are left to the next `solve`, which recomputes them.
+        `add_row` is rejected with a ValueError, and nothing changes.  A
+        stored basis that differs from the current one is installed as it
+        is, its inverse built by one block refactorization (`_factor`) with
+        no pivots.  The statuses are installed as given: the next `solve`
+        settles them against the basis and the current bounds (which may be
+        tighter than at capture) and recomputes the basic values.
         """
         basis = np.array(basis, dtype=int)  # a copy: pivots edit self.basis in place
-        stat = np.asarray(stat, dtype=np.int8)
+        stat = np.array(stat, dtype=np.int8)  # a copy: the caller keeps its state as stored
         if basis.size != self.m or stat.size != self.nt:
             raise ValueError("stored basis does not match solver shape")
         if not np.array_equal(basis, self.basis):
             self.basis = basis
             self._factor()
-        # columns the repair of a singular basis left out rest at a bound
-        self.stat = self._settled(stat)
+        self.stat = stat
 
     def _update_binv(self, w, pos, q):
         """Column q, with FTRAN column w, replaces the basic at `pos`.
@@ -455,16 +451,16 @@ class SimplexSolver:
 
     # -- solve --------------------------------------------------------------
 
-    def _eligible_entering(self, d, bland):
+    def _eligible_entering(self, d, bland, tol=DUAL_TOL):
         """Entering column and direction (+1 rises, -1 falls), or (-1, 0).
 
         The score of a column is the reduced-cost gain of its allowed moves,
-        |d| exactly for every eligible column and at most DUAL_TOL for the
+        |d| exactly for every eligible column and at most `tol` for the
         rest: Dantzig takes the first largest, Bland the first eligible.
         """
         score = np.maximum(np.where(self._up, -d, 0.0), np.where(self._dn, d, 0.0))
-        q = int((score > DUAL_TOL if bland else score).argmax())
-        if score[q] <= DUAL_TOL:
+        q = int((score > tol if bland else score).argmax())
+        if score[q] <= tol:
             return -1, 0
         return q, 1 if d[q] < 0 else -1
 
@@ -474,6 +470,7 @@ class SimplexSolver:
         iterations between them."""
         if max_iter is None:
             max_iter = max(5000, 60 * (self.m + self.n))
+        # this also rests the columns a singular-basis repair left out
         self.stat = self._settled(self.stat)
         self._recompute_values()
         self._moves()
@@ -580,10 +577,15 @@ class SimplexSolver:
                 d = np.concatenate([self.c - yb @ self.A, -yb])
 
             q, sigma = self._eligible_entering(d, bland)
+            if q < 0 and phase_one:
+                # as in `_dual`: infeasible only if no gain clears PIVOT_TOL from a fresh inverse
+                q, sigma = self._eligible_entering(d, bland, PIVOT_TOL)
+                if q >= 0 and self._pivots_since_refactor:
+                    self._refactor()
+                    continue
             if q < 0:
-                if phase_one:
-                    return self._infeasible_solution(yb, iters)
-                return self._optimal_solution(yb, d, iters)
+                return (self._infeasible_solution(yb, iters) if phase_one
+                        else self._optimal_solution(yb, d, iters))
 
             w = self._ftran(q)
             step, pos, to_upper, flip = self._ratio(q, sigma, w, xb, lo, hi, below, above, bland)

@@ -466,9 +466,10 @@ def test_stall_in_the_root_cut_loop_keeps_the_root_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("node_limit", [None, 4])
-def test_search_ends_at_the_root_bounds(monkeypatch, node_limit):
-    # nodes re-set only the bounds that differ from the last node's; the
-    # root box comes back once, when the search ends (also at a limit)
+def test_search_ends_at_the_model_bounds_plus_the_applied_overrides(monkeypatch, node_limit):
+    # nodes re-set only the bounds that differ from the last node's, so
+    # when the search ends (also at a limit) the solver holds the model's
+    # bounds, except on the last node's overrides
     inst = box_instance(5, n=12)
     seen = _record_search(monkeypatch)
     model = build_basic(inst)
@@ -479,10 +480,13 @@ def test_search_ends_at_the_root_bounds(monkeypatch, node_limit):
     else:
         assert res.status in ("feasible-gap", "no-incumbent") and res.nodes == node_limit
     search = seen["search"]
-    assert search.applied == {}
+    assert search.applied
+    lb, ub = model.lb.copy(), model.ub.copy()
+    for j, (lo, hi) in search.applied.items():
+        lb[j], ub[j] = lo, hi
     n = model.num_vars
-    assert np.array_equal(search.solver.lb[:n], model.lb)
-    assert np.array_equal(search.solver.ub[:n], model.ub)
+    assert np.array_equal(search.solver.lb[:n], lb)
+    assert np.array_equal(search.solver.ub[:n], ub)
 
 
 # -- config validation -------------------------------------------------------

@@ -226,6 +226,48 @@ class TestFeasibilityTolerance:
         assert solver.solve().status != "infeasible"
 
 
+class TestPhaseOneScaling:
+    """Phase 1 of the primal loop ends infeasible only when no column gains
+    beyond PIVOT_TOL, priced from a fresh inverse, as the dual loop does."""
+
+    def test_badly_scaled_row_is_not_infeasible(self):
+        # the cold slack basis violates the >= row and is not dual feasible
+        # (x prices in), so phase 1 runs; the row's only entry, 5e-8, gains
+        # within DUAL_TOL but beyond PIVOT_TOL
+        assert PIVOT_TOL < 5e-8 <= DUAL_TOL
+        prob = LpProblem(c=[-1.0], A=[[5e-8]], senses=[">="], b=[2.5e-6],
+                         lb=[0.0], ub=[100.0])
+        sol = solve_lp(prob)
+        ref = scipy_solve(prob)
+        assert sol.status == "optimal" and sol.dual_iterations == 0 and ref.status == 0
+        assert abs(sol.objective + 100.0) <= 1e-9 and abs(sol.x[0] - 100.0) <= 1e-9
+        assert abs(sol.objective - ref.fun) <= TOL
+        # the infeasible twin: x reaches at most 5e-8 * 100 = 5e-6 < 1e-5
+        prob.b[0] = 1e-5
+        sol = solve_lp(prob)
+        assert sol.status == "infeasible" and certificate_refutes(prob, sol.farkas)
+        assert scipy_solve(prob).status == 2
+
+    def test_tiny_gains_after_updates_refactorize_first(self, monkeypatch):
+        # x0 enters first and fixes row 0; row 1's only gain, 5e-8, is then
+        # priced again from a refactorized inverse before x1 enters
+        prob = LpProblem(c=[-1.0, -1.0], A=[[1.0, 0.0], [0.0, 5e-8]],
+                         senses=[">=", ">="], b=[1.0, 2.5e-6],
+                         lb=[0.0, 0.0], ub=[10.0, 100.0])
+        refactors = []
+        refactor = SimplexSolver._refactor
+
+        def spy(self):
+            refactors.append(self._pivots_since_refactor)
+            return refactor(self)
+
+        monkeypatch.setattr(SimplexSolver, "_refactor", spy)
+        sol = solve_lp(prob)
+        assert sol.status == "optimal" and sol.dual_iterations == 0
+        assert abs(sol.objective + 110.0) <= 1e-9
+        assert refactors == [1]
+
+
 def certificate_refutes(prob, y):
     """True if y proves infeasibility: the aggregated row cannot be met by
     any point of the box.  Tries both sign orientations."""
@@ -1033,9 +1075,13 @@ class TestInstall:
         assert len(repairs) == 1 and np.array_equal(repairs[0], basis)
         np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(solver.m),
                                    atol=1e-9)
+        # the statuses are installed as given; the next solve settles them,
+        # so the left-out columns rest at a bound
         left_out = np.setdiff1d(basis, solver.basis)
-        assert left_out.size and np.all(solver.stat[left_out] != ST_BASIC)
+        assert left_out.size and np.all(solver.stat[left_out] == ST_BASIC)
         sol = solver.solve()
+        still_out = np.setdiff1d(left_out, solver.basis)
+        assert still_out.size and np.all(solver.stat[still_out] != ST_BASIC)
         ref = scipy_solve(prob)
         assert sol.status == "optimal" and ref.status == 0
         assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
@@ -1270,8 +1316,12 @@ class TestFtran:
         prob = boxed_problem(rng, 15, 20)
         solver = SimplexSolver(prob)
         assert solver.solve().status == "optimal" and solver.total_pivots > 5
+        # only a nonbasic column enters, and a nonbasic slack's row stores
+        # its column of the inverse
         eye, binv = np.eye(solver.m), dense_inverse(solver)
-        for i in range(solver.m):
+        nonbasic_slacks = np.flatnonzero(solver.slack_pos < 0)
+        assert nonbasic_slacks.size > 0
+        for i in nonbasic_slacks:
             w = solver._ftran(solver.n + i)
             assert np.array_equal(w, binv @ eye[:, i])
             assert not np.shares_memory(w, solver.binv_s)

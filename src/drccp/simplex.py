@@ -14,18 +14,25 @@ covers its own row: the inverse's column of that row is the unit vector at
 the slack's basis position, so it is never stored.  With the k rows that
 have no basic slack in `rows_s`, the inverse is kept as `binv_s`, its m x k
 block of those rows' columns, next to `slack_pos`, the basis position of
-each row's slack (-1 when it is not basic).  Every product with the inverse
-(pricing, the dual ratio row, FTRAN, the basic values) and every pivot then
-costs O(m k) instead of O(m^2), and a DR-CCP basis is mostly slacks.  A
-pivot applies the rank-one update  binv_s -= outer(w, row)  in place.
-Before it, a leaving slack's row stores its unit column, which the update
-makes dense, and an entering slack's row drops its column, which the update
-would make a unit vector (the last column moves into the hole, since the
-order of `rows_s` is free).  Every REFACTOR_INTERVAL pivots the block is
-rebuilt from the basis's structural block: only the k x k block of the k
-basic structurals on `rows_s` is inverted, at O(k^3 + (m - k) k^2) instead
-of O(m^3).  A block whose inverse misses the identity by more than
-FACTOR_TOL counts as singular.
+each row's slack (-1 when it is not basic), and `a_s`, the k rows of A on
+`rows_s` in the same order.  Every product with the inverse (pricing,
+FTRAN, the basic values) and every pivot then costs O(m k) instead of
+O(m^2), and a DR-CCP basis is mostly slacks.  Slacks cost nothing, so the
+phase-2 duals are zero on every covered row: the reduced costs are
+c - (cb @ binv_s) @ a_s, and the dual ratio row is a row of `binv_s` priced
+through `a_s` (plus one row of A when the leaving basic is a slack), so
+neither multiplies all m rows of A.  A pivot applies the rank-one
+update  binv_s -= outer(w, row)  in place, to the columns where `row` is
+nonzero when that is cheaper.  Before it, a leaving slack's row stores its
+unit column, which the update makes dense, and its row of A; an entering
+slack's row drops both, as the update would make its column a unit vector
+(the last column moves into the hole, since the order of `rows_s` is free).
+Every REFACTOR_INTERVAL pivots the block is rebuilt from the basis's
+structural block: only the k x k block of the k basic structurals on
+`rows_s` is inverted, at O(k^3 + (m - k) k^2) instead of O(m^3).  A block
+whose inverse misses the identity by more than FACTOR_TOL counts as
+singular.  Phase 1 of the primal loop prices over all m rows, as its costs
+sit on covered rows too.
 
 A basic variable counts as violating when it lies more than FEAS_TOL
 outside a bound.  `solve` starts with the bounded dual simplex when some
@@ -61,8 +68,9 @@ Each iteration makes few numpy calls, since at these sizes their overhead,
 not the arithmetic, sets the time.  The entering choices of both loops read
 two move masks (nonbasics that may rise, nonbasics that may fall), which
 `solve` computes once and then updates one entry per status change.  The
-primal ratio test is one blocking-bound formula over all basics, and the
-FTRAN column of a slack is read straight from `binv_s`.
+primal ratio test is one blocking-bound formula over all basics; the dual
+one divides only over the columns eligible to enter.  The FTRAN column of a
+slack is read straight from `binv_s`.
 
 State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
 the basis, the statuses and the bounds.  `solve` settles every status
@@ -86,6 +94,26 @@ from .constants import DUAL_PIVOT_TOL, DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
 ST_LOWER, ST_UPPER, ST_BASIC, ST_FREE = 0, 1, 2, 3
 
 _DEGEN_STREAK = 40  # degenerate pivots tolerated before switching to Bland
+# the column-sparse update's extra fixed cost, in entries of a dense update
+_SPARSE_FIXED = 2200
+
+
+def _sparse_columns(row, m):
+    """The columns where `row`, the pivot row of an m-row block, is nonzero,
+    when a rank-one update that writes only those columns is the cheaper
+    one; else None.
+
+    Measured with one BLAS thread (numpy 2.4, OpenBLAS 0.3.31, 2 vCPUs),
+    for blocks of 60 x 20 to 2,203 x 200: the dense update costs about
+    3 us plus 1.6 ns per entry of the block, and the column-sparse one, with
+    its index work, about 6.5 us plus 2.2 ns per entry it writes.  So the
+    sparse one wins where m (k - 1.4 nnz) exceeds about 2,200 entries, and
+    a block of at most that many entries stays dense without counting.
+    """
+    if m * row.size <= _SPARSE_FIXED:
+        return None
+    nz = np.flatnonzero(row)
+    return nz if m * (row.size - 1.4 * nz.size) > _SPARSE_FIXED else None
 
 
 class SimplexStall(RuntimeError):
@@ -172,6 +200,7 @@ class SimplexSolver:
         self._pivots_since_refactor = 0
         self._binv_buf = np.empty((self.m, 0), order="F")  # binv_s and room to grow
         self._rows_buf = np.empty(self.m, dtype=np.intp)  # rows_s and room to grow
+        self._a_buf = np.empty((0, self.n))  # a_s and room to grow, as _binv_buf
         self._set_k(0)
         self.reset_basis()
 
@@ -203,9 +232,10 @@ class SimplexSolver:
         return np.where(in_basis, ST_BASIC, np.where(keep, stat, resting)).astype(np.int8)
 
     def _set_k(self, k):
-        """Point `binv_s` and `rows_s` at the first k stored columns."""
+        """Point `binv_s`, `rows_s` and `a_s` at the first k stored columns."""
         self.binv_s = self._binv_buf[:, :k]
         self.rows_s = self._rows_buf[:k]
+        self.a_s = self._a_buf[:k]
 
     def _binv_times(self, v):
         """B^-1 @ v: the stored columns times v on rows_s, plus v on each
@@ -221,6 +251,32 @@ class SimplexSolver:
         y = cb[self.slack_pos]  # rows_s read cb[-1] here and are overwritten
         y[self.rows_s] = cb @ self.binv_s
         return y
+
+    def _price(self, cb):
+        """Phase-2 duals y = cb @ B^-1 and reduced costs of [A | I].
+
+        A basic slack costs nothing, so y is zero on every covered row, and
+        y @ A is the k duals on `rows_s` times `a_s`."""
+        y_s = cb @ self.binv_s
+        yb = np.zeros(self.m)
+        yb[self.rows_s] = y_s
+        return yb, np.concatenate([self.c - y_s @ self.a_s, -yb])
+
+    def _dual_row(self, r, sign):
+        """y = sign * (row r of B^-1) and the dual ratio row y @ [A | I].
+
+        On `rows_s`, y is the signed row r of `binv_s`, priced through
+        `a_s`.  On a covered row it is zero unless that row's slack is the
+        basic at r, where it is `sign`, and that row of A is added."""
+        y_s = sign * self.binv_s[r]
+        y = np.zeros(self.m)
+        y[self.rows_s] = y_s
+        gamma_a = y_s @ self.a_s
+        if self.basis[r] >= self.n:
+            covered = self.basis[r] - self.n
+            y[covered] = sign
+            gamma_a += sign * self.A[covered]
+        return y, np.concatenate([gamma_a, y])
 
     def _col(self, row):
         """Index of the stored column of a row without a basic slack."""
@@ -285,16 +341,20 @@ class SimplexSolver:
     def _update_binv(self, w, pos, q):
         """Column q, with FTRAN column w, replaces the basic at `pos`.
 
-        An entering slack's row drops its stored column, which the pivot
-        turns into the unit vector at `pos`; a leaving slack's row stores its
-        unit column e_pos, which the pivot turns dense.  Then every stored
-        column takes the rank-one update.
+        An entering slack's row drops its stored column and its row of
+        `a_s`, which the pivot turns into the unit vector at `pos`; a leaving
+        slack's row stores its unit column e_pos, which the pivot turns
+        dense, and its row of A.  Then the stored columns take the rank-one
+        update.  A column where the pivot row is zero keeps its values, so
+        the update writes only the others when `_sparse_columns` finds
+        that cheaper.
         """
         k = self.rows_s.size
         if q >= self.n:
             c, k = self._col(q - self.n), k - 1
             self._binv_buf[:, c] = self._binv_buf[:, k]
             self._rows_buf[c] = self._rows_buf[k]
+            self._a_buf[c] = self._a_buf[k]
             self._set_k(k)
             self.slack_pos[q - self.n] = pos
         leaving = int(self.basis[pos])
@@ -303,11 +363,16 @@ class SimplexSolver:
             self._binv_buf[:, k] = 0.0
             self._binv_buf[pos, k] = 1.0
             self._rows_buf[k] = leaving - self.n
+            self._a_buf[k] = self.A[leaving - self.n]
             self._set_k(k + 1)
             self.slack_pos[leaving - self.n] = -1
         row = self.binv_s[pos] / w[pos]
+        nz = _sparse_columns(row, self.m)
         # outer(row, w).T is laid out like binv_s, columns contiguous
-        self.binv_s -= np.multiply.outer(row, w).T
+        if nz is None:
+            self.binv_s -= np.multiply.outer(row, w).T
+        else:
+            self.binv_s[:, nz] -= np.multiply.outer(row[nz], w).T
         self.binv_s[pos] = row
         self.basis[pos] = q
 
@@ -317,10 +382,14 @@ class SimplexSolver:
         reallocation per added column ran slower on the grid workloads.)"""
         if self._binv_buf.shape[1] >= k:
             return
-        buf = np.empty((self.m, min(self.m, max(2 * k, 8))), order="F")
+        room = min(self.m, max(2 * k, 8))
         kept = self.rows_s.size
+        buf = np.empty((self.m, room), order="F")
         buf[:, :kept] = self.binv_s
         self._binv_buf = buf
+        a_buf = np.empty((room, self.n))
+        a_buf[:kept] = self.a_s
+        self._a_buf = a_buf
         self._set_k(kept)
 
     def _count_pivot(self):
@@ -343,10 +412,10 @@ class SimplexSolver:
         k x k block A[R_S, cols_S], and only that block is inverted.  The
         inverse's columns of R_S are that inverse on S and
         -A[R_L, cols_S] @ inv on L, and they are stored as `binv_s` as they
-        are computed; the columns of R_L are unit vectors and are not.  A
-        block that `inv` rejects, or whose inverse misses the identity by
-        more than FACTOR_TOL, is singular and hands the basis to
-        `_repair_basis`.
+        are computed, with A[R_S] as `a_s`; the columns of R_L are unit
+        vectors and are not stored.  A block that `inv` rejects, or whose
+        inverse misses the identity by more than FACTOR_TOL, is singular and
+        hands the basis to `_repair_basis`.
         """
         struct = self.basis < self.n
         pos_s, pos_l = np.flatnonzero(struct), np.flatnonzero(~struct)
@@ -354,8 +423,8 @@ class SimplexSolver:
         slack_pos = np.full(self.m, -1)
         slack_pos[rows_l] = pos_l
         rows_s = np.flatnonzero(slack_pos < 0)
-        a_s = self.A[:, self.basis[pos_s]]
-        a_ss = a_s[rows_s]
+        a_b = self.A[:, self.basis[pos_s]]
+        a_ss = a_b[rows_s]
         try:
             inv_ss = np.linalg.inv(a_ss)
         except np.linalg.LinAlgError:
@@ -367,8 +436,9 @@ class SimplexSolver:
             self.slack_pos = slack_pos
             self._reserve(k)
             self._binv_buf[pos_s, :k] = inv_ss
-            self._binv_buf[pos_l, :k] = a_s[rows_l] @ -inv_ss
+            self._binv_buf[pos_l, :k] = a_b[rows_l] @ -inv_ss
             self._rows_buf[:k] = rows_s
+            self._a_buf[:k] = self.A[rows_s]
             self._set_k(k)
         self._pivots_since_refactor = 0
 
@@ -407,8 +477,8 @@ class SimplexSolver:
     def set_bound(self, j, lb, ub):
         """New bounds on structural column j.  NaN, lb > ub and an infinite
         fixed value (lb = +inf or ub = -inf) are rejected."""
-        if j >= self.n:
-            raise IndexError("cannot rebound a slack column")
+        if not 0 <= j < self.n:
+            raise IndexError(f"column {j} is not a structural column: cannot rebound a slack")
         if not lb <= ub or lb == math.inf or ub == -math.inf:
             raise ValueError(f"invalid bounds [{lb}, {ub}] on column {j}")
         self.lb[j] = lb
@@ -420,8 +490,9 @@ class SimplexSolver:
         coefficient or rhs is rejected before anything changes.
 
         The new row is covered by its slack, so the inverse gains no stored
-        column: `binv_s` gains the row -(a_B @ binv_s), where a_B holds the
-        row's coefficients on the basic columns."""
+        column and `rows_s` and `a_s` stay as they are: `binv_s` gains the
+        row -(a_B @ binv_s), where a_B holds the row's coefficients on the
+        basic columns."""
         dense = np.array(coefs, dtype=float)
         if dense.shape != (self.n,):
             raise ValueError("coefs must be a dense length-n vector")
@@ -489,14 +560,17 @@ class SimplexSolver:
         ties) leaves at the bound it violates.  `y` is its row of the
         inverse, negated when it lies below its lower bound, so that raising
         column j of [A | I] moves it toward that bound exactly when
-        y @ a_j > 0: the phase-1 pricing of this one violation.  A column
-        that may rise is eligible where y @ a_j > DUAL_PIVOT_TOL, one that
-        may fall where y @ a_j < -DUAL_PIVOT_TOL.  The entering column keeps
-        the reduced costs dual feasible: the least |d_j| / |y @ a_j|, ties to
-        the largest |y @ a_j|, then the lowest index.  With no column beyond
-        PIVOT_TOL the basic cannot reach its bound and `y` certifies the LP
-        infeasible; with some, but none beyond DUAL_PIVOT_TOL, the row is
-        priced again from a refactorized inverse, where PIVOT_TOL suffices.
+        y @ a_j > 0: the phase-1 pricing of this one violation.  `_dual_row`
+        gives y and that ratio row, and `_price` the reduced costs d; neither
+        multiplies all m rows of A.  A column that may rise is
+        eligible where y @ a_j > DUAL_PIVOT_TOL, one that may fall where
+        y @ a_j < -DUAL_PIVOT_TOL.  The entering column keeps the reduced
+        costs dual feasible: the least |d_j| / |y @ a_j| over the eligible
+        columns, ties to the largest |y @ a_j|, then the lowest index.  With
+        no column beyond PIVOT_TOL the basic cannot reach its bound and `y`
+        certifies the LP infeasible; with some, but none beyond
+        DUAL_PIVOT_TOL, the row is priced again from a refactorized inverse,
+        where PIVOT_TOL suffices.
 
         Returns (iterations, solution).  The solution is None when the
         primal loop takes over: the basis is primal feasible (the primal
@@ -511,8 +585,7 @@ class SimplexSolver:
             r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
                 break
-            yb = self._btran(c_pad[self.basis])
-            d = np.concatenate([self.c - yb @ self.A, -yb])
+            d = self._price(c_pad[self.basis])[1]
             if iters == 0 and self._eligible_entering(d, False)[0] >= 0:
                 break
             if iters > max_iter:
@@ -520,24 +593,21 @@ class SimplexSolver:
             iters += 1
 
             below = xb[r] < lo[r]
-            e_r = np.zeros(self.m)
-            e_r[r] = -1.0 if below else 1.0
-            y = self._btran(e_r)
-            gamma = np.concatenate([y @ self.A, y])
+            y, gamma = self._dual_row(r, -1.0 if below else 1.0)
             score = np.maximum(np.where(self._up, gamma, 0.0), np.where(self._dn, -gamma, 0.0))
-            eligible = score > DUAL_PIVOT_TOL
-            if not eligible.any():
-                eligible = score > PIVOT_TOL
-                if not eligible.any():
+            cand = np.flatnonzero(score > DUAL_PIVOT_TOL)
+            if not cand.size:
+                cand = np.flatnonzero(score > PIVOT_TOL)
+                if not cand.size:
                     return iters, self._infeasible_solution(y, iters)
                 if self._pivots_since_refactor:
                     # the tiny entries may be drift in the updated inverse
                     self._refactor()
                     continue
-            ratios = np.full(self.nt, math.inf)
-            np.divide(np.abs(d), score, out=ratios, where=eligible)
+            score = score[cand]
+            ratios = np.abs(d[cand]) / score
             tmin = ratios.min()
-            q = int(np.where(ratios <= tmin + 1e-12, score, 0.0).argmax())
+            q = int(cand[np.where(ratios <= tmin + 1e-12, score, 0.0).argmax()])
             degen_streak = degen_streak + 1 if tmin <= 1e-11 else 0
 
             w = self._ftran(q)
@@ -573,8 +643,7 @@ class SimplexSolver:
                 degen_streak = 0
                 continue
             else:
-                yb = self._btran(c_pad[self.basis])
-                d = np.concatenate([self.c - yb @ self.A, -yb])
+                yb, d = self._price(c_pad[self.basis])
 
             q, sigma = self._eligible_entering(d, bland)
             if q < 0 and phase_one:

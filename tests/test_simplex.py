@@ -502,6 +502,16 @@ class TestWarmStart:
         solver = SimplexSolver(prob)
         with pytest.raises(IndexError):
             solver.set_bound(1, 0.0, 0.0)
+        # a negative index would count back from the last row's slack
+        prob = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[">="], b=[1.0],
+                         lb=[0.0, 0.0], ub=[5.0, 5.0])
+        solver = SimplexSolver(prob)
+        with pytest.raises(IndexError):
+            solver.set_bound(-1, 3.0, 4.0)
+        np.testing.assert_array_equal(solver.lb, [0.0, 0.0, -math.inf])
+        np.testing.assert_array_equal(solver.ub, [5.0, 5.0, 0.0])
+        sol = solver.solve()
+        assert sol.status == "optimal" and sol.objective == 1.0
 
     @pytest.mark.parametrize("lb, ub", [
         (math.inf, math.inf), (-math.inf, -math.inf), (math.nan, 1.0), (0.0, math.nan),
@@ -1338,6 +1348,109 @@ class TestFtran:
             np.testing.assert_allclose(w, binv @ solver.A[:, j], rtol=0, atol=1e-12)
 
 
+def basic_transport_lp():
+    """The LP relaxation of the basic model of a small transport cell: a
+    mostly-slack basis whose pivot rows of `binv_s` are mostly zero."""
+    tp = generate(2, 3, 50, cell_seed(20240801, 2, 3, 50, 0), 0.1)
+    model = build_formulation(to_drccp(tp, theta=0.01), "basic", big_m=transport_big_m(tp))
+    return bnc.model_to_lp(model)[0]
+
+
+def warm_resolves(prob):
+    """Solve cold, then twice warm, each time from a basis the last optimum
+    left violating: the finite upper bound of the last basic structural
+    inside its bounds moves halfway down from its value (it leaves first,
+    in the dual loop), then a row joins that the optimum violates (c @ x at
+    least the optimum plus 0.1; its basic slack leaves first).  Yields the
+    solver and the solution of each solve."""
+    solver = SimplexSolver(prob)
+    sol = solver.solve()
+    yield solver, sol
+    inner = [j for j in solver.basis[solver.basis < solver.n]
+             if solver.lb[j] + 1e-3 < sol.x[j] < solver.ub[j] < math.inf]
+    if sol.status == "optimal" and inner:
+        j = int(max(inner))
+        solver.set_bound(j, solver.lb[j], (solver.lb[j] + sol.x[j]) / 2)
+        sol = solver.solve()
+        yield solver, sol
+    if sol.status == "optimal":
+        solver.add_row(prob.c, ">=", sol.objective + 0.1)
+        yield solver, solver.solve()
+
+
+class TestRowPricing:
+    """Phase-2 pricing and the dual ratio row run on the k rows of `rows_s`
+    through `a_s`, and the rank-one update may skip the columns where the
+    pivot row is zero."""
+
+    def test_column_sparse_and_dense_updates_replay_identically(self, monkeypatch):
+        update = SimplexSolver._update_binv
+
+        def replay(rule):
+            monkeypatch.setattr(simplex, "_sparse_columns", rule)
+            steps, skipped = [], 0
+
+            def spy(self, w, pos, q):
+                nonlocal skipped
+                update(self, w, pos, q)
+                skipped += self.rows_s.size - np.count_nonzero(self.binv_s[pos])
+                steps.append((q, pos, self.rows_s.copy(), self.binv_s.copy()))
+
+            monkeypatch.setattr(SimplexSolver, "_update_binv", spy)
+            sols = [sol for _, sol in warm_resolves(basic_transport_lp())]
+            return steps, skipped, sols
+
+        sparse, skipped, sparse_sols = replay(lambda row, m: np.flatnonzero(row))
+        dense, _, dense_sols = replay(lambda row, m: None)
+        assert skipped > 0 and len(sparse) > 80
+        assert [s.status for s in sparse_sols] == ["optimal"] * 3
+        assert sparse_sols[1].dual_iterations > 0 and sparse_sols[2].dual_iterations > 0
+        assert len(sparse) == len(dense)
+        for (q, pos, rows, binv), (q2, pos2, rows2, binv2) in zip(sparse, dense):
+            assert (q, pos) == (q2, pos2) and np.array_equal(rows, rows2)
+            # equal entry for entry; a zero may differ in sign
+            assert np.array_equal(binv, binv2)
+        for a, b in zip(sparse_sols, dense_sols, strict=True):
+            assert a.status == b.status and a.iterations == b.iterations
+            assert np.array_equal(a.x, b.x) or a.x is b.x is None
+
+    def test_phase_two_duals_vanish_on_covered_rows(self):
+        rng = np.random.default_rng(2718)
+        problems = [basic_transport_lp()] + [boxed_problem(rng, 15, 20) for _ in range(5)]
+        checked = 0
+        for prob in problems:
+            for solver, sol in warm_resolves(prob):
+                if sol.status != "optimal":
+                    continue
+                covered = solver.slack_pos >= 0
+                assert covered.any() and (sol.duals[covered] == 0.0).all()
+                np.testing.assert_allclose(sol.reduced_costs, solver.c - sol.duals @ solver.A,
+                                           rtol=0, atol=1e-12)
+                checked += 1
+        assert checked >= 8
+
+    def test_dual_row_of_a_leaving_slack(self, monkeypatch):
+        seen = {"slack": 0, "structural": 0}
+        dual_row = SimplexSolver._dual_row
+
+        def spy(self, r, sign):
+            exp_y = sign * dense_inverse(self)[r]
+            exp = exp_y @ np.hstack([self.A, np.eye(self.m)])
+            y, gamma = dual_row(self, r, sign)
+            assert np.array_equal(y, exp_y)
+            np.testing.assert_allclose(gamma, exp, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(exp).max()))
+            seen["slack" if self.basis[r] >= self.n else "structural"] += 1
+            return y, gamma
+
+        monkeypatch.setattr(SimplexSolver, "_dual_row", spy)
+        rng = np.random.default_rng(1618)
+        for prob in [basic_transport_lp()] + [boxed_problem(rng, 15, 20) for _ in range(5)]:
+            for _ in warm_resolves(prob):
+                pass
+        assert seen["slack"] > 0 and seen["structural"] > 0
+
+
 @st.composite
 def lps_with_steps(draw):
     """A boxed LP with integer data, feasible at a drawn point of the box
@@ -1376,8 +1489,9 @@ class TestStructuralInverse:
     @given(lps_with_steps())
     def test_inverse_and_optima_through_every_step(self, drawn):
         """After every step the inverse assembled from `binv_s`, `rows_s`
-        and `slack_pos` inverts the basis, and every solve is optimal and
-        agrees with scipy on the LP as edited so far."""
+        and `slack_pos` inverts the basis, `a_s` holds A's rows on `rows_s`,
+        and every solve is optimal and agrees with scipy on the LP as edited
+        so far."""
         prob, point, steps = drawn
         A, senses, b = prob.A, list(prob.senses), prob.b
         lb, ub = prob.lb.copy(), prob.ub.copy()
@@ -1412,3 +1526,4 @@ class TestStructuralInverse:
                     np.testing.assert_array_equal(solver.basis, kept)
             np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver),
                                        np.eye(solver.m), atol=1e-9)
+            assert np.array_equal(solver.a_s, solver.A[solver.rows_s])

@@ -198,14 +198,7 @@ class _Search:
         self.applied = overrides
 
     def _solve_lp(self):
-        try:
-            sol = self.solver.solve()
-        except SimplexStall:
-            # A stale warm basis can walk in circles after many bound flips
-            # and appended cut rows; a cold restart from the current bounds
-            # resolves it deterministically.
-            self.solver.reset_basis()
-            sol = self.solver.solve()
+        sol = self.solver.solve_or_restart()
         self.iterations += sol.iterations
         return sol
 

@@ -6,8 +6,11 @@ The two referees enumerate discard supports instead: `enumerate_optimal`
 finds the exact optimum over the `basic` preset and `check_cut_validity`
 decides whether a cut holds over the `knapsack` preset, each by fixing z on
 every support and solving the LP relaxation with the in-package simplex.
-They share the formulation builder and the simplex with the solver stack
-they check, so the tests cross-check them against scipy.  Every referee
+The supports are solved in order on one solver, each warm from the previous
+support's basis, as a branch-and-cut node is, with a cold restart on a
+stall.  They share the formulation builder and the simplex with the solver
+stack they check, so the tests cross-check them against scipy and each warm
+support solve against a cold one.  Every referee
 counts discards with floor(eps*N), never with the one fewer that the
 distance-based models allow when eps*N is an integer, so it checks that
 count too.
@@ -168,11 +171,13 @@ def _solved_supports(model, instance: DrccpInstance, max_supports: int, what: st
 
     Yields (support, solution) for every set of at most k scenarios, in
     itertools.combinations order, with z fixed to 1 on the set and to 0
-    elsewhere.  `objective` replaces the model's cost vector.  Each solve
-    starts cold, and a cold start reads only the bounds, so only the z
-    bounds that differ from the previous support's are re-set.  Raises
-    before solving anything when the support count exceeds max_supports;
-    `what` names the caller in that message.
+    elsewhere.  `objective` replaces the model's cost vector.  Only the z
+    bounds that differ from the previous support's are re-set, and each
+    solve starts warm from the basis the previous one ended with: an
+    optimal basis stays dual feasible under new bounds, so the dual simplex
+    re-optimizes it in a few pivots.  A stall restarts that support cold.
+    Raises before solving anything when the support count exceeds
+    max_supports; `what` names the caller in that message.
     """
     n, k = instance.n, instance.k
     total = sum(math.comb(n, j) for j in range(k + 1))
@@ -195,8 +200,7 @@ def _solved_supports(model, instance: DrccpInstance, max_supports: int, what: st
                 val = 1.0 if pos in chosen else 0.0
                 solver.set_bound(z_idx[pos], val, val)
             previous = chosen
-            solver.reset_basis()
-            yield support, solver.solve()
+            yield support, solver.solve_or_restart()
 
 
 def enumerate_optimal(instance: DrccpInstance, big_m: float | None = None,
@@ -209,7 +213,8 @@ def enumerate_optimal(instance: DrccpInstance, big_m: float | None = None,
     basic model has no knapsack row, so when eps*N is an integer the subsets
     of size k, which the solver's models leave out at a positive radius,
     are tried too (their LPs are infeasible).  Errors out when the subset
-    count exceeds max_supports.
+    count exceeds max_supports, and, as branch and cut does, when a
+    support's LP is unbounded.
     """
     model = formulations.build_basic(instance, big_m=big_m)
     x_idx = model.block_indices("x")
@@ -219,6 +224,8 @@ def enumerate_optimal(instance: DrccpInstance, big_m: float | None = None,
     tried = 0
     for support, sol in _solved_supports(model, instance, max_supports, "enumeration"):
         tried += 1
+        if sol.status == "unbounded":
+            raise ValueError("relaxation is unbounded; the domain must be compact")
         if sol.status == "optimal" and sol.objective < best_obj:
             best_obj = sol.objective
             best_x = sol.x[x_idx].copy()

@@ -55,7 +55,8 @@ columns), so any starting basis is a valid warm start.  Like the dual loop,
 it proves infeasibility only when no column gains beyond PIVOT_TOL from a
 fresh inverse.  Both loops change the basis through one `_pivot` routine
 and draw on one budget of `max_iter` iterations; at the cap they raise
-SimplexStall.
+SimplexStall, and `solve_or_restart`, the warm re-solve of branch and cut
+and of the referees, retries once from the slack basis.
 
 A warm start installs its stored basis directly: `load_state` sets the basis
 and the statuses and builds the inverse from the basis's structural block,
@@ -551,6 +552,18 @@ class SimplexSolver:
             sol = self._primal(c_pad, max_iter, dual_iters)
         sol.dual_iterations = dual_iters
         return sol
+
+    def solve_or_restart(self) -> LpSolution:
+        """`solve` from the current basis; on a SimplexStall, `reset_basis`
+        and solve again from the slack basis and the current bounds.  A
+        stale warm basis can walk in circles after many bound flips and
+        appended cut rows, and the cold restart resolves it
+        deterministically.  A stall in the cold retry propagates."""
+        try:
+            return self.solve()
+        except SimplexStall:
+            self.reset_basis()
+            return self.solve()
 
     def _dual(self, c_pad, max_iter):
         """Bounded dual simplex, run while some basic violates a bound and

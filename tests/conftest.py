@@ -85,6 +85,36 @@ def milp_minimum(model, c=None):
     return res.fun
 
 
+def assert_supports_solve_as_cold(model, instance, objective=None):
+    """Every support LP of the referees' warm generator ends with the status
+    of a fresh solver's cold solve of that support, and an optimum within
+    1e-9 relative (absolute below 1).  Returns the statuses by support
+    size and the iterations of the warm and of the cold solves."""
+    from drccp.bnc import model_to_lp
+    from drccp.oracles import _solved_supports
+    from drccp.simplex import SimplexSolver
+
+    prob, _ = model_to_lp(model)
+    if objective is not None:
+        prob.c = objective
+    z_idx = model.block_indices("z")
+    statuses = {}
+    iterations = [0, 0]
+    for support, warm in _solved_supports(model, instance, 10**5, "test", objective):
+        cold_solver = SimplexSolver(prob)
+        for pos, j in enumerate(z_idx):
+            val = 1.0 if pos in support else 0.0
+            cold_solver.set_bound(j, val, val)
+        cold = cold_solver.solve()
+        assert warm.status == cold.status, support
+        if cold.status == "optimal":
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        statuses.setdefault(len(support), []).append(warm.status)
+        iterations[0] += warm.iterations
+        iterations[1] += cold.iterations
+    return statuses, *iterations
+
+
 @pytest.fixture
 def tiny_line():
     return line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.2, theta=0.01)

@@ -21,7 +21,7 @@ from drccp.cuts import (
 from drccp.bnc import model_to_lp
 from drccp.oracles import check_cut_validity
 from drccp.simplex import solve_lp
-from conftest import box_instance, milp_minimum, small_transport
+from conftest import assert_supports_solve_as_cold, box_instance, milp_minimum, small_transport
 
 
 def star_value(h, z, seq):
@@ -407,3 +407,16 @@ class TestValidityReferee:
         )
         with pytest.raises(ValueError, match="budget"):
             check_cut_validity(cut, inst, max_supports=5)
+
+    @pytest.mark.parametrize("family", ["mixing", "path"])
+    def test_warm_supports_minimize_the_lhs_as_cold(self, family):
+        # check_cut_validity's supports, on the knapsack model with the
+        # cut's left-hand side as the objective, solve warm as they do cold
+        inst, _, _, cuts, bm = TestSeparators().find_instance_with_cut(family)
+        model = F.build_formulation(inst, "knapsack", big_m=bm,
+                                    quant=F.compute_quantiles(inst, k=inst.k))
+        for cut in cuts[:2]:
+            lhs, _ = cut_row(cut, model)
+            statuses, warm, cold = assert_supports_solve_as_cold(model, inst, objective=lhs)
+            assert "optimal" in statuses[1]
+            assert warm < cold

@@ -445,3 +445,49 @@ class TestDistanceDiscardCount:
         assert res.status == "optimal" and res.nodes == 1
         assert res.events and all(e.startswith("node=0 ") for e in res.events)
         assert res.objective == pytest.approx(enumerate_optimal(inst).objective, abs=1e-6)
+
+
+@st.composite
+def fractional_eps_n_cells(draw):
+    """A small box or transport instance whose eps*N is not an integer, at a
+    positive radius."""
+    n, epsilon = draw(st.sampled_from([(7, 0.2), (8, 0.3), (9, 0.25), (10, 0.15), (10, 0.25)]))
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return box_instance(seed=seed, n=n, rows=draw(st.integers(1, 2)), epsilon=epsilon,
+                            theta=draw(st.sampled_from([0.005, 0.02, 0.05, 0.1])))
+    return small_transport(seed=seed, centers=draw(st.integers(2, 3)), n=n, epsilon=epsilon,
+                           theta=draw(st.sampled_from([0.01, 0.03, 0.1])))[1]
+
+
+class TestPresetsAgreeWithEnumeration:
+    """At a non-integral eps*N every preset discards floor(eps*N) samples,
+    as the enumeration referee does, so each must end at its answer."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(fractional_eps_n_cells())
+    def test_every_preset_ends_at_the_enumerated_optimum(self, inst):
+        from drccp import bnc
+        from drccp.cuts import MixingSeparator, PathSeparator
+        from drccp.model import distance_profile
+        from drccp.oracles import enumerate_optimal, lemma_certificate, worst_case_prob
+
+        big_m = F.compute_big_m(inst)
+        quant = F.compute_quantiles(inst)
+        assert quant.k == inst.k
+        ref = enumerate_optimal(inst, big_m=big_m)
+        config = BncConfig(gap_tol=1e-9)
+        runs = [(kind, ()) for kind in ("basic", "knapsack", "reduced", "compact")]
+        runs.append(("compact", (MixingSeparator(inst, quant), PathSeparator(inst, quant))))
+        optima = [] if ref.x is None else [ref.x]
+        for kind, separators in runs:
+            model = F.build_formulation(inst, kind, big_m=big_m, quant=quant)
+            res = bnc.solve(model, separators, config)
+            assert res.status == ref.status, (kind, separators)
+            if ref.status == "optimal":
+                assert res.objective == pytest.approx(ref.objective, abs=1e-6), (kind, separators)
+                optima.append(res.x)
+        for x in optima:
+            dist = distance_profile(inst, x)
+            assert lemma_certificate(dist, inst.epsilon, inst.theta).feasible
+            assert worst_case_prob(dist, inst.theta) <= inst.epsilon + 1e-7

@@ -13,8 +13,16 @@ from drccp.oracles import (
     lemma_certificate,
     worst_case_prob,
 )
-from drccp import transport
-from conftest import box_instance, line_instance, milp_minimum, small_transport
+from drccp import formulations, transport
+from drccp.model import DrccpInstance, Polyhedron, SafetyRow, SampleSet
+from drccp.simplex import SimplexSolver, SimplexStall
+from conftest import (
+    assert_supports_solve_as_cold,
+    box_instance,
+    line_instance,
+    milp_minimum,
+    small_transport,
+)
 
 
 def grid_scan_prob(distances, theta, points=200001):
@@ -290,6 +298,103 @@ class TestEnumeration:
                 optimal += 1
                 assert res.objective == pytest.approx(expected, rel=1e-6)
         assert optimal >= 4
+
+    def test_unbounded_support_raises(self):
+        # x in [0, inf) with cost -1: the empty support's LP is unbounded,
+        # which branch and cut reports with the same error
+        from drccp import bnc
+
+        inst = DrccpInstance(
+            cost=[-1.0],
+            domain=Polyhedron(G=np.zeros((0, 1)), g=[], lb=[0.0], ub=[math.inf]),
+            rows=(SafetyRow(a=[-1.0], b=[-1.0], d=0.0),),
+            samples=SampleSet(np.array([[0.1], [0.2], [0.3], [0.4], [0.5]])),
+            epsilon=0.2,
+            theta=0.01,
+        )
+        with pytest.raises(ValueError, match="unbounded"):
+            bnc.solve(formulations.build_basic(inst, big_m=100.0))
+        with pytest.raises(ValueError, match="unbounded"):
+            enumerate_optimal(inst, big_m=100.0)
+
+
+class TestWarmSupports:
+    """The referees solve each support warm from the previous support's
+    basis; every answer must be the one a cold solve of that support gives."""
+
+    @pytest.mark.parametrize("seed, centers", [(7, 3), (11, 2)])
+    @pytest.mark.parametrize("theta", [0.01, 0.05, 0.2])
+    def test_transport_supports_solve_as_cold(self, seed, centers, theta):
+        _, inst = small_transport(seed=seed, centers=centers, n=9, epsilon=0.25, theta=theta)
+        _, warm, cold = assert_supports_solve_as_cold(formulations.build_basic(inst), inst)
+        assert warm < cold / 2  # the supports really start warm
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("theta", [0.01, 0.05, 0.15])
+    def test_box_supports_solve_as_cold(self, seed, theta):
+        inst = box_instance(seed=seed, n=10, epsilon=0.25, theta=theta)
+        assert_supports_solve_as_cold(formulations.build_basic(inst), inst)
+
+    def test_full_supports_at_integral_eps_n_are_infeasible(self):
+        # eps * N = 2: at a positive radius the budget row leaves no room
+        # for k = 2 discards, so every size-k support is infeasible, cold
+        # and warm, and the warm start moves on from each Farkas basis
+        inst = box_instance(seed=5, n=8, epsilon=0.25, theta=0.02)
+        assert inst.k == 2
+        statuses, _, _ = assert_supports_solve_as_cold(formulations.build_basic(inst), inst)
+        assert set(statuses[2]) == {"infeasible"}
+        assert "optimal" in statuses[0] + statuses[1]
+
+    @staticmethod
+    def stalling(monkeypatch, stall_calls):
+        """Make the listed SimplexSolver.solve calls (1-based) stall, and
+        record the call number at every reset_basis and whether each solve
+        after a reset starts from the slack basis."""
+        inner_solve = SimplexSolver.solve
+        inner_reset = SimplexSolver.reset_basis
+        seen = {"calls": 0, "resets": [], "cold_starts": []}
+
+        def solve(self, max_iter=None):
+            seen["calls"] += 1
+            if seen["calls"] in stall_calls:
+                raise SimplexStall("synthetic stall for testing")
+            if seen["resets"] and seen["resets"][-1] == seen["calls"] - 1:
+                slack = np.arange(self.n, self.n + self.m)
+                seen["cold_starts"].append(np.array_equal(self.basis, slack))
+            return inner_solve(self, max_iter)
+
+        def reset_basis(self):
+            seen["resets"].append(seen["calls"])
+            return inner_reset(self)
+
+        monkeypatch.setattr(SimplexSolver, "solve", solve)
+        monkeypatch.setattr(SimplexSolver, "reset_basis", reset_basis)
+        return seen
+
+    def test_stalled_support_restarts_cold(self, monkeypatch):
+        _, inst = small_transport(seed=7, n=9, epsilon=0.25, theta=0.05)
+        big_m = formulations.compute_big_m(inst)  # its LPs run unpatched
+        expected = enumerate_optimal(inst, big_m=big_m)
+        assert expected.status == "optimal"
+        seen = self.stalling(monkeypatch, {7})
+        res = enumerate_optimal(inst, big_m=big_m)
+        # the constructor's reset, then the one after the 7th solve stalled;
+        # the retry of that support starts from the slack basis
+        assert seen["resets"] == [0, 7]
+        assert seen["cold_starts"] == [True, True]
+        assert seen["calls"] == expected.supports_tried + 1
+        assert (res.status, res.support, res.supports_tried) == (
+            expected.status, expected.support, expected.supports_tried)
+        assert res.objective == pytest.approx(expected.objective, rel=1e-9)
+        np.testing.assert_allclose(res.x, expected.x, rtol=1e-9, atol=1e-9)
+
+    def test_stall_in_the_cold_retry_propagates(self, monkeypatch):
+        _, inst = small_transport(seed=7, n=9, epsilon=0.25, theta=0.05)
+        big_m = formulations.compute_big_m(inst)
+        seen = self.stalling(monkeypatch, {7, 8})
+        with pytest.raises(SimplexStall):
+            enumerate_optimal(inst, big_m=big_m)
+        assert seen["resets"] == [0, 7]
 
 
 class TestCrossChecks:

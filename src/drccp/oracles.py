@@ -123,7 +123,7 @@ class FeasibilityCertificate:
     feasible: bool
     t: float
     r: np.ndarray
-    budget_slack: float  # epsilon * t - theta - mean(r); >= 0 iff feasible
+    budget_slack: float  # epsilon * t - theta - mean(r); feasible iff >= 0 at t > 0
 
 
 def lemma_certificate(distances, epsilon: float, theta: float) -> FeasibilityCertificate:
@@ -134,10 +134,14 @@ def lemma_certificate(distances, epsilon: float, theta: float) -> FeasibilityCer
     side minus the right is concave piecewise linear in t with breakpoints
     at the distances and slope epsilon - j/n past the j-th smallest, so the
     (k+1)-th smallest distance maximizes the slack (k = floor(epsilon * n));
-    evaluating there decides feasibility.  When that distance is infinite,
-    the m <= k finite ones end in a last piece of slope epsilon - m/n >= 0:
-    t starts at the largest finite distance (0 if none) and, on a positive
-    slope, moves on to where the slack reaches zero.
+    evaluating there decides feasibility.  Feasibility also needs t > 0: at
+    t = 0 every term of the slack vanishes, yet a (k+1)-th smallest distance
+    of 0 leaves more than epsilon * n samples already unsafe.  When that
+    distance is infinite, the m <= k finite ones end in a last piece of
+    slope epsilon - m/n >= 0: t starts at the largest finite distance and,
+    on a positive slope, moves on to where the slack reaches zero.  With
+    theta = 0 and no positive finite distance, t = 1, as the slack is
+    slope * t >= 0 at every t.
     """
     d = _distances(distances)
     _check_budget(theta, epsilon)
@@ -151,9 +155,12 @@ def lemma_certificate(distances, epsilon: float, theta: float) -> FeasibilityCer
         deficit = theta + float(np.mean(np.maximum(0.0, t - d))) - epsilon * t
         if deficit > 0.0 and slope > 0.0:
             t += deficit / slope
+        elif t == 0.0 and theta == 0.0:
+            t = 1.0
     r = np.maximum(0.0, t - d)
     slack = epsilon * t - theta - float(np.mean(r))
-    return FeasibilityCertificate(feasible=slack >= -FEAS_TOL, t=t, r=r, budget_slack=slack)
+    return FeasibilityCertificate(feasible=t > 0.0 and slack >= -FEAS_TOL, t=t, r=r,
+                                  budget_slack=slack)
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,20 @@ phase-2 duals are zero on every covered row: the reduced costs are
 c - (cb @ binv_s) @ a_s, and the dual ratio row is a row of `binv_s` priced
 through `a_s` (plus one row of A when the leaving basic is a slack), so
 neither multiplies all m rows of A.  A pivot applies the rank-one
-update  binv_s -= outer(w, row)  in place, to the columns where `row` is
-nonzero when that is cheaper.  Before it, a leaving slack's row stores its
+update  binv_s -= outer(w, row)  in place, and only to the columns where
+`row` is nonzero, as the others would keep their values; on DR-CCP bases
+the pivot row is mostly zeros.  Before it, a leaving slack's row stores its
 unit column, which the update makes dense, and its row of A; an entering
 slack's row drops both, as the update would make its column a unit vector
 (the last column moves into the hole, since the order of `rows_s` is free).
-Every REFACTOR_INTERVAL pivots the block is rebuilt from the basis's
-structural block: only the k x k block of the k basic structurals on
-`rows_s` is inverted, at O(k^3 + (m - k) k^2) instead of O(m^3).  A block
-whose inverse misses the identity by more than FACTOR_TOL counts as
-singular.  Phase 1 of the primal loop prices over all m rows, as its costs
-sit on covered rows too.
+`binv_s`, `rows_s` and `a_s` are views of buffers allocated once per row
+count, at the min(m, n) columns that no basis exceeds, so no pivot or
+refactorization allocates.  Every REFACTOR_INTERVAL pivots the block is
+rebuilt from the basis's structural block: only the k x k block of the k
+basic structurals on `rows_s` is inverted, at O(k^3 + (m - k) k^2) instead
+of O(m^3).  A block whose inverse misses the identity by more than
+FACTOR_TOL counts as singular.  Phase 1 of the primal loop prices over all
+m rows, as its costs sit on covered rows too.
 
 A basic variable counts as violating when it lies more than FEAS_TOL
 outside a bound.  `solve` starts with the bounded dual simplex when some
@@ -95,26 +98,6 @@ from .constants import DUAL_PIVOT_TOL, DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
 ST_LOWER, ST_UPPER, ST_BASIC, ST_FREE = 0, 1, 2, 3
 
 _DEGEN_STREAK = 40  # degenerate pivots tolerated before switching to Bland
-# the column-sparse update's extra fixed cost, in entries of a dense update
-_SPARSE_FIXED = 2200
-
-
-def _sparse_columns(row, m):
-    """The columns where `row`, the pivot row of an m-row block, is nonzero,
-    when a rank-one update that writes only those columns is the cheaper
-    one; else None.
-
-    Measured with one BLAS thread (numpy 2.4, OpenBLAS 0.3.31, 2 vCPUs),
-    for blocks of 60 x 20 to 2,203 x 200: the dense update costs about
-    3 us plus 1.6 ns per entry of the block, and the column-sparse one, with
-    its index work, about 6.5 us plus 2.2 ns per entry it writes.  So the
-    sparse one wins where m (k - 1.4 nnz) exceeds about 2,200 entries, and
-    a block of at most that many entries stays dense without counting.
-    """
-    if m * row.size <= _SPARSE_FIXED:
-        return None
-    nz = np.flatnonzero(row)
-    return nz if m * (row.size - 1.4 * nz.size) > _SPARSE_FIXED else None
 
 
 class SimplexStall(RuntimeError):
@@ -199,10 +182,7 @@ class SimplexSolver:
             self.lb[self.n + i], self.ub[self.n + i] = _slack_bounds(sense)
         self.total_pivots = 0
         self._pivots_since_refactor = 0
-        self._binv_buf = np.empty((self.m, 0), order="F")  # binv_s and room to grow
-        self._rows_buf = np.empty(self.m, dtype=np.intp)  # rows_s and room to grow
-        self._a_buf = np.empty((0, self.n))  # a_s and room to grow, as _binv_buf
-        self._set_k(0)
+        self._alloc(self.m)
         self.reset_basis()
 
     # -- state management ---------------------------------------------------
@@ -231,6 +211,16 @@ class SimplexSolver:
                 | ((stat == ST_FREE) & ~(lo | hi)))
         resting = np.where(lo, ST_LOWER, np.where(hi, ST_UPPER, ST_FREE))
         return np.where(in_basis, ST_BASIC, np.where(keep, stat, resting)).astype(np.int8)
+
+    def _alloc(self, m):
+        """Buffers for `binv_s`, `rows_s` and `a_s` of an m-row LP, at the
+        most stored columns a basis can have, min(m, n): one per basic
+        structural.  Columns past k are never written, so they cost virtual
+        memory only."""
+        room = min(m, self.n)
+        self._binv_buf = np.empty((m, room), order="F")
+        self._rows_buf = np.empty(room, dtype=np.intp)
+        self._a_buf = np.empty((room, self.n))
 
     def _set_k(self, k):
         """Point `binv_s`, `rows_s` and `a_s` at the first k stored columns."""
@@ -346,9 +336,8 @@ class SimplexSolver:
         `a_s`, which the pivot turns into the unit vector at `pos`; a leaving
         slack's row stores its unit column e_pos, which the pivot turns
         dense, and its row of A.  Then the stored columns take the rank-one
-        update.  A column where the pivot row is zero keeps its values, so
-        the update writes only the others when `_sparse_columns` finds
-        that cheaper.
+        update, written only to the columns where the pivot row is nonzero:
+        any other column would take x - 0 * w and keep its values.
         """
         k = self.rows_s.size
         if q >= self.n:
@@ -360,7 +349,6 @@ class SimplexSolver:
             self.slack_pos[q - self.n] = pos
         leaving = int(self.basis[pos])
         if leaving >= self.n:
-            self._reserve(k + 1)
             self._binv_buf[:, k] = 0.0
             self._binv_buf[pos, k] = 1.0
             self._rows_buf[k] = leaving - self.n
@@ -368,30 +356,11 @@ class SimplexSolver:
             self._set_k(k + 1)
             self.slack_pos[leaving - self.n] = -1
         row = self.binv_s[pos] / w[pos]
-        nz = _sparse_columns(row, self.m)
-        # outer(row, w).T is laid out like binv_s, columns contiguous
-        if nz is None:
-            self.binv_s -= np.multiply.outer(row, w).T
-        else:
-            self.binv_s[:, nz] -= np.multiply.outer(row[nz], w).T
+        nz = np.flatnonzero(row)
+        # outer(row[nz], w).T is laid out like binv_s, columns contiguous
+        self.binv_s[:, nz] -= np.multiply.outer(row[nz], w).T
         self.binv_s[pos] = row
         self.basis[pos] = q
-
-    def _reserve(self, k):
-        """Room for k stored columns, keeping the current ones: a full
-        buffer is replaced by one of twice the room, up to m columns.  (A
-        reallocation per added column ran slower on the grid workloads.)"""
-        if self._binv_buf.shape[1] >= k:
-            return
-        room = min(self.m, max(2 * k, 8))
-        kept = self.rows_s.size
-        buf = np.empty((self.m, room), order="F")
-        buf[:, :kept] = self.binv_s
-        self._binv_buf = buf
-        a_buf = np.empty((room, self.n))
-        a_buf[:kept] = self.a_s
-        self._a_buf = a_buf
-        self._set_k(kept)
 
     def _count_pivot(self):
         self.total_pivots += 1
@@ -435,7 +404,6 @@ class SimplexSolver:
             self._repair_basis()
         else:
             self.slack_pos = slack_pos
-            self._reserve(k)
             self._binv_buf[pos_s, :k] = inv_ss
             self._binv_buf[pos_l, :k] = a_b[rows_l] @ -inv_ss
             self._rows_buf[:k] = rows_s
@@ -511,12 +479,13 @@ class SimplexSolver:
         a_basic = np.zeros(m_old)
         struct = self.basis < self.n
         a_basic[struct] = dense[self.basis[struct]]
-        k = self.rows_s.size
-        buf = np.empty((self.m, self._binv_buf.shape[1]), order="F")
-        buf[:m_old, :k] = self.binv_s
-        buf[m_old, :k] = -(a_basic @ self.binv_s)
-        self._binv_buf = buf
-        self._rows_buf = np.append(self._rows_buf, 0)
+        binv_s, rows_s, a_s = self.binv_s, self.rows_s, self.a_s
+        k = rows_s.size
+        self._alloc(self.m)
+        self._binv_buf[:m_old, :k] = binv_s
+        self._binv_buf[m_old, :k] = -(a_basic @ binv_s)
+        self._rows_buf[:k] = rows_s
+        self._a_buf[:k] = a_s
         self._set_k(k)
         self.slack_pos = np.append(self.slack_pos, m_old)
         self.basis = np.append(self.basis, self.n + m_old)

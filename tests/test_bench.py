@@ -5,6 +5,7 @@ fast; the statistical claims about larger grids live in the acceptance
 tests.
 """
 import itertools
+import math
 
 import pytest
 
@@ -168,6 +169,18 @@ def test_run_cell_row_schema():
         # deterministic mode blanks wall-clock readings
         assert row["root_time_s"] is None
         assert row["time_s"] is None
+
+
+def test_non_deterministic_rows_add_only_the_timers():
+    cfg = dict(centers=(3,), samples=(10,), variants=("improved",))
+    (row,) = run_cell(tiny_config(deterministic=False, **cfg), 2, 3, 10, 0)
+    (ref,) = run_cell(tiny_config(**cfg), 2, 3, 10, 0)
+    timers = ("root_time_s", "time_s")
+    for name in timers:
+        assert isinstance(row[name], float) and math.isfinite(row[name]) and row[name] >= 0.0
+        assert ref[name] is None
+    assert ({k: v for k, v in row.items() if k not in timers}
+            == {k: v for k, v in ref.items() if k not in timers})
 
 
 def test_formulations_agree_within_a_cell():

@@ -175,6 +175,21 @@ def test_oracle_infeasible_plan(instance_path, tmp_path, capsys):
     assert "verdict: infeasible" in capsys.readouterr().out
 
 
+def test_oracle_plan_with_every_sample_unsafe_at_theta_zero(tmp_path, capsys):
+    # shipping nothing leaves every sample at distance 0: the worst case is 1,
+    # and a threshold t = 0, with a budget slack of 0, certifies nothing
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--factories", "1", "--centers", "2", "--samples", "10",
+                 "--seed", "3", "--theta", "0", "--out", str(path)]) == EXIT_OK
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([0.0, 0.0]))
+    rc = main(["oracle", str(path), "--x", str(plan)])
+    printed = capsys.readouterr().out
+    assert rc == EXIT_INFEASIBLE
+    assert "worst-case violation probability: 1\n" in printed
+    assert "verdict: infeasible" in printed
+
+
 def test_oracle_rejects_wrong_plan_length(instance_path, tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps([0.0, 0.0]))

@@ -185,21 +185,45 @@ class TestLemmaCertificate:
 
     def test_agrees_with_worst_case_prob(self):
         # Robust feasibility has two independent characterizations; they must
-        # agree away from the decision boundary.
+        # agree away from the decision boundary, and at theta = 0 exactly.
+        # Half the profiles tie a random number of samples at distance 0.
         rng = np.random.default_rng(404)
         checked = 0
-        for _ in range(200):
+        for i in range(200):
             n = int(rng.integers(3, 20))
             d = np.round(rng.uniform(0.0, 1.5, n), 4)
+            if i % 2:
+                d[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = 0.0
             eps = float(rng.uniform(0.05, 0.5))
-            theta = float(rng.uniform(0.001, 0.4))
-            prob = worst_case_prob(d, theta)
-            if abs(prob - eps) <= 1e-6:
-                continue
-            cert = lemma_certificate(d, eps, theta)
-            assert cert.feasible == (prob <= eps)
-            checked += 1
-        assert checked > 150
+            for theta in (0.0, 1e-12, float(rng.uniform(0.001, 0.4))):
+                prob = worst_case_prob(d, theta)
+                if theta > 0.0 and abs(prob - eps) <= 1e-6:
+                    continue
+                cert = lemma_certificate(d, eps, theta)
+                assert cert.feasible == (prob <= eps), (d, eps, theta)
+                checked += 1
+        assert checked > 450
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-12])
+    def test_no_certificate_at_t_zero(self, theta):
+        # two of three samples are already unsafe, worst case 2/3 > 0.4; at
+        # t = 0 every term of the slack vanishes, and -theta lies within
+        # FEAS_TOL
+        cert = lemma_certificate([0.0, 0.0, 1.0], 0.4, theta)
+        assert cert.t == 0.0 and cert.budget_slack == pytest.approx(-theta, abs=0.0)
+        assert not cert.feasible
+        assert worst_case_prob([0.0, 0.0, 1.0], theta) > 0.4
+
+    def test_infinite_distances_at_theta_zero(self):
+        # no positive finite distance: the slack is (eps - m/n) * t, so any
+        # t > 0 certifies when at most eps * n samples sit at distance 0
+        for d, eps in [([0.0, math.inf], 0.6), ([0.0, math.inf], 0.5),
+                       ([math.inf, math.inf], 0.3)]:
+            cert = lemma_certificate(d, eps, 0.0)
+            assert cert.feasible and cert.t > 0.0
+            assert worst_case_prob(d, 0.0) <= eps
+        cert = lemma_certificate([0.0, math.inf], 0.4, 0.0)
+        assert not cert.feasible and worst_case_prob([0.0, math.inf], 0.0) > 0.4
 
     @pytest.mark.parametrize("epsilon, theta, match", [
         (0.3, -1.0, "theta"),

@@ -1380,39 +1380,59 @@ def warm_resolves(prob):
 
 class TestRowPricing:
     """Phase-2 pricing and the dual ratio row run on the k rows of `rows_s`
-    through `a_s`, and the rank-one update may skip the columns where the
-    pivot row is zero."""
+    through `a_s`, and the rank-one update skips the columns where the pivot
+    row is zero."""
 
-    def test_column_sparse_and_dense_updates_replay_identically(self, monkeypatch):
+    def test_column_sparse_update_keeps_the_inverse(self, monkeypatch):
         update = SimplexSolver._update_binv
+        pivots = skipped = 0
 
-        def replay(rule):
-            monkeypatch.setattr(simplex, "_sparse_columns", rule)
-            steps, skipped = [], 0
+        def spy(self, w, pos, q):
+            nonlocal pivots, skipped
+            update(self, w, pos, q)
+            pivots += 1
+            # binv_s[pos] is now the pivot row: its zeros are the skipped columns
+            skipped += self.rows_s.size - np.count_nonzero(self.binv_s[pos])
+            np.testing.assert_allclose(
+                self.binv_s, np.linalg.inv(basis_matrix(self))[:, self.rows_s], rtol=0, atol=1e-9)
 
-            def spy(self, w, pos, q):
-                nonlocal skipped
-                update(self, w, pos, q)
-                skipped += self.rows_s.size - np.count_nonzero(self.binv_s[pos])
-                steps.append((q, pos, self.rows_s.copy(), self.binv_s.copy()))
+        monkeypatch.setattr(SimplexSolver, "_update_binv", spy)
+        sols = [sol for _, sol in warm_resolves(basic_transport_lp())]
+        assert skipped > 0 and pivots > 80
+        assert [s.status for s in sols] == ["optimal"] * 3
+        assert sols[1].dual_iterations > 0 and sols[2].dual_iterations > 0
 
-            monkeypatch.setattr(SimplexSolver, "_update_binv", spy)
-            sols = [sol for _, sol in warm_resolves(basic_transport_lp())]
-            return steps, skipped, sols
+    def test_inverse_buffers_are_allocated_once_per_row_count(self, monkeypatch):
+        """`binv_s`, `rows_s` and `a_s` stay views of the buffers that
+        `__init__` allocates, min(m, n) columns wide, through a cold solve and
+        a warm re-solve that grow k; only `add_row` replaces them."""
+        update = SimplexSolver._update_binv
+        seen = {}  # row count -> (buffers, every k after a pivot)
 
-        sparse, skipped, sparse_sols = replay(lambda row, m: np.flatnonzero(row))
-        dense, _, dense_sols = replay(lambda row, m: None)
-        assert skipped > 0 and len(sparse) > 80
-        assert [s.status for s in sparse_sols] == ["optimal"] * 3
-        assert sparse_sols[1].dual_iterations > 0 and sparse_sols[2].dual_iterations > 0
-        assert len(sparse) == len(dense)
-        for (q, pos, rows, binv), (q2, pos2, rows2, binv2) in zip(sparse, dense):
-            assert (q, pos) == (q2, pos2) and np.array_equal(rows, rows2)
-            # equal entry for entry; a zero may differ in sign
-            assert np.array_equal(binv, binv2)
-        for a, b in zip(sparse_sols, dense_sols, strict=True):
-            assert a.status == b.status and a.iterations == b.iterations
-            assert np.array_equal(a.x, b.x) or a.x is b.x is None
+        def spy(self, w, pos, q):
+            update(self, w, pos, q)
+            bufs, ks = seen.setdefault(self.m, ((self._binv_buf, self._rows_buf, self._a_buf), []))
+            assert all(now is buf for now, buf in zip((self._binv_buf, self._rows_buf, self._a_buf), bufs))
+            assert (self.binv_s.base is bufs[0] and self.rows_s.base is bufs[1]
+                    and self.a_s.base is bufs[2])
+            ks.append(self.rows_s.size)
+
+        monkeypatch.setattr(SimplexSolver, "_update_binv", spy)
+        solves = warm_resolves(basic_transport_lp())
+        solver, _ = next(solves)
+        first, m = solver._binv_buf, solver.m
+        solver, _ = next(solves)
+        assert solver._binv_buf is first
+        k_warm = solver.rows_s.size
+        solver, sol = next(solves)  # a row joins: add_row, then a warm re-solve
+        assert solver.m == m + 1 and solver._binv_buf is not first and sol.dual_iterations > 0
+        assert sorted(seen) == [m, m + 1] and seen[m + 1][0][0] is solver._binv_buf
+        assert seen[m][1][0] == 1 and max(seen[m + 1][1]) > k_warm  # both solves grew k
+        for rows, (bufs, ks) in seen.items():
+            width = min(rows, solver.n)
+            assert bufs[0].shape == (rows, width) and bufs[0].flags.f_contiguous
+            assert bufs[1].shape == (width,) and bufs[2].shape == (width, solver.n)
+            assert max(ks) <= width
 
     def test_phase_two_duals_vanish_on_covered_rows(self):
         rng = np.random.default_rng(2718)

@@ -430,7 +430,11 @@ class _Search:
 
 
 def solve(model: MipModel, separators=(), config: BncConfig | None = None) -> SolveResult:
-    """Solve a mixed-binary model to proven optimality (or a limit)."""
+    """Solve a mixed-binary model to proven optimality (or a limit).  Cut
+    separators need the threshold variable t, which `saa` has not."""
+    separators = list(separators)
+    if separators and not model.block_indices("t"):
+        raise ValueError("cut separators need the threshold variable t; the model has none (saa)")
     if config is None:
         config = BncConfig()
     return _Search(model, separators, config).run()

@@ -14,9 +14,10 @@ covers its own row: the inverse's column of that row is the unit vector at
 the slack's basis position, so it is never stored.  With the k rows that
 have no basic slack in `rows_s`, the inverse is kept as `binv_s`, its m x k
 block of those rows' columns, next to `slack_pos`, the basis position of
-each row's slack (-1 when it is not basic), and `a_s`, the k rows of A on
-`rows_s` in the same order.  Every product with the inverse (pricing,
-FTRAN, the basic values) and every pivot then costs O(m k) instead of
+each row's slack (-1 when it is not basic), `col_of`, the stored column of
+each row (-1 when it is covered), and `a_s`, the k rows of A on `rows_s` in
+the same order.  Every product with the inverse (pricing, FTRAN, the basic
+values) and every pivot then costs O(m k) instead of
 O(m^2), and a DR-CCP basis is mostly slacks.  Slacks cost nothing, so the
 phase-2 duals are zero on every covered row: the reduced costs are
 c - (cb @ binv_s) @ a_s, and the dual ratio row is a row of `binv_s` priced
@@ -64,9 +65,12 @@ and of the referees, retries once from the slack basis.
 A warm start installs its stored basis directly: `load_state` sets the basis
 and the statuses and builds the inverse from the basis's structural block,
 as above, with no pivots towards it; the solve that follows settles the
-statuses and recomputes the primal values.  A singular basis, whether
-installed or found at a periodic refactorization, is rebuilt from the slack
-basis by greedy pivots that keep as many of its columns as possible.
+statuses and recomputes the primal values.  The inverse depends only on A
+and the basis, so a copy of the last one `load_state` built is kept until
+`add_row`, and a later load of that basis restores it.  A singular basis,
+whether installed or found at a periodic refactorization, is rebuilt from
+the slack basis by greedy pivots that keep as many of its columns as
+possible, and nothing is kept for it.
 
 Each iteration makes few numpy calls, since at these sizes their overhead,
 not the arithmetic, sets the time.  The entering choices of both loops read
@@ -182,6 +186,8 @@ class SimplexSolver:
             self.lb[self.n + i], self.ub[self.n + i] = _slack_bounds(sense)
         self.total_pivots = 0
         self._pivots_since_refactor = 0
+        self._c_pad = np.concatenate([self.c, np.zeros(self.m)])
+        self._kept = None  # (basis, binv_s, rows_s, slack_pos, col_of) of load_state's last _factor
         self._alloc(self.m)
         self.reset_basis()
 
@@ -271,7 +277,7 @@ class SimplexSolver:
 
     def _col(self, row):
         """Index of the stored column of a row without a basic slack."""
-        return int((self.rows_s == row).argmax())
+        return int(self.col_of[row])
 
     def _ftran(self, j):
         """B^-1 @ (column j of [A | I]) for a nonbasic column j: a slack's is
@@ -283,14 +289,14 @@ class SimplexSolver:
     def _moves(self):
         """Masks of the nonbasic columns with room to rise (at a lower bound
         or free) and to fall (at an upper bound or free)."""
-        movable, stat = self.ub - self.lb > 0, self.stat
-        self._up = movable & ((stat == ST_LOWER) | (stat == ST_FREE))
-        self._dn = movable & ((stat == ST_UPPER) | (stat == ST_FREE))
+        self._movable = movable = self.ub - self.lb > 0
+        self._up = movable & ((self.stat == ST_LOWER) | (self.stat == ST_FREE))
+        self._dn = movable & ((self.stat == ST_UPPER) | (self.stat == ST_FREE))
 
     def _set_stat(self, j, s):
         """Set one status and its entries of the move masks."""
         self.stat[j] = s
-        movable = self.ub[j] - self.lb[j] > 0
+        movable = self._movable[j]
         self._up[j] = movable and s in (ST_LOWER, ST_FREE)
         self._dn[j] = movable and s in (ST_UPPER, ST_FREE)
 
@@ -300,7 +306,7 @@ class SimplexSolver:
                              np.where(stat == ST_UPPER, self.ub, 0.0))
         rhs = self.b.copy()
         vals = self.xval[: self.n]
-        cols = np.flatnonzero((stat[: self.n] != ST_BASIC) & (vals != 0.0))
+        cols = ((stat[: self.n] != ST_BASIC) & (vals != 0.0)).nonzero()[0]
         if cols.size:
             rhs -= self.A[:, cols] @ vals[cols]
         # nonbasic slacks always rest at 0, so they drop out of the rhs
@@ -316,9 +322,11 @@ class SimplexSolver:
         `add_row` is rejected with a ValueError, and nothing changes.  A
         stored basis that differs from the current one is installed as it
         is, its inverse built by one block refactorization (`_factor`) with
-        no pivots.  The statuses are installed as given: the next `solve`
-        settles them against the basis and the current bounds (which may be
-        tighter than at capture) and recomputes the basic values.
+        no pivots, or copied from the one kept of the last basis this method
+        factored, if it is that basis.  The statuses are installed as given:
+        the next `solve` settles them against the basis and the current
+        bounds (which may be tighter than at capture) and recomputes the
+        basic values.
         """
         basis = np.array(basis, dtype=int)  # a copy: pivots edit self.basis in place
         stat = np.array(stat, dtype=np.int8)  # a copy: the caller keeps its state as stored
@@ -326,7 +334,18 @@ class SimplexSolver:
             raise ValueError("stored basis does not match solver shape")
         if not np.array_equal(basis, self.basis):
             self.basis = basis
-            self._factor()
+            kept = self._kept
+            if kept is not None and np.array_equal(basis, kept[0]):
+                _, binv_s, rows_s, slack_pos, col_of = kept
+                k = rows_s.size
+                self._binv_buf[:, :k], self._rows_buf[:k] = binv_s, rows_s
+                self._a_buf[:k] = self.A[rows_s]
+                self._set_k(k)
+                self.slack_pos, self.col_of = slack_pos.copy(), col_of.copy()
+                self._pivots_since_refactor = 0
+            elif self._factor():
+                self._kept = (basis.copy(), self.binv_s.copy("F"), self.rows_s.copy(),
+                              self.slack_pos.copy(), self.col_of.copy())
         self.stat = stat
 
     def _update_binv(self, w, pos, q):
@@ -339,24 +358,29 @@ class SimplexSolver:
         update, written only to the columns where the pivot row is nonzero:
         any other column would take x - 0 * w and keep its values.
         """
-        k = self.rows_s.size
+        k0 = k = self.rows_s.size
         if q >= self.n:
             c, k = self._col(q - self.n), k - 1
+            moved = self._rows_buf[k]
             self._binv_buf[:, c] = self._binv_buf[:, k]
-            self._rows_buf[c] = self._rows_buf[k]
+            self._rows_buf[c] = moved
             self._a_buf[c] = self._a_buf[k]
-            self._set_k(k)
+            self.col_of[moved] = c
+            self.col_of[q - self.n] = -1  # after the line above: moved is q's row when c == k
             self.slack_pos[q - self.n] = pos
-        leaving = int(self.basis[pos])
-        if leaving >= self.n:
+        leaving = int(self.basis[pos]) - self.n
+        if leaving >= 0:
             self._binv_buf[:, k] = 0.0
             self._binv_buf[pos, k] = 1.0
-            self._rows_buf[k] = leaving - self.n
-            self._a_buf[k] = self.A[leaving - self.n]
-            self._set_k(k + 1)
-            self.slack_pos[leaving - self.n] = -1
+            self._rows_buf[k] = leaving
+            self._a_buf[k] = self.A[leaving]
+            self.col_of[leaving] = k
+            self.slack_pos[leaving] = -1
+            k += 1
+        if k != k0:
+            self._set_k(k)
         row = self.binv_s[pos] / w[pos]
-        nz = np.flatnonzero(row)
+        nz = row.nonzero()[0]
         # outer(row[nz], w).T is laid out like binv_s, columns contiguous
         self.binv_s[:, nz] -= np.multiply.outer(row[nz], w).T
         self.binv_s[pos] = row
@@ -385,14 +409,15 @@ class SimplexSolver:
         are computed, with A[R_S] as `a_s`; the columns of R_L are unit
         vectors and are not stored.  A block that `inv` rejects, or whose
         inverse misses the identity by more than FACTOR_TOL, is singular and
-        hands the basis to `_repair_basis`.
+        hands the basis to `_repair_basis`.  Returns False after a repair,
+        True when the basis itself was factored.
         """
         struct = self.basis < self.n
-        pos_s, pos_l = np.flatnonzero(struct), np.flatnonzero(~struct)
+        pos_s, pos_l = struct.nonzero()[0], (~struct).nonzero()[0]
         rows_l = self.basis[pos_l] - self.n
         slack_pos = np.full(self.m, -1)
         slack_pos[rows_l] = pos_l
-        rows_s = np.flatnonzero(slack_pos < 0)
+        rows_s = (slack_pos < 0).nonzero()[0]
         a_b = self.A[:, self.basis[pos_s]]
         a_ss = a_b[rows_s]
         try:
@@ -400,16 +425,21 @@ class SimplexSolver:
         except np.linalg.LinAlgError:
             inv_ss = None
         k = rows_s.size
-        if inv_ss is None or (k and np.abs(a_ss @ inv_ss - np.eye(k)).max() > FACTOR_TOL):
+        ok = inv_ss is not None and not (
+            k and np.abs(a_ss @ inv_ss - np.eye(k)).max() > FACTOR_TOL)
+        if not ok:
             self._repair_basis()
         else:
             self.slack_pos = slack_pos
+            self.col_of = np.full(self.m, -1)
+            self.col_of[rows_s] = np.arange(k)
             self._binv_buf[pos_s, :k] = inv_ss
             self._binv_buf[pos_l, :k] = a_b[rows_l] @ -inv_ss
             self._rows_buf[:k] = rows_s
             self._a_buf[:k] = self.A[rows_s]
             self._set_k(k)
         self._pivots_since_refactor = 0
+        return ok
 
     def _repair_basis(self):
         """Replace a singular basis by a nonsingular one that keeps as many
@@ -488,7 +518,10 @@ class SimplexSolver:
         self._a_buf[:k] = a_s
         self._set_k(k)
         self.slack_pos = np.append(self.slack_pos, m_old)
+        self.col_of = np.append(self.col_of, -1)
         self.basis = np.append(self.basis, self.n + m_old)
+        self._c_pad = np.append(self._c_pad, 0.0)
+        self._kept = None  # A changed: the kept inverse no longer fits
 
     # -- solve --------------------------------------------------------------
 
@@ -515,10 +548,9 @@ class SimplexSolver:
         self.stat = self._settled(self.stat)
         self._recompute_values()
         self._moves()
-        c_pad = np.concatenate([self.c, np.zeros(self.m)])
-        dual_iters, sol = self._dual(c_pad, max_iter)
+        dual_iters, sol = self._dual(self._c_pad, max_iter)
         if sol is None:
-            sol = self._primal(c_pad, max_iter, dual_iters)
+            sol = self._primal(self._c_pad, max_iter, dual_iters)
         sol.dual_iterations = dual_iters
         return sol
 
@@ -577,9 +609,9 @@ class SimplexSolver:
             below = xb[r] < lo[r]
             y, gamma = self._dual_row(r, -1.0 if below else 1.0)
             score = np.maximum(np.where(self._up, gamma, 0.0), np.where(self._dn, -gamma, 0.0))
-            cand = np.flatnonzero(score > DUAL_PIVOT_TOL)
+            cand = (score > DUAL_PIVOT_TOL).nonzero()[0]
             if not cand.size:
-                cand = np.flatnonzero(score > PIVOT_TOL)
+                cand = (score > PIVOT_TOL).nonzero()[0]
                 if not cand.size:
                     return iters, self._infeasible_solution(y, iters)
                 if self._pivots_since_refactor:

@@ -15,7 +15,7 @@ from drccp import bnc, oracles
 from drccp.bnc import BncConfig, compute_gap, solve
 from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_basic, build_formulation, build_theta_variant
-from drccp.model import BINARY, CONTINUOUS, MipModel
+from drccp.model import BINARY, CONTINUOUS, MipModel, distance_profile
 from drccp.simplex import SimplexSolver, SimplexStall
 
 
@@ -297,6 +297,18 @@ def test_cuts_do_not_change_the_optimum():
     assert set(with_cuts.cuts) <= {"mixing", "path"}
 
 
+def test_separators_on_a_model_without_t_are_rejected_before_any_lp(monkeypatch):
+    # saa has no r or t block, and its discard count is floor(eps N), not the
+    # separators' ceil(eps N) - 1: cuts would remove cheaper feasible points
+    tp, inst = small_transport(seed=2, n=20, epsilon=0.1, theta=0.01)
+    model = build_formulation(inst, "saa")
+    assert not model.block_indices("t")
+    monkeypatch.setattr(SimplexSolver, "__init__", lambda *a: pytest.fail("an LP was built"))
+    for seps in ([MixingSeparator(inst)], [PathSeparator(inst)]):
+        with pytest.raises(ValueError, match="threshold variable t"):
+            solve(model, separators=seps)
+
+
 def test_root_cuts_tighten_the_root_bound():
     # minimization: the cut loop can only raise the root relaxation value
     inst = box_instance(49, n=12)
@@ -304,6 +316,39 @@ def test_root_cuts_tighten_the_root_bound():
     plain = solve(build_basic(inst))
     with_cuts = solve(build_basic(inst), separators=seps)
     assert with_cuts.root_bound >= plain.root_bound - 1e-9
+
+
+@st.composite
+def limited_searches(draw):
+    """A small transport cell at a drawn radius, a model (compact with both
+    cut families too) and a search cut short by a drawn node limit, under a
+    drawn node selection and branching rule."""
+    _, inst = small_transport(seed=draw(st.integers(0, 10**6)), centers=draw(st.integers(2, 3)),
+                              n=draw(st.sampled_from([15, 20, 30])),
+                              epsilon=draw(st.sampled_from([0.1, 0.15, 0.2])),
+                              theta=draw(st.sampled_from([0.005, 0.02, 0.05])))
+    kind, with_cuts = draw(st.sampled_from([("basic", False), ("compact", False),
+                                            ("compact", True)]))
+    seps = [MixingSeparator(inst), PathSeparator(inst)] if with_cuts else []
+    limit = draw(st.sampled_from([1, 3, 10, 30, 100, 300])) + draw(st.integers(0, 9))
+    config = BncConfig(node_limit=limit,
+                       node_selection=draw(st.sampled_from(bnc.NODE_SELECTIONS)),
+                       branching=draw(st.sampled_from(bnc.BRANCHING_RULES)))
+    return inst, build_formulation(inst, kind), seps, config
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(limited_searches())
+def test_every_incumbent_passes_both_certificates(drawn):
+    # a node limit stops the search at whatever incumbent it holds then, so
+    # the drawn limits reach incumbents found early as well as final ones
+    inst, model, seps, config = drawn
+    res = solve(model, seps, config)
+    assert (res.x is None) == (res.status in ("no-incumbent", "infeasible"))
+    if res.x is not None:
+        dist = distance_profile(inst, res.x)
+        assert oracles.lemma_certificate(dist, inst.epsilon, inst.theta).feasible
+        assert oracles.worst_case_prob(dist, inst.theta) <= inst.epsilon + 1e-7
 
 
 # -- determinism and the event log -------------------------------------------

@@ -133,6 +133,15 @@ def test_solve_rejects_unknown_cut_family(instance_path, capsys):
     assert "drccp solve: error: unknown cut family 'gomory'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["mixing", "path"])
+def test_solve_rejects_cuts_on_the_saa_model(instance_path, capsys, family):
+    rc = main(["solve", str(instance_path), "--formulation", "saa", "--cuts", family])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "drccp solve: error: cut separators need the threshold variable t" in captured.err
+    assert "status=" not in captured.out
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve"])  # missing the instance argument

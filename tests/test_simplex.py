@@ -12,10 +12,10 @@ from scipy.optimize import linprog
 
 from conftest import box_instance
 from drccp import bnc, simplex
-from drccp.bench import cell_seed
+from drccp.bench import ExperimentConfig, cell_seed
 from drccp.bnc import BncConfig
 from drccp.constants import DUAL_PIVOT_TOL, DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
-from drccp.formulations import build_formulation, theta_grid, theta_max
+from drccp.formulations import build_formulation, compute_quantiles, theta_grid, theta_max
 from drccp.simplex import (
     ST_BASIC,
     ST_FREE,
@@ -1097,6 +1097,108 @@ class TestInstall:
         assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
 
+@contextlib.contextmanager
+def counted(monkeypatch, name):
+    """Count the calls of one SimplexSolver method in the block."""
+    calls = []
+    method = getattr(SimplexSolver, name)
+
+    def spy(self, *args):
+        calls.append(self.basis.copy())
+        return method(self, *args)
+
+    monkeypatch.setattr(SimplexSolver, name, spy)
+    yield calls
+
+
+def factored_block(solver):
+    """Copies of everything `_factor` writes for the current basis."""
+    return [solver.binv_s.copy(), solver.rows_s.copy(), solver.a_s.copy(),
+            solver.slack_pos.copy(), solver.col_of.copy()]
+
+
+class TestKeptInverse:
+    """`load_state` keeps the inverse of the last basis it factored; a later
+    load of that basis restores it instead of factoring again."""
+
+    @staticmethod
+    def move_away(solver, prob):
+        """Force a third of the columns up, re-solve, restore the bounds."""
+        for j in range(0, prob.num_cols, 3):
+            solver.set_bound(j, prob.ub[j] if math.isfinite(prob.ub[j]) else 1.0, math.inf)
+        solver.solve()
+        for j in range(0, prob.num_cols, 3):
+            solver.set_bound(j, prob.lb[j], prob.ub[j])
+
+    def test_reload_restores_what_factor_builds(self, monkeypatch):
+        prob, solver, first, state, _ = TestInstall.moved_away(np.random.default_rng(818))
+        solver.load_state(*state)  # factored and kept
+        self.move_away(solver, prob)
+        assert not np.array_equal(solver.basis, state[0])
+        with counted(monkeypatch, "_factor") as factors:
+            solver.load_state(*state)
+        assert factors == [] and solver._pivots_since_refactor == 0
+        np.testing.assert_array_equal(solver.basis, state[0])
+        restored = factored_block(solver)
+        assert solver._factor()
+        for got, fresh in zip(restored, factored_block(solver)):
+            assert np.array_equal(got, fresh)
+        pivots = solver.total_pivots
+        again = solver.solve()
+        assert again.status == "optimal" and solver.total_pivots == pivots
+        assert again.objective == first.objective
+
+    def test_load_after_add_row_factors(self, monkeypatch):
+        prob, solver, _, state, _ = TestInstall.moved_away(np.random.default_rng(919))
+        solver.load_state(*state)
+        solver.add_row(np.ones(prob.num_cols), "<=", 1e3)
+        grown = solver.get_state()  # the kept basis plus the new row's slack
+        self.move_away(solver, prob)
+        assert not np.array_equal(solver.basis, grown[0])
+        with counted(monkeypatch, "_factor") as factors:
+            solver.load_state(*grown)
+        assert len(factors) == 1
+        np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(solver.m),
+                                   atol=1e-9)
+
+    def test_singular_basis_is_repaired_on_every_load(self, monkeypatch):
+        rng = np.random.default_rng(717)
+        half = np.round(rng.normal(size=(12, 8)), 3)
+        prob = boxed_problem(rng, 12, 16, A=np.hstack([half, half]))
+        solver = SimplexSolver(prob)
+        assert solver.solve().status == "optimal"
+        basis, stat = solver.get_state()
+        pos_s, pos_l = np.flatnonzero(basis < solver.n), np.flatnonzero(basis >= solver.n)
+        basis[pos_l[0]] = (basis[pos_s[0]] + solver.n // 2) % solver.n  # a twin: singular
+        stat[basis[pos_l[0]]] = ST_BASIC
+        blocks = []
+        with counted(monkeypatch, "_repair_basis") as repairs:
+            for _ in range(2):
+                solver.reset_basis()
+                solver.load_state(basis, stat)
+                blocks.append(factored_block(solver) + [solver.basis.copy()])
+        assert len(repairs) == 2 and all(np.array_equal(b, basis) for b in repairs)
+        assert all(np.array_equal(a, b) for a, b in zip(*blocks))
+
+    def test_fixed_search_factors_less(self, monkeypatch):
+        """`improved` at the first radius of the bench's (2,3,50) cell: the
+        same nodes and LP iterations as when every load factored its basis
+        (367 `_factor` calls), from 216 calls."""
+        config = ExperimentConfig()
+        tp = generate(2, 3, 50, cell_seed(config.base_seed, 2, 3, 50, 0), config.epsilon)
+        base = to_drccp(tp, theta=0.001)
+        quant = compute_quantiles(base)
+        tmax = theta_max(base, config=BncConfig(gap_tol=config.gap_tol,
+                                                node_limit=config.theta_max_node_limit))
+        inst = to_drccp(tp, theta=theta_grid(tmax)[0])
+        model = build_formulation(inst, "compact", big_m=transport_big_m(tp), quant=quant)
+        with counted(monkeypatch, "_factor") as factors:
+            res = bnc.solve(model, (), BncConfig(gap_tol=config.gap_tol,
+                                                 node_limit=config.node_limit))
+        assert (res.status, res.nodes, res.iterations) == ("optimal", 391, 1622)
+        assert len(factors) == 216
+
+
 # -- the fused selection rules against their mask-by-mask originals ---------
 
 def reference_entering(solver, d, bland):
@@ -1547,3 +1649,6 @@ class TestStructuralInverse:
             np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver),
                                        np.eye(solver.m), atol=1e-9)
             assert np.array_equal(solver.a_s, solver.A[solver.rows_s])
+            k = solver.rows_s.size
+            assert np.array_equal(solver.col_of[solver.rows_s], np.arange(k))
+            assert (np.delete(solver.col_of, solver.rows_s) == -1).all()

@@ -73,12 +73,24 @@ the slack basis by greedy pivots that keep as many of its columns as
 possible, and nothing is kept for it.
 
 Each iteration makes few numpy calls, since at these sizes their overhead,
-not the arithmetic, sets the time.  The entering choices of both loops read
-two move masks (nonbasics that may rise, nonbasics that may fall), which
-`solve` computes once and then updates one entry per status change.  The
-primal ratio test is one blocking-bound formula over all basics; the dual
-one divides only over the columns eligible to enter.  The FTRAN column of a
-slack is read straight from `binv_s`.
+not the arithmetic, sets the time, and it carries its working state instead
+of rebuilding it.  The basic values `xb` and their bounds `lb_B` and `ub_B`
+are kept by basis position: `_recompute_values` builds them, a pivot moves
+`xb` by -theta * w and writes the entering column's value and bounds at its
+position, and a bound flip moves `xb` alone.  `xval` holds the nonbasic
+values and takes `xb` only where a solution is read.  The entering choices
+of both loops read one move-direction vector `_dir`: +1 for a nonbasic that
+may rise, -1 for one that may fall, 0 for a basic or fixed column; a free
+nonbasic may do both, is listed in `_free` and is scored by |.|.  `solve`
+derives it once from the settled statuses, and each status change updates
+one entry.  The dual loop prices once when it starts and again only after a
+refactorization; in between, each pivot updates the reduced costs from its
+ratio row, d -= (d_q / gamma_q) gamma.  The primal loop prices afresh every
+iteration, so the optimality test and the reported duals and reduced costs
+come from a fresh price.  The primal ratio test is one blocking-bound
+formula over all basics; the dual one divides only over the columns
+eligible to enter.  The FTRAN column of a slack is read straight from
+`binv_s`.
 
 State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
 the basis, the statuses and the bounds.  `solve` settles every status
@@ -102,6 +114,17 @@ from .constants import DUAL_PIVOT_TOL, DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
 ST_LOWER, ST_UPPER, ST_BASIC, ST_FREE = 0, 1, 2, 3
 
 _DEGEN_STREAK = 40  # degenerate pivots tolerated before switching to Bland
+
+# `_settled`: the nonbasic status by (status, lb finite, ub finite), at
+# index status * 4 + 2 * isfinite(lb) + isfinite(ub); the rows are ST_LOWER,
+# ST_UPPER, ST_BASIC and ST_FREE
+_SETTLE = np.array([ST_FREE, ST_UPPER, ST_LOWER, ST_LOWER,
+                    ST_FREE, ST_UPPER, ST_LOWER, ST_UPPER,
+                    ST_FREE, ST_UPPER, ST_LOWER, ST_LOWER,
+                    ST_FREE, ST_UPPER, ST_LOWER, ST_LOWER], dtype=np.int8)
+# the move direction of a movable column by status; a free one gets 0 and
+# is scored through `_free`
+_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0])
 
 
 class SimplexStall(RuntimeError):
@@ -208,15 +231,13 @@ class SimplexSolver:
 
         Basic columns get ST_BASIC.  Any other column keeps its status when
         that bound is finite (ST_FREE only when both are infinite); otherwise
-        it rests at its lower bound, else its upper bound, else free.
+        it rests at its lower bound, else its upper bound, else free.  One
+        lookup in `_SETTLE`, by status and finite bounds, gives every
+        column's nonbasic status; then the basics are marked.
         """
-        in_basis = np.zeros(self.nt, dtype=bool)
-        in_basis[self.basis] = True
-        lo, hi = np.isfinite(self.lb), np.isfinite(self.ub)
-        keep = (((stat == ST_LOWER) & lo) | ((stat == ST_UPPER) & hi)
-                | ((stat == ST_FREE) & ~(lo | hi)))
-        resting = np.where(lo, ST_LOWER, np.where(hi, ST_UPPER, ST_FREE))
-        return np.where(in_basis, ST_BASIC, np.where(keep, stat, resting)).astype(np.int8)
+        out = _SETTLE[stat * 4 + (2 * np.isfinite(self.lb) + np.isfinite(self.ub))]
+        out[self.basis] = ST_BASIC
+        return out
 
     def _alloc(self, m):
         """Buffers for `binv_s`, `rows_s` and `a_s` of an m-row LP, at the
@@ -250,14 +271,17 @@ class SimplexSolver:
         return y
 
     def _price(self, cb):
-        """Phase-2 duals y = cb @ B^-1 and reduced costs of [A | I].
+        """Reduced costs d of [A | I] under the phase-2 duals y = cb @ B^-1,
+        which are -d on the slacks.
 
         A basic slack costs nothing, so y is zero on every covered row, and
         y @ A is the k duals on `rows_s` times `a_s`."""
         y_s = cb @ self.binv_s
-        yb = np.zeros(self.m)
-        yb[self.rows_s] = y_s
-        return yb, np.concatenate([self.c - y_s @ self.a_s, -yb])
+        d = np.empty(self.nt)
+        d[self.n:] = -0.0  # -y on the slacks, so -d[n:] is y with +0.0 off rows_s
+        d[self.n:][self.rows_s] = -y_s
+        np.subtract(self.c, y_s @ self.a_s, out=d[: self.n])
+        return d
 
     def _dual_row(self, r, sign):
         """y = sign * (row r of B^-1) and the dual ratio row y @ [A | I].
@@ -266,14 +290,15 @@ class SimplexSolver:
         `a_s`.  On a covered row it is zero unless that row's slack is the
         basic at r, where it is `sign`, and that row of A is added."""
         y_s = sign * self.binv_s[r]
-        y = np.zeros(self.m)
+        gamma = np.zeros(self.nt)
+        gamma_a, y = gamma[: self.n], gamma[self.n:]
         y[self.rows_s] = y_s
-        gamma_a = y_s @ self.a_s
+        np.matmul(y_s, self.a_s, out=gamma_a)
         if self.basis[r] >= self.n:
             covered = self.basis[r] - self.n
             y[covered] = sign
             gamma_a += sign * self.A[covered]
-        return y, np.concatenate([gamma_a, y])
+        return y, gamma
 
     def _col(self, row):
         """Index of the stored column of a row without a basic slack."""
@@ -287,20 +312,33 @@ class SimplexSolver:
         return self.binv_s[:, self._col(j - self.n)].copy()
 
     def _moves(self):
-        """Masks of the nonbasic columns with room to rise (at a lower bound
-        or free) and to fall (at an upper bound or free)."""
+        """The move-direction vector `_dir` of the settled statuses: +1 for a
+        nonbasic column with room to rise (at its lower bound), -1 for one
+        with room to fall (at its upper bound), 0 for a basic or fixed one.
+        A free nonbasic with room may do both: its entry is 0 and `_free`
+        lists it, so `_gain` scores it by |.|."""
         self._movable = movable = self.ub - self.lb > 0
-        self._up = movable & ((self.stat == ST_LOWER) | (self.stat == ST_FREE))
-        self._dn = movable & ((self.stat == ST_UPPER) | (self.stat == ST_FREE))
+        self._dir = np.where(movable, _DIRECTION[self.stat], 0.0)
+        self._free = (movable & (self.stat == ST_FREE)).nonzero()[0]
 
     def _set_stat(self, j, s):
-        """Set one status and its entries of the move masks."""
+        """Set one status (never ST_FREE) and its entry of `_dir`."""
         self.stat[j] = s
-        movable = self._movable[j]
-        self._up[j] = movable and s in (ST_LOWER, ST_FREE)
-        self._dn[j] = movable and s in (ST_UPPER, ST_FREE)
+        self._dir[j] = _DIRECTION[s] if self._movable[j] else 0.0
+
+    def _gain(self, v):
+        """v * `_dir`, with |v| on the free nonbasics: for each column, the
+        gain in v of its best allowed move, at most 0 where none gains."""
+        g = v * self._dir
+        free = self._free
+        if free.size:
+            free = free[self.stat[free] == ST_FREE]  # some may have entered the basis
+            g[free] = np.abs(v[free])
+        return g
 
     def _recompute_values(self):
+        """The nonbasic values `xval` from the statuses, and the basic values
+        `xb` and bounds `lb_B`, `ub_B` by basis position."""
         stat = self.stat
         self.xval = np.where(stat == ST_LOWER, self.lb,
                              np.where(stat == ST_UPPER, self.ub, 0.0))
@@ -310,7 +348,8 @@ class SimplexSolver:
         if cols.size:
             rhs -= self.A[:, cols] @ vals[cols]
         # nonbasic slacks always rest at 0, so they drop out of the rhs
-        self.xval[self.basis] = self._binv_times(rhs)
+        self.xb = self._binv_times(rhs)
+        self.lb_B, self.ub_B = self.lb[self.basis], self.ub[self.basis]
 
     def get_state(self):
         return self.basis.copy(), self.stat.copy()
@@ -318,8 +357,10 @@ class SimplexSolver:
     def load_state(self, basis, stat):
         """Warm start from a stored (basis, status) pair.
 
-        The state must have the solver's current shape: one captured before
-        `add_row` is rejected with a ValueError, and nothing changes.  A
+        The state must have the solver's current shape, basis indices in
+        [0, n + m) and statuses from ST_LOWER to ST_FREE: any other (one
+        captured before `add_row`, say) is rejected with a ValueError, and
+        nothing changes.  A
         stored basis that differs from the current one is installed as it
         is, its inverse built by one block refactorization (`_factor`) with
         no pivots, or copied from the one kept of the last basis this method
@@ -329,9 +370,14 @@ class SimplexSolver:
         basic values.
         """
         basis = np.array(basis, dtype=int)  # a copy: pivots edit self.basis in place
-        stat = np.array(stat, dtype=np.int8)  # a copy: the caller keeps its state as stored
+        stat = np.asarray(stat)
         if basis.size != self.m or stat.size != self.nt:
             raise ValueError("stored basis does not match solver shape")
+        if basis.size and not (basis.min() >= 0 and basis.max() < self.nt):
+            raise ValueError(f"stored basis has an index outside [0, {self.nt})")
+        if not ((stat >= ST_LOWER) & (stat <= ST_FREE)).all():
+            raise ValueError("stored statuses hold a code outside ST_LOWER..ST_FREE")
+        stat = stat.astype(np.int8)  # a copy: the caller keeps its state as stored
         if not np.array_equal(basis, self.basis):
             self.basis = basis
             kept = self._kept
@@ -530,9 +576,10 @@ class SimplexSolver:
 
         The score of a column is the reduced-cost gain of its allowed moves,
         |d| exactly for every eligible column and at most `tol` for the
-        rest: Dantzig takes the first largest, Bland the first eligible.
+        rest: Dantzig takes the first largest, Bland the first eligible.  A
+        negative score never reaches a maximum above `tol`.
         """
-        score = np.maximum(np.where(self._up, -d, 0.0), np.where(self._dn, d, 0.0))
+        score = self._gain(-d)
         q = int((score > tol if bland else score).argmax())
         if score[q] <= tol:
             return -1, 0
@@ -575,8 +622,11 @@ class SimplexSolver:
         inverse, negated when it lies below its lower bound, so that raising
         column j of [A | I] moves it toward that bound exactly when
         y @ a_j > 0: the phase-1 pricing of this one violation.  `_dual_row`
-        gives y and that ratio row, and `_price` the reduced costs d; neither
-        multiplies all m rows of A.  A column that may rise is
+        gives y and that ratio row gamma, and `_price` the reduced costs d;
+        neither multiplies all m rows of A.  d is priced when the loop
+        starts and after each refactorization; each other pivot carries it
+        forward from the ratio row, d -= (d_q / gamma_q) gamma, which zeroes
+        the entering column's entry.  A column that may rise is
         eligible where y @ a_j > DUAL_PIVOT_TOL, one that may fall where
         y @ a_j < -DUAL_PIVOT_TOL.  The entering column keeps the reduced
         costs dual feasible: the least |d_j| / |y @ a_j| over the eligible
@@ -592,14 +642,15 @@ class SimplexSolver:
         than _DEGEN_STREAK dual steps in a row were degenerate.
         """
         iters = degen_streak = 0
+        d = None
         while self.m:  # a basis of no rows violates nothing
-            xb = self.xval[self.basis]
-            lo, hi = self.lb[self.basis], self.ub[self.basis]
+            xb, lo, hi = self.xb, self.lb_B, self.ub_B
             viol = np.maximum(lo - xb, xb - hi)
             r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
                 break
-            d = self._price(c_pad[self.basis])[1]
+            if d is None or not self._pivots_since_refactor:
+                d = self._price(c_pad[self.basis])
             if iters == 0 and self._eligible_entering(d, False)[0] >= 0:
                 break
             if iters > max_iter:
@@ -608,7 +659,7 @@ class SimplexSolver:
 
             below = xb[r] < lo[r]
             y, gamma = self._dual_row(r, -1.0 if below else 1.0)
-            score = np.maximum(np.where(self._up, gamma, 0.0), np.where(self._dn, -gamma, 0.0))
+            score = self._gain(gamma)
             cand = (score > DUAL_PIVOT_TOL).nonzero()[0]
             if not cand.size:
                 cand = (score > PIVOT_TOL).nonzero()[0]
@@ -624,6 +675,7 @@ class SimplexSolver:
             q = int(cand[np.where(ratios <= tmin + 1e-12, score, 0.0).argmax()])
             degen_streak = degen_streak + 1 if tmin <= 1e-11 else 0
 
+            d -= (d[q] / gamma[q]) * gamma
             w = self._ftran(q)
             bound = lo[r] if below else hi[r]
             self._pivot(q, r, w, (xb[r] - bound) / w[r], not below)
@@ -642,8 +694,7 @@ class SimplexSolver:
                 raise SimplexStall(f"iteration cap {max_iter} exceeded")
             iters += 1
 
-            xb = self.xval[self.basis]
-            lo, hi = self.lb[self.basis], self.ub[self.basis]
+            xb, lo, hi = self.xb, self.lb_B, self.ub_B
             below, above = xb < lo - FEAS_TOL, xb > hi + FEAS_TOL
             if below.any() or above.any():
                 # phase-1 costs are zero off the basis; basic columns are
@@ -657,7 +708,7 @@ class SimplexSolver:
                 degen_streak = 0
                 continue
             else:
-                yb, d = self._price(c_pad[self.basis])
+                d = self._price(c_pad[self.basis])
 
             q, sigma = self._eligible_entering(d, bland)
             if q < 0 and phase_one:
@@ -668,7 +719,7 @@ class SimplexSolver:
                     continue
             if q < 0:
                 return (self._infeasible_solution(yb, iters) if phase_one
-                        else self._optimal_solution(yb, d, iters))
+                        else self._optimal_solution(d, iters))
 
             w = self._ftran(q)
             step, pos, to_upper, flip = self._ratio(q, sigma, w, xb, lo, hi, below, above, bland)
@@ -689,7 +740,7 @@ class SimplexSolver:
 
             if flip:
                 # entering variable runs to its opposite bound
-                self.xval[self.basis] -= sigma * step * w
+                xb -= sigma * step * w
                 at_lower = self.stat[q] == ST_LOWER
                 self._set_stat(q, ST_UPPER if at_lower else ST_LOWER)
                 self.xval[q] = self.ub[q] if at_lower else self.lb[q]
@@ -699,10 +750,13 @@ class SimplexSolver:
     def _pivot(self, q, pos, w, theta, to_upper):
         """Column q enters the basis at `pos`, its value moved by `theta` and
         the basics by -theta * w; the leaving column rests at its upper bound
-        if `to_upper`, else at its lower one."""
+        if `to_upper`, else at its lower one.  `xb`, `lb_B` and `ub_B` take
+        q's value and bounds at `pos`."""
         leaving = int(self.basis[pos])
-        self.xval[self.basis] -= theta * w
-        self.xval[q] += theta
+        xb = self.xb
+        xb -= theta * w
+        xb[pos] = self.xval[q] + theta
+        self.lb_B[pos], self.ub_B[pos] = self.lb[q], self.ub[q]
         self.xval[leaving] = self.ub[leaving] if to_upper else self.lb[leaving]
         self._set_stat(leaving, ST_UPPER if to_upper else ST_LOWER)
         self._set_stat(q, ST_BASIC)
@@ -753,15 +807,16 @@ class SimplexSolver:
     # -- terminal states ----------------------------------------------------
 
     def _structural_solution(self):
+        self.xval[self.basis] = self.xb
         return self.xval[: self.n].copy()
 
-    def _optimal_solution(self, yb, d, iters):
+    def _optimal_solution(self, d, iters):
         x = self._structural_solution()
         return LpSolution(
             status="optimal",
             x=x,
             objective=float(self.c @ x),
-            duals=yb.copy(),
+            duals=-d[self.n:],
             reduced_costs=d[: self.n].copy(),
             iterations=iters,
             basis=self.basis.copy(),

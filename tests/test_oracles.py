@@ -186,23 +186,29 @@ class TestLemmaCertificate:
     def test_agrees_with_worst_case_prob(self):
         # Robust feasibility has two independent characterizations; they must
         # agree away from the decision boundary, and at theta = 0 exactly.
-        # Half the profiles tie a random number of samples at distance 0.
-        rng = np.random.default_rng(404)
-        checked = 0
+        # Half the profiles tie a random number of samples at distance 0, and
+        # at the positive theta each profile is checked again with a random
+        # number of its distances infinite (drawn from a second generator).
+        rng, far_rng = np.random.default_rng(404), np.random.default_rng(405)
+        checked = checked_far = 0
         for i in range(200):
             n = int(rng.integers(3, 20))
             d = np.round(rng.uniform(0.0, 1.5, n), 4)
             if i % 2:
                 d[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = 0.0
             eps = float(rng.uniform(0.05, 0.5))
-            for theta in (0.0, 1e-12, float(rng.uniform(0.001, 0.4))):
-                prob = worst_case_prob(d, theta)
+            theta_pos = float(rng.uniform(0.001, 0.4))
+            far = d.copy()
+            far[far_rng.choice(n, int(far_rng.integers(1, n + 1)), replace=False)] = math.inf
+            for dist, theta in ((d, 0.0), (d, 1e-12), (d, theta_pos), (far, theta_pos)):
+                prob = worst_case_prob(dist, theta)
                 if theta > 0.0 and abs(prob - eps) <= 1e-6:
                     continue
-                cert = lemma_certificate(d, eps, theta)
-                assert cert.feasible == (prob <= eps), (d, eps, theta)
+                cert = lemma_certificate(dist, eps, theta)
+                assert cert.feasible == (prob <= eps), (dist, eps, theta)
                 checked += 1
-        assert checked > 450
+                checked_far += dist is far
+        assert checked > 650 and checked_far > 190
 
     @pytest.mark.parametrize("theta", [0.0, 1e-12])
     def test_no_certificate_at_t_zero(self, theta):

@@ -4,6 +4,7 @@ loop of warm re-solves, basis repair, the stored structural block of the
 inverse, and the per-iteration selection rules and state."""
 import contextlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -497,6 +498,27 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="basis"):
             solver.load_state(basis[:0], stat)
 
+    def test_load_state_rejects_indices_and_codes_it_cannot_use(self):
+        # a basis index outside [0, n + m) or a status code outside
+        # ST_LOWER..ST_FREE is rejected before anything changes; -1 used to
+        # wrap to the last slack and end `optimal` at 0.0
+        prob = LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0], [1.0, -1.0]], senses=[">=", "<="],
+                         b=[1.0, 0.5], lb=[0.0, 0.0], ub=[10.0, 10.0])
+        solved = SimplexSolver(prob)
+        assert abs(solved.solve().objective - 1.0) <= 1e-12
+        basis, stat = solved.get_state()
+        solver = SimplexSolver(prob)
+        before = solver.get_state()
+        for bad_basis, bad_stat in (([-1, 1], stat), ([0, 9], stat), ([0, 4], stat),
+                                    (basis, np.where(stat == ST_BASIC, stat, 7)),
+                                    (basis, np.where(stat == ST_BASIC, stat, -1))):
+            with pytest.raises(ValueError, match="outside"):
+                solver.load_state(bad_basis, bad_stat)
+            assert all(np.array_equal(a, b) for a, b in zip(solver.get_state(), before))
+        solver.load_state(basis, stat)
+        sol = solver.solve()
+        assert sol.status == "optimal" and abs(sol.objective - 1.0) <= 1e-12
+
     def test_set_bound_rejects_slack_index(self):
         prob = LpProblem(c=[1.0], A=[[1.0]], senses=["<="], b=[1.0], lb=[0.0], ub=[2.0])
         solver = SimplexSolver(prob)
@@ -673,8 +695,7 @@ class TestDualSimplex:
         else:
             assert warm.status == "optimal"
             assert abs(warm.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
-        up, dn = fresh_moves(solver)
-        assert np.array_equal(solver._up, up) and np.array_equal(solver._dn, dn)
+        assert_fresh_moves(solver)
 
     def test_dual_infeasibility_row_is_a_certificate(self):
         rng = np.random.default_rng(2005)
@@ -700,6 +721,41 @@ class TestDualSimplex:
         assert 0 < warm.dual_iterations < warm.iterations
         again = solver.solve()  # the basis is optimal already
         assert again.dual_iterations == 0 and again.iterations == 1
+
+    def test_warm_resolve_prices_twice(self, monkeypatch):
+        # the dual loop prices once when it starts and then carries the
+        # reduced costs through its pivots; the primal loop's one iteration
+        # prices again to confirm optimality
+        prob = boxed_problem(np.random.default_rng(1), 15, 20)
+        solver = SimplexSolver(prob)
+        assert solver.solve().status == "optimal"
+        solver.set_bound(13, 0.0, 0.0)
+        with counted(monkeypatch, "_price") as prices, counted(monkeypatch, "_factor") as factors:
+            warm = solver.solve()
+        assert warm.status == "optimal" and warm.dual_iterations >= 3
+        assert warm.iterations == warm.dual_iterations + 1
+        assert not factors and len(prices) == 2
+
+    def test_carried_reduced_costs_match_a_fresh_price(self, monkeypatch):
+        # at every dual iteration, carried or priced, `_dual`'s reduced costs
+        # lie within 1e-9 * max(1, |d|) of a fresh price of the current basis
+        price, dual_row = SimplexSolver._price, SimplexSolver._dual_row
+        seen = {"carried": 0, "checked": 0}
+
+        def spy(self, r, sign):
+            caller = sys._getframe(1).f_locals  # `_dual`'s frame
+            d, fresh = caller["d"], price(self, self._c_pad[self.basis])
+            assert (np.abs(d - fresh) <= 1e-9 * np.maximum(1.0, np.abs(fresh))).all()
+            seen["carried"] += caller["iters"] > 1 and self._pivots_since_refactor > 0
+            seen["checked"] += 1
+            return dual_row(self, r, sign)
+
+        monkeypatch.setattr(SimplexSolver, "_dual_row", spy)
+        rng = np.random.default_rng(1729)
+        for prob in [basic_transport_lp()] + [boxed_problem(rng, 15, 20) for _ in range(5)]:
+            for _ in warm_resolves(prob):
+                pass
+        assert seen["carried"] >= 20 and seen["checked"] > seen["carried"]
 
     def test_cold_dual_infeasible_start_is_primal(self):
         # the slack basis violates the >= row and x0 prices in (c0 < 0)
@@ -1318,26 +1374,56 @@ class TestSelectionRules:
 
 # -- state the solve keeps per iteration -------------------------------------
 
-def fresh_moves(solver):
+def assert_fresh_moves(solver):
+    """The move-direction vector equals a fresh recompute from the statuses
+    and bounds (+1 may rise, -1 may fall, 0 otherwise), and `_free` lists
+    exactly the free nonbasics with room to move (after dropping those that
+    have entered the basis since it was made)."""
     movable = solver.ub - solver.lb > 0
-    up = movable & np.isin(solver.stat, (ST_LOWER, ST_FREE))
-    dn = movable & np.isin(solver.stat, (ST_UPPER, ST_FREE))
-    return up, dn
+    direction = np.select([movable & (solver.stat == ST_LOWER),
+                           movable & (solver.stat == ST_UPPER)], [1.0, -1.0])
+    np.testing.assert_array_equal(solver._dir, direction)
+    free = solver._free[solver.stat[solver._free] == ST_FREE]
+    np.testing.assert_array_equal(free, np.flatnonzero(movable & (solver.stat == ST_FREE)))
+
+
+def assert_fresh_positions(solver):
+    """`lb_B` and `ub_B` are the bounds of the basis, and `xb` lies within
+    1e-9 of the basic values recomputed from the nonbasic ones in `xval`."""
+    np.testing.assert_array_equal(solver.lb_B, solver.lb[solver.basis])
+    np.testing.assert_array_equal(solver.ub_B, solver.ub[solver.basis])
+    nonbasic = np.ones(solver.nt, dtype=bool)
+    nonbasic[solver.basis] = False
+    full = np.hstack([solver.A, np.eye(solver.m)])
+    rhs = solver.b - full[:, nonbasic] @ solver.xval[nonbasic]
+    np.testing.assert_allclose(solver.xb, solver._binv_times(rhs), rtol=0, atol=1e-9)
 
 
 @contextlib.contextmanager
 def checked_moves(monkeypatch):
-    """Assert at every pricing of the block that the move masks equal a
-    fresh recompute; count the pivots and bound flips that preceded them."""
+    """Assert at every pricing of the block that the move-direction vector
+    equals a fresh recompute, and at every pricing and after every pivot
+    and refactorization that the basic values and bounds kept by position
+    do; count the pivots and bound flips that preceded them.  A bound flip
+    is followed by a pricing, so the state it leaves is checked there."""
     seen = {"checks": 0, "pivots": 0, "flips": 0}
     eligible, ratio = SimplexSolver._eligible_entering, SimplexSolver._ratio
+    pivot, refactor = SimplexSolver._pivot, SimplexSolver._refactor
 
     def eligible_spy(self, d, bland):
-        up, dn = fresh_moves(self)
-        np.testing.assert_array_equal(self._up, up)
-        np.testing.assert_array_equal(self._dn, dn)
+        assert_fresh_moves(self)
+        assert_fresh_positions(self)
         seen["checks"] += 1
         return eligible(self, d, bland)
+
+    def pivot_spy(self, *args):
+        pivot(self, *args)
+        assert_fresh_moves(self)
+        assert_fresh_positions(self)
+
+    def refactor_spy(self):
+        refactor(self)
+        assert_fresh_positions(self)
 
     def ratio_spy(self, *args):
         step, pos, to_upper, flip = ratio(self, *args)
@@ -1347,6 +1433,8 @@ def checked_moves(monkeypatch):
 
     monkeypatch.setattr(SimplexSolver, "_eligible_entering", eligible_spy)
     monkeypatch.setattr(SimplexSolver, "_ratio", ratio_spy)
+    monkeypatch.setattr(SimplexSolver, "_pivot", pivot_spy)
+    monkeypatch.setattr(SimplexSolver, "_refactor", refactor_spy)
     yield seen
 
 
@@ -1382,8 +1470,7 @@ class TestMoveMasks:
                 ref = scipy_solve(prob)
                 assert sol.status == "optimal" and ref.status == 0
                 assert abs(sol.objective - ref.fun) <= TOL * max(1.0, abs(ref.fun))
-                up, dn = fresh_moves(solver)
-                assert np.array_equal(solver._up, up) and np.array_equal(solver._dn, dn)
+                assert_fresh_moves(solver)
         assert seen["pivots"] > 0 and seen["flips"] > 0 and len(refactors) > 0
 
     def test_masks_recomputed_after_repair(self, monkeypatch):

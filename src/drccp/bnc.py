@@ -24,6 +24,12 @@ Cuts and branching only tighten a relaxation, so the stalled node rejoins
 the open set: its bound, its last optimal relaxation value or else its
 parent's bound, still counts.
 
+A caller may hand `solve` a start point, a full variable vector that it
+checks against the model's bounds, binaries and rows before any LP.  An
+accepted start is the first incumbent, so the search prunes against it from
+the root on; nothing else about the search changes.  The heuristics that
+build starts know the instance and live with the formulations.
+
 Everything is deterministic for a fixed config: node ids break priority
 ties, pricing has no randomness, and wall time only matters when a time
 limit is set.
@@ -39,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cuts
-from .constants import INT_TOL
+from .constants import FEAS_TOL, INT_TOL
 from .model import MipModel
 from .simplex import LpProblem, SimplexSolver, SimplexStall
 
@@ -130,8 +136,39 @@ class _Node:
     branch: tuple | None = field(compare=False, default=None)  # (var, frac, parent_obj)
 
 
+def _check_start(model: MipModel, start) -> np.ndarray:
+    """The start as a float vector, or a ValueError naming the variable or
+    row it fails: its length, a non-finite entry, a bound missed by more than
+    FEAS_TOL, a binary more than INT_TOL from 0 or 1, or a row whose activity
+    misses its sense and rhs by more than FEAS_TOL * max(1, |rhs|)."""
+    x = np.asarray(start, dtype=float)
+    if x.shape != (model.num_vars,):
+        raise ValueError(f"start has shape {x.shape}, the model has {model.num_vars} variables")
+    with np.errstate(invalid="ignore"):  # an infinite entry fails the first test
+        tests = ((~np.isfinite(x), "is not finite"),
+                 ((x < model.lb - FEAS_TOL) | (x > model.ub + FEAS_TOL), "lies outside its bounds"),
+                 (model.binary & (np.abs(x - np.round(x)) > INT_TOL), "is not 0 or 1"))
+    for bad, what in tests:
+        j = np.flatnonzero(bad)
+        if j.size:
+            j = j[0]
+            raise ValueError(f"start: variable {model.names[j]} = {x[j]:.10g} {what} "
+                             f"(bounds [{model.lb[j]}, {model.ub[j]}])")
+    rows = np.repeat(np.arange(model.num_constraints), np.diff(model.start))
+    activity = np.bincount(rows, weights=model.vals * x[model.cols],
+                           minlength=model.num_constraints)
+    excess = np.select([model.senses == "<=", model.senses == ">="],
+                       [activity - model.rhs, model.rhs - activity], np.abs(activity - model.rhs))
+    bad = np.flatnonzero(excess > FEAS_TOL * np.maximum(1.0, np.abs(model.rhs)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"start: row {i} ({model.labels[i]}) has activity {activity[i]:.10g}, "
+                         f"missing {model.senses[i]} {model.rhs[i]:.10g} by {excess[i]:.3g}")
+    return x
+
+
 class _Search:
-    def __init__(self, model, separators, config):
+    def __init__(self, model, separators, config, start=None):
         self.model = model
         self.separators = list(separators)
         self.cfg = config
@@ -142,6 +179,11 @@ class _Search:
         self.applied = {}  # the bound overrides the solver holds now
         self.incumbent_obj = math.inf
         self.incumbent = None
+        self.events = []
+        if start is not None:
+            self.incumbent = start.copy()
+            self.incumbent_obj = self.sign * float(model.obj_vals @ start[model.obj_cols])
+            self.log(0, self.incumbent_obj, "start", 0)
         # Dives run on `dive_stack`, visiting the side each relaxation leans
         # to first and backtracking through siblings.  depth-first is one
         # dive from the root with no budget.  dive-best-bound interleaves
@@ -165,7 +207,6 @@ class _Search:
         self.nodes_done = 0
         self.iterations = 0
         self.cut_counts = {}
-        self.events = []
         self.seq = 0
         self.started = self.root_time = None
         nb = len(self.binaries)
@@ -429,12 +470,21 @@ class _Search:
         )
 
 
-def solve(model: MipModel, separators=(), config: BncConfig | None = None) -> SolveResult:
+def solve(model: MipModel, separators=(), config: BncConfig | None = None,
+          start=None) -> SolveResult:
     """Solve a mixed-binary model to proven optimality (or a limit).  Cut
-    separators need the threshold variable t, which `saa` has not."""
+    separators need the threshold variable t, which `saa` has not.
+
+    `start`, a full variable vector, is checked against the model before any
+    LP (`_check_start` names what it fails) and becomes the first incumbent,
+    at the model's objective.  The search replaces it only with a point
+    better by more than the prune tolerance; with `log_events` it logs one
+    `action=start` line."""
     separators = list(separators)
     if separators and not model.block_indices("t"):
         raise ValueError("cut separators need the threshold variable t; the model has none (saa)")
+    if start is not None:
+        start = _check_start(model, start)
     if config is None:
         config = BncConfig()
-    return _Search(model, separators, config).run()
+    return _Search(model, separators, config, start).run()

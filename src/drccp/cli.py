@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .bnc import BRANCHING_RULES, NODE_SELECTIONS, BncConfig, solve as bnc_solve
+from .constants import FEAS_TOL
 from .cuts import SEPARATORS, format_cut
 from .formulations import (
     FORMULATION_KINDS,
@@ -164,6 +165,26 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _domain_miss(dom, x):
+    """(the domain row or bound that x misses worst, by how much), with each
+    miss measured against FEAS_TOL * max(1, |rhs|); None when x lies in the
+    domain within that tolerance."""
+    rhs = np.concatenate([dom.g, dom.lb, dom.ub])
+    miss = np.concatenate([dom.G @ x - dom.g, dom.lb - x, x - dom.ub])
+    scale = np.maximum(1.0, np.abs(np.where(np.isfinite(rhs), rhs, 0.0)))
+    k = int(np.argmax(miss / scale))
+    if miss[k] <= FEAS_TOL * scale[k]:
+        return None
+    m, dim = dom.g.size, x.size
+    if k < m:
+        what = f"row {k} of G x <= g ({dom.g[k]:.10g})"
+    elif k < m + dim:
+        what = f"x[{k - m}] >= {dom.lb[k - m]:.10g}"
+    else:
+        what = f"x[{k - m - dim}] <= {dom.ub[k - m - dim]:.10g}"
+    return what, float(miss[k])
+
+
 def _cmd_oracle(args) -> int:
     inst = read_instance(args.instance)
     with open(args.x, "r", encoding="utf-8") as fh:
@@ -182,9 +203,14 @@ def _cmd_oracle(args) -> int:
     print(f"risk level epsilon:               {inst.epsilon:.10g}")
     print(f"certificate threshold t:          {cert.t:.10g}")
     print(f"certificate budget slack:         {cert.budget_slack:.10g}")
-    verdict = "feasible" if cert.feasible else "infeasible"
-    print(f"verdict: {verdict}")
-    return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
+    outside = _domain_miss(inst.domain, x)
+    if outside is None:
+        print("domain (lb <= x <= ub, G x <= g): satisfied")
+    else:
+        print(f"domain (lb <= x <= ub, G x <= g): {outside[0]} missed by {outside[1]:.10g}")
+    feasible = cert.feasible and outside is None
+    print(f"verdict: {'feasible' if feasible else 'infeasible'}")
+    return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,12 @@ from conftest import box_instance, line_instance, milp_minimum, small_transport
 from drccp import bnc, oracles
 from drccp.bnc import BncConfig, compute_gap, solve
 from drccp.cuts import MixingSeparator, PathSeparator
-from drccp.formulations import build_basic, build_formulation, build_theta_variant
+from drccp.formulations import (
+    build_basic,
+    build_formulation,
+    build_theta_variant,
+    zero_discard_start,
+)
 from drccp.model import BINARY, CONTINUOUS, MipModel, distance_profile
 from drccp.simplex import SimplexSolver, SimplexStall
 
@@ -532,6 +537,91 @@ def test_search_ends_at_the_model_bounds_plus_the_applied_overrides(monkeypatch,
     n = model.num_vars
     assert np.array_equal(search.solver.lb[:n], lb)
     assert np.array_equal(search.solver.ub[:n], ub)
+
+
+# -- start points ------------------------------------------------------------
+
+def start_toy():
+    """min b + x, b binary, x in [0, 4], x + 2b >= 1.5 (row "cover"),
+    x - b <= 3 (row "cap"), x + b == 1 + b (row "pin", so x == 1)."""
+    m = MipModel()
+    b = m.add_var("b", BINARY, block="z")
+    x = m.add_var("x", CONTINUOUS, lb=0.0, ub=4.0, block="x")
+    m.add_constraint(((x, 1.0), (b, 2.0)), ">=", 1.5, "cover")
+    m.add_constraint(((x, 1.0), (b, -1.0)), "<=", 3.0, "cap")
+    m.add_constraint(((x, 1.0),), "==", 1.0, "pin")
+    m.set_objective(((b, 1.0), (x, 1.0)))
+    return m.validate()
+
+
+@pytest.mark.parametrize("start, message", [
+    ([1.0], r"start has shape \(1,\), the model has 2 variables"),
+    ([[1.0, 1.0]], r"start has shape \(1, 2\)"),
+    ([1.0, math.nan], r"start: variable x = nan is not finite"),
+    ([math.inf, 1.0], r"start: variable b = inf is not finite"),
+    ([1.0, 4.5], r"start: variable x = 4.5 lies outside its bounds \(bounds \[0.0, 4.0\]\)"),
+    ([-1e-6, 1.0], r"start: variable b = -1e-06 lies outside its bounds"),
+    ([0.5, 1.0], r"start: variable b = 0.5 is not 0 or 1"),
+    ([0.0, 1.0], r"start: row 0 \(cover\) has activity 1, missing >= 1.5 by 0.5"),
+    ([0.0, 4.0], r"start: row 1 \(cap\) has activity 4, missing <= 3 by 1"),
+    ([1.0, 1.0 + 2e-7], r"start: row 2 \(pin\) has activity 1.0000002, missing == 1 by 2e-07"),
+])
+def test_a_bad_start_is_rejected_before_any_lp(monkeypatch, start, message):
+    model = start_toy()
+    monkeypatch.setattr(SimplexSolver, "__init__", lambda *a: pytest.fail("an LP was built"))
+    with pytest.raises(ValueError, match="^" + message):
+        solve(model, start=start)
+
+
+def test_a_start_within_the_tolerances_is_accepted():
+    # FEAS_TOL on bounds and rows (times |rhs| when it exceeds 1), INT_TOL on
+    # binaries; this start is the optimum b = 1, x = 1 up to those slips
+    res = solve(start_toy(), start=[1.0 - 5e-7, 1.0 + 5e-8])
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(2.0 - 5e-7 + 5e-8, abs=1e-12)
+    assert solve(start_toy()).objective == pytest.approx(2.0, abs=1e-9)
+
+
+def test_an_optimal_start_ends_optimal_in_no_more_nodes():
+    plain = solve(fractional_toy())
+    seeded = solve(fractional_toy(), start=[1.0, 0.0])
+    assert seeded.status == "optimal"
+    assert seeded.objective == 8.0 and seeded.bound == pytest.approx(8.0, abs=1e-9)
+    assert seeded.nodes <= plain.nodes
+    assert seeded.values.tolist() == [1.0, 0.0]
+    for seed in (40, 41, 42):
+        model = build_formulation(box_instance(seed), "compact")
+        plain = solve(model)
+        seeded = solve(model, start=plain.values)
+        assert seeded.status == "optimal"
+        assert seeded.objective == pytest.approx(plain.objective, abs=1e-9)
+        assert seeded.nodes <= plain.nodes
+
+
+def test_a_worse_start_is_replaced():
+    # b alone is feasible (1 <= 1.5) and worth 5 against the optimum 8
+    res = solve(fractional_toy(), start=[0.0, 1.0])
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(8.0, abs=1e-9)
+    assert res.values == pytest.approx([1.0, 0.0], abs=1e-9)
+    # the CVaR plan (every z at 0) of a cost preset is a feasible start
+    for seed in (40, 41, 42):
+        for kind in ("basic", "compact"):
+            model = build_formulation(box_instance(seed), kind)
+            start = zero_discard_start(model)
+            assert start is not None
+            seeded, plain = solve(model, start=start), solve(model)
+            assert seeded.status == plain.status == "optimal"
+            assert seeded.objective == pytest.approx(plain.objective, rel=1e-6)
+            assert seeded.objective <= start[model.obj_cols] @ model.obj_vals + 1e-9
+
+
+def test_the_start_is_logged():
+    res = solve(fractional_toy(), config=BncConfig(log_events=True), start=[0.0, 1.0])
+    starts = [e for e in res.events if "action=start" in e]
+    assert starts == ["node=0 lb=-5 ub=-5 depth=0 action=start"]
+    assert res.events[0] == starts[0]
+    assert solve(fractional_toy(), start=[0.0, 1.0]).events == []
 
 
 # -- config validation -------------------------------------------------------

@@ -184,6 +184,27 @@ def test_oracle_infeasible_plan(instance_path, tmp_path, capsys):
     assert "verdict: infeasible" in capsys.readouterr().out
 
 
+def test_oracle_plan_outside_the_domain_is_infeasible(tmp_path, capsys):
+    # shipping 1e6 on every lane makes every sample safe, but the factory
+    # capacity rows G x <= g (g = 22.01 and 9.82) rule the plan out
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--factories", "2", "--centers", "3", "--samples", "10",
+                 "--seed", "1", "--out", str(path)]) == EXIT_OK
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([1e6] * 6))
+    capsys.readouterr()
+    rc = main(["oracle", str(path), "--x", str(plan)])
+    printed = capsys.readouterr().out
+    assert rc == EXIT_INFEASIBLE
+    assert ("domain (lb <= x <= ub, G x <= g): row 1 of G x <= g (9.817094569) "
+            "missed by 2999990.183\n") in printed
+    assert "verdict: infeasible" in printed
+    # a negative shipment misses its bound x >= 0
+    plan.write_text(json.dumps([1.0, 1.0, 1.0, 1.0, -0.5, 1.0]))
+    assert main(["oracle", str(path), "--x", str(plan)]) == EXIT_INFEASIBLE
+    assert "domain (lb <= x <= ub, G x <= g): x[4] >= 0 missed by 0.5\n" in capsys.readouterr().out
+
+
 def test_oracle_plan_with_every_sample_unsafe_at_theta_zero(tmp_path, capsys):
     # shipping nothing leaves every sample at distance 0: the worst case is 1,
     # and a threshold t = 0, with a budget slack of 0, certifies nothing

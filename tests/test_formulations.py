@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from drccp import formulations as F
 from drccp import transport
 from drccp.bnc import BncConfig, model_to_lp
+from drccp.constants import MARGIN_TOL
 from drccp.model import DrccpInstance, Polyhedron, SafetyRow, SampleSet
 from drccp.simplex import solve_lp
 from conftest import box_instance, line_instance, milp_minimum, small_transport
@@ -274,13 +275,25 @@ class TestThetaMax:
             F.theta_max(inst)
 
     def test_limit_before_a_feasible_point(self):
-        # the eps = 0.3 hand case has a fractional root, so one node finds
-        # no incumbent
-        inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.3, theta=0.01,
-                             lo=0.0, hi=1.0)
+        # x <= 0.5 leaves the sample at 0.9 unsafe, so no point discards no
+        # sample: the CVaR LP (every z at 0) is infeasible and the search has
+        # no start.  The radius 0.01 needs that sample discarded, and the
+        # root is fractional, so one node finds no incumbent
+        inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.9], epsilon=0.3, theta=0.01,
+                             lo=0.0, hi=0.5)
+        assert F.zero_discard_start(F.build_theta_variant(inst)) is None
+        assert F.theta_max(inst) == pytest.approx(0.01, abs=1e-9)
         with pytest.raises(ValueError, match="ended 'no-incumbent' before it found a "
                                              "feasible point"):
             F.theta_max(inst, config=BncConfig(node_limit=1))
+        # the eps = 0.3 hand case has a fractional root too, but its CVaR
+        # radius, 0.16, is the maximum: one node returns it, unproven
+        # (the root bound 0.168 is 4.76% above it)
+        inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.3, theta=0.01,
+                             lo=0.0, hi=1.0)
+        with pytest.warns(RuntimeWarning, match=r"'feasible-gap' at a 4\.76\d*% gap"):
+            val = F.theta_max(inst, config=BncConfig(node_limit=1))
+        assert val == pytest.approx(0.16, abs=1e-9)
 
     def test_proven_radius_does_not_warn(self):
         inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.2, theta=0.01,
@@ -301,6 +314,25 @@ class TestThetaMax:
         b = F.theta_max(inst, matrix="basic")
         assert a == pytest.approx(b, rel=1e-7)
 
+    def test_the_search_starts_at_a_positive_cvar_radius(self, monkeypatch):
+        from drccp import bnc
+
+        starts = []
+        inner = bnc.solve
+        monkeypatch.setattr(bnc, "solve", lambda model, config=None, start=None:
+                            starts.append(start) or inner(model, config=config, start=start))
+        hand = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.3, theta=0.01, lo=0.0, hi=1.0)
+        assert F.theta_max(hand) == pytest.approx(0.16, abs=1e-9)
+        assert starts[-1][-1] == pytest.approx(0.16, abs=1e-12)  # theta is the last column
+        # x <= 0.5 leaves the sample at 0.5 at distance zero: with every z at 0
+        # the CVaR radius is zero, no start, and the basic matrix ends there
+        zero = line_instance([0.1, 0.5], epsilon=0.5, theta=0.01, lo=0.0, hi=0.5)
+        model = F.build_theta_variant(zero, matrix="basic")
+        assert F.zero_discard_start(model)[model.block_indices("theta")[0]] <= MARGIN_TOL
+        with pytest.raises(ValueError, match="no positive feasible radius"):
+            F.theta_max(zero, matrix="basic")
+        assert starts[-1] is None
+
     def test_unsupported_matrix(self):
         inst = line_instance([0.1], epsilon=0.5, theta=0.01)
         with pytest.raises(ValueError, match="matrix"):
@@ -319,6 +351,67 @@ class TestThetaMax:
         assert grid[0] == 0.001
         np.testing.assert_allclose(grid[1:], [j / 10.0 for j in range(1, 10)])
         assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+class TestZeroDiscardStart:
+    """`theta_max` starts its search at the CVaR radius, the theta variant's
+    LP with every z fixed at 0."""
+
+    CELLS = {
+        "transport7": lambda: small_transport(seed=7)[1],
+        "transport11": lambda: small_transport(seed=11, theta=0.02)[1],
+        "transport3": lambda: small_transport(seed=3, n=20, epsilon=0.1)[1],
+        "transport5": lambda: small_transport(seed=5, centers=4, n=15)[1],
+        "box5": lambda: box_instance(seed=5, n=8, dim=2, rows=3, epsilon=0.25),
+        "box9": lambda: box_instance(seed=9, n=10, dim=3, rows=2, epsilon=0.3),
+        "box44": lambda: box_instance(seed=44, n=12),
+    }
+
+    @pytest.mark.parametrize("matrix", ["compact", "basic"])
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_seeded_theta_max_agrees_with_an_unseeded_search(self, cell, matrix):
+        from drccp import bnc
+
+        inst = self.CELLS[cell]()
+        config = BncConfig()
+        plain = bnc.solve(F.build_theta_variant(inst, matrix=matrix), config=config)
+        assert plain.status == "optimal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seeded = F.theta_max(inst, matrix=matrix, config=config)
+        assert seeded == pytest.approx(plain.objective, rel=config.gap_tol)
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_the_start_is_certified_at_its_radius(self, cell):
+        from drccp.model import distance_profile
+        from drccp.oracles import lemma_certificate, worst_case_prob
+
+        inst = self.CELLS[cell]()
+        model = F.build_theta_variant(inst)
+        start = F.zero_discard_start(model)
+        radius = start[model.block_indices("theta")[0]]
+        assert radius > MARGIN_TOL
+        assert np.all(start[model.binary] == 0.0)
+        dists = distance_profile(inst, start[model.block_indices("x")])
+        assert lemma_certificate(dists, inst.epsilon, radius).feasible
+        assert worst_case_prob(dists, radius) <= inst.epsilon + 1e-7
+
+    def test_depth_first_proves_the_radius_at_n_200(self):
+        # the bench cell (2, 3, 200): unseeded, a depth-first search ended
+        # 'feasible-gap' at 0.1054 after 4,000 nodes; from the CVaR radius it
+        # proves the best-bound radius
+        from drccp import bench, bnc
+
+        tp = transport.generate(2, 3, 200, bench.cell_seed(20240801, 2, 3, 200, 0), 0.1)
+        inst = transport.to_drccp(tp, theta=0.001)
+        best = bnc.solve(F.build_theta_variant(inst), config=BncConfig(node_limit=4000))
+        assert best.status == "optimal"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = F.theta_max(inst, config=BncConfig(node_limit=4000,
+                                                      node_selection="depth-first"))
+        assert val == pytest.approx(best.objective, rel=1e-6)
+        assert val == pytest.approx(0.1926676489, rel=1e-9)
 
 
 class TestCompactAgreesWithBasic:

@@ -6,7 +6,14 @@ and it is the only node that cuts, with up to `ROOT_CUT_ROUNDS` rounds.
 Every other node warm-starts from its parent's basis.  A node is fathomed
 when its relaxation is not optimal or reaches the incumbent, checked after
 every solve, and its children start from the basis it ends with (the
-root's after its cuts).  `run` stops in one place: `_pick` gives the next
+root's after its cuts).  A warm node re-solve gets the incumbent as its
+cutoff: the dual simplex stops with status 'cutoff' once its objective, a
+lower bound on the node's relaxation, reaches it, and the node is fathomed
+as one whose relaxation reaches the incumbent (event `action=cutoff`, with
+the bound it reached).  That bound is also the child's pseudo-cost
+observation, a lower bound on the gain the full re-solve would record.  The
+root and its cut rounds get no cutoff, so the root bound and the cut loop
+are as without it.  `run` stops in one place: `_pick` gives the next
 node or the final status, and stops when the reported gap is at most
 `gap_tol`.  Node selection is best-bound (a heap), depth-first (one dive
 from the root with no budget) or dive-best-bound (best-bound with bounded
@@ -238,8 +245,8 @@ class _Search:
                 self.solver.set_bound(j, lo, hi)
         self.applied = overrides
 
-    def _solve_lp(self):
-        sol = self.solver.solve_or_restart()
+    def _solve_lp(self, cutoff=math.inf):
+        sol = self.solver.solve_or_restart(cutoff)
         self.iterations += sol.iterations
         return sol
 
@@ -306,22 +313,28 @@ class _Search:
     def _visit(self, node):
         """Load, solve, cut, fathom and expand one node.
 
-        The node warm-starts from its parent's basis; the root has none,
-        starts cold and alone gets cut rounds, up to ROOT_CUT_ROUNDS, each
-        followed by a re-solve.  After every solve, a relaxation that is not
-        optimal or reaches the incumbent fathoms the node; otherwise its
-        value becomes the node's bound.  A node that survives becomes an
+        The node warm-starts from its parent's basis, with the incumbent as
+        cutoff; the root has none, starts cold and alone gets cut rounds, up
+        to ROOT_CUT_ROUNDS, each followed by a re-solve.  After every solve,
+        a relaxation that is not optimal (a 'cutoff' one included) or
+        reaches the incumbent fathoms the node; otherwise its value becomes
+        the node's bound.  A node that survives becomes an
         incumbent or two children, which start from the basis it ends with."""
         node_id = self.nodes_done
         self.nodes_done += 1
         self._move_to(node.overrides)
         rounds = ROOT_CUT_ROUNDS if node is self.root and self.separators else 0
-        if node.state is not None:
+        if node.state is None:
+            sol = self._solve_lp()
+        else:
             self.solver.load_state(*node.state)
-        sol = self._solve_lp()
+            sol = self._solve_lp(self.incumbent_obj)
         if sol.status == "unbounded":
             raise ValueError("relaxation is unbounded; the domain must be compact")
         self._record_pseudo_cost(node, sol.objective)
+        if sol.status == "cutoff":
+            self.log(node_id, sol.objective, "cutoff", node.depth)
+            return
         while True:
             if sol.status == "optimal":
                 node.lb = sol.objective

@@ -142,7 +142,8 @@ def _cmd_solve(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     obj_s = "n/a" if result.objective is None else f"{result.objective:.10g}"
-    print(f"status={result.status} objective={obj_s} nodes={result.nodes}")
+    print(f"status={result.status} objective={obj_s} nodes={result.nodes} "
+          f"iterations={result.iterations}")
     if result.status == "infeasible":
         return EXIT_INFEASIBLE
     if result.status == "no-incumbent":

@@ -48,9 +48,11 @@ violating basic leaves at the bound it violates, and the entering column
 keeps the reduced costs dual feasible.  A row with no entering column
 beyond PIVOT_TOL proves the LP infeasible and is returned as the Farkas row.
 
-The primal loop then confirms optimality, and it is the whole solve for a
-start that is not dual feasible or that violates no bound; it also cleans
-up after more than _DEGEN_STREAK degenerate dual steps in a row.  Its one
+A basis that violates no bound is priced afresh once: with no column to
+enter it is optimal, and the solution is built from that price, counted as
+one (primal) iteration.  Otherwise the primal loop takes over; it is the
+whole solve for a start that is not dual feasible, and it also cleans up
+after more than _DEGEN_STREAK degenerate dual steps in a row.  Its one
 violation test per iteration starts and ends phase 1, gives the phase-1
 costs (-1 below, +1 above) and tells the ratio test which bound each basic
 blocks at; with no violating basic the iteration is a phase-2 one.  Phase 1
@@ -61,6 +63,14 @@ fresh inverse.  Both loops change the basis through one `_pivot` routine
 and draw on one budget of `max_iter` iterations; at the cap they raise
 SimplexStall, and `solve_or_restart`, the warm re-solve of branch and cut
 and of the referees, retries once from the slack basis.
+
+`solve` takes a `cutoff` (default +inf, which never stops a solve).  The
+dual loop carries the objective of its dual feasible basis, a lower bound on
+the optimum: summed afresh whenever it prices afresh, and moved by
+d_q * theta at each pivot.  Once it reaches cutoff + 1e-7 * max(1, |cutoff|)
+the solve ends with status 'cutoff', that bound as its objective and no x.
+Branch and cut passes its incumbent on warm node re-solves, so a node whose
+bound has passed it stops there instead of being solved to optimality.
 
 A warm start installs its stored basis directly: `load_state` sets the basis
 and the statuses and builds the inverse from the basis's structural block,
@@ -82,10 +92,12 @@ values and takes `xb` only where a solution is read.  The entering choices
 of both loops read one move-direction vector `_dir`: +1 for a nonbasic that
 may rise, -1 for one that may fall, 0 for a basic or fixed column; a free
 nonbasic may do both, is listed in `_free` and is scored by |.|.  `solve`
-derives it once from the settled statuses, and each status change updates
-one entry.  The dual loop prices once when it starts and again only after a
-refactorization; in between, each pivot updates the reduced costs from its
-ratio row, d -= (d_q / gamma_q) gamma.  The primal loop prices afresh every
+settles the statuses and derives `_dir` by one table lookup per column,
+keyed by its status and its bound code (which bounds are finite, and
+whether it can move), and each status change updates one entry.  The dual
+loop prices once when it starts and again only after a refactorization; in
+between, each pivot updates the reduced costs from its ratio row,
+d -= (d_q / gamma_q) gamma.  The primal loop prices afresh every
 iteration, so the optimality test and the reported duals and reduced costs
 come from a fresh price.  The primal ratio test is one blocking-bound
 formula over all basics; the dual one divides only over the columns
@@ -93,9 +105,10 @@ eligible to enter.  The FTRAN column of a slack is read straight from
 `binv_s`.
 
 State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
-the basis, the statuses and the bounds.  `solve` settles every status
-against the bounds and recomputes the primal values once, when it starts,
-so `set_bound` only writes the bounds.
+the basis, the statuses and the bounds, with each column's bound code.
+`solve` settles every status against the bounds and recomputes the primal
+values once, when it starts, so `set_bound` only writes one column's bounds
+and code.
 
 Determinism: Dantzig pricing and the dual ratio test break ties by pivot
 size, then by lowest index; the primal loop switches to Bland's rule after a
@@ -115,16 +128,30 @@ ST_LOWER, ST_UPPER, ST_BASIC, ST_FREE = 0, 1, 2, 3
 
 _DEGEN_STREAK = 40  # degenerate pivots tolerated before switching to Bland
 
-# `_settled`: the nonbasic status by (status, lb finite, ub finite), at
-# index status * 4 + 2 * isfinite(lb) + isfinite(ub); the rows are ST_LOWER,
-# ST_UPPER, ST_BASIC and ST_FREE
-_SETTLE = np.array([ST_FREE, ST_UPPER, ST_LOWER, ST_LOWER,
-                    ST_FREE, ST_UPPER, ST_LOWER, ST_UPPER,
-                    ST_FREE, ST_UPPER, ST_LOWER, ST_LOWER,
-                    ST_FREE, ST_UPPER, ST_LOWER, ST_LOWER], dtype=np.int8)
-# the move direction of a movable column by status; a free one gets 0 and
-# is scored through `_free`
-_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0])
+# The nonbasic status by (status, lb finite, ub finite), at index
+# status * 4 + 2 * isfinite(lb) + isfinite(ub); the rows are ST_LOWER,
+# ST_UPPER, ST_BASIC and ST_FREE.  A column keeps its status when that bound
+# is finite (ST_FREE only when both are infinite); otherwise it rests at its
+# lower bound, else its upper bound, else free.
+_NONBASIC = np.array([ST_FREE, ST_UPPER, ST_LOWER, ST_LOWER,
+                      ST_FREE, ST_UPPER, ST_LOWER, ST_UPPER,
+                      ST_FREE, ST_UPPER, ST_LOWER, ST_LOWER,
+                      ST_FREE, ST_UPPER, ST_LOWER, ST_LOWER], dtype=np.int8)
+# A column's bound code is 2 * (2 * isfinite(lb) + isfinite(ub)) + (ub > lb),
+# kept current by `set_bound` and `add_row`.  `_settle` reads each column's
+# settled status and move direction at key status * 8 + code, and a basic's
+# at _BASIC_KEY: +1 for a nonbasic with room to rise (at its lower bound),
+# -1 for one with room to fall (at its upper bound), 0 for a basic or fixed
+# one and for a free one, which is scored through `_free`.
+_BASIC_KEY = 32
+_KEY = np.arange(_BASIC_KEY)
+_SETTLE = np.append(_NONBASIC[_KEY // 8 * 4 + _KEY % 8 // 2], ST_BASIC).astype(np.int8)
+_STEP = np.array([1.0, -1.0, 0.0, 0.0])  # the move direction of a movable column by status
+_DIRECTION = np.append(np.where(_KEY % 2 == 1, _STEP[_SETTLE[:-1]], 0.0), 0.0)
+
+
+def _bound_code(lb, ub):
+    return (2 * (2 * np.isfinite(lb) + np.isfinite(ub)) + (ub > lb)).astype(np.int8)
 
 
 class SimplexStall(RuntimeError):
@@ -168,7 +195,9 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
+    # 'optimal' | 'infeasible' | 'unbounded' | 'cutoff' (the dual loop's
+    # objective reached the cutoff: `objective` is that lower bound, x is None)
+    status: str
     x: np.ndarray = None
     objective: float = math.nan
     duals: np.ndarray = None
@@ -207,6 +236,7 @@ class SimplexSolver:
         self.ub[: self.n] = problem.ub
         for i, sense in enumerate(problem.senses):
             self.lb[self.n + i], self.ub[self.n + i] = _slack_bounds(sense)
+        self._code = _bound_code(self.lb, self.ub)
         self.total_pivots = 0
         self._pivots_since_refactor = 0
         self._c_pad = np.concatenate([self.c, np.zeros(self.m)])
@@ -226,18 +256,17 @@ class SimplexSolver:
         self.stat = np.full(self.nt, ST_BASIC, dtype=np.int8)
         self._factor()
 
-    def _settled(self, stat):
-        """`stat` made consistent with the basis and the bounds.
-
-        Basic columns get ST_BASIC.  Any other column keeps its status when
-        that bound is finite (ST_FREE only when both are infinite); otherwise
-        it rests at its lower bound, else its upper bound, else free.  One
-        lookup in `_SETTLE`, by status and finite bounds, gives every
-        column's nonbasic status; then the basics are marked.
-        """
-        out = _SETTLE[stat * 4 + (2 * np.isfinite(self.lb) + np.isfinite(self.ub))]
-        out[self.basis] = ST_BASIC
-        return out
+    def _settle(self):
+        """Make the statuses consistent with the basis and the bounds, and
+        derive the move-direction vector `_dir` from them: one lookup in
+        `_SETTLE` and `_DIRECTION` at each column's key (see there).  A free
+        nonbasic may move both ways: its `_dir` entry is 0 and `_free` lists
+        it, so `_gain` scores it by |.|."""
+        key = self.stat * 8 + self._code
+        key[self.basis] = _BASIC_KEY
+        self.stat = _SETTLE[key]
+        self._dir = _DIRECTION[key]
+        self._free = (self.stat == ST_FREE).nonzero()[0]
 
     def _alloc(self, m):
         """Buffers for `binv_s`, `rows_s` and `a_s` of an m-row LP, at the
@@ -311,20 +340,10 @@ class SimplexSolver:
             return self._binv_times(self.A[:, j])
         return self.binv_s[:, self._col(j - self.n)].copy()
 
-    def _moves(self):
-        """The move-direction vector `_dir` of the settled statuses: +1 for a
-        nonbasic column with room to rise (at its lower bound), -1 for one
-        with room to fall (at its upper bound), 0 for a basic or fixed one.
-        A free nonbasic with room may do both: its entry is 0 and `_free`
-        lists it, so `_gain` scores it by |.|."""
-        self._movable = movable = self.ub - self.lb > 0
-        self._dir = np.where(movable, _DIRECTION[self.stat], 0.0)
-        self._free = (movable & (self.stat == ST_FREE)).nonzero()[0]
-
     def _set_stat(self, j, s):
         """Set one status (never ST_FREE) and its entry of `_dir`."""
         self.stat[j] = s
-        self._dir[j] = _DIRECTION[s] if self._movable[j] else 0.0
+        self._dir[j] = _STEP[s] if self._code[j] & 1 else 0.0
 
     def _gain(self, v):
         """v * `_dir`, with |v| on the free nonbasics: for each column, the
@@ -514,8 +533,7 @@ class SimplexSolver:
             self._update_binv(w, pick, int(col))
             replaceable[pick] = False
             self.total_pivots += 1
-        self.stat = self._settled(self.stat)
-        self._moves()
+        self._settle()
 
     # -- mutations ----------------------------------------------------------
 
@@ -528,6 +546,7 @@ class SimplexSolver:
             raise ValueError(f"invalid bounds [{lb}, {ub}] on column {j}")
         self.lb[j] = lb
         self.ub[j] = ub
+        self._code[j] = 2 * (2 * math.isfinite(lb) + math.isfinite(ub)) + (ub > lb)  # `_bound_code`
 
     def add_row(self, coefs, sense, rhs):
         """Append one row, given as a dense length-n vector; its slack joins
@@ -549,6 +568,7 @@ class SimplexSolver:
         self.b = np.append(self.b, float(rhs))
         self.lb = np.append(self.lb, slo)
         self.ub = np.append(self.ub, shi)
+        self._code = np.append(self._code, _bound_code(slo, shi))
         self.stat = np.append(self.stat, np.int8(ST_BASIC))
         self.m = m_old + 1
         # the appended row needs its coefficient on every current basic column
@@ -585,35 +605,36 @@ class SimplexSolver:
             return -1, 0
         return q, 1 if d[q] < 0 else -1
 
-    def solve(self, max_iter=None) -> LpSolution:
+    def solve(self, max_iter=None, cutoff=math.inf) -> LpSolution:
         """Optimize from the current basis: the dual loop first, when it
         applies, then the primal loop, on one budget of `max_iter`
-        iterations between them."""
+        iterations between them.  The dual loop stops with status 'cutoff'
+        once its objective, a lower bound on the optimum, reaches `cutoff`
+        (see `_dual`); the default never stops it."""
         if max_iter is None:
             max_iter = max(5000, 60 * (self.m + self.n))
         # this also rests the columns a singular-basis repair left out
-        self.stat = self._settled(self.stat)
+        self._settle()
         self._recompute_values()
-        self._moves()
-        dual_iters, sol = self._dual(self._c_pad, max_iter)
+        dual_iters, sol = self._dual(self._c_pad, max_iter, cutoff)
         if sol is None:
             sol = self._primal(self._c_pad, max_iter, dual_iters)
         sol.dual_iterations = dual_iters
         return sol
 
-    def solve_or_restart(self) -> LpSolution:
+    def solve_or_restart(self, cutoff=math.inf) -> LpSolution:
         """`solve` from the current basis; on a SimplexStall, `reset_basis`
         and solve again from the slack basis and the current bounds.  A
         stale warm basis can walk in circles after many bound flips and
         appended cut rows, and the cold restart resolves it
         deterministically.  A stall in the cold retry propagates."""
         try:
-            return self.solve()
+            return self.solve(cutoff=cutoff)
         except SimplexStall:
             self.reset_basis()
-            return self.solve()
+            return self.solve(cutoff=cutoff)
 
-    def _dual(self, c_pad, max_iter):
+    def _dual(self, c_pad, max_iter, cutoff):
         """Bounded dual simplex, run while some basic violates a bound and
         the starting basis is dual feasible.
 
@@ -636,23 +657,41 @@ class SimplexSolver:
         DUAL_PIVOT_TOL, the row is priced again from a refactorized inverse,
         where PIVOT_TOL suffices.
 
+        The loop also carries `obj`, the objective of the dual feasible
+        basis: with the nonbasics at their bounds, a lower bound on the
+        optimum.  It is summed afresh whenever d is priced afresh (`xval` is
+        0 on the basics then, as `_recompute_values` just set it), and each
+        pivot adds d_q * theta, with d_q taken before the reduced-cost
+        update.  Once it reaches cutoff + 1e-7 * max(1, |cutoff|), the loop
+        returns a 'cutoff' solution with that objective.
+
+        A basis that violates no bound is priced afresh once
+        (`_confirm_optimal`); with no column to enter it is optimal, and
+        that pricing counts as one iteration.
+
         Returns (iterations, solution).  The solution is None when the
-        primal loop takes over: the basis is primal feasible (the primal
-        loop confirms optimality), the start is not dual feasible, or more
-        than _DEGEN_STREAK dual steps in a row were degenerate.
+        primal loop takes over: the feasible basis still has a column to
+        enter, the start is not dual feasible, or more than _DEGEN_STREAK
+        dual steps in a row were degenerate.
         """
         iters = degen_streak = 0
         d = None
+        limit = cutoff + 1e-7 * max(1.0, abs(cutoff))
         while self.m:  # a basis of no rows violates nothing
             xb, lo, hi = self.xb, self.lb_B, self.ub_B
             viol = np.maximum(lo - xb, xb - hi)
             r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
-                break
+                return iters, self._confirm_optimal(c_pad, max_iter, iters)
             if d is None or not self._pivots_since_refactor:
-                d = self._price(c_pad[self.basis])
+                cb = c_pad[self.basis]
+                d = self._price(cb)
+                obj = float(cb @ xb + c_pad @ self.xval)
             if iters == 0 and self._eligible_entering(d, False)[0] >= 0:
                 break
+            if obj >= limit:
+                return iters, LpSolution(status="cutoff", objective=obj, iterations=iters,
+                                         basis=self.basis.copy())
             if iters > max_iter:
                 raise SimplexStall(f"iteration cap {max_iter} exceeded")
             iters += 1
@@ -675,13 +714,27 @@ class SimplexSolver:
             q = int(cand[np.where(ratios <= tmin + 1e-12, score, 0.0).argmax()])
             degen_streak = degen_streak + 1 if tmin <= 1e-11 else 0
 
-            d -= (d[q] / gamma[q]) * gamma
+            d_q = d[q]
+            d -= (d_q / gamma[q]) * gamma
             w = self._ftran(q)
             bound = lo[r] if below else hi[r]
-            self._pivot(q, r, w, (xb[r] - bound) / w[r], not below)
+            theta = (xb[r] - bound) / w[r]
+            obj += d_q * theta
+            self._pivot(q, r, w, theta, not below)
             if degen_streak > _DEGEN_STREAK:
                 break
         return iters, None
+
+    def _confirm_optimal(self, c_pad, max_iter, iters):
+        """The primal loop's first iteration on a primal feasible basis,
+        which only prices: the optimal solution, or None when a column
+        still prices in and the primal loop must take over."""
+        if iters > max_iter:
+            raise SimplexStall(f"iteration cap {max_iter} exceeded")
+        d = self._price(c_pad[self.basis])
+        if self._eligible_entering(d, False)[0] >= 0:
+            return None
+        return self._optimal_solution(d, iters + 1)
 
     def _primal(self, c_pad, max_iter, iters):
         """Primal simplex from the current basis, phase 1 while some basic

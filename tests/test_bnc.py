@@ -3,6 +3,7 @@
 Ground truth comes from hand-solvable toy MIPs and from the support
 enumeration oracle; the solver under test never grades itself.
 """
+import itertools
 import math
 import re
 
@@ -21,7 +22,7 @@ from drccp.formulations import (
     zero_discard_start,
 )
 from drccp.model import BINARY, CONTINUOUS, MipModel, distance_profile
-from drccp.simplex import SimplexSolver, SimplexStall
+from drccp.simplex import LpProblem, SimplexSolver, SimplexStall
 
 
 def toy_knapsack():
@@ -371,7 +372,7 @@ def test_identical_runs_are_identical():
 
 EVENT_RE = re.compile(
     r"^node=(\d+) lb=(-?[\d.e+inf]+) ub=(-?[\d.e+inf]+|inf) depth=(\d+) "
-    r"action=(cut|incumbent|fathom|branch)$"
+    r"action=(cut|incumbent|fathom|cutoff|branch)$"
 )
 
 
@@ -402,11 +403,11 @@ def _flaky_solve(fail_calls):
     inner = SimplexSolver.solve
     seen = {"calls": 0}
 
-    def solve_method(self, max_iter=None):
+    def solve_method(self, max_iter=None, cutoff=math.inf):
         seen["calls"] += 1
         if seen["calls"] in fail_calls:
             raise SimplexStall("synthetic stall for testing")
-        return inner(self, max_iter)
+        return inner(self, max_iter, cutoff)
 
     return solve_method, seen
 
@@ -473,11 +474,11 @@ def _stall_after_cuts(monkeypatch, nth):
                 seen["stalls_left"] = 2
         return found
 
-    def solve_method(self, max_iter=None):
+    def solve_method(self, max_iter=None, cutoff=math.inf):
         if seen["stalls_left"]:
             seen["stalls_left"] -= 1
             raise SimplexStall("synthetic stall for testing")
-        return inner_solve(self, max_iter)
+        return inner_solve(self, max_iter, cutoff)
 
     monkeypatch.setattr(bnc._Search, "_separate_once", separate)
     monkeypatch.setattr(SimplexSolver, "solve", solve_method)
@@ -537,6 +538,73 @@ def test_search_ends_at_the_model_bounds_plus_the_applied_overrides(monkeypatch,
     n = model.num_vars
     assert np.array_equal(search.solver.lb[:n], lb)
     assert np.array_equal(search.solver.ub[:n], ub)
+
+
+# -- the incumbent cutoff of warm node re-solves -----------------------------
+
+def _lp_now(solver):
+    """The solver's LP as it stands (cut rows, current bounds), for a cold solve."""
+    n = solver.n
+    senses = ["<=" if hi == math.inf else ">=" if lo == -math.inf else "=="
+              for lo, hi in zip(solver.lb[n:], solver.ub[n:])]
+    return LpProblem(c=solver.c, A=solver.A.copy(), senses=senses, b=solver.b.copy(),
+                     lb=solver.lb[:n].copy(), ub=solver.ub[:n].copy())
+
+
+def _search_with_cutoff(monkeypatch, model, seps, cfg, patched_out):
+    """Solve, recording the cutoff of each LP of the root, and for each LP
+    stopped at the cutoff its LP, cutoff and reached bound.  `patched_out`
+    passes no cutoff to any LP."""
+    seen = {"root": [], "stopped": []}
+    inner = bnc._Search._solve_lp
+
+    def solve_lp(self, cutoff=math.inf):
+        if self.nodes_done == 1:
+            seen["root"].append(cutoff)
+        sol = inner(self, math.inf if patched_out else cutoff)
+        if sol.status == "cutoff":
+            seen["stopped"].append((_lp_now(self.solver), cutoff, sol.objective))
+        return sol
+
+    monkeypatch.setattr(bnc._Search, "_solve_lp", solve_lp)
+    return solve(model, seps, cfg), seen
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+@pytest.mark.parametrize("name", ["box50", "box47", "transport"])
+def test_the_cutoff_keeps_every_search(monkeypatch, name):
+    # the search-golden configurations with most-fractional branching
+    inst = {"box50": lambda: box_instance(50), "box47": lambda: box_instance(47, n=12),
+            "transport": lambda: small_transport(seed=7, factories=2, centers=3, n=20,
+                                                 epsilon=0.1, theta=0.01)[1]}[name]()
+    stopped = 0
+    for kind, with_cuts, selection in itertools.product(
+            ("basic", "compact"), (False, True), bnc.NODE_SELECTIONS):
+        model = build_formulation(inst, kind)
+        cfg = BncConfig(node_selection=selection, log_events=True)
+        runs = []
+        for patched_out in (False, True):
+            seps = [MixingSeparator(inst), PathSeparator(inst)] if with_cuts else []
+            with monkeypatch.context() as patch:
+                runs.append(_search_with_cutoff(patch, model, seps, cfg, patched_out))
+        (res, seen), (ref, _) = runs
+        assert (res.status, res.nodes) == (ref.status, ref.nodes)
+        for field in ("objective", "bound", "root_bound"):
+            assert _bits(getattr(res, field)) == _bits(getattr(ref, field)), field
+        assert seen["root"] and all(c == math.inf for c in seen["root"])
+        for lp, cutoff, bound in seen["stopped"]:
+            assert math.isfinite(cutoff) and bound >= cutoff
+            cold = SimplexSolver(lp).solve()
+            assert cold.status == "infeasible" or (
+                cold.status == "optimal" and cold.objective >= cutoff - 1e-9)
+        events = [EVENT_RE.match(e) for e in res.events if "action=cutoff" in e]
+        assert len(events) == len(seen["stopped"])
+        assert all(float(e.group(2)) >= float(e.group(3)) for e in events)  # lb reached ub
+        stopped += len(events)
+    assert stopped > 0
 
 
 # -- start points ------------------------------------------------------------

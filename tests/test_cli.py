@@ -63,6 +63,7 @@ def test_solve_writes_result_and_artifacts(instance_path, tmp_path, capsys):
     assert "status=optimal" in printed
     payload = json.loads(out.read_text())
     assert payload["status"] == "optimal"
+    assert f"nodes={payload['nodes']} iterations={payload['iterations']}\n" in printed
     assert payload["objective"] == pytest.approx(33.93408472712276, abs=1e-6)
     assert len(payload["x"]) == 6
     assert set(payload["cuts"]) <= {"mixing", "path"}

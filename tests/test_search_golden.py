@@ -38,10 +38,10 @@ from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_formulation, build_theta_variant
 
 GOLDEN = {
-    "box50": "476e04adfdec5be3",
-    "box47": "650b046c2cc1830f",
-    "transport": "c457ef5fa4d93639",
-    "box50-node-limit-7": "01ffe25fdadfcc63",
+    "box50": "e48c06a7618ff3bd",
+    "box47": "10f5ad897a76d3b1",
+    "transport": "d634462370ed3d32",
+    "box50-node-limit-7": "d1b6774ddf5c1173",
     "theta": "71d7edbd0ff89c7f",
 }
 

@@ -827,9 +827,9 @@ class TestDualSimplex:
         seen = {"calls": 0, "dual_iterations": [], "dual_stalls": 0}
         solve, dual = SimplexSolver.solve, SimplexSolver._dual
 
-        def solve_spy(self, max_iter=None):
+        def solve_spy(self, max_iter=None, cutoff=math.inf):
             seen["calls"] += 1
-            sol = solve(self, 1 if seen["calls"] == 2 else max_iter)
+            sol = solve(self, 1 if seen["calls"] == 2 else max_iter, cutoff)
             seen["dual_iterations"].append(sol.dual_iterations)
             return sol
 
@@ -905,6 +905,98 @@ class TestDualSimplex:
         assert elements and min(elements) > DUAL_PIVOT_TOL
 
 
+@st.composite
+def lps_with_tightened_bounds(draw):
+    """A boxed LP feasible at a drawn point (as `bounded_lps_with_edits`
+    draws it), one to three columns with a drawn sub-interval of their box
+    as new bounds, and a cutoff offset from the first optimum."""
+    prob, _, _ = draw(bounded_lps_with_edits())
+    bounds = []
+    for j in draw(st.lists(st.integers(0, prob.num_cols - 1), min_size=1, max_size=3)):
+        lo, hi = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                      min_size=2, max_size=2)))
+        span = prob.ub[j] - prob.lb[j]
+        bounds.append((j, prob.lb[j] + lo * span, prob.lb[j] + hi * span))
+    offset = draw(st.sampled_from([-1.0, 0.0, 1e-8, 1e-3, 0.1, 0.5, 1.0, 3.0]))
+    return prob, bounds, offset
+
+
+def tightened_resolve(prob, bounds, **cutoff):
+    """Solve `prob`, set `bounds` and re-solve warm: (first, re-solve)."""
+    solver = SimplexSolver(prob)
+    first = solver.solve()
+    for j, lo, hi in bounds:
+        solver.set_bound(j, lo, hi)
+    return first, solver.solve(**cutoff)
+
+
+def assert_same_bits(a, b):
+    assert (a.status, a.iterations, a.dual_iterations) == (b.status, b.iterations, b.dual_iterations)
+    assert float(a.objective).hex() == float(b.objective).hex()
+    for field in ("x", "duals", "reduced_costs", "basis", "ray", "farkas"):
+        u, v = getattr(a, field), getattr(b, field)
+        assert (u is None) == (v is None), field
+        if u is not None:
+            assert u.tobytes() == v.tobytes(), field
+
+
+class TestCutoff:
+    """The dual loop stops once its objective, a lower bound on the
+    optimum, reaches the cutoff; below it nothing changes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lps_with_tightened_bounds())
+    def test_a_cutoff_stops_only_past_the_optimum(self, drawn):
+        prob, bounds, offset = drawn
+        first, full = tightened_resolve(prob, bounds)
+        assert first.status == "optimal"  # bounded and feasible by construction
+        assert_same_bits(tightened_resolve(prob, bounds, cutoff=math.inf)[1], full)
+        cutoff = first.objective + offset
+        stopped = tightened_resolve(prob, bounds, cutoff=cutoff)[1]
+        if stopped.status != "cutoff":
+            assert_same_bits(stopped, full)
+            return
+        assert stopped.x is None and stopped.objective >= cutoff
+        assert full.status in ("optimal", "infeasible")
+        if full.status == "optimal":
+            assert full.objective >= cutoff - 1e-9
+            # the objective it stopped at is a lower bound on the optimum
+            assert stopped.objective <= full.objective + 1e-9 * max(1.0, abs(full.objective))
+            assert stopped.iterations <= full.iterations
+
+    def test_stops_at_the_first_dual_objective_past_the_cutoff(self):
+        # the cold slack basis is dual feasible and violates all three rows;
+        # each dual pivot repairs one and raises the objective by 1, so the
+        # objective runs 0, 1, 2, 3, and 3 is optimal
+        prob = LpProblem(c=[1.0, 1.0, 1.0], A=np.eye(3), senses=[">="] * 3, b=[1.0, 1.0, 1.0],
+                         lb=np.zeros(3), ub=np.full(3, 10.0))
+        for cutoff, objective, iterations in ((0.5, 1.0, 1), (1.0, 2.0, 2), (1.5, 2.0, 2)):
+            sol = SimplexSolver(prob).solve(cutoff=cutoff)
+            assert (sol.status, sol.objective, sol.iterations) == ("cutoff", objective, iterations)
+            assert sol.x is None and sol.dual_iterations == iterations
+        # a basis that turns primal feasible is optimal, past the cutoff too
+        for cutoff in (2.0, 2.5, math.inf):
+            sol = SimplexSolver(prob).solve(cutoff=cutoff)
+            assert (sol.status, sol.objective, sol.iterations) == ("optimal", 3.0, 4)
+
+    def test_solve_or_restart_passes_the_cutoff_to_the_cold_retry(self, monkeypatch):
+        prob = LpProblem(c=[1.0, 1.0, 1.0], A=np.eye(3), senses=[">="] * 3, b=[1.0, 1.0, 1.0],
+                         lb=np.zeros(3), ub=np.full(3, 10.0))
+        solver = SimplexSolver(prob)
+        calls = []
+        solve = SimplexSolver.solve
+
+        def stall_once(self, max_iter=None, cutoff=math.inf):
+            calls.append(cutoff)
+            if len(calls) == 1:
+                raise SimplexStall("synthetic stall for testing")
+            return solve(self, max_iter, cutoff)
+
+        monkeypatch.setattr(SimplexSolver, "solve", stall_once)
+        sol = solver.solve_or_restart(0.5)
+        assert calls == [0.5, 0.5] and sol.status == "cutoff" and sol.objective == 1.0
+
+
 def basis_matrix(solver):
     """The basis as an explicit m x m matrix: basic columns of [A | I]."""
     return np.hstack([solver.A, np.eye(solver.m)])[:, solver.basis]
@@ -933,7 +1025,7 @@ class TestRefactor:
                          b=np.ones(5), lb=np.zeros(8), ub=np.ones(8))
         solver = SimplexSolver(prob)
         solver.basis = np.array(basis)
-        solver.stat = solver._settled(solver.stat)
+        solver._settle()
         solver._refactor()
         np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(5), atol=1e-9)
 
@@ -952,7 +1044,7 @@ class TestRefactor:
         monkeypatch.setattr(SimplexSolver, "_repair_basis", spy)
         solver = SimplexSolver(prob)
         solver.basis = np.array([0, 1, 5])
-        solver.stat = solver._settled(solver.stat)
+        solver._settle()
         solver._refactor()
         assert len(repairs) == 1
         np.testing.assert_allclose(dense_inverse(solver) @ basis_matrix(solver), np.eye(3), atol=1e-9)
@@ -998,7 +1090,7 @@ class TestRefactor:
                          lb=np.zeros(3), ub=np.full(3, 10.0))
         solver = SimplexSolver(prob)
         solver.basis = np.array([0, 1, 5])
-        solver.stat = solver._settled(solver.stat)
+        solver._settle()
         solver._refactor()
         assert solver.basis[2] == 5 and 0 in solver.basis
         assert solver.total_pivots == 1  # the repair's pivot is counted
@@ -1251,7 +1343,7 @@ class TestKeptInverse:
         with counted(monkeypatch, "_factor") as factors:
             res = bnc.solve(model, (), BncConfig(gap_tol=config.gap_tol,
                                                  node_limit=config.node_limit))
-        assert (res.status, res.nodes, res.iterations) == ("optimal", 391, 1622)
+        assert (res.status, res.nodes, res.iterations) == ("optimal", 391, 1410)
         assert len(factors) == 216
 
 
@@ -1330,6 +1422,16 @@ COLUMN_ENTRIES = [0.0, PIVOT_TOL, -PIVOT_TOL, 2e-9, -2e-9, 0.25, -0.25, 0.5, -0.
 BASIC_VALUES = [-3.0, -1.0, -0.5, 0.0, 1e-8, -1e-8, 0.5, 1.0, 1.0 + 2 * FEAS_TOL, 2.0, 4.0]
 
 
+def set_drawn_moves(solver):
+    """`_dir` and `_free` of the drawn statuses as they stand, which need not
+    be settled: +1 (-1) for a column at its lower (upper) bound with room to
+    move, and `_free` lists the free columns with room."""
+    movable = solver.ub - solver.lb > 0
+    solver._dir = np.select([movable & (solver.stat == ST_LOWER),
+                             movable & (solver.stat == ST_UPPER)], [1.0, -1.0])
+    solver._free = np.flatnonzero(movable & (solver.stat == ST_FREE))
+
+
 @st.composite
 def selection_states(draw):
     """A solver with drawn bounds, statuses and basis, a reduced-cost vector,
@@ -1346,7 +1448,7 @@ def selection_states(draw):
     solver.stat = np.array(draw(st.lists(st.sampled_from([ST_LOWER, ST_UPPER, ST_FREE]),
                                          min_size=nt, max_size=nt)), dtype=np.int8)
     solver.stat[solver.basis] = ST_BASIC
-    solver._moves()
+    set_drawn_moves(solver)
     d = np.array(draw(st.lists(st.sampled_from(REDUCED_COSTS), min_size=nt, max_size=nt)))
     q = draw(st.sampled_from(sorted(set(range(nt)) - set(solver.basis.tolist()))))
     sigma = draw(st.sampled_from([1, -1]))
@@ -1370,6 +1472,43 @@ class TestSelectionRules:
         below, above = xb < lo - FEAS_TOL, xb > hi + FEAS_TOL
         args = (q, sigma, w, xb, lo, hi, below, above, bland)
         assert solver._ratio(*args) == reference_ratio(solver, *args)
+
+
+def reference_settle(solver, stat):
+    """The settled statuses, rule by rule: a basic column is ST_BASIC; a
+    nonbasic at its upper bound keeps it when it is finite; any other rests
+    at its lower bound if finite, else its upper bound if finite, else free."""
+    lo, hi = np.isfinite(solver.lb), np.isfinite(solver.ub)
+    out = np.where(lo, ST_LOWER, np.where(hi, ST_UPPER, ST_FREE)).astype(np.int8)
+    out[(stat == ST_UPPER) & hi] = ST_UPPER
+    out[solver.basis] = ST_BASIC
+    return out
+
+
+class TestSettle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_settle_matches_the_rule_after_bound_edits(self, data):
+        n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        solver = SimplexSolver(LpProblem(c=np.zeros(n), A=np.ones((m, n)),
+                                         senses=data.draw(st.lists(st.sampled_from(["<=", ">=", "=="]),
+                                                                   min_size=m, max_size=m)),
+                                         b=np.zeros(m), lb=np.zeros(n), ub=np.ones(n)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            solver.add_row(np.ones(n), data.draw(st.sampled_from(["<=", ">=", "=="])), 1.0)
+        for j, (lo, hi) in enumerate(data.draw(st.lists(st.sampled_from(BOUND_PAIRS),
+                                                        min_size=n, max_size=n))):
+            solver.set_bound(j, lo, hi)
+        np.testing.assert_array_equal(solver._code, simplex._bound_code(solver.lb, solver.ub))
+        nt = solver.nt
+        solver.basis = np.array(data.draw(st.permutations(range(nt)))[:solver.m])
+        stat = np.array(data.draw(st.lists(st.sampled_from([ST_LOWER, ST_UPPER, ST_BASIC, ST_FREE]),
+                                           min_size=nt, max_size=nt)), dtype=np.int8)
+        solver.stat = stat.copy()
+        solver._settle()
+        np.testing.assert_array_equal(solver.stat, reference_settle(solver, stat))
+        assert solver.stat.dtype == np.int8
+        assert_fresh_moves(solver)
 
 
 # -- state the solve keeps per iteration -------------------------------------

@@ -15,9 +15,9 @@ observation, a lower bound on the gain the full re-solve would record.  The
 root and its cut rounds get no cutoff, so the root bound and the cut loop
 are as without it.  `run` stops in one place: `_pick` gives the next
 node or the final status, and stops when the reported gap is at most
-`gap_tol`.  Node selection is best-bound (a heap), depth-first (one dive
-from the root with no budget) or dive-best-bound (best-bound with bounded
-dives).
+`gap_tol`.  Node selection is best-bound (the open nodes as a heap keyed
+by bound) or depth-first (the open nodes as a stack, one dive from the root
+that visits the side each relaxation leans to first).
 
 The search keeps a single stateful simplex instance for the whole tree:
 branching is done through bound overrides, and before a node is evaluated
@@ -37,8 +37,8 @@ accepted start is the first incumbent, so the search prunes against it from
 the root on; nothing else about the search changes.  The heuristics that
 build starts know the instance and live with the formulations.
 
-Everything is deterministic for a fixed config: node ids break priority
-ties, pricing has no randomness, and wall time only matters when a time
+Everything is deterministic for a fixed config: creation order breaks ties
+between equal bounds, pricing has no randomness, and wall time only matters when a time
 limit is set.
 """
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .constants import FEAS_TOL, INT_TOL
 from .model import MipModel
 from .simplex import LpProblem, SimplexSolver, SimplexStall
 
-NODE_SELECTIONS = ("best-bound", "depth-first", "dive-best-bound")
+NODE_SELECTIONS = ("best-bound", "depth-first")
 BRANCHING_RULES = ("most-fractional", "pseudo-cost")
 ROOT_CUT_ROUNDS = 30  # cap on the root's cut rounds; no default-grid root needs more than 10
 
@@ -135,8 +135,8 @@ def compute_gap(ub, lb) -> float | None:
 
 @dataclass(order=True)
 class _Node:
-    priority: tuple
-    lb: float = field(compare=False)  # the parent's bound, then the node's last optimal value
+    lb: float  # the parent's bound, then the node's last optimal value
+    seq: int  # creation order, which breaks ties between equal bounds
     depth: int = field(compare=False)
     overrides: dict = field(compare=False)
     state: tuple | None = field(compare=False)  # the parent's final basis (all rows); None at the root
@@ -191,26 +191,9 @@ class _Search:
             self.incumbent = start.copy()
             self.incumbent_obj = self.sign * float(model.obj_vals @ start[model.obj_cols])
             self.log(0, self.incumbent_obj, "start", 0)
-        # Dives run on `dive_stack`, visiting the side each relaxation leans
-        # to first and backtracking through siblings.  depth-first is one
-        # dive from the root with no budget.  dive-best-bound interleaves
-        # best-bound pops with dive episodes of bounded size: dives reach
-        # integral leaves and improve the incumbent, the pops in between
-        # drive the global bound.  Episodes seed from the best open node,
-        # every pop while no incumbent exists, then on a fixed pop interval;
-        # leftover episode nodes are flushed back to the heap when the
-        # budget runs out.
-        depth_first = config.node_selection == "depth-first"
-        self.plunge = config.node_selection == "dive-best-bound"
-        self.dive_stack = []
-        self.in_episode = depth_first
-        self.episode_nodes = 0
-        episode_cap = max(64, 4 * len(self.binaries))
-        self.episode_cap = math.inf if depth_first else episode_cap
-        self.heap_pops = 0
-        self.dive_interval = 4 * episode_cap
-        self.open_nodes = []  # best-bound heap
-        self.root = _Node(priority=(), lb=-math.inf, depth=0, overrides={}, state=None)
+        self.best_bound = config.node_selection == "best-bound"
+        self.open_nodes = []  # a heap under best-bound, a stack under depth-first
+        self.root = _Node(lb=-math.inf, seq=0, depth=0, overrides={}, state=None)
         self.nodes_done = 0
         self.iterations = 0
         self.cut_counts = {}
@@ -360,47 +343,36 @@ class _Search:
         for fixed in (lean, 1.0 - lean):  # lean side gets the smaller seq
             self.seq += 1
             children.append(_Node(
-                priority=(sol.objective, self.seq),
                 lb=sol.objective,
+                seq=self.seq,
                 depth=node.depth + 1,
                 overrides={**node.overrides, j: (fixed, fixed)},
                 state=state,
                 branch=(j, frac, sol.objective),
             ))
         self.log(node_id, sol.objective, "branch", node.depth)
-        if self.in_episode:
-            self.dive_stack += children[::-1]  # dives visit the lean side first
+        for child in reversed(children):  # the lean side last, so a dive visits it first
+            self._push(child)
+
+    def _push(self, node):
+        if self.best_bound:
+            heapq.heappush(self.open_nodes, node)
         else:
-            for child in children:
-                heapq.heappush(self.open_nodes, child)
+            self.open_nodes.append(node)
 
     def _next_node(self):
-        if self.dive_stack:
-            if self.episode_nodes < self.episode_cap:
-                self.episode_nodes += 1
-                return self.dive_stack.pop()
-            for node in self.dive_stack:
-                heapq.heappush(self.open_nodes, node)
-            self.dive_stack.clear()
-            self.in_episode = False
-        elif self.in_episode and self.episode_nodes > 0:
-            self.in_episode = False  # the dive exhausted its subtree
-        if self.plunge and not self.in_episode:
-            self.heap_pops += 1
-            if self.incumbent is None or self.heap_pops >= self.dive_interval:
-                self.heap_pops = 0
-                self.in_episode = True
-                self.episode_nodes = 0
-        return heapq.heappop(self.open_nodes)
+        return heapq.heappop(self.open_nodes) if self.best_bound else self.open_nodes.pop()
 
     def _reaches_incumbent(self, lb):
         return lb >= self.incumbent_obj - 1e-9
 
     def _bound(self):
-        """Least open bound (heap top, dive nodes), clamped at the incumbent."""
-        best = self.open_nodes[0].lb if self.open_nodes else math.inf
-        for node in self.dive_stack:
-            best = min(best, node.lb)
+        """Least open bound (the heap top under best-bound), clamped at the
+        incumbent."""
+        if self.best_bound:
+            best = self.open_nodes[0].lb if self.open_nodes else math.inf
+        else:
+            best = min((node.lb for node in self.open_nodes), default=math.inf)
         return min(best, self.incumbent_obj)
 
     def _stopped(self, limit):
@@ -414,7 +386,7 @@ class _Search:
         with).  Open nodes whose bound reaches the incumbent are fathomed on
         the way; they do not count as visited."""
         cfg = self.cfg
-        while self.open_nodes or self.dive_stack:
+        while self.open_nodes:
             if (self.incumbent is not None
                     and _relative_gap(self.incumbent_obj, self._bound()) <= cfg.gap_tol):
                 return None, "optimal"
@@ -446,7 +418,7 @@ class _Search:
             # always recorded, it explains the early stop
             self.events.append(f"node={self.nodes_done - 1} lb={node.lb:.10g} "
                                f"depth={node.depth} action=stall detail={exc}")
-            self.dive_stack.append(node)  # rejoins the open set, bound and all
+            self._push(node)  # rejoins the open set, keyed by its own bound
             status = self._stopped("stall")
         return self._result(status)
 

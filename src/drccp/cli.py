@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: gen (write a transport instance), solve (run one formulation
-with optional cuts), bench (grid harness), oracle (independent feasibility
-audit of a candidate plan).
+with optional cuts, starting from its CVaR plan), bench (grid harness),
+oracle (independent feasibility audit of a candidate plan).
 
 Exit codes: 0 success (including solves stopped at a limit with an
 incumbent), 2 infeasible, 3 stopped with no incumbent, 64 usage error.
@@ -23,6 +23,7 @@ from .formulations import (
     FORMULATION_KINDS,
     build_formulation,
     compute_quantiles,
+    zero_discard_start,
 )
 from .model import NORM_KINDS, distance_profile, read_instance, save_instance
 from .oracles import lemma_certificate, worst_case_prob
@@ -115,7 +116,7 @@ def _cmd_solve(args) -> int:
         branching=args.branching,
         log_events=args.log_events is not None,
     )
-    result = bnc_solve(model, seps, config)
+    result = bnc_solve(model, seps, config, start=zero_discard_start(model))
     if args.dump_cuts:
         with open(args.dump_cuts, "w", encoding="utf-8") as fh:
             for sep in seps:

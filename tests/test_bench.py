@@ -183,6 +183,28 @@ def test_non_deterministic_rows_add_only_the_timers():
             == {k: v for k, v in ref.items() if k not in timers})
 
 
+def test_every_arm_starts_from_the_cvar_plan(monkeypatch):
+    # one node per arm: the root relaxation alone finds no incumbent in the
+    # basic arms, so their objectives come from the start, which run_cell
+    # builds once per radius and formulation kind
+    calls = []
+    inner = bench.zero_discard_start
+
+    def spy(model):
+        calls.append(model)
+        return inner(model)
+
+    monkeypatch.setattr(bench, "zero_discard_start", spy)
+    cfg = tiny_config(centers=(3,), samples=(10,), theta_indices=(1, 6, 10),
+                      variants=tuple(VARIANTS), node_limit=1)
+    rows = run_cell(cfg, 2, 3, 10, 0)
+    assert len(rows) == 3 * len(VARIANTS)
+    for row in rows:
+        assert row["status"] in ("optimal", "feasible-gap"), row
+        assert math.isfinite(row["obj"]) and row["nodes"] == 1
+    assert len(calls) == 3 * 2  # three radii, two formulation kinds
+
+
 def test_formulations_agree_within_a_cell():
     rows = run_cell(tiny_config(), 2, 2, 6, 0)
     by_variant = {r["variant"]: r for r in rows}

@@ -131,7 +131,7 @@ def test_gap_tolerance_allows_early_stop():
     # a loose tolerance accepts the first incumbent of the dive
     res = solve(
         build_formulation(box_instance(41), "compact"),
-        config=BncConfig(gap_tol=0.5, node_selection="dive-best-bound"),
+        config=BncConfig(gap_tol=0.5, node_selection="depth-first"),
     )
     assert res.status == "optimal"
     assert res.gap_pct is not None and res.gap_pct <= 50.0 + 1e-9
@@ -253,32 +253,6 @@ def test_node_selections_agree(selection):
     res = solve(build_formulation(inst, "compact"), config=BncConfig(node_selection=selection))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(ref.objective, abs=1e-7)
-
-
-def test_dive_episode_flushes_at_its_cap():
-    # an episode that reaches its node cap with dive nodes left pushes them
-    # back onto the best-bound heap, and the search still proves the optimum
-    # (eps*N = 3.06 is not an integer, so the model may discard 3 samples)
-    model = build_formulation(box_instance(48, n=12, epsilon=0.255), "compact")
-    expected = solve(model)
-    search = bnc._Search(model, (), BncConfig(node_selection="dive-best-bound"))
-    search.episode_cap = 2
-    flushed = []
-    next_node = search._next_node
-
-    def spy():
-        if search.dive_stack and search.episode_nodes >= search.episode_cap:
-            flushed.append(len(search.dive_stack))
-            node = next_node()
-            assert not search.dive_stack  # the nodes went to the heap
-            return node
-        return next_node()
-
-    search._next_node = spy
-    res = search.run()
-    assert flushed
-    assert res.status == expected.status == "optimal"
-    assert res.objective == pytest.approx(expected.objective, abs=1e-9)
 
 
 @pytest.mark.parametrize("rule", bnc.BRANCHING_RULES)
@@ -697,6 +671,12 @@ def test_the_start_is_logged():
 def test_rejects_unknown_node_selection():
     with pytest.raises(ValueError, match="node selection"):
         BncConfig(node_selection="random")
+
+
+def test_rejects_the_deleted_dive_selection():
+    assert bnc.NODE_SELECTIONS == ("best-bound", "depth-first")
+    with pytest.raises(ValueError, match="unknown node selection 'dive-best-bound'"):
+        BncConfig(node_selection="dive-best-bound")
 
 
 def test_rejects_unknown_branching_rule():

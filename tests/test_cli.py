@@ -117,15 +117,32 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
 
 
 def test_solve_no_incumbent_exit_code(tmp_path, capsys):
-    # eps*N = 1.5 lets the compact model discard one sample, so it branches;
-    # at eps*N = 1 it would discard none and solve as an LP at the root
+    # no x in [0, 10] covers the sample at 20, so there is no CVaR plan to
+    # start from; eps*N = 1.2 lets the model discard that sample, and the
+    # root alone finds no incumbent
+    inst = line_instance([1.0, 2.0, 3.0, 20.0], epsilon=0.3, theta=0.001)
     path = tmp_path / "inst.json"
-    assert main(["gen", "--factories", "2", "--centers", "3", "--samples", "10",
-                 "--seed", "42", "--theta", "0.05", "--epsilon", "0.15",
-                 "--out", str(path)]) == EXIT_OK
+    path.write_text(dump_instance(inst))
     rc = main(["solve", str(path), "--node-limit", "1"])
     assert rc == EXIT_NO_INCUMBENT
     assert "status=no-incumbent" in capsys.readouterr().out
+
+
+def test_solve_starts_from_the_cvar_plan(tmp_path, capsys):
+    # eps*N = 5 on 50 samples: the basic model's root is fractional, so one
+    # node ends with the CVaR plan as its incumbent, a plan the oracle passes
+    path, out = tmp_path / "inst.json", tmp_path / "result.json"
+    assert main(["gen", "--factories", "2", "--centers", "10", "--samples", "50",
+                 "--seed", "1", "--out", str(path)]) == EXIT_OK
+    rc = main(["solve", str(path), "--formulation", "basic", "--node-limit", "1",
+               "--out", str(out), "--log-events", str(tmp_path / "events.txt")])
+    assert rc == EXIT_OK
+    assert "status=feasible-gap" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["nodes"] == 1 and len(payload["x"]) == 20
+    assert (tmp_path / "events.txt").read_text().splitlines()[0].endswith("action=start")
+    assert main(["oracle", str(path), "--x", str(out)]) == EXIT_OK
+    assert "verdict: feasible" in capsys.readouterr().out
 
 
 def test_solve_rejects_unknown_cut_family(instance_path, capsys):
@@ -281,6 +298,7 @@ def test_bench_rejects_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value, message", [
     ("node_selection", "bogus", "unknown node selection 'bogus'"),
+    ("node_selection", "dive-best-bound", "unknown node selection 'dive-best-bound'"),
     ("gap_tol", "0.01", "gap_tol must be a nonnegative number"),
 ])
 def test_bench_rejects_bad_search_option_before_solving(tmp_path, capsys, monkeypatch,

@@ -53,11 +53,16 @@ enter it is optimal, and the solution is built from that price, counted as
 one (primal) iteration.  Otherwise the primal loop takes over; it is the
 whole solve for a start that is not dual feasible, and it also cleans up
 after more than _DEGEN_STREAK degenerate dual steps in a row.  Its one
-violation test per iteration starts and ends phase 1, gives the phase-1
-costs (-1 below, +1 above) and tells the ratio test which bound each basic
-blocks at; with no violating basic the iteration is a phase-2 one.  Phase 1
-minimizes the total bound violation of basic variables (no artificial
-columns), so any starting basis is a valid warm start.  Like the dual loop,
+violation test per iteration starts and ends phase 1 and gives the phase-1
+costs (-1 below, +1 above); with no violating basic the iteration is a
+phase-2 one.  Phase 1 minimizes the total bound violation of basic variables
+(no artificial columns), so any starting basis is a valid warm start.  Its
+ratio test takes the long step (Wolfe 1965; Maros 1986): a violating basic
+that moves toward the bound it violates is a breakpoint, passed while the
+total violation still falls, not a block, so one pivot repairs every row
+its entering column fixes; under Bland's rule it stops at the first
+breakpoint.  `LpSolution.phase_one_iterations` counts the phase-1
+iterations.  Like the dual loop,
 it proves infeasibility only when no column gains beyond PIVOT_TOL from a
 fresh inverse.  Both loops change the basis through one `_pivot` routine
 and draw on one budget of `max_iter` iterations; at the cap they raise
@@ -99,10 +104,10 @@ loop prices once when it starts and again only after a refactorization; in
 between, each pivot updates the reduced costs from its ratio row,
 d -= (d_q / gamma_q) gamma.  The primal loop prices afresh every
 iteration, so the optimality test and the reported duals and reduced costs
-come from a fresh price.  The primal ratio test is one blocking-bound
-formula over all basics; the dual one divides only over the columns
-eligible to enter.  The FTRAN column of a slack is read straight from
-`binv_s`.
+come from a fresh price.  The primal ratio test is one hard-block formula
+over all basics plus, in phase 1, one sort of the breakpoints; the dual one
+divides only over the columns eligible to enter.  The FTRAN column of a
+slack is read straight from `binv_s`.
 
 State edits (`reset_basis`, `load_state`, `add_row`, `set_bound`) only touch
 the basis, the statuses and the bounds, with each column's bound code.
@@ -204,6 +209,7 @@ class LpSolution:
     reduced_costs: np.ndarray = None
     iterations: int = 0  # primal and dual
     dual_iterations: int = 0
+    phase_one_iterations: int = 0  # primal iterations with a violating basic
     basis: np.ndarray = None
     ray: np.ndarray = None
     farkas: np.ndarray = None
@@ -738,9 +744,11 @@ class SimplexSolver:
 
     def _primal(self, c_pad, max_iter, iters):
         """Primal simplex from the current basis, phase 1 while some basic
-        violates a bound; `iters` iterations of the budget are spent."""
+        violates a bound; `iters` iterations of the budget are spent.  The
+        solution counts the phase-1 iterations (those that found a violating
+        basic) in `phase_one_iterations`."""
         bland = False
-        degen_streak = 0
+        degen_streak = phase_one_iters = 0
         phase_one = False
         while True:
             if iters > max_iter:
@@ -753,6 +761,7 @@ class SimplexSolver:
                 # phase-1 costs are zero off the basis; basic columns are
                 # never eligible, so their entries of d do not matter
                 phase_one = True
+                phase_one_iters += 1
                 yb = self._btran(above.astype(float) - below)
                 d = -np.concatenate([yb @ self.A, yb])
             elif phase_one:
@@ -771,8 +780,9 @@ class SimplexSolver:
                     self._refactor()
                     continue
             if q < 0:
-                return (self._infeasible_solution(yb, iters) if phase_one
-                        else self._optimal_solution(d, iters))
+                sol = (self._infeasible_solution(yb, iters) if phase_one
+                       else self._optimal_solution(d, iters))
+                break
 
             w = self._ftran(q)
             step, pos, to_upper, flip = self._ratio(q, sigma, w, xb, lo, hi, below, above, bland)
@@ -780,7 +790,8 @@ class SimplexSolver:
                 # no blocking event
                 if phase_one:
                     raise SimplexStall("phase-1 ratio test found no block")
-                return self._unbounded_solution(q, sigma, w, iters)
+                sol = self._unbounded_solution(q, sigma, w, iters)
+                break
 
             if step <= 1e-11:
                 degen_streak += 1
@@ -799,6 +810,8 @@ class SimplexSolver:
                 self.xval[q] = self.ub[q] if at_lower else self.lb[q]
                 continue
             self._pivot(q, pos, w, sigma * step, to_upper)
+        sol.phase_one_iterations = phase_one_iters
+        return sol
 
     def _pivot(self, q, pos, w, theta, to_upper):
         """Column q enters the basis at `pos`, its value moved by `theta` and
@@ -817,33 +830,69 @@ class SimplexSolver:
         self._count_pivot()
 
     def _ratio(self, q, sigma, w, xb, lo, hi, below, above, bland):
-        """Blocking step for the entering variable, given this iteration's
-        basic values `xb`, their bounds and violation masks.  A violating
-        basic blocks where it reaches the bound it violates, any other where
-        it leaves its bounds.
+        """Step for the entering variable, given this iteration's basic
+        values `xb`, their bounds and violation masks.
+
+        A hard block ends the step: a feasible basic leaving its bounds, a
+        violating basic reaching its far bound, or the entering column's own
+        range (a bound flip).  A violating basic that moves toward the bound
+        it violates is a breakpoint where it reaches that bound: past it,
+        the total violation's slope along the step rises by |sigma * w_i|.
+        In phase 1 the step is the long one (Wolfe 1965; Maros 1986): the
+        breakpoints are passed in order of step while the slope stays below
+        0, so the step stops at the first one where the slope, which starts
+        at the column's phase-1 gain, reaches 0 or more, or at the first
+        hard block if that comes earlier.  The slope is summed here from the
+        same masks the phase-1 pricing used, with the breakpoints in order,
+        so that it is exactly 0 or more past the last of them.  Under Bland's
+        rule the step stops at the first breakpoint.  A passed basic stays
+        basic, now within its bounds.  Ties within 1e-12 of the step go to
+        the largest |w|, then the lowest variable index (Bland: the lowest
+        index).
 
         Returns (step, position, leaving_to_upper, bound_flip); step is None
         when nothing blocks.
         """
         delta = sigma * w
         dec, inc = delta > PIVOT_TOL, delta < -PIVOT_TOL
+        bp = None  # the breakpoint steps by basis position, -inf off them
         if below.any() or above.any():
-            # a violating basic keeps only the bound it violates (finite)
-            lo, hi = (np.where(above, hi, np.where(below, -math.inf, lo)),
-                      np.where(below, lo, np.where(above, math.inf, hi)))
-        # a falling basic blocks at lo, a rising one at hi (+inf if infinite)
+            toward = (below & inc) | (above & dec)
+            if toward.any():
+                bp = np.full(self.m, -math.inf)
+                np.divide(xb - np.where(above, hi, lo), delta, out=bp, where=toward)
+                toward = toward.nonzero()[0]
+            # a violating basic hard-blocks only at its far bound, so one
+            # moving away from its bounds never blocks
+            lo, hi = np.where(below, -math.inf, lo), np.where(above, math.inf, hi)
+        # a falling basic hard-blocks at lo, a rising one at hi (+inf if infinite)
         steps = np.full(self.m, math.inf)
         np.divide(xb - np.where(dec, lo, hi), delta, out=steps, where=dec | inc)
         np.maximum(steps, 0.0, out=steps)
-        smin = float(steps.min()) if steps.size else math.inf
+        t = float(steps.min()) if steps.size else math.inf
+        if bp is not None:
+            stop = toward[0]
+            if toward.size > 1:
+                order = toward[np.argsort(bp[toward], kind="stable")]
+                stop = order[0]
+                if not bland:
+                    # the slope past the k-th breakpoint is passed[k] - passed[-1] + away
+                    passed = np.cumsum(np.abs(delta[order]))
+                    away = np.abs(delta[(below & dec) | (above & inc)]).sum()
+                    stop = order[(passed >= passed[-1] - away).argmax()]
+            t = min(t, float(bp[stop]))
         own_range = self.ub[q] - self.lb[q]
-        if own_range <= smin:
+        if own_range <= t:
             if not math.isfinite(own_range):
                 return None, -1, False, False
             return own_range, -1, False, True
-        if not math.isfinite(smin):
+        if not math.isfinite(t):
             return None, -1, False, False
-        idxs = (steps <= smin + 1e-12).nonzero()[0]
+        if bp is not None:
+            # a breakpoint not passed ends at its violated bound, any other
+            # basic at its hard block
+            steps = np.where(bp >= t, bp, steps)
+        idxs = (steps <= t + 1e-12).nonzero()[0]
         if len(idxs) == 1:
             pos = int(idxs[0])
         elif bland:
@@ -855,7 +904,8 @@ class SimplexSolver:
             cand = idxs[wb >= best - 1e-12]
             # prefer the largest pivot element, then the lowest variable index
             pos = int(cand[self.basis[cand].argmin()])
-        return smin, pos, bool(above[pos] if dec[pos] else not below[pos]), False
+        at_bp = bp is not None and bp[pos] >= t
+        return t, pos, bool(above[pos] if at_bp else inc[pos]), False
 
     # -- terminal states ----------------------------------------------------
 

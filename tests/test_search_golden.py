@@ -106,8 +106,8 @@ GOLDEN = {
     "box50-node-limit-7/compact/mixing+path/best-bound/pseudo-cost": "af8e742d6aed603d",
     "box50-node-limit-7/compact/mixing+path/depth-first/most-fractional": "91c4b14e368d7a3b",
     "box50-node-limit-7/compact/mixing+path/depth-first/pseudo-cost": "91c4b14e368d7a3b",
-    "theta/compact/none/best-bound/most-fractional": "b7aa54f34e4077ef",
-    "theta/compact/none/depth-first/most-fractional": "b7aa54f34e4077ef",
+    "theta/compact/none/best-bound/most-fractional": "b5deb7d080293c04",
+    "theta/compact/none/depth-first/most-fractional": "b5deb7d080293c04",
 }
 
 GRID_GROUPS = ("box50", "box47", "transport", "box50-node-limit-7")

@@ -5,10 +5,11 @@ inverse, and the per-iteration selection rules and state."""
 import contextlib
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from conftest import box_instance
@@ -1279,7 +1280,7 @@ class TestKeptInverse:
             solver.set_bound(j, prob.lb[j], prob.ub[j])
 
     def test_reload_restores_what_factor_builds(self, monkeypatch):
-        prob, solver, first, state, _ = TestInstall.moved_away(np.random.default_rng(818))
+        prob, solver, first, state, _ = TestInstall.moved_away(np.random.default_rng(816))
         solver.load_state(*state)  # factored and kept
         self.move_away(solver, prob)
         assert not np.array_equal(solver.basis, state[0])
@@ -1371,9 +1372,92 @@ def reference_entering(solver, d, bland):
     return q, sigma
 
 
+def total_violation(xb, lo, hi, counted):
+    """Sum of max(0, lo - x, x - hi) over the `counted` basics, exactly (as
+    a Fraction) for float inputs; infinite bounds never count."""
+    total = Fraction(0)
+    for x, a, b in zip(np.asarray(xb, dtype=object)[counted], lo[counted], hi[counted]):
+        x = Fraction(x)
+        if math.isfinite(a) and x < Fraction(a):
+            total += Fraction(a) - x
+        if math.isfinite(b) and x > Fraction(b):
+            total += x - Fraction(b)
+    return total
+
+
+def reference_long_step(solver, q, sigma, w, xb, lo, hi, below, above):
+    """The phase-1 step by total violation, in exact arithmetic.
+
+    A basic whose |sigma * w_i| is above PIVOT_TOL moves by -t * sigma * w_i
+    along the step t; the others stand still, as the ratio test treats them.
+    The steps tried are every breakpoint (a violating basic reaching the
+    bound it violates) up to the first hard block (a feasible basic leaving
+    its bounds, a violating one reaching its far bound, the entering
+    column's own range), and that block.  The step is the one with the least
+    total violation of the basics that violate a bound at its start (the
+    phase-1 objective that the masks price), the earliest on ties; the
+    feasible basics stay within their bounds up to the first hard block.
+    The step is then returned as a float,
+    with the leaving basic chosen among the events within 1e-12 of it by the
+    largest |w|, then the lowest variable index."""
+    delta = sigma * w
+    moving = np.abs(delta) > PIVOT_TOL
+    events = []  # (exact step, float step, position or -1 for the flip, breakpoint?)
+    own_range = solver.ub[q] - solver.lb[q]
+    if math.isfinite(own_range):
+        events.append((Fraction(own_range), own_range, -1, False))
+    for i in np.flatnonzero(moving):
+        falls = delta[i] > 0
+        toward = (below[i] and not falls) or (above[i] and falls)
+        if toward:
+            bound = hi[i] if above[i] else lo[i]
+            events.append(((Fraction(xb[i]) - Fraction(bound)) / Fraction(delta[i]),
+                           (xb[i] - bound) / delta[i], int(i), True))
+        elif below[i] or above[i]:
+            continue  # moving away from its bounds: never blocks
+        far = lo[i] if falls else hi[i]
+        if math.isfinite(far):
+            exact = max((Fraction(xb[i]) - Fraction(far)) / Fraction(delta[i]), Fraction(0))
+            events.append((exact, max((xb[i] - far) / delta[i], 0.0), int(i), False))
+    hard = [e for e in events if not e[3]]
+    first_hard = min(e[0] for e in hard) if hard else None
+    tried = [e for e in events if first_hard is None or e[0] <= first_hard]
+    if not tried:
+        return None, -1, False, False
+    moved = np.where(moving, delta, 0.0)
+
+    def violation_at(event):
+        t = event[0]
+        return total_violation([Fraction(x) - t * Fraction(d) for x, d in zip(xb, moved)],
+                               lo, hi, below | above)
+
+    # least violation, then earliest; at one step a flip comes first
+    best = min(tried, key=lambda e: (violation_at(e), e[0], e[2] >= 0))
+    step = best[1]
+    if best[2] < 0:
+        return own_range, -1, False, True
+    # every basic's float event: a breakpoint not passed, else its hard block
+    near, to_upper = [], {}
+    for exact, t, i, at_bp in events:
+        if i < 0 or not step <= t <= step + 1e-12:
+            continue
+        if not at_bp and any(e[2] == i and e[3] and e[1] >= step for e in events):
+            continue  # its breakpoint is the earlier event
+        near.append(i)
+        to_upper[i] = bool(above[i]) if at_bp else bool(delta[i] < 0)
+    near = np.array(sorted(set(near)))
+    wb = np.abs(w[near])
+    cand = near[wb >= wb.max() - 1e-12]
+    pos = int(cand[np.argmin(solver.basis[cand])])
+    return step, pos, to_upper[pos], False
+
+
 def reference_ratio(solver, q, sigma, w, xb, lo, hi, below, above, bland):
     """Ratio test written as one masked formula per (direction, violation)
-    case, each with its own leaving bound."""
+    case, each with its own leaving bound; phase 1 outside Bland's rule is
+    `reference_long_step`."""
+    if not bland and (below.any() or above.any()):
+        return reference_long_step(solver, q, sigma, w, xb, lo, hi, below, above)
     delta = sigma * w
     steps = np.full(solver.m, math.inf)
     to_upper = np.zeros(solver.m, dtype=bool)
@@ -1472,6 +1556,65 @@ class TestSelectionRules:
         below, above = xb < lo - FEAS_TOL, xb > hi + FEAS_TOL
         args = (q, sigma, w, xb, lo, hi, below, above, bland)
         assert solver._ratio(*args) == reference_ratio(solver, *args)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(selection_states())
+    def test_phase_one_step_keeps_feasible_basics_and_never_raises_the_violation(self, drawn):
+        """A phase-1 step of an entering column whose phase-1 gain is
+        negative (one that pricing could pick) keeps every feasible basic the
+        ratio test sees move within its bounds (FEAS_TOL, as at the start),
+        and the violating basics' total violation does not rise."""
+        solver, _, q, sigma, w, xb, _ = drawn
+        lo, hi = solver.lb[solver.basis], solver.ub[solver.basis]
+        below, above = xb < lo - FEAS_TOL, xb > hi + FEAS_TOL
+        delta = np.where(np.abs(sigma * w) > PIVOT_TOL, sigma * w, 0.0)
+        assume((below | above).any() and delta[below].sum() - delta[above].sum() < 0)
+        step, _, _, _ = solver._ratio(q, sigma, w, xb, lo, hi, below, above, False)
+        assume(step is not None)
+        x = [Fraction(v) - Fraction(step) * Fraction(d) for v, d in zip(xb, delta)]
+        for i in np.flatnonzero(~(below | above)):
+            if math.isfinite(lo[i]):
+                assert x[i] >= Fraction(lo[i]) - Fraction(FEAS_TOL)
+            if math.isfinite(hi[i]):
+                assert x[i] <= Fraction(hi[i]) + Fraction(FEAS_TOL)
+        assert total_violation(x, lo, hi, below | above) <= total_violation(xb, lo, hi, below | above)
+
+
+def cold_root(kind, n):
+    """The slack-basis solve of the (2,10,n) cell's root LP at radius 0.01."""
+    tp = generate(2, 10, n, cell_seed(20240801, 2, 10, n, 0), 0.1)
+    model = build_formulation(to_drccp(tp, theta=0.01), kind, big_m=transport_big_m(tp))
+    return SimplexSolver(bnc.model_to_lp(model)[0]).solve()
+
+
+class TestColdRoots:
+    """The long phase-1 step on the cold roots of the paper's transport
+    cells: one entering column repairs the violated scenario rows of a
+    sample together, instead of one pivot per row."""
+
+    def test_basic_root_on_200_samples(self, monkeypatch):
+        # every phase-1 step ends where a violating basic reaches the bound
+        # it violates, none at a hard block
+        ratio = SimplexSolver._ratio
+        ends = []
+
+        def spy(self, q, sigma, w, xb, lo, hi, below, above, bland):
+            step, pos, to_upper, flip = ratio(self, q, sigma, w, xb, lo, hi, below, above, bland)
+            if below.any() or above.any():
+                ends.append(not flip and (below | above)[pos] and to_upper == above[pos])
+            return step, pos, to_upper, flip
+
+        monkeypatch.setattr(SimplexSolver, "_ratio", spy)
+        sol = cold_root("basic", 200)
+        assert sol.status == "optimal" and sol.objective == 0.0
+        assert sol.iterations <= 210  # 2,216 with the first-breakpoint step
+        assert sol.phase_one_iterations == len(ends) == 160 and all(ends)
+
+    def test_compact_root_on_500_samples(self):
+        sol = cold_root("compact", 500)
+        assert sol.status == "optimal"
+        assert abs(sol.objective - 353.661819793) <= 1e-9 * 353.661819793
+        assert sol.iterations < 864  # 864 with the first-breakpoint step
 
 
 def reference_settle(solver, stat):
@@ -1636,7 +1779,7 @@ class TestMoveMasks:
 
         monkeypatch.setattr(SimplexSolver, "_refactor", refactor_spy)
         monkeypatch.setattr(SimplexSolver, "_repair_basis", repair_spy)
-        rng = np.random.default_rng(909)
+        rng = np.random.default_rng(910)
         half = np.round(rng.normal(size=(12, 8)), 3)
         prob = boxed_problem(rng, 12, 16, A=np.hstack([half, half]))
         with checked_moves(monkeypatch) as seen:
@@ -1676,10 +1819,11 @@ class TestFtran:
             np.testing.assert_allclose(w, binv @ solver.A[:, j], rtol=0, atol=1e-12)
 
 
-def basic_transport_lp():
-    """The LP relaxation of the basic model of a small transport cell: a
-    mostly-slack basis whose pivot rows of `binv_s` are mostly zero."""
-    tp = generate(2, 3, 50, cell_seed(20240801, 2, 3, 50, 0), 0.1)
+def basic_transport_lp(n=50):
+    """The LP relaxation of the basic model of a small transport cell with n
+    samples: a mostly-slack basis whose pivot rows of `binv_s` are mostly
+    zero."""
+    tp = generate(2, 3, n, cell_seed(20240801, 2, 3, n, 0), 0.1)
     model = build_formulation(to_drccp(tp, theta=0.01), "basic", big_m=transport_big_m(tp))
     return bnc.model_to_lp(model)[0]
 
@@ -1725,7 +1869,7 @@ class TestRowPricing:
                 self.binv_s, np.linalg.inv(basis_matrix(self))[:, self.rows_s], rtol=0, atol=1e-9)
 
         monkeypatch.setattr(SimplexSolver, "_update_binv", spy)
-        sols = [sol for _, sol in warm_resolves(basic_transport_lp())]
+        sols = [sol for _, sol in warm_resolves(basic_transport_lp(100))]
         assert skipped > 0 and pivots > 80
         assert [s.status for s in sols] == ["optimal"] * 3
         assert sols[1].dual_iterations > 0 and sols[2].dual_iterations > 0

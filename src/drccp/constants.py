@@ -17,5 +17,12 @@ PIVOT_TOL = 1e-9          # smallest acceptable pivot element
 DUAL_PIVOT_TOL = 1e-7     # smallest dual-simplex pivot element from an updated inverse (simplex._dual)
 INT_TOL = 1e-6            # integrality test on binary variables
 K_NUDGE = 1e-12           # tolerance on eps*N in both discard counts (model.py)
-REFACTOR_INTERVAL = 50    # pivots between block refactorizations of the simplex basis inverse
-FACTOR_TOL = 1e-6         # largest |A_SS @ inv - I| entry of a nonsingular structural block
+# pivots between block refactorizations of the simplex basis inverse: it
+# governs cold solves, re-solves after add_row or set_bound alone and every
+# primal loop; the dual loop of a solve started by load_state (a warm node
+# re-solve) tests an inverse past this age for drift (FACTOR_TOL) and
+# refactorizes only when it finds some
+REFACTOR_INTERVAL = 50
+# largest |A_SS @ inv - I| entry of a nonsingular structural block, and the
+# largest drift of a dual ratio row from sign * e_r on the basic columns
+FACTOR_TOL = 1e-6

@@ -23,20 +23,29 @@ phase-2 duals are zero on every covered row: the reduced costs are
 c - (cb @ binv_s) @ a_s, and the dual ratio row is a row of `binv_s` priced
 through `a_s` (plus one row of A when the leaving basic is a slack), so
 neither multiplies all m rows of A.  A pivot applies the rank-one
-update  binv_s -= outer(w, row)  in place, and only to the columns where
-`row` is nonzero, as the others would keep their values; on DR-CCP bases
-the pivot row is mostly zeros.  Before it, a leaving slack's row stores its
-unit column, which the update makes dense, and its row of A; an entering
-slack's row drops both, as the update would make its column a unit vector
-(the last column moves into the hole, since the order of `rows_s` is free).
+update  binv_s -= outer(w, row)  in place, written only on the rows where
+the FTRAN column w is nonzero or only on the columns where `row` is
+nonzero, whichever is fewer entries, as every other entry would keep its
+value; on DR-CCP bases both are mostly zeros.  Before it, a leaving
+slack's row stores its unit column, which the update makes dense, and its
+row of A; an entering slack's row drops both, as the update would make its
+column a unit vector (the last column moves into the hole, since the order
+of `rows_s` is free).
 `binv_s`, `rows_s` and `a_s` are views of buffers allocated once per row
 count, at the min(m, n) columns that no basis exceeds, so no pivot or
 refactorization allocates.  Every REFACTOR_INTERVAL pivots the block is
-rebuilt from the basis's structural block: only the k x k block of the k
-basic structurals on `rows_s` is inverted, at O(k^3 + (m - k) k^2) instead
-of O(m^3).  A block whose inverse misses the identity by more than
-FACTOR_TOL counts as singular.  Phase 1 of the primal loop prices over all
-m rows, as its costs sit on covered rows too.
+rebuilt from the basis's structural block (a refactorization): only the
+k x k block of the k basic structurals on `rows_s` is inverted, at
+O(k^3 + (m - k) k^2) instead of O(m^3).  A block whose inverse misses the
+identity by more than FACTOR_TOL counts as singular.  The dual loop of a
+solve that starts from `load_state` (a warm node re-solve) skips that
+count and tests an inverse past that age for drift instead: its ratio row
+for the basic at position r is sign * (row r of B^-1) @ [A | I], which is
+sign * e_r on the basic columns, and an entry off by more than FACTOR_TOL
+repeats the iteration from a rebuilt inverse.  The primal loop has no such
+test and keeps the count in every solve.  `LpSolution.refactorizations`
+counts the rebuilds of one solve.  Phase 1 of the primal loop prices over
+all m rows, as its costs sit on covered rows too.
 
 A basic variable counts as violating when it lies more than FEAS_TOL
 outside a bound.  `solve` starts with the bounded dual simplex when some
@@ -210,9 +219,23 @@ class LpSolution:
     iterations: int = 0  # primal and dual
     dual_iterations: int = 0
     phase_one_iterations: int = 0  # primal iterations with a violating basic
+    refactorizations: int = 0  # inverse rebuilds (`_refactor`) inside this solve
     basis: np.ndarray = None
     ray: np.ndarray = None
     farkas: np.ndarray = None
+
+
+def _subtract_outer(binv, w, row):
+    """binv -= outer(w, row) in place, written only where it changes:
+    on the rows where w is nonzero, or on the columns where row is nonzero,
+    whichever is fewer entries.  Any other entry would take x - 0 and keep
+    its value, so both write the same values (up to the sign of a zero)."""
+    wr, nz = w.nonzero()[0], row.nonzero()[0]
+    if wr.size * row.size < w.size * nz.size:
+        binv[wr] -= np.multiply.outer(w[wr], row)
+    else:
+        # outer(row[nz], w).T is laid out like binv, columns contiguous
+        binv[:, nz] -= np.multiply.outer(row[nz], w).T
 
 
 def _slack_bounds(sense):
@@ -245,6 +268,9 @@ class SimplexSolver:
         self._code = _bound_code(self.lb, self.ub)
         self.total_pivots = 0
         self._pivots_since_refactor = 0
+        self._refactors = 0  # `_refactor` calls in the current solve
+        self._loaded = False  # `load_state` ran since the last solve started
+        self._periodic = True  # this solve refactorizes every REFACTOR_INTERVAL pivots
         self._c_pad = np.concatenate([self.c, np.zeros(self.m)])
         self._kept = None  # (basis, binv_s, rows_s, slack_pos, col_of) of load_state's last _factor
         self._alloc(self.m)
@@ -260,6 +286,7 @@ class SimplexSolver:
         """Cold start: all slacks basic; `solve` rests the structurals at a bound."""
         self.basis = np.arange(self.n, self.n + self.m)
         self.stat = np.full(self.nt, ST_BASIC, dtype=np.int8)
+        self._loaded = False
         self._factor()
 
     def _settle(self):
@@ -418,6 +445,7 @@ class SimplexSolver:
                 self._kept = (basis.copy(), self.binv_s.copy("F"), self.rows_s.copy(),
                               self.slack_pos.copy(), self.col_of.copy())
         self.stat = stat
+        self._loaded = True
 
     def _update_binv(self, w, pos, q):
         """Column q, with FTRAN column w, replaces the basic at `pos`.
@@ -426,8 +454,7 @@ class SimplexSolver:
         `a_s`, which the pivot turns into the unit vector at `pos`; a leaving
         slack's row stores its unit column e_pos, which the pivot turns
         dense, and its row of A.  Then the stored columns take the rank-one
-        update, written only to the columns where the pivot row is nonzero:
-        any other column would take x - 0 * w and keep its values.
+        update (`_subtract_outer`), and row `pos` becomes the pivot row.
         """
         k0 = k = self.rows_s.size
         if q >= self.n:
@@ -451,20 +478,19 @@ class SimplexSolver:
         if k != k0:
             self._set_k(k)
         row = self.binv_s[pos] / w[pos]
-        nz = row.nonzero()[0]
-        # outer(row[nz], w).T is laid out like binv_s, columns contiguous
-        self.binv_s[:, nz] -= np.multiply.outer(row[nz], w).T
+        _subtract_outer(self.binv_s, w, row)
         self.binv_s[pos] = row
         self.basis[pos] = q
 
     def _count_pivot(self):
         self.total_pivots += 1
         self._pivots_since_refactor += 1
-        if self._pivots_since_refactor >= REFACTOR_INTERVAL:
+        if self._periodic and self._pivots_since_refactor >= REFACTOR_INTERVAL:
             self._refactor()
 
     def _refactor(self):
         """Rebuild the inverse (`_factor`) and recompute the primal values."""
+        self._refactors += 1
         self._factor()
         self._recompute_values()
 
@@ -619,13 +645,17 @@ class SimplexSolver:
         (see `_dual`); the default never stops it."""
         if max_iter is None:
             max_iter = max(5000, 60 * (self.m + self.n))
+        self._periodic, self._loaded = not self._loaded, False
+        self._refactors = 0
         # this also rests the columns a singular-basis repair left out
         self._settle()
         self._recompute_values()
         dual_iters, sol = self._dual(self._c_pad, max_iter, cutoff)
         if sol is None:
+            self._periodic = True  # the primal loop has no drift test
             sol = self._primal(self._c_pad, max_iter, dual_iters)
         sol.dual_iterations = dual_iters
+        sol.refactorizations = self._refactors
         return sol
 
     def solve_or_restart(self, cutoff=math.inf) -> LpSolution:
@@ -661,7 +691,11 @@ class SimplexSolver:
         no column beyond PIVOT_TOL the basic cannot reach its bound and `y`
         certifies the LP infeasible; with some, but none beyond
         DUAL_PIVOT_TOL, the row is priced again from a refactorized inverse,
-        where PIVOT_TOL suffices.
+        where PIVOT_TOL suffices.  In a solve that starts from `load_state`,
+        which skips the periodic refactorization, the row is also the drift
+        test of an inverse past REFACTOR_INTERVAL pivots: on the basic
+        columns it must be sign * e_r, and an entry off by more than
+        FACTOR_TOL repeats the iteration from a refactorized inverse.
 
         The loop also carries `obj`, the objective of the dual feasible
         basis: with the nonbasics at their bounds, a lower bound on the
@@ -703,7 +737,17 @@ class SimplexSolver:
             iters += 1
 
             below = xb[r] < lo[r]
-            y, gamma = self._dual_row(r, -1.0 if below else 1.0)
+            sign = -1.0 if below else 1.0
+            y, gamma = self._dual_row(r, sign)
+            if self._pivots_since_refactor >= REFACTOR_INTERVAL:
+                # a warm solve's inverse, past the periodic refactorization:
+                # gamma on the basic columns is sign * (row r of B^-1) @ B,
+                # sign * e_r for an exact inverse
+                drift = gamma.take(self.basis)
+                drift[r] -= sign
+                if np.abs(drift).max() > FACTOR_TOL:
+                    self._refactor()
+                    continue
             score = self._gain(gamma)
             cand = (score > DUAL_PIVOT_TOL).nonzero()[0]
             if not cand.size:

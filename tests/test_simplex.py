@@ -1157,6 +1157,72 @@ class TestRefactor:
         assert solver._pivots_since_refactor == 0
 
 
+def tightened_warm_start(seed):
+    """A node re-solve of a (60, 80) `boxed_problem`: a fresh solver takes
+    the upper bound of every basic structural inside its box halfway down
+    from its optimal value, then `load_state` installs the optimal basis,
+    which the dual loop re-solves in 145 to 216 pivots on seeds 0-4.
+    Returns the LP, the solver, ready to solve, and the edited bounds."""
+    prob = boxed_problem(np.random.default_rng(seed), 60, 80)
+    first = SimplexSolver(prob)
+    x, state = first.solve().x, first.get_state()
+    basic = first.basis[first.basis < first.n]
+    edits = [(int(j), prob.lb[j], (prob.lb[j] + x[j]) / 2)
+             for j in basic if prob.lb[j] + 1e-3 < x[j] < prob.ub[j]]
+    solver = SimplexSolver(prob)
+    for j, lo, hi in edits:
+        solver.set_bound(j, lo, hi)
+    solver.load_state(*state)
+    return prob, solver, edits
+
+
+class TestDriftRefactor:
+    """A solve started by `load_state` skips the periodic refactorization in
+    its dual loop and rebuilds an inverse past REFACTOR_INTERVAL pivots only
+    when a ratio row drifts from sign * e_r on the basic columns; any other
+    solve refactorizes every REFACTOR_INTERVAL pivots.
+    `LpSolution.refactorizations` counts the rebuilds."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_drifted_inverse_is_rebuilt(self, seed):
+        _, solver, _ = tightened_warm_start(seed)
+        leaving = []
+        dual_row = SimplexSolver._dual_row
+
+        def spy(self, r, sign):
+            leaving.append((r, self._pivots_since_refactor))
+            return dual_row(self, r, sign)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SimplexSolver, "_dual_row", spy)
+            clean = solver.solve()
+        assert clean.status == "optimal" and clean.refactorizations == 0
+        # a row that leaves once the inverse is old enough to be tested
+        r = next(r for r, age in leaving if age >= simplex.REFACTOR_INTERVAL)
+        _, solver, _ = tightened_warm_start(seed)
+        j = int(np.abs(solver.binv_s[r]).argmax())
+        solver.binv_s[r, j] *= 1 + 1e-5
+        drifted = solver.solve()
+        assert drifted.refactorizations >= 1
+        assert drifted.status == clean.status
+        assert abs(drifted.objective - clean.objective) <= 1e-9 * max(1.0, abs(clean.objective))
+
+    def test_warm_dual_loop_skips_the_periodic_refactorization(self):
+        prob, solver, edits = tightened_warm_start(0)
+        pivots = solver.total_pivots
+        warm = solver.solve()
+        assert solver.total_pivots - pivots > simplex.REFACTOR_INTERVAL
+        assert warm.iterations == warm.dual_iterations + 1  # the final pricing
+        assert warm.status == "optimal" and warm.refactorizations == 0
+        cold = SimplexSolver(prob)
+        for j, lo, hi in edits:
+            cold.set_bound(j, lo, hi)
+        pivots = cold.total_pivots
+        ref = cold.solve()
+        assert ref.refactorizations >= (cold.total_pivots - pivots) // simplex.REFACTOR_INTERVAL >= 1
+        assert abs(ref.objective - warm.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+
+
 class TestInstall:
     """`load_state` installs a stored basis by one block refactorization:
     no pivots, an exact inverse, and the repair for a singular one."""
@@ -1852,8 +1918,8 @@ def warm_resolves(prob):
 
 class TestRowPricing:
     """Phase-2 pricing and the dual ratio row run on the k rows of `rows_s`
-    through `a_s`, and the rank-one update skips the columns where the pivot
-    row is zero."""
+    through `a_s`, and the rank-one update skips the rows where the FTRAN
+    column is zero or the columns where the pivot row is zero."""
 
     def test_column_sparse_update_keeps_the_inverse(self, monkeypatch):
         update = SimplexSolver._update_binv
@@ -1941,6 +2007,49 @@ class TestRowPricing:
             for _ in warm_resolves(prob):
                 pass
         assert seen["slack"] > 0 and seen["structural"] > 0
+
+
+class TestRankOneUpdate:
+    """`_subtract_outer` writes binv -= outer(w, row) only on the rows where
+    the FTRAN column w is nonzero or only on the columns where the pivot row
+    is nonzero, whichever is fewer entries."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def checked_updates():
+        """Check every update in the block against both restricted forms,
+        computed here on copies (== also equates +0.0 and -0.0), and count
+        the updates whose w is sparse enough for the row form."""
+        seen = {"rows": 0, "columns": 0}
+        update = simplex._subtract_outer
+
+        def spy(binv, w, row):
+            wr, nz = w.nonzero()[0], row.nonzero()[0]
+            by_rows, by_cols = binv.copy(), binv.copy()
+            by_rows[wr] -= np.multiply.outer(w[wr], row)
+            by_cols[:, nz] -= np.multiply.outer(w, row[nz])
+            update(binv, w, row)
+            assert (by_rows == by_cols).all() and (binv == by_rows).all()
+            seen["rows" if wr.size * row.size < w.size * nz.size else "columns"] += 1
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simplex, "_subtract_outer", spy)
+            yield seen
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(bounded_lps_with_edits())
+    def test_row_and_column_forms_agree_on_drawn_states(self, drawn):
+        with self.checked_updates():
+            warm_child(*drawn)
+
+    def test_sparse_and_dense_columns_take_both_forms(self):
+        """The transport LP's FTRAN columns are mostly sparse, a dense
+        random LP's mostly dense: between them both forms run."""
+        with self.checked_updates() as seen:
+            for _ in warm_resolves(basic_transport_lp()):
+                pass
+            tightened_warm_start(0)[1].solve()
+        assert seen["rows"] > 0 and seen["columns"] > 0
 
 
 @st.composite

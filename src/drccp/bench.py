@@ -63,8 +63,6 @@ class ExperimentConfig:
     gap_tol: float = _SEARCH_DEFAULTS.gap_tol
     time_limit: float | None = None
     node_limit: int | None = 1500
-    node_selection: str = _SEARCH_DEFAULTS.node_selection
-    branching: str = _SEARCH_DEFAULTS.branching
     theta_max_node_limit: int | None = 4000
     deterministic: bool = True
 
@@ -144,8 +142,6 @@ def _bnc_config(config: ExperimentConfig) -> BncConfig:
         gap_tol=config.gap_tol,
         time_limit=config.time_limit,
         node_limit=config.node_limit,
-        node_selection=config.node_selection,
-        branching=config.branching,
     )
 
 

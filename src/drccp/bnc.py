@@ -13,9 +13,13 @@ as one whose relaxation reaches the incumbent (event `action=cutoff`, with
 the bound it reached).  That bound is also the child's pseudo-cost
 observation, a lower bound on the gain the full re-solve would record.  The
 root and its cut rounds get no cutoff, so the root bound and the cut loop
-are as without it.  `run` stops in one place: `_pick` gives the next
-node or the final status, and stops when the reported gap is at most
-`gap_tol`.  Node selection is best-bound (the open nodes as a heap keyed
+are as without it.  One branching rule serves every model: a binary's
+pseudo-costs are trusted once it has RELIABLE observations in each
+direction (reliability branching without strong-branching initialization,
+Achterberg, Koch & Martin 2005), and a node with no reliable fractional
+binary branches on the most fractional one.  `run` stops in one place:
+`_pick` gives the next node or the final status, and stops when the
+reported gap is at most `gap_tol`.  Node selection is best-bound (the open nodes as a heap keyed
 by bound) or depth-first (the open nodes as a stack, one dive from the root
 that visits the side each relaxation leans to first).
 
@@ -57,8 +61,10 @@ from .model import MipModel
 from .simplex import LpProblem, SimplexSolver, SimplexStall
 
 NODE_SELECTIONS = ("best-bound", "depth-first")
-BRANCHING_RULES = ("most-fractional", "pseudo-cost")
-ROOT_CUT_ROUNDS = 30  # cap on the root's cut rounds; no default-grid root needs more than 10
+# cap on the root's cut rounds, which bounds the root's time: a root at
+# N = 500 still finds cuts in round 30, so there the cap ends the loop
+ROOT_CUT_ROUNDS = 30
+RELIABLE = 2  # pseudo-cost observations per direction before a binary's pseudo-costs are trusted
 
 
 @dataclass
@@ -69,14 +75,11 @@ class BncConfig:
     time_limit: float | None = None
     node_limit: int | None = None
     node_selection: str = "best-bound"
-    branching: str = "most-fractional"
     log_events: bool = False
 
     def __post_init__(self):
         if self.node_selection not in NODE_SELECTIONS:
             raise ValueError(f"unknown node selection {self.node_selection!r}")
-        if self.branching not in BRANCHING_RULES:
-            raise ValueError(f"unknown branching rule {self.branching!r}")
         for name, kind, what in (("gap_tol", numbers.Real, "number"),
                                  ("time_limit", numbers.Real, "number of seconds"),
                                  ("node_limit", numbers.Integral, "number of nodes")):
@@ -257,26 +260,26 @@ class _Search:
 
     # -- branching ----------------------------------------------------------
 
-    def _pc_estimate(self, direction, pos):
-        if self.pc_cnt[direction, pos] > 0:
-            return self.pc_sum[direction, pos] / self.pc_cnt[direction, pos]
-        total = self.pc_cnt[direction].sum()
-        if total > 0:
-            return self.pc_sum[direction].sum() / total
-        return 1.0
-
     def _pick_branch_var(self, values, fractional):
-        if self.cfg.branching == "most-fractional":
-            return max(fractional, key=lambda jf: (jf[1], -jf[0]))[0]
+        """The binary to branch on.  Among the fractional binaries with
+        RELIABLE pseudo-cost observations in each direction, the one with the
+        largest product of estimated gains, the first on ties; with none, the
+        most fractional one, the lowest index on ties.  Reliable candidates
+        are only scored against each other, so the pick does not depend on
+        the objective's units."""
         best_j, best_score = None, -1.0
         for j, _ in fractional:
             pos = self.bin_pos[j]
+            cnt = self.pc_cnt[:, pos]
+            if cnt.min() < RELIABLE:
+                continue
+            down, up = self.pc_sum[:, pos] / cnt
             frac = values[j]
-            up = self._pc_estimate(1, pos) * (1.0 - frac)
-            dn = self._pc_estimate(0, pos) * frac
-            score = max(up, 1e-9) * max(dn, 1e-9)
-            if score > best_score + 1e-15:
+            score = max(up * (1.0 - frac), 1e-9) * max(down * frac, 1e-9)
+            if score > best_score:
                 best_j, best_score = j, score
+        if best_j is None:
+            return max(fractional, key=lambda jf: (jf[1], -jf[0]))[0]
         return best_j
 
     def _record_pseudo_cost(self, node, child_obj):

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .bnc import BRANCHING_RULES, NODE_SELECTIONS, BncConfig, solve as bnc_solve
+from .bnc import BncConfig, solve as bnc_solve
 from .constants import FEAS_TOL
 from .cuts import SEPARATORS, format_cut
 from .formulations import (
@@ -64,9 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--gap-tol", type=float, default=defaults.gap_tol)
     solve.add_argument("--time-limit", type=float, default=defaults.time_limit)
     solve.add_argument("--node-limit", type=int, default=defaults.node_limit)
-    solve.add_argument("--node-selection", choices=NODE_SELECTIONS,
-                       default=defaults.node_selection)
-    solve.add_argument("--branching", choices=BRANCHING_RULES, default=defaults.branching)
     solve.add_argument("--out", default=None, help="write the result as JSON")
     solve.add_argument("--dump-model", default=None, help="write the model text dump")
     solve.add_argument("--dump-cuts", default=None, help="write emitted cut lines")
@@ -112,8 +109,6 @@ def _cmd_solve(args) -> int:
         gap_tol=args.gap_tol,
         time_limit=args.time_limit,
         node_limit=args.node_limit,
-        node_selection=args.node_selection,
-        branching=args.branching,
         log_events=args.log_events is not None,
     )
     result = bnc_solve(model, seps, config, start=zero_discard_start(model))

@@ -3,10 +3,12 @@
 The thresholds that several modules must agree on (margin signs, cut
 violation, simplex feasibility and pivots, integrality) live here; the
 default gap tolerance is `bnc.BncConfig`'s.  Some local thresholds are still
-literals: `bnc` uses 1e-9 for pruning against the incumbent and in
-pseudo-costs, and 1e-7 to detect a bound inversion; `simplex` uses 1e-11 and
-1e-12 in its ratio tests, 1e-7 in basis repair, and stops the dual loop once
-its objective reaches the cutoff plus 1e-7 * max(1, |cutoff|).
+literals: `bnc` uses 1e-9 for pruning against the incumbent, as the least
+distance a pseudo-cost gain is divided by and as the floor of each factor
+of a branching score, and 1e-7 to detect a bound inversion; `simplex` uses
+1e-11 and 1e-12 in its ratio tests, 1e-7 in basis repair, and stops the
+dual loop once its objective reaches the cutoff plus
+1e-7 * max(1, |cutoff|).
 """
 
 MARGIN_TOL = 1e-9         # margin sign tests, oracle comparisons, cut validity

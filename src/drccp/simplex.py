@@ -57,15 +57,16 @@ violating basic leaves at the bound it violates, and the entering column
 keeps the reduced costs dual feasible.  A row with no entering column
 beyond PIVOT_TOL proves the LP infeasible and is returned as the Farkas row.
 
-A basis that violates no bound is priced afresh once: with no column to
-enter it is optimal, and the solution is built from that price, counted as
-one (primal) iteration.  Otherwise the primal loop takes over; it is the
-whole solve for a start that is not dual feasible, and it also cleans up
-after more than _DEGEN_STREAK degenerate dual steps in a row.  Its one
-violation test per iteration starts and ends phase 1 and gives the phase-1
-costs (-1 below, +1 above); with no violating basic the iteration is a
-phase-2 one.  Phase 1 minimizes the total bound violation of basic variables
-(no artificial columns), so any starting basis is a valid warm start.  Its
+A basis that violates no bound goes to the primal loop, whose first
+phase-2 iteration prices afresh: with no column to enter the basis is
+optimal, and the solution, built from that price, counts it as one
+iteration.  The primal loop is also the whole solve for a start that is
+not dual feasible, and it cleans up after more than _DEGEN_STREAK
+degenerate dual steps in a row.  Its one violation test per iteration
+starts and ends phase 1 and gives the phase-1 costs (-1 below, +1 above);
+with no violating basic the iteration is a phase-2 one.  Phase 1
+minimizes the total bound violation of basic variables (no artificial
+columns), so any starting basis is a valid warm start.  Its
 ratio test takes the long step (Wolfe 1965; Maros 1986): a violating basic
 that moves toward the bound it violates is a breakpoint, passed while the
 total violation still falls, not a block, so one pivot repairs every row
@@ -705,14 +706,11 @@ class SimplexSolver:
         update.  Once it reaches cutoff + 1e-7 * max(1, |cutoff|), the loop
         returns a 'cutoff' solution with that objective.
 
-        A basis that violates no bound is priced afresh once
-        (`_confirm_optimal`); with no column to enter it is optimal, and
-        that pricing counts as one iteration.
-
         Returns (iterations, solution).  The solution is None when the
-        primal loop takes over: the feasible basis still has a column to
-        enter, the start is not dual feasible, or more than _DEGEN_STREAK
-        dual steps in a row were degenerate.
+        primal loop takes over: on a basis that violates no bound, whose
+        first phase-2 iteration prices afresh and finds it optimal or enters
+        a column; when the start is not dual feasible; or after more than
+        _DEGEN_STREAK degenerate dual steps in a row.
         """
         iters = degen_streak = 0
         d = None
@@ -722,7 +720,7 @@ class SimplexSolver:
             viol = np.maximum(lo - xb, xb - hi)
             r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
-                return iters, self._confirm_optimal(c_pad, max_iter, iters)
+                break
             if d is None or not self._pivots_since_refactor:
                 cb = c_pad[self.basis]
                 d = self._price(cb)
@@ -774,17 +772,6 @@ class SimplexSolver:
             if degen_streak > _DEGEN_STREAK:
                 break
         return iters, None
-
-    def _confirm_optimal(self, c_pad, max_iter, iters):
-        """The primal loop's first iteration on a primal feasible basis,
-        which only prices: the optimal solution, or None when a column
-        still prices in and the primal loop must take over."""
-        if iters > max_iter:
-            raise SimplexStall(f"iteration cap {max_iter} exceeded")
-        d = self._price(c_pad[self.basis])
-        if self._eligible_entering(d, False)[0] >= 0:
-            return None
-        return self._optimal_solution(d, iters + 1)
 
     def _primal(self, c_pad, max_iter, iters):
         """Primal simplex from the current basis, phase 1 while some basic

@@ -1,7 +1,7 @@
 """Acceptance gate: the paper's compact formulations search fewer nodes.
 
 At the first radius of the grid, with the `ExperimentConfig` defaults
-(most-fractional branching, a node limit of 1,500), the improved
+(the one branching rule, a node limit of 1,500), the improved
 formulation and its mixing and path cuts must prove optimality in fewer
 nodes than the basic big-M formulation.  The gate reads statuses and node
 counts only, never wall time, so it holds on any machine.

@@ -94,8 +94,6 @@ def test_config_rejects_unknown_variant():
 
 
 @pytest.mark.parametrize("field, value, match", [
-    ("node_selection", "bogus", "node selection"),
-    ("branching", "bogus", "branching"),
     ("gap_tol", -0.01, "gap_tol"),
     ("gap_tol", float("nan"), "gap_tol"),
     ("time_limit", -1.0, "time_limit"),
@@ -119,9 +117,21 @@ def test_config_rejects_bad_search_options(field, value, match):
         ExperimentConfig(**{field: value})
 
 
-def test_load_config_rejects_bad_search_options():
-    with pytest.raises(ValueError, match="node selection"):
-        load_config({"node_selection": "bogus"})
+@pytest.mark.parametrize("key, value, match", [
+    ("node_selection", "best-bound", r"unknown config keys: \['node_selection'\]"),
+    ("branching", "pseudo-cost", r"unknown config keys: \['branching'\]"),
+    ("gap_tol", -0.01, "gap_tol"),
+])
+def test_load_config_rejects_bad_search_options(key, value, match):
+    # the bench runs best-bound with the one branching rule: neither is a key
+    with pytest.raises(ValueError, match=match):
+        load_config({key: value})
+
+
+@pytest.mark.parametrize("field", ["node_selection", "branching"])
+def test_config_has_no_search_rule_fields(field):
+    with pytest.raises(TypeError, match=field):
+        ExperimentConfig(**{field: "best-bound"})
 
 
 def test_variant_table_shape():

@@ -22,7 +22,7 @@ from drccp.formulations import (
     zero_discard_start,
 )
 from drccp.model import BINARY, CONTINUOUS, MipModel, distance_profile
-from drccp.simplex import LpProblem, SimplexSolver, SimplexStall
+from drccp.simplex import LpProblem, LpSolution, SimplexSolver, SimplexStall
 
 
 def toy_knapsack():
@@ -255,13 +255,119 @@ def test_node_selections_agree(selection):
     assert res.objective == pytest.approx(ref.objective, abs=1e-7)
 
 
-@pytest.mark.parametrize("rule", bnc.BRANCHING_RULES)
-def test_branching_rules_agree(rule):
-    inst = box_instance(46)
+# -- the branching rule -------------------------------------------------------
+
+def cover_model(count):
+    """min the sum of `count` binaries with that sum >= 1: a search whose
+    candidates the branching tests score."""
+    m = MipModel()
+    zs = [m.add_var(f"z{j}", BINARY, block="z") for j in range(count)]
+    m.add_constraint(tuple((z, 1.0) for z in zs), ">=", 1.0, "cover")
+    m.set_objective(tuple((z, 1.0) for z in zs))
+    return m.validate()
+
+
+def search_with_pseudo_costs(observations):
+    """A search over one binary per entry of `observations`, each entry
+    ((down count, down gain), (up count, up gain)) with the gain per
+    observation, held as the search holds it: a sum and a count."""
+    search = bnc._Search(cover_model(len(observations)), (), BncConfig())
+    for j, per_direction in enumerate(observations):
+        for direction, (count, gain) in enumerate(per_direction):
+            search.pc_cnt[direction, j] = count
+            search.pc_sum[direction, j] = count * gain
+    return search
+
+
+def pick(search, values):
+    values = np.asarray(values, dtype=float)
+    return search._pick_branch_var(values, search._fractional(values))
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([0.3, 0.5, 0.9, 0.5], 1),  # the most fractional, the lower index of a tie
+    ([0.6, 0.2, 0.4, 0.0], 0),  # 0.6 and 0.4 both lie 0.4 from an integer
+    ([0.7, 0.1, 0.95, 0.0], 0),
+])
+def test_with_no_reliable_candidate_the_pick_is_the_most_fractional(values, expected):
+    # every binary is one observation short in some direction, and its
+    # gains, 10**j each way, would pick the highest fractional index if
+    # they were scored
+    short, plenty = bnc.RELIABLE - 1, bnc.RELIABLE + 3
+    search = search_with_pseudo_costs([((short, 1.0), (plenty, 1.0)),
+                                       ((plenty, 10.0), (short, 10.0)),
+                                       ((short, 100.0), (short, 100.0)),
+                                       ((plenty, 1e3), (short, 1e3))])
+    assert pick(search, values) == expected
+    fractional = search._fractional(np.asarray(values))
+    assert expected == max(fractional, key=lambda jf: (jf[1], -jf[0]))[0]
+
+
+def test_a_reliable_candidate_beats_more_fractional_unreliable_ones():
+    assert bnc.RELIABLE == 2
+    values = [0.1, 0.5, 0.4]
+    # binary 0 has 2 observations each way and tiny gains; binary 1, the
+    # most fractional, has 1 each way and binary 2 has 1 up, both with
+    # gains that would outscore binary 0's
+    search = search_with_pseudo_costs([((2, 1e-3), (2, 1e-3)),
+                                       ((1, 1e3), (1, 1e3)),
+                                       ((5, 1e6), (1, 1e6))])
+    assert pick(search, values) == 0
+    search.pc_cnt[1, 0] = 1  # binary 0 one short up: no candidate is reliable
+    assert pick(search, values) == 1
+
+
+def test_reliable_candidates_are_scored_by_the_product_of_their_gains():
+    # down gain times f, up gain times 1 - f, each at least 1e-9:
+    # 0.25, 0.63 and 16 here, so the least fractional binary wins
+    search = search_with_pseudo_costs([((2, 1.0), (2, 1.0)),
+                                       ((2, 3.0), (2, 1.0)),
+                                       ((2, 10.0), (2, 10.0))])
+    assert pick(search, [0.5, 0.3, 0.2]) == 2
+    # equal products: the first binary
+    search = search_with_pseudo_costs([((3, 2.0), (2, 1.0))] * 2 + [((2, 1.0), (2, 1.0))])
+    assert pick(search, [0.4, 0.4, 0.5]) == 0
+    # a zero gain scores 1e-9 on its side, not 0: binary 1's 1e-9 * 0.8
+    # beats binary 0's 1e-9 * 1e-9
+    search = search_with_pseudo_costs([((2, 0.0), (2, 0.0)), ((2, 0.0), (2, 1.0))])
+    assert pick(search, [0.5, 0.2]) == 1
+
+
+def test_a_cutoff_node_records_its_bound_as_an_observation(monkeypatch):
+    search = bnc._Search(fractional_toy(), (), BncConfig(log_events=True))
+    search._visit(search.root)  # b = 0.5 at the root: two children on b
+    child = search._next_node()
+    j, frac, parent_obj = child.branch
+    direction = 1 if child.overrides[j][0] >= 0.5 else 0
+    pos = search.bin_pos[j]
+    assert (j, frac) == (1, 0.5) and search.pc_cnt.sum() == 0
+    stopped = LpSolution(status="cutoff", objective=parent_obj + 2.0, iterations=1)
+    monkeypatch.setattr(search.solver, "solve_or_restart", lambda cutoff=math.inf: stopped)
+    search._visit(child)
+    assert search.events[-1].endswith("action=cutoff")
+    assert search.pc_cnt[direction, pos] == 1 and search.pc_cnt.sum() == 1
+    assert search.pc_sum[direction, pos] == pytest.approx(2.0 / 0.5)
+
+
+def test_the_rule_scores_reliable_binaries_and_reaches_the_optimum(monkeypatch):
+    # a tree that branches both ways: on the most fractional binary while
+    # no candidate is reliable, then by pseudo-costs (107 nodes, 23 of 58
+    # picks with a reliable candidate)
+    _, inst = small_transport(seed=7, n=20, epsilon=0.15, theta=0.02)
     ref = oracles.enumerate_optimal(inst)
-    res = solve(build_formulation(inst, "compact"), config=BncConfig(branching=rule))
+    reliable_seen = []
+    inner = bnc._Search._pick_branch_var
+
+    def spy(self, values, fractional):
+        reliable_seen.append(any(self.pc_cnt[:, self.bin_pos[j]].min() >= bnc.RELIABLE
+                                 for j, _ in fractional))
+        return inner(self, values, fractional)
+
+    monkeypatch.setattr(bnc._Search, "_pick_branch_var", spy)
+    res = solve(build_formulation(inst, "basic"))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(ref.objective, abs=1e-7)
+    assert True in reliable_seen and False in reliable_seen
 
 
 def test_cuts_do_not_change_the_optimum():
@@ -302,7 +408,7 @@ def test_root_cuts_tighten_the_root_bound():
 def limited_searches(draw):
     """A small transport cell at a drawn radius, a model (compact with both
     cut families too) and a search cut short by a drawn node limit, under a
-    drawn node selection and branching rule."""
+    drawn node selection."""
     _, inst = small_transport(seed=draw(st.integers(0, 10**6)), centers=draw(st.integers(2, 3)),
                               n=draw(st.sampled_from([15, 20, 30])),
                               epsilon=draw(st.sampled_from([0.1, 0.15, 0.2])),
@@ -312,8 +418,7 @@ def limited_searches(draw):
     seps = [MixingSeparator(inst), PathSeparator(inst)] if with_cuts else []
     limit = draw(st.sampled_from([1, 3, 10, 30, 100, 300])) + draw(st.integers(0, 9))
     config = BncConfig(node_limit=limit,
-                       node_selection=draw(st.sampled_from(bnc.NODE_SELECTIONS)),
-                       branching=draw(st.sampled_from(bnc.BRANCHING_RULES)))
+                       node_selection=draw(st.sampled_from(bnc.NODE_SELECTIONS)))
     return inst, build_formulation(inst, kind), seps, config
 
 
@@ -335,7 +440,7 @@ def test_every_incumbent_passes_both_certificates(drawn):
 
 def test_identical_runs_are_identical():
     inst = box_instance(44)
-    cfg = BncConfig(log_events=True, branching="pseudo-cost")
+    cfg = BncConfig(log_events=True)
     a = solve(build_formulation(inst, "compact"), config=cfg)
     b = solve(build_formulation(inst, "compact"), config=cfg)
     assert a.objective == b.objective
@@ -550,7 +655,7 @@ def _bits(value):
 
 @pytest.mark.parametrize("name", ["box50", "box47", "transport"])
 def test_the_cutoff_keeps_every_search(monkeypatch, name):
-    # the search-golden configurations with most-fractional branching
+    # the search-golden configurations
     inst = {"box50": lambda: box_instance(50), "box47": lambda: box_instance(47, n=12),
             "transport": lambda: small_transport(seed=7, factories=2, centers=3, n=20,
                                                  epsilon=0.1, theta=0.01)[1]}[name]()
@@ -679,9 +784,11 @@ def test_rejects_the_deleted_dive_selection():
         BncConfig(node_selection="dive-best-bound")
 
 
-def test_rejects_unknown_branching_rule():
-    with pytest.raises(ValueError, match="branching"):
-        BncConfig(branching="strong")
+def test_branching_is_no_option():
+    # one rule serves every model
+    assert not hasattr(bnc, "BRANCHING_RULES")
+    with pytest.raises(TypeError, match="branching"):
+        BncConfig(branching="pseudo-cost")
 
 
 @pytest.mark.parametrize("field, value", [

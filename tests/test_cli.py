@@ -166,6 +166,16 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value", [("--branching", "pseudo-cost"),
+                                         ("--node-selection", "best-bound")])
+def test_solve_has_no_search_rule_flags(instance_path, capsys, flag, value):
+    # every solve runs best-bound with the one branching rule
+    with pytest.raises(SystemExit) as info:
+        main(["solve", str(instance_path), flag, value])
+    assert info.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -297,8 +307,8 @@ def test_bench_rejects_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("node_selection", "bogus", "unknown node selection 'bogus'"),
-    ("node_selection", "dive-best-bound", "unknown node selection 'dive-best-bound'"),
+    ("node_selection", "best-bound", "unknown config keys: ['node_selection']"),
+    ("branching", "pseudo-cost", "unknown config keys: ['branching']"),
     ("gap_tol", "0.01", "gap_tol must be a nonnegative number"),
 ])
 def test_bench_rejects_bad_search_option_before_solving(tmp_path, capsys, monkeypatch,

@@ -1398,7 +1398,7 @@ class TestKeptInverse:
     def test_fixed_search_factors_less(self, monkeypatch):
         """`improved` at the first radius of the bench's (2,3,50) cell: the
         same nodes and LP iterations as when every load factored its basis
-        (367 `_factor` calls), from 216 calls."""
+        (246 `_factor` calls), from 133 calls."""
         config = ExperimentConfig()
         tp = generate(2, 3, 50, cell_seed(config.base_seed, 2, 3, 50, 0), config.epsilon)
         base = to_drccp(tp, theta=0.001)
@@ -1410,8 +1410,8 @@ class TestKeptInverse:
         with counted(monkeypatch, "_factor") as factors:
             res = bnc.solve(model, (), BncConfig(gap_tol=config.gap_tol,
                                                  node_limit=config.node_limit))
-        assert (res.status, res.nodes, res.iterations) == ("optimal", 391, 1410)
-        assert len(factors) == 216
+        assert (res.status, res.nodes, res.iterations) == ("optimal", 255, 827)
+        assert len(factors) == 133
 
 
 # -- the fused selection rules against their mask-by-mask originals ---------

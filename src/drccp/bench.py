@@ -3,8 +3,8 @@
 For every (factories, centers, samples, replication) cell the harness
 generates an instance, finds the largest feasible Wasserstein radius, sweeps
 a ten-point radius grid (0.001 first, then fractions of the ceiling) and
-runs the requested solver arms.  Every arm starts from the CVaR plan
-(`zero_discard_start`), computed once per radius and formulation kind.
+runs the requested solver arms.  Every arm's search starts from the CVaR
+plan, its model's LP with every z at 0 (see `bnc`).
 Results land in a flat CSV, one row per (cell, radius index, arm); a second
 pass aggregates over replications.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 from .bnc import BncConfig, solve
 from .cuts import SEPARATORS
-from .formulations import build_formulation, compute_quantiles, theta_grid, theta_max, zero_discard_start
+from .formulations import build_formulation, compute_quantiles, theta_grid, theta_max
 from .transport import generate, to_drccp, transport_big_m
 
 # arm name -> (formulation kind, cut families)
@@ -162,14 +162,11 @@ def run_cell(config: ExperimentConfig, nf: int, nd: int, ns: int, rep: int) -> l
     for idx in config.theta_indices:
         theta = grid[idx - 1]
         inst = to_drccp(tp, theta=theta)
-        starts = {}  # formulation kind -> its CVaR plan, shared by the arms of that kind
         for variant in config.variants:
             kind, families = VARIANTS[variant]
             model = build_formulation(inst, kind, big_m=big_m, quant=quant)
-            if kind not in starts:
-                starts[kind] = zero_discard_start(model)
             seps = [cls(inst, quant) for name, cls in SEPARATORS.items() if name in families]
-            result = solve(model, seps, _bnc_config(config), start=starts[kind])
+            result = solve(model, seps, _bnc_config(config))
             rows.append({
                 "F": nf, "D": nd, "N": ns,
                 "theta_idx": idx, "theta": theta,

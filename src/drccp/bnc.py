@@ -35,11 +35,16 @@ Cuts and branching only tighten a relaxation, so the stalled node rejoins
 the open set: its bound, its last optimal relaxation value or else its
 parent's bound, still counts.
 
-A caller may hand `solve` a start point, a full variable vector that it
-checks against the model's bounds, binaries and rows before any LP.  An
-accepted start is the first incumbent, so the search prunes against it from
-the root on; nothing else about the search changes.  The heuristics that
-build starts know the instance and live with the formulations.
+The search finds its own first incumbent.  Before the root it solves the
+LP with every binary fixed at 0 (`_seed`): in a DR-CCP model no sample is
+discarded, which is the CVaR inner approximation of the chance constraint
+(Chen, Kuhn & Wiesemann, "Data-driven chance constrained programs over
+Wasserstein balls"), the CVaR plan of a cost preset and the CVaR radius of
+the theta variant.  An optimal point is checked as any start is and becomes
+the first incumbent, so the search prunes against it from the root on; the
+root then starts cold, as without it.  A caller may instead hand `solve` a
+start of its own, a full variable vector checked against the model's
+bounds, binaries and rows before any LP; then no seed is solved.
 
 Everything is deterministic for a fixed config: creation order breaks ties
 between equal bounds, pricing has no randomness, and wall time only matters when a time
@@ -190,10 +195,7 @@ class _Search:
         self.incumbent_obj = math.inf
         self.incumbent = None
         self.events = []
-        if start is not None:
-            self.incumbent = start.copy()
-            self.incumbent_obj = self.sign * float(model.obj_vals @ start[model.obj_cols])
-            self.log(0, self.incumbent_obj, "start", 0)
+        self.start = start
         self.best_bound = config.node_selection == "best-bound"
         self.open_nodes = []  # a heap under best-bound, a stack under depth-first
         self.root = _Node(lb=-math.inf, seq=0, depth=0, overrides={}, state=None)
@@ -230,6 +232,21 @@ class _Search:
             if self.applied.get(j) != (lo, hi):
                 self.solver.set_bound(j, lo, hi)
         self.applied = overrides
+
+    def _seed(self):
+        """The LP optimum with every binary fixed at 0, checked as a start,
+        or None when that LP is not optimal or stalls after its cold retry.
+        The solver is left at the slack basis, so the root starts cold; the
+        root's `_move_to` restores the binaries' bounds."""
+        self._move_to({j: (0.0, 0.0) for j in self.binaries.tolist()})
+        try:
+            sol = self._solve_lp()
+        except SimplexStall:
+            sol = None
+        self.solver.reset_basis()
+        if sol is None or sol.status != "optimal":
+            return None
+        return _check_start(self.model, sol.x)
 
     def _solve_lp(self, cutoff=math.inf):
         sol = self.solver.solve_or_restart(cutoff)
@@ -408,6 +425,11 @@ class _Search:
 
     def run(self):
         self.started = time.perf_counter()
+        start = self._seed() if self.start is None else self.start
+        if start is not None:
+            self.incumbent = start.copy()
+            self.incumbent_obj = self.sign * float(self.model.obj_vals @ start[self.model.obj_cols])
+            self.log(0, self.incumbent_obj, "start", 0)
         node = self.root
         try:
             self._visit(node)
@@ -463,11 +485,12 @@ def solve(model: MipModel, separators=(), config: BncConfig | None = None,
     """Solve a mixed-binary model to proven optimality (or a limit).  Cut
     separators need the threshold variable t, which `saa` has not.
 
-    `start`, a full variable vector, is checked against the model before any
-    LP (`_check_start` names what it fails) and becomes the first incumbent,
-    at the model's objective.  The search replaces it only with a point
-    better by more than the prune tolerance; with `log_events` it logs one
-    `action=start` line."""
+    The first incumbent is `start`, a full variable vector checked against
+    the model before any LP (`_check_start` names what it fails), or with
+    no start the optimum of the LP with every binary at 0, when that LP is
+    optimal.  It counts at the model's objective, the search replaces it
+    only with a point better by more than the prune tolerance, and with
+    `log_events` it is logged first, as one `action=start` line."""
     separators = list(separators)
     if separators and not model.block_indices("t"):
         raise ValueError("cut separators need the threshold variable t; the model has none (saa)")

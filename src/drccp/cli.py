@@ -19,12 +19,7 @@ from . import bench as bench_mod
 from .bnc import BncConfig, solve as bnc_solve
 from .constants import FEAS_TOL
 from .cuts import SEPARATORS, format_cut
-from .formulations import (
-    FORMULATION_KINDS,
-    build_formulation,
-    compute_quantiles,
-    zero_discard_start,
-)
+from .formulations import FORMULATION_KINDS, build_formulation, compute_quantiles
 from .model import NORM_KINDS, distance_profile, read_instance, save_instance
 from .oracles import lemma_certificate, worst_case_prob
 from .transport import generate, to_drccp
@@ -111,7 +106,7 @@ def _cmd_solve(args) -> int:
         node_limit=args.node_limit,
         log_events=args.log_events is not None,
     )
-    result = bnc_solve(model, seps, config, start=zero_discard_start(model))
+    result = bnc_solve(model, seps, config)
     if args.dump_cuts:
         with open(args.dump_cuts, "w", encoding="utf-8") as fh:
             for sep in seps:

@@ -72,7 +72,7 @@ from .model import (
     distance_discard_count,
     row_scaling,
 )
-from .simplex import LpProblem, SimplexSolver, SimplexStall, solve_lp
+from .simplex import LpProblem, solve_lp
 
 @dataclass(frozen=True)
 class QuantileData:
@@ -291,61 +291,35 @@ def build_theta_variant(instance: DrccpInstance, matrix: str = "compact",
     return _build(instance, matrix, big_m, max_theta=True)
 
 
-def zero_discard_start(model: MipModel):
-    """The model's LP optimum with every binary fixed at 0, or None when that
-    LP is not optimal (or stalls).
-
-    No sample is discarded, which is the CVaR inner approximation of the
-    chance constraint (Chen, Kuhn & Wiesemann, "Data-driven chance
-    constrained programs over Wasserstein balls"): in the theta variant the
-    point carries the CVaR radius, in a cost preset the CVaR plan.  Every
-    point it returns satisfies the model's rows, so it is a start for
-    `bnc.solve`."""
-    from . import bnc
-
-    prob, _ = bnc.model_to_lp(model)
-    solver = SimplexSolver(prob)
-    for j in np.flatnonzero(model.binary).tolist():
-        solver.set_bound(j, 0.0, 0.0)
-    try:
-        sol = solver.solve()
-    except SimplexStall:
-        return None
-    return sol.x if sol.status == "optimal" else None
-
-
 def theta_max(instance: DrccpInstance, matrix: str = "compact", config=None) -> float:
     """Largest Wasserstein radius that keeps the instance feasible.
 
     Solves the radius-maximization MIP and returns the incumbent objective,
-    which is a certified-feasible radius.  The search starts from the CVaR
-    radius (`zero_discard_start`) when it is positive, so it prunes from the
-    root on, and returns that radius unless it finds one larger by more than
-    its prune tolerance.  When the search stops before it proves the radius
+    which is a certified-feasible radius.  The search's first incumbent is
+    the CVaR radius (the LP with every z at 0), so it prunes from the root
+    on and returns that radius unless it finds one larger by more than its
+    prune tolerance.  When the search stops before it proves the radius
     largest (a node or time limit), a RuntimeWarning names the status and
-    the gap.  A ValueError says when no positive radius is feasible, and
-    when a limit stops a search with no CVaR start before it finds a
-    feasible point.  The default constraint matrix is the compact one; the
-    basic and knapsack matrices give the same optimum and are available for
-    cross-checks.
+    the gap.  A ValueError says when no positive radius is feasible (the
+    search proves radius zero largest, or the model is infeasible), and
+    when a limit stops the search before it finds a positive radius.  The
+    default constraint matrix is the compact one; the basic and knapsack
+    matrices give the same optimum and are available for cross-checks.
     """
     from . import bnc
 
-    model = build_theta_variant(instance, matrix=matrix)
-    start = zero_discard_start(model)
-    if start is not None and start[model.block_indices("theta")[0]] <= MARGIN_TOL:
-        start = None
-    result = bnc.solve(model, config=config, start=start)
-    # the compact and knapsack matrices allow ceil(eps*N) - 1 discards, so
-    # they are infeasible exactly when no positive radius is feasible; the
-    # basic matrix ends at radius zero instead
-    if result.status == "infeasible" or (result.objective is not None
-                                         and result.objective <= MARGIN_TOL):
+    result = bnc.solve(build_theta_variant(instance, matrix=matrix), config=config)
+    # no positive radius is feasible when the search proves radius zero
+    # largest or the model infeasible (the compact and knapsack matrices
+    # allow only ceil(eps*N) - 1 discards); a search stopped by a limit
+    # before a positive incumbent proves neither
+    positive = result.objective is not None and result.objective > MARGIN_TOL
+    if result.status == "infeasible" or (result.status == "optimal" and not positive):
         raise ValueError("no positive feasible radius: every point has at least eps*N "
                          "samples at distance zero")
-    if result.objective is None:
+    if not positive:
         raise ValueError(f"radius maximization ended {result.status!r} before it found "
-                         "a feasible point")
+                         "a positive radius")
     if result.status != "optimal":
         warnings.warn(
             f"radius maximization ended {result.status!r} at a {result.gap_pct}% gap: "

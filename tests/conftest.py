@@ -85,6 +85,19 @@ def milp_minimum(model, c=None):
     return res.fun
 
 
+def cvar_solution(model):
+    """A fresh solver's solution of the model's LP with every binary fixed
+    at 0: no sample is discarded, the CVaR plan (the CVaR radius in the
+    theta variant) that `bnc.solve` seeds its search with."""
+    from drccp.bnc import model_to_lp
+    from drccp.simplex import SimplexSolver
+
+    solver = SimplexSolver(model_to_lp(model)[0])
+    for j in np.flatnonzero(model.binary).tolist():
+        solver.set_bound(j, 0.0, 0.0)
+    return solver.solve()
+
+
 def assert_supports_solve_as_cold(model, instance, objective=None):
     """Every support LP of the referees' warm generator ends with the status
     of a fresh solver's cold solve of that support, and an optimum within

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from drccp import bench
+from drccp import bench, bnc
 from drccp.bnc import BncConfig
 from drccp.bench import (
     AGG_COLUMNS,
@@ -195,16 +195,16 @@ def test_non_deterministic_rows_add_only_the_timers():
 
 def test_every_arm_starts_from_the_cvar_plan(monkeypatch):
     # one node per arm: the root relaxation alone finds no incumbent in the
-    # basic arms, so their objectives come from the start, which run_cell
-    # builds once per radius and formulation kind
-    calls = []
-    inner = bench.zero_discard_start
+    # basic arms, so their objectives come from the seed, the CVaR plan that
+    # each search solves for itself
+    seeds = []
+    inner = bnc._Search._seed
 
-    def spy(model):
-        calls.append(model)
-        return inner(model)
+    def spy(self):
+        seeds.append(inner(self))
+        return seeds[-1]
 
-    monkeypatch.setattr(bench, "zero_discard_start", spy)
+    monkeypatch.setattr(bnc._Search, "_seed", spy)
     cfg = tiny_config(centers=(3,), samples=(10,), theta_indices=(1, 6, 10),
                       variants=tuple(VARIANTS), node_limit=1)
     rows = run_cell(cfg, 2, 3, 10, 0)
@@ -212,7 +212,9 @@ def test_every_arm_starts_from_the_cvar_plan(monkeypatch):
     for row in rows:
         assert row["status"] in ("optimal", "feasible-gap"), row
         assert math.isfinite(row["obj"]) and row["nodes"] == 1
-    assert len(calls) == 3 * 2  # three radii, two formulation kinds
+    # theta_max's search, then one per arm at each of three radii
+    assert len(seeds) == 1 + 3 * len(VARIANTS)
+    assert all(seed is not None for seed in seeds)
 
 
 def test_formulations_agree_within_a_cell():

@@ -11,16 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import box_instance, line_instance, milp_minimum, small_transport
+from conftest import box_instance, cvar_solution, line_instance, milp_minimum, small_transport
 from drccp import bnc, oracles
 from drccp.bnc import BncConfig, compute_gap, solve
 from drccp.cuts import MixingSeparator, PathSeparator
-from drccp.formulations import (
-    build_basic,
-    build_formulation,
-    build_theta_variant,
-    zero_discard_start,
-)
+from drccp.formulations import build_basic, build_formulation, build_theta_variant
 from drccp.model import BINARY, CONTINUOUS, MipModel, distance_profile
 from drccp.simplex import LpProblem, LpSolution, SimplexSolver, SimplexStall
 
@@ -50,6 +45,20 @@ def fractional_toy():
     a = m.add_var("a", BINARY, block="z")
     b = m.add_var("b", BINARY, block="z")
     m.add_constraint(((a, 1.0), (b, 1.0)), "<=", 1.5, "budget")
+    m.set_objective(((a, 8.0), (b, 5.0)), sense="max")
+    return m.validate()
+
+
+def covered_toy():
+    """fractional_toy plus a + b >= 0.5 (row "cover"): the same root
+    relaxation (10.5) and optimum (a=1, b=0, 8), but no point with both
+    binaries at 0, so the search has no seed and its first incumbent comes
+    from the tree."""
+    m = MipModel()
+    a = m.add_var("a", BINARY, block="z")
+    b = m.add_var("b", BINARY, block="z")
+    m.add_constraint(((a, 1.0), (b, 1.0)), "<=", 1.5, "budget")
+    m.add_constraint(((a, 1.0), (b, 1.0)), ">=", 0.5, "cover")
     m.set_objective(((a, 8.0), (b, 5.0)), sense="max")
     return m.validate()
 
@@ -113,7 +122,7 @@ def test_unbounded_relaxation_raises():
 # -- limits and statuses -----------------------------------------------------
 
 def test_node_limit_without_incumbent():
-    res = solve(fractional_toy(), config=BncConfig(node_limit=1))
+    res = solve(covered_toy(), config=BncConfig(node_limit=1))
     assert res.status == "no-incumbent"
     assert res.objective is None
     assert res.nodes == 1
@@ -122,7 +131,7 @@ def test_node_limit_without_incumbent():
 
 
 def test_time_limit_zero_stops_after_root():
-    res = solve(fractional_toy(), config=BncConfig(time_limit=0.0))
+    res = solve(covered_toy(), config=BncConfig(time_limit=0.0))
     assert res.status == "no-incumbent"
     assert res.objective is None
 
@@ -451,23 +460,27 @@ def test_identical_runs_are_identical():
 
 EVENT_RE = re.compile(
     r"^node=(\d+) lb=(-?[\d.e+inf]+) ub=(-?[\d.e+inf]+|inf) depth=(\d+) "
-    r"action=(cut|incumbent|fathom|cutoff|branch)$"
+    r"action=(start|cut|incumbent|fathom|cutoff|branch)$"
 )
 
 
 def test_event_log_shape():
-    res = solve(build_formulation(box_instance(50), "compact"), config=BncConfig(log_events=True))
-    assert res.events  # a fractional root must branch at least once
+    # on the box instances the seed is already optimal; this tree improves it
+    inst = small_transport(seed=7)[1]
+    res = solve(build_formulation(inst, "compact"), config=BncConfig(log_events=True))
+    assert any("action=branch" in e for e in res.events)  # a fractional root
     for line in res.events:
         assert EVENT_RE.match(line), line
-    # the incumbent trail is strictly improving for a minimization model
+    assert res.events[0].endswith("action=start")
+    # the incumbent trail, from the seed on, is strictly improving for a
+    # minimization model
     incumbents = [
         float(EVENT_RE.match(e).group(2))
-        for e in res.events if "action=incumbent" in e
+        for e in res.events if re.search("action=(start|incumbent)$", e)
     ]
     assert incumbents == sorted(incumbents, reverse=True)
-    assert incumbents, "expected at least one incumbent event"
-    assert res.objective == pytest.approx(min(incumbents), abs=1e-9)
+    assert len(set(incumbents)) == len(incumbents) > 1, "expected an incumbent after the seed"
+    assert res.objective == pytest.approx(min(incumbents), rel=1e-9)  # 10 digits
 
 
 def test_events_off_by_default():
@@ -492,31 +505,47 @@ def _flaky_solve(fail_calls):
 
 
 def test_stall_retries_with_a_cold_basis(monkeypatch):
-    # one stall mid-tree: the cold restart hides it and the solve finishes
-    method, seen = _flaky_solve({2})
+    # one stall mid-tree (LP call 1 is the seed, 2 the root): the cold
+    # restart hides it and the solve finishes
+    method, seen = _flaky_solve({3})
     monkeypatch.setattr(SimplexSolver, "solve", method)
     res = solve(fractional_toy())
     assert res.status == "optimal"
     assert res.objective == pytest.approx(8.0, abs=1e-9)
-    assert seen["calls"] >= 3  # root, the stall, and its retry
+    assert seen["calls"] >= 4  # seed, root, the stall, and its retry
 
 
 def test_repeated_stall_is_contained(monkeypatch):
-    # both the warm solve and the cold retry stall: the search must stop
-    # with a diagnostic event instead of raising
-    method, seen = _flaky_solve({2, 3})
+    # both the warm solve and the cold retry stall (LP calls 3 and 4, after
+    # the infeasible seed and the root): the search must stop with a
+    # diagnostic event instead of raising
+    method, seen = _flaky_solve({3, 4})
     monkeypatch.setattr(SimplexSolver, "solve", method)
-    res = solve(fractional_toy())
+    res = solve(covered_toy())
     assert res.status == "no-incumbent"
     assert any("action=stall" in e for e in res.events)
 
 
-def test_root_stall_is_contained(monkeypatch):
-    # the root's warm solve and its cold retry both stall: no bound, no
-    # incumbent, and a diagnostic event instead of an exception
-    method, _ = _flaky_solve({1, 2})
+def test_a_seed_that_stalls_is_skipped(monkeypatch):
+    # the seed's solve and its cold retry both stall: the search goes on
+    # without a first incumbent, from a cold root, and ends as unseeded
+    method, seen = _flaky_solve({1, 2})
     monkeypatch.setattr(SimplexSolver, "solve", method)
-    res = solve(fractional_toy())
+    res = solve(fractional_toy(), config=BncConfig(log_events=True))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(8.0, abs=1e-9)
+    assert res.root_bound == pytest.approx(10.5, abs=1e-9)
+    assert not any(re.search("action=(start|stall)", e) for e in res.events)
+    assert seen["calls"] > 3
+
+
+def test_root_stall_is_contained(monkeypatch):
+    # the root's solve and its cold retry (LP calls 2 and 3, after the
+    # infeasible seed) both stall: no bound, no incumbent, and a diagnostic
+    # event instead of an exception
+    method, _ = _flaky_solve({2, 3})
+    monkeypatch.setattr(SimplexSolver, "solve", method)
+    res = solve(covered_toy())
     assert res.status == "no-incumbent"
     assert res.objective is None and res.bound is None and res.gap_pct is None
     assert res.nodes == 1
@@ -524,10 +553,11 @@ def test_root_stall_is_contained(monkeypatch):
 
 
 def test_stall_after_an_incumbent_reports_a_gap(monkeypatch):
-    # nodes 0-3 find the incumbent 8 and fathom one leaf (LP calls 1-4);
-    # node 4, the last open node (parent bound 9), stalls warm and cold.
-    # That is no time limit, and the stalled node's bound keeps the gap open.
-    method, _ = _flaky_solve({5, 6})
+    # after the seed (LP call 1, objective 0), nodes 0-3 find the incumbent
+    # 8 and fathom one leaf (LP calls 2-5); node 4, the last open node
+    # (parent bound 9), stalls warm and cold.  That is no time limit, and
+    # the stalled node's bound keeps the gap open.
+    method, _ = _flaky_solve({6, 7})
     monkeypatch.setattr(SimplexSolver, "solve", method)
     res = solve(fractional_toy())
     assert res.status == "feasible-gap"
@@ -588,10 +618,12 @@ def test_stall_in_the_root_cut_loop_keeps_the_root_bound(monkeypatch):
     seen = _stall_after_cuts(monkeypatch, nth=2)
     res = solve(build_basic(inst), separators=[MixingSeparator(inst)])
     assert seen["rounds"] == 2 and seen["stalls_left"] == 0
-    assert res.status == "no-incumbent"
-    assert res.objective is None and res.gap_pct is None and res.nodes == 1
+    # the seed is the only incumbent, and the gap is measured to that bound
+    assert res.status == "feasible-gap" and res.nodes == 1
+    assert res.objective == cvar_solution(build_basic(inst)).objective
     assert res.root_bound == one_round.root_bound > 0.0  # the uncut value is 0
     assert res.bound == one_round.root_bound
+    assert res.gap_pct == compute_gap(res.objective, res.bound) > 0.0
     assert any(e.startswith("node=0 ") and "action=stall" in e for e in res.events)
 
 
@@ -751,16 +783,33 @@ def test_a_worse_start_is_replaced():
     assert res.status == "optimal"
     assert res.objective == pytest.approx(8.0, abs=1e-9)
     assert res.values == pytest.approx([1.0, 0.0], abs=1e-9)
-    # the CVaR plan (every z at 0) of a cost preset is a feasible start
+    # the seed, a = b = 0 at objective 0, is replaced the same way
+    res = solve(fractional_toy(), config=BncConfig(log_events=True))
+    assert res.events[0] == "node=0 lb=-0 ub=-0 depth=0 action=start"
+    assert res.status == "optimal" and res.values == pytest.approx([1.0, 0.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["basic", "compact"])
+def test_with_no_start_the_search_seeds_itself_with_the_cvar_plan(kind):
+    # the seed is the LP with every z at 0, as a fresh solver solves it: the
+    # same first incumbent and the same tree as that point given as a start,
+    # which solves no seed, so it takes exactly the seed's LP iterations fewer
+    cfg = BncConfig(log_events=True)
     for seed in (40, 41, 42):
-        for kind in ("basic", "compact"):
-            model = build_formulation(box_instance(seed), kind)
-            start = zero_discard_start(model)
-            assert start is not None
-            seeded, plain = solve(model, start=start), solve(model)
-            assert seeded.status == plain.status == "optimal"
-            assert seeded.objective == pytest.approx(plain.objective, rel=1e-6)
-            assert seeded.objective <= start[model.obj_cols] @ model.obj_vals + 1e-9
+        model = build_formulation(box_instance(seed), kind)
+        cvar = cvar_solution(model)
+        assert cvar.status == "optimal"
+        plain, given = solve(model, config=cfg), solve(model, config=cfg, start=cvar.x)
+        assert plain.events[0] == (f"node=0 lb={cvar.objective:.10g} ub={cvar.objective:.10g} "
+                                   "depth=0 action=start")
+        assert plain.events == given.events
+        assert plain.status == given.status == "optimal" and plain.nodes == given.nodes
+        assert plain.iterations == given.iterations + cvar.iterations
+        assert plain.objective <= cvar.objective + 1e-9
+    # a model whose zero-binary LP is infeasible logs no start
+    res = solve(covered_toy(), config=cfg)
+    assert res.status == "optimal" and res.objective == pytest.approx(8.0, abs=1e-9)
+    assert not any("action=start" in e for e in res.events)
 
 
 def test_the_start_is_logged():
@@ -803,7 +852,7 @@ def test_rejects_invalid_limits(field, value):
 
 
 def test_accepts_zero_limits():
-    res = solve(fractional_toy(), config=BncConfig(
+    res = solve(covered_toy(), config=BncConfig(
         gap_tol=0.0, node_limit=0, time_limit=0.0))
     assert res.status == "no-incumbent" and res.nodes == 1
 

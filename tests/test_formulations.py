@@ -13,7 +13,7 @@ from drccp.bnc import BncConfig, model_to_lp
 from drccp.constants import MARGIN_TOL
 from drccp.model import DrccpInstance, Polyhedron, SafetyRow, SampleSet
 from drccp.simplex import solve_lp
-from conftest import box_instance, line_instance, milp_minimum, small_transport
+from conftest import box_instance, cvar_solution, line_instance, milp_minimum, small_transport
 
 
 def values_instance(values, epsilon, theta=0.05):
@@ -264,27 +264,63 @@ class TestThetaMax:
             val = F.theta_max(inst, config=BncConfig(node_limit=2))
         assert val == pytest.approx(0.16, abs=1e-9)
 
-    def test_no_positive_radius(self):
-        # x <= 0.5 leaves the sample at 0.9 unsafe, and at eps*N = 1 one unsafe
-        # sample takes the whole budget: only radius zero is feasible, and the
-        # model, which may discard no sample, is infeasible
-        inst = line_instance([0.1, 0.9], epsilon=0.5, theta=0.01, lo=0.0, hi=0.5)
+    @staticmethod
+    def spy_on_solves(monkeypatch):
+        """The list that every later `bnc.solve` result is appended to."""
+        from drccp import bnc
+
+        results = []
+        inner = bnc.solve
+        monkeypatch.setattr(bnc, "solve", lambda *args, **kwargs:
+                            results.append(inner(*args, **kwargs)) or results[-1])
+        return results
+
+    # x <= 0.5 leaves the sample at 0.9 unsafe; at eps*N = 1 one unsafe
+    # sample takes the whole budget, so only radius zero is feasible
+    UNSAFE = dict(values=[0.1, 0.9], epsilon=0.5, theta=0.01, lo=0.0, hi=0.5)
+    # x <= 0.5 leaves the sample at 0.5 at distance zero: radius zero is
+    # feasible, and so is every point that discards no sample
+    ZERO = dict(values=[0.1, 0.5], epsilon=0.5, theta=0.01, lo=0.0, hi=0.5)
+
+    @pytest.mark.parametrize("cell, matrix, status", [
+        ("UNSAFE", "compact", "infeasible"),  # it may discard no sample
+        ("UNSAFE", "basic", "optimal"),  # the basic matrix ends at radius zero
+        ("ZERO", "compact", "optimal"),  # the seed, at radius zero, is proven largest
+        ("ZERO", "basic", "optimal"),
+    ])
+    def test_no_positive_radius(self, monkeypatch, cell, matrix, status):
+        inst = line_instance(**getattr(self, cell))
         assert F.compute_quantiles(inst).k == 0
+        results = self.spy_on_solves(monkeypatch)
         with pytest.raises(ValueError, match="^no positive feasible radius: every point "
                                              "has at least eps\\*N samples at distance zero$"):
-            F.theta_max(inst)
+            F.theta_max(inst, matrix=matrix)
+        (res,) = results
+        assert res.status == status
+        assert res.objective is None or res.objective <= MARGIN_TOL
+
+    def test_limit_before_a_positive_radius(self, monkeypatch):
+        # one node of the basic matrix holds only the seed at radius zero; it
+        # is no proof that zero is largest, so the error names the limit
+        results = self.spy_on_solves(monkeypatch)
+        with pytest.raises(ValueError, match="^radius maximization ended 'feasible-gap' "
+                                             "before it found a positive radius$"):
+            F.theta_max(line_instance(**self.ZERO), matrix="basic",
+                        config=BncConfig(node_limit=1))
+        (res,) = results
+        assert (res.status, res.objective, res.nodes) == ("feasible-gap", 0.0, 1)
 
     def test_limit_before_a_feasible_point(self):
         # x <= 0.5 leaves the sample at 0.9 unsafe, so no point discards no
         # sample: the CVaR LP (every z at 0) is infeasible and the search has
-        # no start.  The radius 0.01 needs that sample discarded, and the
+        # no seed.  The radius 0.01 needs that sample discarded, and the
         # root is fractional, so one node finds no incumbent
         inst = line_instance([0.1, 0.2, 0.3, 0.4, 0.9], epsilon=0.3, theta=0.01,
                              lo=0.0, hi=0.5)
-        assert F.zero_discard_start(F.build_theta_variant(inst)) is None
+        assert cvar_solution(F.build_theta_variant(inst)).status == "infeasible"
         assert F.theta_max(inst) == pytest.approx(0.01, abs=1e-9)
         with pytest.raises(ValueError, match="ended 'no-incumbent' before it found a "
-                                             "feasible point"):
+                                             "positive radius"):
             F.theta_max(inst, config=BncConfig(node_limit=1))
         # the eps = 0.3 hand case has a fractional root too, but its CVaR
         # radius, 0.16, is the maximum: one node returns it, unproven
@@ -314,24 +350,16 @@ class TestThetaMax:
         b = F.theta_max(inst, matrix="basic")
         assert a == pytest.approx(b, rel=1e-7)
 
-    def test_the_search_starts_at_a_positive_cvar_radius(self, monkeypatch):
-        from drccp import bnc
-
-        starts = []
-        inner = bnc.solve
-        monkeypatch.setattr(bnc, "solve", lambda model, config=None, start=None:
-                            starts.append(start) or inner(model, config=config, start=start))
+    def test_the_search_starts_at_the_cvar_radius(self, monkeypatch):
+        results = self.spy_on_solves(monkeypatch)
         hand = line_instance([0.1, 0.2, 0.3, 0.4, 0.5], epsilon=0.3, theta=0.01, lo=0.0, hi=1.0)
-        assert F.theta_max(hand) == pytest.approx(0.16, abs=1e-9)
-        assert starts[-1][-1] == pytest.approx(0.16, abs=1e-12)  # theta is the last column
-        # x <= 0.5 leaves the sample at 0.5 at distance zero: with every z at 0
-        # the CVaR radius is zero, no start, and the basic matrix ends there
-        zero = line_instance([0.1, 0.5], epsilon=0.5, theta=0.01, lo=0.0, hi=0.5)
-        model = F.build_theta_variant(zero, matrix="basic")
-        assert F.zero_discard_start(model)[model.block_indices("theta")[0]] <= MARGIN_TOL
+        assert F.theta_max(hand, config=BncConfig(log_events=True)) == pytest.approx(0.16, abs=1e-9)
+        assert results[-1].events[0] == "node=0 lb=-0.16 ub=-0.16 depth=0 action=start"
+        # a seed at radius zero is an incumbent too; the basic matrix proves it largest
         with pytest.raises(ValueError, match="no positive feasible radius"):
-            F.theta_max(zero, matrix="basic")
-        assert starts[-1] is None
+            F.theta_max(line_instance(**self.ZERO), matrix="basic",
+                        config=BncConfig(log_events=True))
+        assert results[-1].events[0] == "node=0 lb=-0 ub=-0 depth=0 action=start"
 
     def test_unsupported_matrix(self):
         inst = line_instance([0.1], epsilon=0.5, theta=0.01)
@@ -353,9 +381,9 @@ class TestThetaMax:
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
-class TestZeroDiscardStart:
-    """`theta_max` starts its search at the CVaR radius, the theta variant's
-    LP with every z fixed at 0."""
+class TestCvarSeed:
+    """`theta_max`'s search seeds itself with the CVaR radius, the theta
+    variant's LP with every z fixed at 0."""
 
     CELLS = {
         "transport7": lambda: small_transport(seed=7)[1],
@@ -369,30 +397,30 @@ class TestZeroDiscardStart:
 
     @pytest.mark.parametrize("matrix", ["compact", "basic"])
     @pytest.mark.parametrize("cell", sorted(CELLS))
-    def test_seeded_theta_max_agrees_with_an_unseeded_search(self, cell, matrix):
-        from drccp import bnc
-
+    def test_seeded_theta_max_agrees_with_highs(self, cell, matrix):
+        # scipy's MILP solver on the same model is the independent reference
         inst = self.CELLS[cell]()
         config = BncConfig()
-        plain = bnc.solve(F.build_theta_variant(inst, matrix=matrix), config=config)
-        assert plain.status == "optimal"
+        reference = -milp_minimum(F.build_theta_variant(inst, matrix=matrix))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             seeded = F.theta_max(inst, matrix=matrix, config=config)
-        assert seeded == pytest.approx(plain.objective, rel=config.gap_tol)
+        assert seeded == pytest.approx(reference, rel=config.gap_tol)
 
     @pytest.mark.parametrize("cell", sorted(CELLS))
-    def test_the_start_is_certified_at_its_radius(self, cell):
+    def test_the_seed_is_certified_at_its_radius(self, cell):
+        from drccp import bnc
         from drccp.model import distance_profile
         from drccp.oracles import lemma_certificate, worst_case_prob
 
         inst = self.CELLS[cell]()
         model = F.build_theta_variant(inst)
-        start = F.zero_discard_start(model)
-        radius = start[model.block_indices("theta")[0]]
+        seed = bnc._Search(model, [], BncConfig())._seed()
+        assert np.array_equal(seed, cvar_solution(model).x)
+        radius = seed[model.block_indices("theta")[0]]
         assert radius > MARGIN_TOL
-        assert np.all(start[model.binary] == 0.0)
-        dists = distance_profile(inst, start[model.block_indices("x")])
+        assert np.all(seed[model.binary] == 0.0)
+        dists = distance_profile(inst, seed[model.block_indices("x")])
         assert lemma_certificate(dists, inst.epsilon, radius).feasible
         assert worst_case_prob(dists, radius) <= inst.epsilon + 1e-7
 

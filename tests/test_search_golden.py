@@ -17,9 +17,17 @@ the mixing separator alone (`mixing`), with the path separator alone
 * `box50`, `box47` and `transport`: two small box instances and a
   transport instance with 2 factories, 3 centers, 20 samples, epsilon 0.1
   and radius 0.01, with no node limit;
-* `box50-node-limit-7`: the first box instance with a limit of 7 nodes;
+* `box50-node-limit-3`: the first box instance with a limit of 3 nodes,
+  which stops every one of its trees (seeded, they take 5 or 7 nodes);
 * `theta`: the radius-maximization model (compact matrix, no cuts) of the
-  transport instance, once per node selection.
+  transport instance, once per node selection;
+* `reliable`: the `basic` model (no cuts, best-bound) of a transport
+  instance with 20 samples, epsilon 0.15 and radius 0.02, whose tree of
+  about a hundred nodes reaches picks with reliable pseudo-costs, so both
+  halves of the branching rule are pinned.
+
+Every search seeds itself with the LP with every binary at 0, so each event
+log begins with its `action=start` line.
 
 The digests belong to this numpy/OpenBLAS build (numpy 2.4.6 with
 scipy-openblas 0.3.31, Haswell kernels, x86-64).  BLAS kernels choose their
@@ -42,77 +50,79 @@ from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_formulation, build_theta_variant
 
 GOLDEN = {
-    "box50/basic/none/best-bound": "7199de01c21c5ebe",
-    "box50/basic/none/depth-first": "cae752963e42e759",
-    "box50/basic/mixing/best-bound": "7199de01c21c5ebe",
-    "box50/basic/mixing/depth-first": "cae752963e42e759",
-    "box50/basic/path/best-bound": "1e3abebafcc571c6",
-    "box50/basic/path/depth-first": "532473d5170fe52a",
-    "box50/basic/mixing+path/best-bound": "1e3abebafcc571c6",
-    "box50/basic/mixing+path/depth-first": "532473d5170fe52a",
-    "box50/compact/none/best-bound": "af8e742d6aed603d",
-    "box50/compact/none/depth-first": "91c4b14e368d7a3b",
-    "box50/compact/mixing/best-bound": "af8e742d6aed603d",
-    "box50/compact/mixing/depth-first": "91c4b14e368d7a3b",
-    "box50/compact/path/best-bound": "af8e742d6aed603d",
-    "box50/compact/path/depth-first": "91c4b14e368d7a3b",
-    "box50/compact/mixing+path/best-bound": "af8e742d6aed603d",
-    "box50/compact/mixing+path/depth-first": "91c4b14e368d7a3b",
-    "box47/basic/none/best-bound": "bff2437aab170f8e",
-    "box47/basic/none/depth-first": "3ab55e6bfe1fa992",
-    "box47/basic/mixing/best-bound": "da9700ed452b2702",
-    "box47/basic/mixing/depth-first": "637c3108db8d345b",
-    "box47/basic/path/best-bound": "4be792cfcde252d9",
-    "box47/basic/path/depth-first": "adb26cc6f3195998",
-    "box47/basic/mixing+path/best-bound": "c6f95902845dac1d",
-    "box47/basic/mixing+path/depth-first": "e1da545ecb389f42",
-    "box47/compact/none/best-bound": "078ca0e4b632f482",
-    "box47/compact/none/depth-first": "0e37d6e0687e256c",
-    "box47/compact/mixing/best-bound": "078ca0e4b632f482",
-    "box47/compact/mixing/depth-first": "0e37d6e0687e256c",
-    "box47/compact/path/best-bound": "078ca0e4b632f482",
-    "box47/compact/path/depth-first": "0e37d6e0687e256c",
-    "box47/compact/mixing+path/best-bound": "078ca0e4b632f482",
-    "box47/compact/mixing+path/depth-first": "0e37d6e0687e256c",
-    "transport/basic/none/best-bound": "55165906baec972e",
-    "transport/basic/none/depth-first": "1bc2272670271c31",
-    "transport/basic/mixing/best-bound": "b950eafeded1ab59",
-    "transport/basic/mixing/depth-first": "27e10ada8f762413",
-    "transport/basic/path/best-bound": "efed82c951c01bc9",
-    "transport/basic/path/depth-first": "48b54259920cda64",
-    "transport/basic/mixing+path/best-bound": "f2b7186293537f20",
-    "transport/basic/mixing+path/depth-first": "96c91909b71c56e8",
-    "transport/compact/none/best-bound": "a9547b03a6b5b0e2",
-    "transport/compact/none/depth-first": "a9547b03a6b5b0e2",
-    "transport/compact/mixing/best-bound": "a9547b03a6b5b0e2",
-    "transport/compact/mixing/depth-first": "a9547b03a6b5b0e2",
-    "transport/compact/path/best-bound": "a9547b03a6b5b0e2",
-    "transport/compact/path/depth-first": "a9547b03a6b5b0e2",
-    "transport/compact/mixing+path/best-bound": "a9547b03a6b5b0e2",
-    "transport/compact/mixing+path/depth-first": "a9547b03a6b5b0e2",
-    "box50-node-limit-7/basic/none/best-bound": "f6a4f0d5c65e7dfc",
-    "box50-node-limit-7/basic/none/depth-first": "265f502492bcf426",
-    "box50-node-limit-7/basic/mixing/best-bound": "f6a4f0d5c65e7dfc",
-    "box50-node-limit-7/basic/mixing/depth-first": "265f502492bcf426",
-    "box50-node-limit-7/basic/path/best-bound": "1e3abebafcc571c6",
-    "box50-node-limit-7/basic/path/depth-first": "48731835a800bddf",
-    "box50-node-limit-7/basic/mixing+path/best-bound": "1e3abebafcc571c6",
-    "box50-node-limit-7/basic/mixing+path/depth-first": "48731835a800bddf",
-    "box50-node-limit-7/compact/none/best-bound": "af8e742d6aed603d",
-    "box50-node-limit-7/compact/none/depth-first": "91c4b14e368d7a3b",
-    "box50-node-limit-7/compact/mixing/best-bound": "af8e742d6aed603d",
-    "box50-node-limit-7/compact/mixing/depth-first": "91c4b14e368d7a3b",
-    "box50-node-limit-7/compact/path/best-bound": "af8e742d6aed603d",
-    "box50-node-limit-7/compact/path/depth-first": "91c4b14e368d7a3b",
-    "box50-node-limit-7/compact/mixing+path/best-bound": "af8e742d6aed603d",
-    "box50-node-limit-7/compact/mixing+path/depth-first": "91c4b14e368d7a3b",
-    "theta/compact/none/best-bound": "b5deb7d080293c04",
-    "theta/compact/none/depth-first": "b5deb7d080293c04",
+    "box50/basic/none/best-bound": "aaba82c81c28f38b",
+    "box50/basic/none/depth-first": "750b43e6568585e8",
+    "box50/basic/mixing/best-bound": "aaba82c81c28f38b",
+    "box50/basic/mixing/depth-first": "750b43e6568585e8",
+    "box50/basic/path/best-bound": "7991be26c78ce7b2",
+    "box50/basic/path/depth-first": "7991be26c78ce7b2",
+    "box50/basic/mixing+path/best-bound": "7991be26c78ce7b2",
+    "box50/basic/mixing+path/depth-first": "7991be26c78ce7b2",
+    "box50/compact/none/best-bound": "64575fcc1aa7ba96",
+    "box50/compact/none/depth-first": "5df0a1d57f90cc34",
+    "box50/compact/mixing/best-bound": "64575fcc1aa7ba96",
+    "box50/compact/mixing/depth-first": "5df0a1d57f90cc34",
+    "box50/compact/path/best-bound": "64575fcc1aa7ba96",
+    "box50/compact/path/depth-first": "5df0a1d57f90cc34",
+    "box50/compact/mixing+path/best-bound": "64575fcc1aa7ba96",
+    "box50/compact/mixing+path/depth-first": "5df0a1d57f90cc34",
+    "box47/basic/none/best-bound": "631fb8e3796b234f",
+    "box47/basic/none/depth-first": "306ac25aeecf2d10",
+    "box47/basic/mixing/best-bound": "a6459aeb734d602f",
+    "box47/basic/mixing/depth-first": "d3f2b0c23acf95ac",
+    "box47/basic/path/best-bound": "5d82c89564fc68a5",
+    "box47/basic/path/depth-first": "5d82c89564fc68a5",
+    "box47/basic/mixing+path/best-bound": "54b0401f6896574a",
+    "box47/basic/mixing+path/depth-first": "54b0401f6896574a",
+    "box47/compact/none/best-bound": "a8627fec0be8aa85",
+    "box47/compact/none/depth-first": "a8627fec0be8aa85",
+    "box47/compact/mixing/best-bound": "a8627fec0be8aa85",
+    "box47/compact/mixing/depth-first": "a8627fec0be8aa85",
+    "box47/compact/path/best-bound": "a8627fec0be8aa85",
+    "box47/compact/path/depth-first": "a8627fec0be8aa85",
+    "box47/compact/mixing+path/best-bound": "a8627fec0be8aa85",
+    "box47/compact/mixing+path/depth-first": "a8627fec0be8aa85",
+    "transport/basic/none/best-bound": "1a7ea17cafa29d25",
+    "transport/basic/none/depth-first": "88157f60fa9ee01f",
+    "transport/basic/mixing/best-bound": "e7a68b0216bb3fba",
+    "transport/basic/mixing/depth-first": "ce07b26340f122da",
+    "transport/basic/path/best-bound": "365167dc42ed6718",
+    "transport/basic/path/depth-first": "929bbdbfe920b809",
+    "transport/basic/mixing+path/best-bound": "ee3ed8e65b3cafc1",
+    "transport/basic/mixing+path/depth-first": "7396c3bef827ad32",
+    "transport/compact/none/best-bound": "a94415fc9c694ca0",
+    "transport/compact/none/depth-first": "a94415fc9c694ca0",
+    "transport/compact/mixing/best-bound": "a94415fc9c694ca0",
+    "transport/compact/mixing/depth-first": "a94415fc9c694ca0",
+    "transport/compact/path/best-bound": "a94415fc9c694ca0",
+    "transport/compact/path/depth-first": "a94415fc9c694ca0",
+    "transport/compact/mixing+path/best-bound": "a94415fc9c694ca0",
+    "transport/compact/mixing+path/depth-first": "a94415fc9c694ca0",
+    "box50-node-limit-3/basic/none/best-bound": "9ed7656aaea2fed0",
+    "box50-node-limit-3/basic/none/depth-first": "73931a9e93440a55",
+    "box50-node-limit-3/basic/mixing/best-bound": "9ed7656aaea2fed0",
+    "box50-node-limit-3/basic/mixing/depth-first": "73931a9e93440a55",
+    "box50-node-limit-3/basic/path/best-bound": "bcce3c0f81f2697e",
+    "box50-node-limit-3/basic/path/depth-first": "bcce3c0f81f2697e",
+    "box50-node-limit-3/basic/mixing+path/best-bound": "bcce3c0f81f2697e",
+    "box50-node-limit-3/basic/mixing+path/depth-first": "bcce3c0f81f2697e",
+    "box50-node-limit-3/compact/none/best-bound": "a440f83b47ceac88",
+    "box50-node-limit-3/compact/none/depth-first": "8e7ef2664031381a",
+    "box50-node-limit-3/compact/mixing/best-bound": "a440f83b47ceac88",
+    "box50-node-limit-3/compact/mixing/depth-first": "8e7ef2664031381a",
+    "box50-node-limit-3/compact/path/best-bound": "a440f83b47ceac88",
+    "box50-node-limit-3/compact/path/depth-first": "8e7ef2664031381a",
+    "box50-node-limit-3/compact/mixing+path/best-bound": "a440f83b47ceac88",
+    "box50-node-limit-3/compact/mixing+path/depth-first": "8e7ef2664031381a",
+    "theta/compact/none/best-bound": "326e4450a39e53cc",
+    "theta/compact/none/depth-first": "326e4450a39e53cc",
+    "reliable/basic/none/best-bound": "d796b001a41ff1ec",
 }
 
-GRID_GROUPS = ("box50", "box47", "transport", "box50-node-limit-7")
-NODE_LIMIT_SUFFIX = "-node-limit-7"
+GRID_GROUPS = ("box50", "box47", "transport", "box50-node-limit-3")
+NODE_LIMIT_SUFFIX = "-node-limit-3"
 CUTS = ("none", "mixing", "path", "mixing+path")
+RELIABLE_KEY = "reliable/basic/none/best-bound"
 
 
 def _sha(record) -> str:
@@ -135,6 +145,8 @@ def _instance(name):
         "box47": lambda: box_instance(47, n=12),
         "transport": lambda: small_transport(seed=7, factories=2, centers=3, n=20,
                                              epsilon=0.1, theta=0.01)[1],
+        "reliable": lambda: small_transport(seed=7, factories=2, centers=3, n=20,
+                                            epsilon=0.15, theta=0.02)[1],
     }[name]()
 
 
@@ -144,6 +156,7 @@ def configurations():
             for group, kind, cuts, selection in itertools.product(
                 GRID_GROUPS, ("basic", "compact"), CUTS, bnc.NODE_SELECTIONS)]
     keys += [f"theta/compact/none/{selection}" for selection in bnc.NODE_SELECTIONS]
+    keys.append(RELIABLE_KEY)
     return keys
 
 
@@ -158,7 +171,7 @@ def record(key):
         seps = [sep(inst) for name, sep in (("mixing", MixingSeparator), ("path", PathSeparator))
                 if name in cuts.split("+")]
     cfg = BncConfig(node_selection=selection, log_events=True,
-                    node_limit=7 if group.endswith(NODE_LIMIT_SUFFIX) else None)
+                    node_limit=3 if group.endswith(NODE_LIMIT_SUFFIX) else None)
     return _record(bnc.solve(model, seps, cfg))
 
 
@@ -169,6 +182,23 @@ def test_every_configuration_is_pinned():
 @pytest.mark.parametrize("key", configurations())
 def test_search_matches_golden(key):
     assert _sha(record(key)) == GOLDEN[key]
+
+
+def test_the_reliable_tree_picks_by_pseudo_costs(monkeypatch):
+    # the `reliable` configuration reaches branchings where some fractional
+    # binary has RELIABLE observations each way, which the smaller trees
+    # above do not
+    picks = []
+    inner = bnc._Search._pick_branch_var
+
+    def spy(self, values, fractional):
+        picks.append(any(self.pc_cnt[:, self.bin_pos[j]].min() >= bnc.RELIABLE
+                         for j, _ in fractional))
+        return inner(self, values, fractional)
+
+    monkeypatch.setattr(bnc._Search, "_pick_branch_var", spy)
+    record(RELIABLE_KEY)
+    assert any(picks) and not all(picks)
 
 
 if __name__ == "__main__":

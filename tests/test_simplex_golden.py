@@ -159,10 +159,10 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 GRID_THETA_MAX = 0.1676598856181914  # perfbench/reference.json, grid-narrow theta_max
 GRID_ARMS = {
     # arm: (status, repr(objective), nodes, iterations, pivots)
-    "basic": ("optimal", "39.10998585393173", 82, 2094, 2005),
-    "improved": ("optimal", "39.10998585393174", 25, 202, 177),
-    "mixingpath": ("optimal", "39.10998585393173", 25, 238, 208),
-    "basicmixingpath": ("optimal", "39.10998585393173", 25, 472, 438),
+    "basic": ("optimal", "39.10998585393153", 83, 1854, 1796),
+    "improved": ("optimal", "39.10998585393173", 25, 186, 171),
+    "mixingpath": ("optimal", "39.10998585393173", 21, 200, 183),
+    "basicmixingpath": ("optimal", "39.10998585393153", 25, 511, 487),
 }
 
 _GRID_SCRIPT = """

@@ -23,12 +23,12 @@ reported gap is at most `gap_tol`.  Node selection is best-bound (the open nodes
 by bound) or depth-first (the open nodes as a stack, one dive from the root
 that visits the side each relaxation leans to first).
 
-The search keeps a single stateful simplex instance for the whole tree:
-branching is done through bound overrides, and before a node is evaluated
-only the binaries whose bounds differ from the last evaluated node's are
-re-set.  Cutting planes are appended to the shared matrix (they are
-globally valid) before the root branches, so every stored basis has the
-LP's final row count.
+The search keeps a single stateful simplex instance for the whole tree.
+A node's fixings are one int8 vector over the binaries (-1 free, 0 or 1
+fixed), and before a node is evaluated `refix` re-sets only the binaries
+whose entries differ from the vector the solver holds.  Cutting planes are
+appended to the shared matrix (they are globally valid) before the root
+branches, so every stored basis has the LP's final row count.
 
 A simplex stall that a cold restart does not resolve stops the search.
 Cuts and branching only tighten a relaxation, so the stalled node rejoins
@@ -122,6 +122,20 @@ def model_to_lp(model: MipModel):
     return LpProblem(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub), sign
 
 
+def refix(solver, model, cols, fixed, held):
+    """Move the solver from the fixings `held` to `fixed`, two int8
+    vectors over the columns `cols` (-1 free, 0 or 1 fixed), re-setting
+    only the entries that differ; -1 restores the model's own bounds.  The
+    order of the calls does not matter: statuses are settled against the
+    final bounds when the next solve starts."""
+    changed = np.flatnonzero(fixed != held)
+    for j, value in zip(cols[changed].tolist(), fixed[changed].tolist()):
+        if value < 0:
+            solver.set_bound(j, model.lb[j], model.ub[j])
+        else:
+            solver.set_bound(j, float(value), float(value))
+
+
 def _relative_gap(ub, lb) -> float:
     """max(ub - lb, 0) / |lb| for a minimization bound pair, 0 or inf at
     lb = 0; the search stops when it is at most `gap_tol`.  A max-sense
@@ -146,9 +160,9 @@ class _Node:
     lb: float  # the parent's bound, then the node's last optimal value
     seq: int  # creation order, which breaks ties between equal bounds
     depth: int = field(compare=False)
-    overrides: dict = field(compare=False)
+    fixed: np.ndarray = field(compare=False)  # int8 over the binaries: -1 free, 0 or 1 fixed
     state: tuple | None = field(compare=False)  # the parent's final basis (all rows); None at the root
-    branch: tuple | None = field(compare=False, default=None)  # (var, frac, parent_obj)
+    branch: tuple | None = field(compare=False, default=None)  # (pos in binaries, frac, parent_obj)
 
 
 def _check_start(model: MipModel, start) -> np.ndarray:
@@ -190,21 +204,20 @@ class _Search:
         prob, self.sign = model_to_lp(model)
         self.solver = SimplexSolver(prob)
         self.binaries = np.flatnonzero(model.binary)
-        self.bin_pos = {j: i for i, j in enumerate(self.binaries.tolist())}
-        self.applied = {}  # the bound overrides the solver holds now
+        nb = len(self.binaries)
+        self.applied = np.full(nb, -1, dtype=np.int8)  # the fixings the solver holds now
         self.incumbent_obj = math.inf
         self.incumbent = None
         self.events = []
         self.start = start
         self.best_bound = config.node_selection == "best-bound"
         self.open_nodes = []  # a heap under best-bound, a stack under depth-first
-        self.root = _Node(lb=-math.inf, seq=0, depth=0, overrides={}, state=None)
+        self.root = _Node(lb=-math.inf, seq=0, depth=0, fixed=self.applied, state=None)
         self.nodes_done = 0
         self.iterations = 0
         self.cut_counts = {}
         self.seq = 0
         self.started = self.root_time = None
-        nb = len(self.binaries)
         # pseudo-cost statistics per binary: unit objective gains by direction
         self.pc_sum = np.zeros((2, nb))
         self.pc_cnt = np.zeros((2, nb), dtype=int)
@@ -220,25 +233,17 @@ class _Search:
             f"node={node_id} lb={lb:.10g} ub={ub_s} depth={depth} action={action}"
         )
 
-    def _move_to(self, overrides):
-        """Give the solver the model's bounds plus `overrides`, re-setting
-        only the binaries whose bounds differ from the ones it holds.  The
-        order of the calls does not matter: statuses are settled against the
-        final bounds when the next solve starts."""
-        for j in self.applied:
-            if j not in overrides:
-                self.solver.set_bound(j, self.model.lb[j], self.model.ub[j])
-        for j, (lo, hi) in overrides.items():
-            if self.applied.get(j) != (lo, hi):
-                self.solver.set_bound(j, lo, hi)
-        self.applied = overrides
+    def _move_to(self, fixed):
+        """Give the solver the model's bounds plus the fixings `fixed`."""
+        refix(self.solver, self.model, self.binaries, fixed, self.applied)
+        self.applied = fixed
 
     def _seed(self):
         """The LP optimum with every binary fixed at 0, checked as a start,
         or None when that LP is not optimal or stalls after its cold retry.
         The solver is left at the slack basis, so the root starts cold; the
         root's `_move_to` restores the binaries' bounds."""
-        self._move_to({j: (0.0, 0.0) for j in self.binaries.tolist()})
+        self._move_to(np.zeros_like(self.applied))
         try:
             sol = self._solve_lp()
         except SimplexStall:
@@ -252,14 +257,6 @@ class _Search:
         sol = self.solver.solve_or_restart(cutoff)
         self.iterations += sol.iterations
         return sol
-
-    def _fractional(self, values):
-        """(index, distance to the nearest integer) of each fractional binary,
-        by ascending index.  np.round rounds half to even, as round() does."""
-        v = values[self.binaries]
-        dist = np.abs(v - np.round(v))
-        frac = dist > INT_TOL
-        return list(zip(self.binaries[frac].tolist(), dist[frac].tolist()))
 
     # -- cutting ------------------------------------------------------------
 
@@ -277,37 +274,35 @@ class _Search:
 
     # -- branching ----------------------------------------------------------
 
-    def _pick_branch_var(self, values, fractional):
-        """The binary to branch on.  Among the fractional binaries with
-        RELIABLE pseudo-cost observations in each direction, the one with the
-        largest product of estimated gains, the first on ties; with none, the
-        most fractional one, the lowest index on ties.  Reliable candidates
-        are only scored against each other, so the pick does not depend on
-        the objective's units."""
-        best_j, best_score = None, -1.0
-        for j, _ in fractional:
-            pos = self.bin_pos[j]
-            cnt = self.pc_cnt[:, pos]
-            if cnt.min() < RELIABLE:
-                continue
-            down, up = self.pc_sum[:, pos] / cnt
-            frac = values[j]
-            score = max(up * (1.0 - frac), 1e-9) * max(down * frac, 1e-9)
-            if score > best_score:
-                best_j, best_score = j, score
-        if best_j is None:
-            return max(fractional, key=lambda jf: (jf[1], -jf[0]))[0]
-        return best_j
+    def _pick_branch_var(self, values):
+        """The position in `binaries` of the binary to branch on, or None
+        when every binary is within INT_TOL of an integer (np.round rounds
+        half to even).  Among the fractional binaries with RELIABLE
+        pseudo-cost observations in each direction, the one with the largest
+        product of estimated gains, the first on ties; with none, the most
+        fractional one, the first on ties.  Reliable candidates are only
+        scored against each other, so the pick does not depend on the
+        objective's units."""
+        v = values[self.binaries]
+        dist = np.abs(v - np.round(v))
+        frac = dist > INT_TOL
+        if not frac.any():
+            return None
+        reliable = np.flatnonzero(frac & (self.pc_cnt.min(axis=0) >= RELIABLE))
+        if reliable.size:
+            down, up = self.pc_sum[:, reliable] / self.pc_cnt[:, reliable]
+            f = v[reliable]
+            score = np.maximum(up * (1.0 - f), 1e-9) * np.maximum(down * f, 1e-9)
+            return int(reliable[score.argmax()])
+        return int(np.where(frac, dist, -1.0).argmax())
 
     def _record_pseudo_cost(self, node, child_obj):
         if node.branch is None or not math.isfinite(child_obj):
             return
-        j, frac, parent_obj = node.branch
-        fixed_to = node.overrides[j][0]
-        direction = 1 if fixed_to >= 0.5 else 0
+        pos, frac, parent_obj = node.branch
+        direction = int(node.fixed[pos])
         dist = (1.0 - frac) if direction == 1 else frac
         gain = max(child_obj - parent_obj, 0.0) / max(dist, 1e-9)
-        pos = self.bin_pos[j]
         self.pc_sum[direction, pos] += gain
         self.pc_cnt[direction, pos] += 1
 
@@ -325,7 +320,7 @@ class _Search:
         incumbent or two children, which start from the basis it ends with."""
         node_id = self.nodes_done
         self.nodes_done += 1
-        self._move_to(node.overrides)
+        self._move_to(node.fixed)
         rounds = ROOT_CUT_ROUNDS if node is self.root and self.separators else 0
         if node.state is None:
             sol = self._solve_lp()
@@ -349,26 +344,27 @@ class _Search:
             rounds -= 1
             self.log(node_id, node.lb, "cut", node.depth)
             sol = self._solve_lp()
-        fractional = self._fractional(sol.x)
-        if not fractional:
+        pos = self._pick_branch_var(sol.x)
+        if pos is None:
             self.incumbent_obj = sol.objective
             self.incumbent = sol.x.copy()
             self.log(node_id, sol.objective, "incumbent", node.depth)
             return
-        j = self._pick_branch_var(sol.x, fractional)
-        frac = sol.x[j]
-        lean = 1.0 if frac >= 0.5 else 0.0
+        frac = sol.x[self.binaries[pos]]
+        lean = 1 if frac >= 0.5 else 0
         state = self.solver.get_state()
         children = []
-        for fixed in (lean, 1.0 - lean):  # lean side gets the smaller seq
+        for value in (lean, 1 - lean):  # lean side gets the smaller seq
             self.seq += 1
+            fixed = node.fixed.copy()
+            fixed[pos] = value
             children.append(_Node(
                 lb=sol.objective,
                 seq=self.seq,
                 depth=node.depth + 1,
-                overrides={**node.overrides, j: (fixed, fixed)},
+                fixed=fixed,
                 state=state,
-                branch=(j, frac, sol.objective),
+                branch=(pos, frac, sol.objective),
             ))
         self.log(node_id, sol.objective, "branch", node.depth)
         for child in reversed(children):  # the lean side last, so a dive visits it first

@@ -431,14 +431,15 @@ class MipModel:
         return self
 
     def to_dense(self):
-        """Dense LP arrays (c, A, senses, b, lb, ub); binaries keep their
-        [0, 1] box, integrality is the caller's business.  Repeated indices
-        in a row sum, in order."""
+        """Dense LP arrays (c, A, senses, b, lb, ub), A in Fortran order, so
+        `SimplexSolver` keeps it without a copy; binaries keep their [0, 1]
+        box, integrality is the caller's business.  Repeated indices in a
+        row sum, in order."""
         c = np.zeros(self.num_vars)
         np.add.at(c, self.obj_cols, self.obj_vals)
         if self.obj_sense == "max":
             c = -c
-        A = np.zeros((self.num_constraints, self.num_vars))
+        A = np.zeros((self.num_constraints, self.num_vars), order="F")
         rows = np.repeat(np.arange(self.num_constraints), np.diff(self.start))
         np.add.at(A, (rows, self.cols), self.vals)
         return c, A, self.senses.tolist(), self.rhs.copy(), self.lb.copy(), self.ub.copy()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cuts, formulations
-from .bnc import model_to_lp
+from .bnc import model_to_lp, refix
 from .constants import FEAS_TOL, MARGIN_TOL
 from .model import DrccpInstance, distance_profile, floor_frac_count
 from .simplex import SimplexSolver
@@ -178,8 +178,9 @@ def _solved_supports(model, instance: DrccpInstance, max_supports: int, what: st
 
     Yields (support, solution) for every set of at most k scenarios, in
     itertools.combinations order, with z fixed to 1 on the set and to 0
-    elsewhere.  `objective` replaces the model's cost vector.  Only the z
-    bounds that differ from the previous support's are re-set, and each
+    elsewhere.  `objective` replaces the model's cost vector.  A support is
+    an int8 vector over z, zeros with 1 on its samples, and `bnc.refix`
+    re-sets only the z bounds that differ from the previous support's; each
     solve starts warm from the basis the previous one ended with: an
     optimal basis stays dual feasible under new bounds, so the dual simplex
     re-optimizes it in a few pivots.  A stall restarts that support cold.
@@ -196,17 +197,14 @@ def _solved_supports(model, instance: DrccpInstance, max_supports: int, what: st
     if objective is not None:
         prob.c = objective
     solver = SimplexSolver(prob)
-    z_idx = model.block_indices("z")
-    for j in z_idx:
-        solver.set_bound(j, 0.0, 0.0)
-    previous = set()
+    z_idx = np.asarray(model.block_indices("z"))
+    held = np.full(z_idx.size, -1, dtype=np.int8)
     for size in range(k + 1):
         for support in itertools.combinations(range(n), size):
-            chosen = set(support)
-            for pos in sorted(previous ^ chosen):
-                val = 1.0 if pos in chosen else 0.0
-                solver.set_bound(z_idx[pos], val, val)
-            previous = chosen
+            fixed = np.zeros_like(held)
+            fixed[list(support)] = 1
+            refix(solver, model, z_idx, fixed, held)
+            held = fixed
             yield support, solver.solve_or_restart()
 
 

@@ -75,9 +75,9 @@ breakpoint.  `LpSolution.phase_one_iterations` counts the phase-1
 iterations.  Like the dual loop,
 it proves infeasibility only when no column gains beyond PIVOT_TOL from a
 fresh inverse.  Both loops change the basis through one `_pivot` routine
-and draw on one budget of `max_iter` iterations; at the cap they raise
-SimplexStall, and `solve_or_restart`, the warm re-solve of branch and cut
-and of the referees, retries once from the slack basis.
+and draw on one budget of max(5000, 60 (m + n)) iterations; at the cap
+they raise SimplexStall, and `solve_or_restart`, the warm re-solve of
+branch and cut and of the referees, retries once from the slack basis.
 
 `solve` takes a `cutoff` (default +inf, which never stops a solve).  The
 dual loop carries the objective of its dual feasible basis, a lower bound on
@@ -251,12 +251,14 @@ def _slack_bounds(sense):
 
 
 class SimplexSolver:
-    """Stateful solver: supports warm starts, row addition and bound edits."""
+    """Stateful solver: supports warm starts, row addition and bound edits.
+    It keeps `problem.A` itself when that is Fortran-ordered floats, as
+    `MipModel.to_dense` builds it, and never writes A in place."""
 
     def __init__(self, problem: LpProblem):
         self.m = problem.num_rows
         self.n = problem.num_cols
-        self.A = np.array(problem.A, dtype=float, order="F")
+        self.A = np.asarray(problem.A, dtype=float, order="F")
         self.b = problem.b.copy()
         self.c = problem.c.copy()
         nt = self.n + self.m
@@ -597,7 +599,10 @@ class SimplexSolver:
             raise ValueError("row coefficients and rhs must be finite")
         slo, shi = _slack_bounds(sense)
         m_old = self.m
-        self.A = np.asfortranarray(np.vstack([self.A, dense[None, :]]))
+        grown = np.empty((m_old + 1, self.n), order="F")  # one copy of A, not two
+        grown[:m_old] = self.A
+        grown[m_old] = dense
+        self.A = grown
         self.b = np.append(self.b, float(rhs))
         self.lb = np.append(self.lb, slo)
         self.ub = np.append(self.ub, shi)
@@ -638,14 +643,13 @@ class SimplexSolver:
             return -1, 0
         return q, 1 if d[q] < 0 else -1
 
-    def solve(self, max_iter=None, cutoff=math.inf) -> LpSolution:
+    def solve(self, cutoff=math.inf) -> LpSolution:
         """Optimize from the current basis: the dual loop first, when it
-        applies, then the primal loop, on one budget of `max_iter`
-        iterations between them.  The dual loop stops with status 'cutoff'
-        once its objective, a lower bound on the optimum, reaches `cutoff`
-        (see `_dual`); the default never stops it."""
-        if max_iter is None:
-            max_iter = max(5000, 60 * (self.m + self.n))
+        applies, then the primal loop, on one budget of max(5000,
+        60 (m + n)) iterations between them.  The dual loop stops with
+        status 'cutoff' once its objective, a lower bound on the optimum,
+        reaches `cutoff` (see `_dual`); the default never stops it."""
+        max_iter = max(5000, 60 * (self.m + self.n))
         self._periodic, self._loaded = not self._loaded, False
         self._refactors = 0
         # this also rests the columns a singular-basis repair left out

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import box_instance, cvar_solution, line_instance, milp_minimum, small_transport
 from drccp import bnc, oracles
 from drccp.bnc import BncConfig, compute_gap, solve
+from drccp.constants import INT_TOL
 from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_basic, build_formulation, build_theta_variant
 from drccp.model import BINARY, CONTINUOUS, MipModel, distance_profile
@@ -289,8 +290,38 @@ def search_with_pseudo_costs(observations):
 
 
 def pick(search, values):
-    values = np.asarray(values, dtype=float)
-    return search._pick_branch_var(values, search._fractional(values))
+    return search._pick_branch_var(np.asarray(values, dtype=float))
+
+
+def fractional(search, values):
+    """(position in `binaries`, distance to the nearest integer) of each
+    fractional binary, by ascending position."""
+    v = values[search.binaries]
+    dist = np.abs(v - np.round(v))
+    return [(pos, d) for pos, d in enumerate(dist.tolist()) if d > INT_TOL]
+
+
+def reference_pick(search, values):
+    """The branching pick as a per-binary loop: among the fractional
+    binaries with RELIABLE observations each way, the strictly largest
+    product of gains first; with none, the largest distance, the lowest
+    position on ties; None with no fractional binary."""
+    candidates = fractional(search, values)
+    if not candidates:
+        return None
+    best, best_score = None, -1.0
+    for pos, _ in candidates:
+        cnt = search.pc_cnt[:, pos]
+        if cnt.min() < bnc.RELIABLE:
+            continue
+        down, up = search.pc_sum[:, pos] / cnt
+        frac = values[search.binaries[pos]]
+        score = max(up * (1.0 - frac), 1e-9) * max(down * frac, 1e-9)
+        if score > best_score:
+            best, best_score = pos, score
+    if best is None:
+        return max(candidates, key=lambda pd: (pd[1], -pd[0]))[0]
+    return best
 
 
 @pytest.mark.parametrize("values, expected", [
@@ -308,8 +339,9 @@ def test_with_no_reliable_candidate_the_pick_is_the_most_fractional(values, expe
                                        ((short, 100.0), (short, 100.0)),
                                        ((plenty, 1e3), (short, 1e3))])
     assert pick(search, values) == expected
-    fractional = search._fractional(np.asarray(values))
-    assert expected == max(fractional, key=lambda jf: (jf[1], -jf[0]))[0]
+    candidates = fractional(search, np.asarray(values))
+    assert expected == max(candidates, key=lambda pd: (pd[1], -pd[0]))[0]
+    assert reference_pick(search, np.asarray(values)) == expected
 
 
 def test_a_reliable_candidate_beats_more_fractional_unreliable_ones():
@@ -342,14 +374,68 @@ def test_reliable_candidates_are_scored_by_the_product_of_their_gains():
     assert pick(search, [0.5, 0.2]) == 1
 
 
+def test_with_no_fractional_binary_there_is_no_pick():
+    search = search_with_pseudo_costs([((2, 1.0), (2, 1.0))] * 3)
+    assert pick(search, [0.0, 1.0, INT_TOL]) is None
+    assert pick(search, [1.0 - INT_TOL / 2, 0.0, 1.0]) is None
+
+
+# values that tie on distance or score, sit at INT_TOL from an integer or at a half
+_PICK_VALUES = st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.75, 0.3, 0.7, INT_TOL, 1.0 - INT_TOL,
+                                2.0 * INT_TOL, 1.0 - 2.0 * INT_TOL]) | st.floats(0.0, 1.0)
+_PICK_GAINS = st.sampled_from([0.0, 1e-12, 0.5, 1.0, 2.0]) | st.floats(0.0, 1e3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_PICK_VALUES, st.integers(0, 4), st.integers(0, 4),
+                          _PICK_GAINS, _PICK_GAINS), min_size=1, max_size=8))
+def test_the_pick_matches_the_per_binary_loop(binaries):
+    search = search_with_pseudo_costs([((down_n, down), (up_n, up))
+                                       for _, down_n, up_n, down, up in binaries])
+    values = np.array([v for v, *_ in binaries])
+    assert search._pick_branch_var(values) == reference_pick(search, values)
+
+
+def test_refix_resets_only_the_entries_that_differ(monkeypatch):
+    # z0 and z2 are free binaries; z1 is a binary the model fixes at 1
+    m = MipModel()
+    zs = [m.add_var("z0", BINARY, block="z"), m.add_var("z1", BINARY, lb=1.0, block="z"),
+          m.add_var("z2", BINARY, block="z")]
+    m.add_constraint(tuple((z, 1.0) for z in zs), ">=", 1.0, "cover")
+    m.set_objective(tuple((z, 1.0) for z in zs))
+    model = m.validate()
+    solver = SimplexSolver(bnc.model_to_lp(model)[0])
+    calls = []
+    inner = SimplexSolver.set_bound
+
+    def set_bound(self, j, lb, ub):
+        calls.append(j)
+        return inner(self, j, lb, ub)
+
+    monkeypatch.setattr(SimplexSolver, "set_bound", set_bound)
+    cols = np.asarray(zs)
+
+    def move(held, fixed):
+        calls.clear()
+        bnc.refix(solver, model, cols, np.array(fixed, dtype=np.int8),
+                  np.array(held, dtype=np.int8))
+        return sorted(calls), list(zip(solver.lb[:3].tolist(), solver.ub[:3].tolist()))
+
+    assert move([-1, -1, -1], [-1, -1, -1]) == ([], [(0.0, 1.0), (1.0, 1.0), (0.0, 1.0)])
+    assert move([-1, -1, -1], [0, -1, 1]) == ([0, 2], [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)])
+    assert move([0, -1, 1], [0, 0, -1]) == ([1, 2], [(0.0, 0.0), (0.0, 0.0), (0.0, 1.0)])
+    assert move([0, 0, -1], [0, 0, -1]) == ([], [(0.0, 0.0), (0.0, 0.0), (0.0, 1.0)])
+    # -1 restores the model's own bounds: z1 back at 1, not at [0, 1]
+    assert move([0, 0, -1], [-1, -1, -1]) == ([0, 1], [(0.0, 1.0), (1.0, 1.0), (0.0, 1.0)])
+
+
 def test_a_cutoff_node_records_its_bound_as_an_observation(monkeypatch):
     search = bnc._Search(fractional_toy(), (), BncConfig(log_events=True))
     search._visit(search.root)  # b = 0.5 at the root: two children on b
     child = search._next_node()
-    j, frac, parent_obj = child.branch
-    direction = 1 if child.overrides[j][0] >= 0.5 else 0
-    pos = search.bin_pos[j]
-    assert (j, frac) == (1, 0.5) and search.pc_cnt.sum() == 0
+    pos, frac, parent_obj = child.branch
+    direction = child.fixed[pos]
+    assert (search.binaries[pos], frac) == (1, 0.5) and search.pc_cnt.sum() == 0
     stopped = LpSolution(status="cutoff", objective=parent_obj + 2.0, iterations=1)
     monkeypatch.setattr(search.solver, "solve_or_restart", lambda cutoff=math.inf: stopped)
     search._visit(child)
@@ -367,10 +453,12 @@ def test_the_rule_scores_reliable_binaries_and_reaches_the_optimum(monkeypatch):
     reliable_seen = []
     inner = bnc._Search._pick_branch_var
 
-    def spy(self, values, fractional):
-        reliable_seen.append(any(self.pc_cnt[:, self.bin_pos[j]].min() >= bnc.RELIABLE
-                                 for j, _ in fractional))
-        return inner(self, values, fractional)
+    def spy(self, values):
+        candidates = fractional(self, values)
+        if candidates:
+            reliable_seen.append(any(self.pc_cnt[:, pos].min() >= bnc.RELIABLE
+                                     for pos, _ in candidates))
+        return inner(self, values)
 
     monkeypatch.setattr(bnc._Search, "_pick_branch_var", spy)
     res = solve(build_formulation(inst, "basic"))
@@ -495,11 +583,11 @@ def _flaky_solve(fail_calls):
     inner = SimplexSolver.solve
     seen = {"calls": 0}
 
-    def solve_method(self, max_iter=None, cutoff=math.inf):
+    def solve_method(self, cutoff=math.inf):
         seen["calls"] += 1
         if seen["calls"] in fail_calls:
             raise SimplexStall("synthetic stall for testing")
-        return inner(self, max_iter, cutoff)
+        return inner(self, cutoff)
 
     return solve_method, seen
 
@@ -583,11 +671,11 @@ def _stall_after_cuts(monkeypatch, nth):
                 seen["stalls_left"] = 2
         return found
 
-    def solve_method(self, max_iter=None, cutoff=math.inf):
+    def solve_method(self, cutoff=math.inf):
         if seen["stalls_left"]:
             seen["stalls_left"] -= 1
             raise SimplexStall("synthetic stall for testing")
-        return inner_solve(self, max_iter, cutoff)
+        return inner_solve(self, cutoff)
 
     monkeypatch.setattr(bnc._Search, "_separate_once", separate)
     monkeypatch.setattr(SimplexSolver, "solve", solve_method)
@@ -631,7 +719,7 @@ def test_stall_in_the_root_cut_loop_keeps_the_root_bound(monkeypatch):
 def test_search_ends_at_the_model_bounds_plus_the_applied_overrides(monkeypatch, node_limit):
     # nodes re-set only the bounds that differ from the last node's, so
     # when the search ends (also at a limit) the solver holds the model's
-    # bounds, except on the last node's overrides
+    # bounds, except on the binaries the last node fixes
     inst = box_instance(5, n=12)
     seen = _record_search(monkeypatch)
     model = build_basic(inst)
@@ -642,10 +730,11 @@ def test_search_ends_at_the_model_bounds_plus_the_applied_overrides(monkeypatch,
     else:
         assert res.status in ("feasible-gap", "no-incumbent") and res.nodes == node_limit
     search = seen["search"]
-    assert search.applied
+    fixed = search.applied >= 0
+    assert fixed.any()
     lb, ub = model.lb.copy(), model.ub.copy()
-    for j, (lo, hi) in search.applied.items():
-        lb[j], ub[j] = lo, hi
+    cols = search.binaries[fixed]
+    lb[cols] = ub[cols] = search.applied[fixed]
     n = model.num_vars
     assert np.array_equal(search.solver.lb[:n], lb)
     assert np.array_equal(search.solver.ub[:n], ub)

@@ -384,14 +384,14 @@ class TestWarmSupports:
         inner_reset = SimplexSolver.reset_basis
         seen = {"calls": 0, "resets": [], "cold_starts": []}
 
-        def solve(self, max_iter=None, cutoff=math.inf):
+        def solve(self, cutoff=math.inf):
             seen["calls"] += 1
             if seen["calls"] in stall_calls:
                 raise SimplexStall("synthetic stall for testing")
             if seen["resets"] and seen["resets"][-1] == seen["calls"] - 1:
                 slack = np.arange(self.n, self.n + self.m)
                 seen["cold_starts"].append(np.array_equal(self.basis, slack))
-            return inner_solve(self, max_iter, cutoff)
+            return inner_solve(self, cutoff)
 
         def reset_basis(self):
             seen["resets"].append(seen["calls"])

@@ -41,11 +41,13 @@ import functools
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import box_instance, small_transport
 from drccp import bnc
 from drccp.bnc import BncConfig
+from drccp.constants import INT_TOL
 from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_formulation, build_theta_variant
 
@@ -191,10 +193,12 @@ def test_the_reliable_tree_picks_by_pseudo_costs(monkeypatch):
     picks = []
     inner = bnc._Search._pick_branch_var
 
-    def spy(self, values, fractional):
-        picks.append(any(self.pc_cnt[:, self.bin_pos[j]].min() >= bnc.RELIABLE
-                         for j, _ in fractional))
-        return inner(self, values, fractional)
+    def spy(self, values):
+        v = values[self.binaries]
+        fractional = np.abs(v - np.round(v)) > INT_TOL
+        if fractional.any():
+            picks.append(bool((self.pc_cnt.min(axis=0)[fractional] >= bnc.RELIABLE).any()))
+        return inner(self, values)
 
     monkeypatch.setattr(bnc._Search, "_pick_branch_var", spy)
     record(RELIABLE_KEY)

@@ -56,6 +56,18 @@ def recorded_pivots():
         SimplexSolver._pivot = pivot
 
 
+def cap_iterations(patch, cap):
+    """Run both solve loops on one budget of `cap` iterations in place of
+    the one `solve` computes; `patch` is a pytest MonkeyPatch."""
+    for name in ("_dual", "_primal"):
+        inner = getattr(SimplexSolver, name)
+
+        def capped(self, c_pad, max_iter, *rest, inner=inner):
+            return inner(self, c_pad, cap, *rest)
+
+        patch.setattr(SimplexSolver, name, capped)
+
+
 def random_problem(rng, allow_equalities=True):
     n = rng.integers(2, 9)
     m = rng.integers(1, 13)
@@ -391,12 +403,13 @@ class TestAntiCycling:
             assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
         assert bland_calls["entering"] > 0 and bland_calls["ratio"] > 0
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(9)
         prob = random_problem(rng)
         solver = SimplexSolver(prob)
+        cap_iterations(monkeypatch, 1)
         with pytest.raises(SimplexStall):
-            solver.solve(max_iter=1)
+            solver.solve()
 
 
 class TestDeterminism:
@@ -591,13 +604,29 @@ class TestWarmStart:
             solver.add_row([1.0], sense, 1.0)
             assert solver.m == 2
 
+    def test_the_solver_keeps_the_models_a_and_never_writes_it(self):
+        # to_dense builds A in the solver's Fortran order, so the solver
+        # holds model_to_lp's array itself; add_row grows a copy
+        model = build_formulation(box_instance(3, n=12), "knapsack")
+        prob = bnc.model_to_lp(model)[0]
+        before = prob.A.copy()
+        solver = SimplexSolver(prob)
+        assert np.shares_memory(solver.A, prob.A)
+        assert solver.solve().status == "optimal"
+        solver.add_row(np.ones(solver.n), ">=", -1.0)
+        solver.set_bound(int(np.flatnonzero(model.binary)[0]), 1.0, 1.0)
+        assert solver.solve().status == "optimal"
+        assert not np.shares_memory(solver.A, prob.A)
+        assert np.array_equal(solver.A[:-1], before) and solver.A.flags.f_contiguous
+        assert prob.A.tobytes() == before.tobytes() and prob.A.flags.f_contiguous
+
 
 # -- warm re-solves through the dual loop -------------------------------------
 
-def warm_child(prob, fixes, cuts, max_iter=None):
+def warm_child(prob, fixes, cuts, cap=None):
     """Solve `prob`, fix columns (j, value) and append rows (coefs, sense,
-    offset) that cut its optimum x off by `offset`, then re-solve with
-    `max_iter` warm from the optimal basis, which `add_row` extends by the
+    offset) that cut its optimum x off by `offset`, then re-solve, on a
+    budget of `cap` iterations if one is given, warm from the optimal basis, which `add_row` extends by the
     new rows' slacks.  Returns the solver, the first and the warm solutions
     and the child LP as one problem, for a cold reference solve."""
     solver = SimplexSolver(prob)
@@ -614,7 +643,10 @@ def warm_child(prob, fixes, cuts, max_iter=None):
         rows.append(coefs[None, :])
         senses.append(sense)
         rhs.append([cut])
-    warm = solver.solve(max_iter=max_iter)
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            cap_iterations(patch, cap)
+        warm = solver.solve()
     child = LpProblem(c=prob.c, A=np.vstack(rows), senses=senses, b=np.concatenate(rhs),
                       lb=lb, ub=ub)
     return solver, first, warm, child
@@ -776,8 +808,8 @@ class TestDualSimplex:
     def test_iteration_cap_is_shared_with_the_dual_loop(self):
         prob = boxed_problem(np.random.default_rng(1), 15, 20)
 
-        def resolve(max_iter):
-            return warm_child(prob, [(13, 0.0)], [], max_iter)[2]
+        def resolve(cap):
+            return warm_child(prob, [(13, 0.0)], [], cap)[2]
 
         full = resolve(None)
         k = full.dual_iterations
@@ -828,9 +860,12 @@ class TestDualSimplex:
         seen = {"calls": 0, "dual_iterations": [], "dual_stalls": 0}
         solve, dual = SimplexSolver.solve, SimplexSolver._dual
 
-        def solve_spy(self, max_iter=None, cutoff=math.inf):
+        def solve_spy(self, cutoff=math.inf):
             seen["calls"] += 1
-            sol = solve(self, 1 if seen["calls"] == 2 else max_iter, cutoff)
+            with pytest.MonkeyPatch.context() as patch:
+                if seen["calls"] == 2:
+                    cap_iterations(patch, 1)
+                sol = solve(self, cutoff)
             seen["dual_iterations"].append(sol.dual_iterations)
             return sol
 
@@ -987,11 +1022,11 @@ class TestCutoff:
         calls = []
         solve = SimplexSolver.solve
 
-        def stall_once(self, max_iter=None, cutoff=math.inf):
+        def stall_once(self, cutoff=math.inf):
             calls.append(cutoff)
             if len(calls) == 1:
                 raise SimplexStall("synthetic stall for testing")
-            return solve(self, max_iter, cutoff)
+            return solve(self, cutoff)
 
         monkeypatch.setattr(SimplexSolver, "solve", stall_once)
         sol = solver.solve_or_restart(0.5)

@@ -42,7 +42,8 @@ discarded, which is the CVaR inner approximation of the chance constraint
 Wasserstein balls"), the CVaR plan of a cost preset and the CVaR radius of
 the theta variant.  An optimal point is checked as any start is and becomes
 the first incumbent, so the search prunes against it from the root on; the
-root then starts cold, as without it.  A caller may instead hand `solve` a
+root then starts cold, as without it (with no binaries its LP is the seed's,
+and it takes the seed's solution).  A caller may instead hand `solve` a
 start of its own, a full variable vector checked against the model's
 bounds, binaries and rows before any LP; then no seed is solved.
 
@@ -218,6 +219,7 @@ class _Search:
         self.cut_counts = {}
         self.seq = 0
         self.started = self.root_time = None
+        self.root_lp = None  # the seed's solution when it is the root's LP
         # pseudo-cost statistics per binary: unit objective gains by direction
         self.pc_sum = np.zeros((2, nb))
         self.pc_cnt = np.zeros((2, nb), dtype=int)
@@ -242,16 +244,19 @@ class _Search:
         """The LP optimum with every binary fixed at 0, checked as a start,
         or None when that LP is not optimal or stalls after its cold retry.
         The solver is left at the slack basis, so the root starts cold; the
-        root's `_move_to` restores the binaries' bounds."""
+        root's `_move_to` restores the binaries' bounds.  With no binaries
+        this is the root's LP: an optimal seed stays as the root's solution."""
         self._move_to(np.zeros_like(self.applied))
         try:
             sol = self._solve_lp()
         except SimplexStall:
             sol = None
-        self.solver.reset_basis()
-        if sol is None or sol.status != "optimal":
-            return None
-        return _check_start(self.model, sol.x)
+        optimal = sol is not None and sol.status == "optimal"
+        if optimal and not self.binaries.size:
+            self.root_lp = sol
+        else:
+            self.solver.reset_basis()
+        return _check_start(self.model, sol.x) if optimal else None
 
     def _solve_lp(self, cutoff=math.inf):
         sol = self.solver.solve_or_restart(cutoff)
@@ -323,7 +328,7 @@ class _Search:
         self._move_to(node.fixed)
         rounds = ROOT_CUT_ROUNDS if node is self.root and self.separators else 0
         if node.state is None:
-            sol = self._solve_lp()
+            sol = self.root_lp or self._solve_lp()
         else:
             self.solver.load_state(*node.state)
             sol = self._solve_lp(self.incumbent_obj)

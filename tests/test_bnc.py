@@ -901,6 +901,20 @@ def test_with_no_start_the_search_seeds_itself_with_the_cvar_plan(kind):
     assert not any("action=start" in e for e in res.events)
 
 
+def test_a_model_with_no_binaries_solves_its_lp_once():
+    # at N = 10 and epsilon = 0.1 `compact` keeps no discard indicator
+    # (k' = 0): the seed's LP is the root's, and the root takes its solution,
+    # with the same two log lines as when it solved that LP again
+    model = build_formulation(small_transport(seed=7, n=10, epsilon=0.1)[1], "compact")
+    assert not model.binary.any()
+    cold = SimplexSolver(bnc.model_to_lp(model)[0]).solve()
+    res = solve(model, config=BncConfig(log_events=True))
+    assert (res.status, res.nodes, res.objective) == ("optimal", 1, cold.objective)
+    assert res.iterations == cold.iterations
+    assert res.events == ["node=0 lb=133.2246047 ub=133.2246047 depth=0 action=start",
+                          "node=0 lb=133.2246047 ub=133.2246047 depth=0 action=fathom"]
+
+
 def test_the_start_is_logged():
     res = solve(fractional_toy(), config=BncConfig(log_events=True), start=[0.0, 1.0])
     starts = [e for e in res.events if "action=start" in e]

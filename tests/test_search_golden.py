@@ -52,14 +52,14 @@ from drccp.cuts import MixingSeparator, PathSeparator
 from drccp.formulations import build_formulation, build_theta_variant
 
 GOLDEN = {
-    "box50/basic/none/best-bound": "aaba82c81c28f38b",
-    "box50/basic/none/depth-first": "750b43e6568585e8",
-    "box50/basic/mixing/best-bound": "aaba82c81c28f38b",
-    "box50/basic/mixing/depth-first": "750b43e6568585e8",
-    "box50/basic/path/best-bound": "7991be26c78ce7b2",
-    "box50/basic/path/depth-first": "7991be26c78ce7b2",
-    "box50/basic/mixing+path/best-bound": "7991be26c78ce7b2",
-    "box50/basic/mixing+path/depth-first": "7991be26c78ce7b2",
+    "box50/basic/none/best-bound": "8b00cf534c4a653e",
+    "box50/basic/none/depth-first": "daa99aedea5c6635",
+    "box50/basic/mixing/best-bound": "8b00cf534c4a653e",
+    "box50/basic/mixing/depth-first": "daa99aedea5c6635",
+    "box50/basic/path/best-bound": "734eba3c74f3135e",
+    "box50/basic/path/depth-first": "734eba3c74f3135e",
+    "box50/basic/mixing+path/best-bound": "734eba3c74f3135e",
+    "box50/basic/mixing+path/depth-first": "734eba3c74f3135e",
     "box50/compact/none/best-bound": "64575fcc1aa7ba96",
     "box50/compact/none/depth-first": "5df0a1d57f90cc34",
     "box50/compact/mixing/best-bound": "64575fcc1aa7ba96",
@@ -68,14 +68,14 @@ GOLDEN = {
     "box50/compact/path/depth-first": "5df0a1d57f90cc34",
     "box50/compact/mixing+path/best-bound": "64575fcc1aa7ba96",
     "box50/compact/mixing+path/depth-first": "5df0a1d57f90cc34",
-    "box47/basic/none/best-bound": "631fb8e3796b234f",
-    "box47/basic/none/depth-first": "306ac25aeecf2d10",
-    "box47/basic/mixing/best-bound": "a6459aeb734d602f",
-    "box47/basic/mixing/depth-first": "d3f2b0c23acf95ac",
-    "box47/basic/path/best-bound": "5d82c89564fc68a5",
-    "box47/basic/path/depth-first": "5d82c89564fc68a5",
-    "box47/basic/mixing+path/best-bound": "54b0401f6896574a",
-    "box47/basic/mixing+path/depth-first": "54b0401f6896574a",
+    "box47/basic/none/best-bound": "bfb784a8ea29fd08",
+    "box47/basic/none/depth-first": "1fdfe2d9fc85ee2c",
+    "box47/basic/mixing/best-bound": "5c6b57c9a0f1cf8e",
+    "box47/basic/mixing/depth-first": "9309904c8966a582",
+    "box47/basic/path/best-bound": "1ee97a1a06fc36af",
+    "box47/basic/path/depth-first": "1ee97a1a06fc36af",
+    "box47/basic/mixing+path/best-bound": "8c192df80f89eacf",
+    "box47/basic/mixing+path/depth-first": "8c192df80f89eacf",
     "box47/compact/none/best-bound": "a8627fec0be8aa85",
     "box47/compact/none/depth-first": "a8627fec0be8aa85",
     "box47/compact/mixing/best-bound": "a8627fec0be8aa85",
@@ -84,14 +84,14 @@ GOLDEN = {
     "box47/compact/path/depth-first": "a8627fec0be8aa85",
     "box47/compact/mixing+path/best-bound": "a8627fec0be8aa85",
     "box47/compact/mixing+path/depth-first": "a8627fec0be8aa85",
-    "transport/basic/none/best-bound": "1a7ea17cafa29d25",
-    "transport/basic/none/depth-first": "88157f60fa9ee01f",
-    "transport/basic/mixing/best-bound": "e7a68b0216bb3fba",
-    "transport/basic/mixing/depth-first": "ce07b26340f122da",
-    "transport/basic/path/best-bound": "365167dc42ed6718",
-    "transport/basic/path/depth-first": "929bbdbfe920b809",
-    "transport/basic/mixing+path/best-bound": "ee3ed8e65b3cafc1",
-    "transport/basic/mixing+path/depth-first": "7396c3bef827ad32",
+    "transport/basic/none/best-bound": "66b5ca28d915cceb",
+    "transport/basic/none/depth-first": "ae686d14171d93f7",
+    "transport/basic/mixing/best-bound": "0d0fe5fc1a32207a",
+    "transport/basic/mixing/depth-first": "503738a400b0591b",
+    "transport/basic/path/best-bound": "1a79105108be425d",
+    "transport/basic/path/depth-first": "8dc47f33dd59d26d",
+    "transport/basic/mixing+path/best-bound": "b9b069663b79c380",
+    "transport/basic/mixing+path/depth-first": "3c17557ce5b361b2",
     "transport/compact/none/best-bound": "a94415fc9c694ca0",
     "transport/compact/none/depth-first": "a94415fc9c694ca0",
     "transport/compact/mixing/best-bound": "a94415fc9c694ca0",
@@ -101,9 +101,9 @@ GOLDEN = {
     "transport/compact/mixing+path/best-bound": "a94415fc9c694ca0",
     "transport/compact/mixing+path/depth-first": "a94415fc9c694ca0",
     "box50-node-limit-3/basic/none/best-bound": "9ed7656aaea2fed0",
-    "box50-node-limit-3/basic/none/depth-first": "73931a9e93440a55",
+    "box50-node-limit-3/basic/none/depth-first": "51268671663e6442",
     "box50-node-limit-3/basic/mixing/best-bound": "9ed7656aaea2fed0",
-    "box50-node-limit-3/basic/mixing/depth-first": "73931a9e93440a55",
+    "box50-node-limit-3/basic/mixing/depth-first": "51268671663e6442",
     "box50-node-limit-3/basic/path/best-bound": "bcce3c0f81f2697e",
     "box50-node-limit-3/basic/path/depth-first": "bcce3c0f81f2697e",
     "box50-node-limit-3/basic/mixing+path/best-bound": "bcce3c0f81f2697e",
@@ -118,7 +118,7 @@ GOLDEN = {
     "box50-node-limit-3/compact/mixing+path/depth-first": "8e7ef2664031381a",
     "theta/compact/none/best-bound": "326e4450a39e53cc",
     "theta/compact/none/depth-first": "326e4450a39e53cc",
-    "reliable/basic/none/best-bound": "d796b001a41ff1ec",
+    "reliable/basic/none/best-bound": "2b3e0ca263a4fce3",
 }
 
 GRID_GROUPS = ("box50", "box47", "transport", "box50-node-limit-3")

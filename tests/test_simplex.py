@@ -16,7 +16,8 @@ from conftest import box_instance
 from drccp import bnc, simplex
 from drccp.bench import ExperimentConfig, cell_seed
 from drccp.bnc import BncConfig
-from drccp.constants import DUAL_PIVOT_TOL, DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
+from drccp.constants import COST_SHIFT, DUAL_PIVOT_TOL, DUAL_TOL, FACTOR_TOL, FEAS_TOL, PIVOT_TOL
+from drccp.cuts import MixingSeparator
 from drccp.formulations import build_formulation, compute_quantiles, theta_grid, theta_max
 from drccp.simplex import (
     ST_BASIC,
@@ -1033,6 +1034,143 @@ class TestCutoff:
         assert calls == [0.5, 0.5] and sol.status == "cutoff" and sol.objective == 1.0
 
 
+# -- shifted costs in warm re-solves -------------------------------------------
+
+@st.composite
+def zero_cost_lps(draw):
+    """`lps_with_tightened_bounds`'s LP with its cost on the first one or two
+    columns only, as in the `basic` model, where only x costs: most
+    structurals and every slack cost nothing."""
+    prob, bounds, _ = draw(lps_with_tightened_bounds())
+    prob.c[draw(st.integers(1, 2)):] = 0.0
+    return prob, bounds
+
+
+def warm_and_cold(prob, bounds, cutoff=math.inf):
+    """Re-solve `prob` after each of `bounds` in turn, warm from the last
+    optimal basis by `load_state`, as a node of branch and cut, and cold
+    from a fresh solver: the pairs (warm, cold, child LP), up to the first
+    child that is not optimal."""
+    solver = SimplexSolver(prob)
+    assert solver.solve().status == "optimal"  # bounded and feasible by construction
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    out = []
+    for j, lo, hi in bounds:
+        state = solver.get_state()
+        solver.set_bound(j, lo, hi)
+        lb[j], ub[j] = lo, hi
+        solver.load_state(*state)
+        child = LpProblem(c=prob.c, A=prob.A, senses=prob.senses, b=prob.b, lb=lb.copy(),
+                          ub=ub.copy())
+        out.append((solver.solve(cutoff=cutoff), solve_lp(child), child))
+        if out[-1][0].status != "optimal":
+            break
+    return out
+
+
+def assert_feasible(prob, x):
+    assert np.all(x >= prob.lb - FEAS_TOL) and np.all(x <= prob.ub + FEAS_TOL)
+    excess = np.select([np.array(prob.senses) == "<=", np.array(prob.senses) == ">="],
+                       [prob.A @ x - prob.b, prob.b - prob.A @ x], np.abs(prob.A @ x - prob.b))
+    assert np.all(excess <= FEAS_TOL)
+
+
+class TestCostShift:
+    """A solve after `load_state` runs its dual loop on the costs shifted by
+    COST_SHIFT along each nonbasic's move direction; its statuses, optima
+    and cutoffs are those of the true costs."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(zero_cost_lps())
+    def test_warm_resolves_end_as_cold_ones(self, drawn):
+        prob, bounds = drawn
+        for warm, cold, child in warm_and_cold(prob, bounds):
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+                assert warm.objective == float(prob.c @ warm.x)
+                assert_feasible(child, warm.x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(zero_cost_lps(), st.sampled_from([-1.0, -0.1, -1e-3, 0.0, 1e-3, 0.1, 1.0]))
+    def test_the_true_costs_decide_a_warm_cutoff(self, drawn, offset):
+        prob, bounds = drawn
+        (_, cold, _), = warm_and_cold(prob, bounds[:1])
+        assume(cold.status == "optimal")
+        cutoff = cold.objective + offset
+        (warm, _, _), = warm_and_cold(prob, bounds[:1], cutoff)
+        tol = 1e-9 * max(1.0, abs(cold.objective))
+        if offset >= 0.0:
+            assert warm.status == "optimal" and abs(warm.objective - cold.objective) <= tol
+        elif warm.status == "cutoff":
+            assert cutoff <= warm.objective <= cold.objective + tol and warm.x is None
+        else:
+            assert warm.status == "optimal" and abs(warm.objective - cold.objective) <= tol
+
+    def test_a_shifted_objective_past_the_cutoff_is_priced_again(self):
+        # nothing costs, so every point is optimal at 0; the nonbasics rest
+        # at 500 and 1000, where the shift alone puts the dual loop's
+        # objective at 1.5e-4, past a cutoff of 0
+        prob = LpProblem(c=[0.0, 0.0], A=[[1.0, 1.0]], senses=[">="], b=[2000.0],
+                         lb=[1000.0, 1000.0], ub=[2000.0, 2000.0])
+        for cutoff, status in ((0.0, "optimal"), (-1.0, "cutoff")):
+            solver = SimplexSolver(prob)
+            assert solver.solve().status == "optimal"
+            state = solver.get_state()
+            solver.set_bound(0, 500.0, 2000.0)  # the row's basic slack now violates it
+            solver.load_state(*state)
+            sol = solver.solve(cutoff=cutoff)
+            assert (sol.status, sol.objective) == (status, 0.0)
+
+    def test_only_a_solve_after_load_state_shifts_its_costs(self, monkeypatch):
+        seen = []
+        dual = SimplexSolver._dual
+
+        def spy(self, c_pad, *rest):
+            if c_pad is self._c_pad:
+                seen.append("true")
+            else:
+                shifted = self._c_pad.copy()
+                shifted[: self.n] += COST_SHIFT * self._dir[: self.n]
+                assert c_pad.tobytes() == shifted.tobytes()
+                seen.append("shifted")
+            return dual(self, c_pad, *rest)
+
+        monkeypatch.setattr(SimplexSolver, "_dual", spy)
+        prob = random_problem(np.random.default_rng(5), allow_equalities=False)
+        solver = SimplexSolver(prob)
+        solver.solve()
+        state = solver.get_state()
+        solver.add_row(np.ones(prob.num_cols), "<=", 100.0)
+        solver.solve()
+        solver.load_state(*solver.get_state())
+        solver.solve()
+        solver.set_bound(0, prob.lb[0], prob.ub[0])
+        solver.solve()
+        solver.load_state(*solver.get_state())
+        solver.reset_basis()
+        solver.solve()
+        assert len(state[0]) == prob.num_rows
+        assert seen == ["true", "true", "shifted", "true", "true"]
+        # in branch and cut: the seed, the cold root and its cut rounds
+        # price the true costs, and every node after them loads a state
+        loaded = []
+        solve = SimplexSolver.solve
+
+        def solve_spy(self, cutoff=math.inf):
+            loaded.append("shifted" if self._loaded else "true")
+            return solve(self, cutoff)
+
+        monkeypatch.setattr(SimplexSolver, "solve", solve_spy)
+        del seen[:]
+        inst = box_instance(47, n=12, epsilon=0.255)
+        res = bnc.solve(build_formulation(inst, "basic"), [MixingSeparator(inst)])
+        assert res.status == "optimal" and res.cuts and res.nodes > 1
+        cold = loaded.index("shifted")  # the seed, the root and at least one cut round
+        assert seen == loaded and cold >= 3 and set(loaded[:cold]) == {"true"}
+        assert loaded[cold:] == ["shifted"] * (res.nodes - 1)
+
+
 def basis_matrix(solver):
     """The basis as an explicit m x m matrix: basic columns of [A | I]."""
     return np.hstack([solver.A, np.eye(solver.m)])[:, solver.basis]
@@ -1433,7 +1571,7 @@ class TestKeptInverse:
     def test_fixed_search_factors_less(self, monkeypatch):
         """`improved` at the first radius of the bench's (2,3,50) cell: the
         same nodes and LP iterations as when every load factored its basis
-        (247 `_factor` calls), from 134 calls.  The iterations and calls
+        (176 `_factor` calls), from 92 calls.  The iterations and calls
         include the search's seed LP and the cold reset after it."""
         config = ExperimentConfig()
         tp = generate(2, 3, 50, cell_seed(config.base_seed, 2, 3, 50, 0), config.epsilon)
@@ -1446,8 +1584,8 @@ class TestKeptInverse:
         with counted(monkeypatch, "_factor") as factors:
             res = bnc.solve(model, (), BncConfig(gap_tol=config.gap_tol,
                                                  node_limit=config.node_limit))
-        assert (res.status, res.nodes, res.iterations) == ("optimal", 255, 832)
-        assert len(factors) == 134
+        assert (res.status, res.nodes, res.iterations) == ("optimal", 179, 630)
+        assert len(factors) == 92
 
 
 # -- the fused selection rules against their mask-by-mask originals ---------

@@ -15,6 +15,7 @@ everything else is seed-determined.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -89,6 +90,14 @@ class ExperimentConfig:
         # the search options fail here, before any cell is generated
         _bnc_config(self)
         _theta_max_config(self)
+        # and so does a grid whose cells `cell_seed` cannot tell apart
+        cells = {}
+        for cell in itertools.product(self.factories, self.centers, self.samples,
+                                      range(self.replications)):
+            seed = cell_seed(self.base_seed, *cell)
+            other = cells.setdefault(seed, cell)
+            if other != cell:
+                raise ValueError(f"cells (F, D, N, rep) = {other} and {cell} share the seed {seed}")
 
 
 def _is_int(value) -> bool:

@@ -182,7 +182,12 @@ def _cmd_oracle(args) -> int:
     with open(args.x, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
+        if "x" not in data:
+            raise ValueError('plan object has no "x" key')
         data = data["x"]
+    if not (isinstance(data, list)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data)):
+        raise ValueError(f"plan must be a flat list of {inst.dim_x} finite numbers")
     x = np.asarray(data, dtype=float)
     if x.size != inst.dim_x:
         raise ValueError(f"plan has {x.size} entries, the instance needs {inst.dim_x}")

@@ -20,12 +20,11 @@ DUAL_PIVOT_TOL = 1e-7     # smallest dual-simplex pivot element from an updated 
 COST_SHIFT = 1e-7         # cost shift along each move direction in a warm dual loop (simplex.solve)
 INT_TOL = 1e-6            # integrality test on binary variables
 K_NUDGE = 1e-12           # tolerance on eps*N in both discard counts (model.py)
-# pivots between block refactorizations of the simplex basis inverse: it
-# governs cold solves, re-solves after add_row or set_bound alone and every
-# primal loop; the dual loop of a solve started by load_state (a warm node
-# re-solve) tests an inverse past this age for drift (FACTOR_TOL) and
-# refactorizes only when it finds some
+# age, in pivots, from which both simplex loops test the basis inverse for
+# drift (FACTOR_TOL) on each row they price through it, and rebuild it by a
+# block refactorization only when they find some (simplex._drifted)
 REFACTOR_INTERVAL = 50
 # largest |A_SS @ inv - I| entry of a nonsingular structural block, and the
-# largest drift of a dual ratio row from sign * e_r on the basic columns
+# largest drift of a priced row on the basic columns: a dual ratio row from
+# sign * e_r, primal reduced costs from 0 (phase 2) or minus the phase-1 costs
 FACTOR_TOL = 1e-6

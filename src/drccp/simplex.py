@@ -33,19 +33,22 @@ column a unit vector (the last column moves into the hole, since the order
 of `rows_s` is free).
 `binv_s`, `rows_s` and `a_s` are views of buffers allocated once per row
 count, at the min(m, n) columns that no basis exceeds, so no pivot or
-refactorization allocates.  Every REFACTOR_INTERVAL pivots the block is
-rebuilt from the basis's structural block (a refactorization): only the
-k x k block of the k basic structurals on `rows_s` is inverted, at
-O(k^3 + (m - k) k^2) instead of O(m^3).  A block whose inverse misses the
-identity by more than FACTOR_TOL counts as singular.  The dual loop of a
-solve that starts from `load_state` (a warm node re-solve) skips that
-count and tests an inverse past that age for drift instead: its ratio row
-for the basic at position r is sign * (row r of B^-1) @ [A | I], which is
-sign * e_r on the basic columns, and an entry off by more than FACTOR_TOL
-repeats the iteration from a rebuilt inverse.  The primal loop has no such
-test and keeps the count in every solve.  `LpSolution.refactorizations`
-counts the rebuilds of one solve.  Phase 1 of the primal loop prices over
-all m rows, as its costs sit on covered rows too.
+refactorization allocates.  A refactorization rebuilds the block from the
+basis's structural block: only the k x k block of the k basic structurals
+on `rows_s` is inverted, at O(k^3 + (m - k) k^2) instead of O(m^3).  A
+block whose inverse misses the identity by more than FACTOR_TOL counts as
+singular.  Both loops rebuild the inverse only when it has drifted, a
+measured trigger in place of a fixed interval (Koberstein 2005): once it
+is REFACTOR_INTERVAL pivots old, each row priced through it is tested on
+the basic columns (`_drifted`), where an exact inverse gives known
+values.  The dual ratio row for the basic at position r is
+sign * (row r of B^-1) @ [A | I], so sign * e_r there; the primal reduced
+costs are 0 there in phase 2 and minus the phase-1 costs in phase 1.  An
+entry off by more than FACTOR_TOL repeats the iteration from a rebuilt
+inverse, which is 0 pivots old again, so no drift test rebuilds more often
+than every REFACTOR_INTERVAL pivots.  `LpSolution.refactorizations` counts
+the rebuilds of one solve.  Phase 1 of the primal loop prices over all m
+rows, as its costs sit on covered rows too.
 
 A basic variable counts as violating when it lies more than FEAS_TOL
 outside a bound.  `solve` starts with the bounded dual simplex when some
@@ -104,7 +107,7 @@ as above, with no pivots towards it; the solve that follows settles the
 statuses and recomputes the primal values.  The inverse depends only on A
 and the basis, so a copy of the last one `load_state` built is kept until
 `add_row`, and a later load of that basis restores it.  A singular basis,
-whether installed or found at a periodic refactorization, is rebuilt from
+whether installed or found at a refactorization, is rebuilt from
 the slack basis by greedy pivots that keep as many of its columns as
 possible, and nothing is kept for it.
 
@@ -285,7 +288,6 @@ class SimplexSolver:
         self._pivots_since_refactor = 0
         self._refactors = 0  # `_refactor` calls in the current solve
         self._loaded = False  # `load_state` ran since the last solve started
-        self._periodic = True  # this solve refactorizes every REFACTOR_INTERVAL pivots
         self._c_pad = np.concatenate([self.c, np.zeros(self.m)])
         self._kept = None  # (basis, binv_s, rows_s, slack_pos, col_of) of load_state's last _factor
         self._alloc(self.m)
@@ -471,6 +473,7 @@ class SimplexSolver:
         slack's row stores its unit column e_pos, which the pivot turns
         dense, and its row of A.  Then the stored columns take the rank-one
         update (`_subtract_outer`), and row `pos` becomes the pivot row.
+        The pivot counts in `total_pivots` and in the inverse's age.
         """
         k0 = k = self.rows_s.size
         if q >= self.n:
@@ -497,12 +500,15 @@ class SimplexSolver:
         _subtract_outer(self.binv_s, w, row)
         self.binv_s[pos] = row
         self.basis[pos] = q
-
-    def _count_pivot(self):
         self.total_pivots += 1
         self._pivots_since_refactor += 1
-        if self._periodic and self._pivots_since_refactor >= REFACTOR_INTERVAL:
-            self._refactor()
+
+    def _drifted(self, v, target):
+        """Whether the inverse has drifted: it is REFACTOR_INTERVAL or more
+        pivots old, and `v`, a row priced through it, misses `target` (by
+        basis position) on the basic columns by more than FACTOR_TOL."""
+        return (self._pivots_since_refactor >= REFACTOR_INTERVAL
+                and np.abs(v.take(self.basis) - target).max() > FACTOR_TOL)
 
     def _refactor(self):
         """Rebuild the inverse (`_factor`) and recompute the primal values."""
@@ -561,9 +567,9 @@ class SimplexSolver:
         From the slack basis, each basic structural in turn pivots in on the
         free slack position with the largest pivot (above 1e-7); one with no
         such pivot depends on those already in and stays out.  A slack that
-        was basic keeps its own row.  The pivots count in `total_pivots` but
-        never trigger a refactorization, as the statuses are not settled
-        until the repair ends.
+        was basic keeps its own row.  The pivots count in `total_pivots`;
+        the inverse they leave is 0 pivots old, as the repair runs inside
+        `_factor`.
         """
         wanted = self.basis.copy()
         self.basis = np.arange(self.n, self.n + self.m)
@@ -580,7 +586,6 @@ class SimplexSolver:
                 continue
             self._update_binv(w, pick, int(col))
             replaceable[pick] = False
-            self.total_pivots += 1
         self._settle()
 
     # -- mutations ----------------------------------------------------------
@@ -662,18 +667,19 @@ class SimplexSolver:
         the primal loop on the true costs, on one budget of max(5000,
         60 (m + n)) iterations.  The dual loop stops with status 'cutoff'
         once its true objective, a lower bound on the optimum, reaches
-        `cutoff` (see `_dual`); the default never stops it."""
+        `cutoff` (see `_dual`); the default never stops it.  Either loop
+        rebuilds the inverse only when a row it prices through it drifts
+        (`_drifted`), never on the pivot count alone."""
         max_iter = max(5000, 60 * (self.m + self.n))
-        self._periodic, self._loaded = not self._loaded, False
+        shifted, self._loaded = self._loaded, False
         self._refactors = 0
         # this also rests the columns a singular-basis repair left out
         self._settle()
         self._recompute_values()
-        c_pad = self._c_pad if self._periodic else np.append(  # shifted after load_state
+        c_pad = self._c_pad if not shifted else np.append(
             self.c + COST_SHIFT * self._dir[: self.n], self._c_pad[self.n:])
         dual_iters, sol = self._dual(c_pad, max_iter, cutoff)
         if sol is None:
-            self._periodic = True  # the primal loop has no drift test
             sol = self._primal(self._c_pad, max_iter, dual_iters)
         sol.dual_iterations = dual_iters
         sol.refactorizations = self._refactors
@@ -712,11 +718,10 @@ class SimplexSolver:
         no column beyond PIVOT_TOL the basic cannot reach its bound and `y`
         certifies the LP infeasible; with some, but none beyond
         DUAL_PIVOT_TOL, the row is priced again from a refactorized inverse,
-        where PIVOT_TOL suffices.  In a solve that starts from `load_state`,
-        which skips the periodic refactorization, the row is also the drift
-        test of an inverse past REFACTOR_INTERVAL pivots: on the basic
-        columns it must be sign * e_r, and an entry off by more than
-        FACTOR_TOL repeats the iteration from a refactorized inverse.
+        where PIVOT_TOL suffices.  The row is also the drift test
+        (`_drifted`) of an inverse REFACTOR_INTERVAL or more pivots old: on
+        the basic columns it must be sign * e_r, and an entry off by more
+        than FACTOR_TOL repeats the iteration from a refactorized inverse.
 
         `c_pad` holds the costs it prices, shifted after `load_state`.  The
         loop carries `obj`, the objective of the dual feasible basis under
@@ -765,15 +770,12 @@ class SimplexSolver:
             below = xb[r] < lo[r]
             sign = -1.0 if below else 1.0
             y, gamma = self._dual_row(r, sign)
-            if self._pivots_since_refactor >= REFACTOR_INTERVAL:
-                # a warm solve's inverse, past the periodic refactorization:
-                # gamma on the basic columns is sign * (row r of B^-1) @ B,
-                # sign * e_r for an exact inverse
-                drift = gamma.take(self.basis)
-                drift[r] -= sign
-                if np.abs(drift).max() > FACTOR_TOL:
-                    self._refactor()
-                    continue
+            # on the basic columns gamma is sign * (row r of B^-1) @ B
+            unit = np.zeros(self.m)
+            unit[r] = sign
+            if self._drifted(gamma, unit):
+                self._refactor()
+                continue
             score = self._gain(gamma)
             cand = (score > DUAL_PIVOT_TOL).nonzero()[0]
             if not cand.size:
@@ -805,7 +807,11 @@ class SimplexSolver:
         """Primal simplex from the current basis, phase 1 while some basic
         violates a bound; `iters` iterations of the budget are spent.  The
         solution counts the phase-1 iterations (those that found a violating
-        basic) in `phase_one_iterations`."""
+        basic) in `phase_one_iterations`.  Each fresh price is also the drift
+        test (`_drifted`) of an inverse REFACTOR_INTERVAL or more pivots old:
+        on the basic columns d is 0 in phase 2 and minus the phase-1 costs in
+        phase 1, and an entry off by more than FACTOR_TOL repeats the
+        iteration from a refactorized inverse."""
         bland = False
         degen_streak = phase_one_iters = 0
         phase_one = False
@@ -816,12 +822,13 @@ class SimplexSolver:
 
             xb, lo, hi = self.xb, self.lb_B, self.ub_B
             below, above = xb < lo - FEAS_TOL, xb > hi + FEAS_TOL
-            if below.any() or above.any():
+            cost = above.astype(float) - below  # the phase-1 costs, all 0 in phase 2
+            if cost.any():
                 # phase-1 costs are zero off the basis; basic columns are
                 # never eligible, so their entries of d do not matter
                 phase_one = True
                 phase_one_iters += 1
-                yb = self._btran(above.astype(float) - below)
+                yb = self._btran(cost)
                 d = -np.concatenate([yb @ self.A, yb])
             elif phase_one:
                 phase_one = False
@@ -830,6 +837,9 @@ class SimplexSolver:
                 continue
             else:
                 d = self._price(c_pad[self.basis])
+            if self._drifted(d, -cost):  # d on the basic columns is -cost
+                self._refactor()
+                continue
 
             q, sigma = self._eligible_entering(d, bland)
             if q < 0 and phase_one:
@@ -886,7 +896,6 @@ class SimplexSolver:
         self._set_stat(leaving, ST_UPPER if to_upper else ST_LOWER)
         self._set_stat(q, ST_BASIC)
         self._update_binv(w, pos, q)
-        self._count_pivot()
 
     def _ratio(self, q, sigma, w, xb, lo, hi, below, above, bland):
         """Step for the entering variable, given this iteration's basic

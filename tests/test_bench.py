@@ -6,6 +6,7 @@ tests.
 """
 import itertools
 import math
+import re
 
 import pytest
 
@@ -60,6 +61,26 @@ def test_cell_seed_unique_over_documented_ranges():
 
 def test_cell_seed_distinct_bases():
     assert cell_seed(1, 2, 3, 4, 5) != cell_seed(2, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("overrides, first, second", [
+    # rep 10 of N = 50 and rep 0 of N = 51 take 510
+    ({"replications": 11, "samples": (50, 51)}, (2, 3, 50, 10), (2, 3, 51, 0)),
+    # N = 1001 at D = 2 and N = 1 at D = 3 take 20010
+    ({"centers": (2, 3), "samples": (1, 1001)}, (2, 2, 1001, 0), (2, 3, 1, 0)),
+])
+def test_config_rejects_cells_that_share_a_seed(overrides, first, second):
+    assert cell_seed(20240801, *first) == cell_seed(20240801, *second)
+    with pytest.raises(ValueError, match=re.escape(f"cells (F, D, N, rep) = {first} and {second} "
+                                                   f"share the seed {cell_seed(20240801, *first)}")):
+        ExperimentConfig(**overrides)
+
+
+def test_default_config_cells_have_distinct_seeds():
+    cfg = ExperimentConfig()
+    cells = list(itertools.product(cfg.factories, cfg.centers, cfg.samples,
+                                   range(cfg.replications)))
+    assert len({cell_seed(cfg.base_seed, *cell) for cell in cells}) == len(cells) == 8
 
 
 # -- config -------------------------------------------------------------------

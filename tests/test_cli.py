@@ -268,6 +268,25 @@ def test_oracle_rejects_non_finite_plan(instance_path, tmp_path, capsys):
     assert "verdict" not in captured.out
 
 
+@pytest.mark.parametrize("plan, message", [
+    ({"plan": [0.0] * 6}, 'plan object has no "x" key'),
+    ([[1, 2, 3], [4, 5, 6]], "plan must be a flat list of 6 finite numbers"),
+    ({"x": [[1, 2, 3], [4, 5, 6]]}, "plan must be a flat list of 6 finite numbers"),
+    (["1", 2, 3, 4, 5, 6], "plan must be a flat list of 6 finite numbers"),
+    ([True] + [0.0] * 5, "plan must be a flat list of 6 finite numbers"),
+])
+def test_oracle_rejects_malformed_plan(instance_path, tmp_path, capsys, plan, message):
+    # an object without "x", or a nested list with the right entry count,
+    # is a usage error that says what a plan is
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    rc = main(["oracle", str(instance_path), "--x", str(path)])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"drccp oracle: error: {message}\n" in captured.err
+    assert "verdict" not in captured.out
+
+
 # -- bench --------------------------------------------------------------------
 
 def test_bench_write_default_config(tmp_path, capsys):

@@ -413,7 +413,7 @@ class TestValidityReferee:
         # check_cut_validity's supports, on the knapsack model with the
         # cut's left-hand side as the objective, solve warm as they do cold.
         # On the first path-cut instance (seed 1) the supports solve in
-        # fewer iterations cold than warm (924 against 1,020), so the path
+        # fewer iterations cold than warm (924 against 961), so the path
         # case starts at seed 3
         seeds = range(40) if family == "mixing" else range(3, 40)
         inst, _, _, cuts, bm = TestSeparators().find_instance_with_cut(family, seeds)

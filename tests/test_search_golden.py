@@ -84,14 +84,14 @@ GOLDEN = {
     "box47/compact/path/depth-first": "a8627fec0be8aa85",
     "box47/compact/mixing+path/best-bound": "a8627fec0be8aa85",
     "box47/compact/mixing+path/depth-first": "a8627fec0be8aa85",
-    "transport/basic/none/best-bound": "66b5ca28d915cceb",
-    "transport/basic/none/depth-first": "ae686d14171d93f7",
-    "transport/basic/mixing/best-bound": "0d0fe5fc1a32207a",
-    "transport/basic/mixing/depth-first": "503738a400b0591b",
-    "transport/basic/path/best-bound": "1a79105108be425d",
-    "transport/basic/path/depth-first": "8dc47f33dd59d26d",
-    "transport/basic/mixing+path/best-bound": "b9b069663b79c380",
-    "transport/basic/mixing+path/depth-first": "3c17557ce5b361b2",
+    "transport/basic/none/best-bound": "911fc6bc3525139f",
+    "transport/basic/none/depth-first": "9bec3d48e88c9559",
+    "transport/basic/mixing/best-bound": "7ad18a25f43b138c",
+    "transport/basic/mixing/depth-first": "abfc4a8f366eb2d0",
+    "transport/basic/path/best-bound": "d2ba4522ba6586af",
+    "transport/basic/path/depth-first": "acbe9ccf7379f704",
+    "transport/basic/mixing+path/best-bound": "69bdf9238048b439",
+    "transport/basic/mixing+path/depth-first": "e60ed4bef750e09c",
     "transport/compact/none/best-bound": "a94415fc9c694ca0",
     "transport/compact/none/depth-first": "a94415fc9c694ca0",
     "transport/compact/mixing/best-bound": "a94415fc9c694ca0",
@@ -118,7 +118,7 @@ GOLDEN = {
     "box50-node-limit-3/compact/mixing+path/depth-first": "8e7ef2664031381a",
     "theta/compact/none/best-bound": "326e4450a39e53cc",
     "theta/compact/none/depth-first": "326e4450a39e53cc",
-    "reliable/basic/none/best-bound": "2b3e0ca263a4fce3",
+    "reliable/basic/none/best-bound": "4dc23580c561e493",
 }
 
 GRID_GROUPS = ("box50", "box47", "transport", "box50-node-limit-3")

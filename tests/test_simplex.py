@@ -1187,6 +1187,32 @@ def dense_inverse(solver):
     return binv
 
 
+def violating(solver):
+    """Whether some basic lies more than FEAS_TOL outside a bound."""
+    return bool((np.maximum(solver.lb_B - solver.xb, solver.xb - solver.ub_B) > FEAS_TOL).any())
+
+
+@contextlib.contextmanager
+def forced_drift():
+    """In the block, add 1e-4 to every entry of `binv_s` after each pivot
+    that leaves the inverse REFACTOR_INTERVAL pivots old, so that the next
+    drift test, in either loop, rebuilds it where a rebuild every
+    REFACTOR_INTERVAL pivots would have.  Yields the `total_pivots` of each
+    perturbation."""
+    perturbed = []
+    pivot = SimplexSolver._pivot
+
+    def spy(self, *args):
+        pivot(self, *args)
+        if self._pivots_since_refactor == simplex.REFACTOR_INTERVAL:
+            self.binv_s += 1e-4
+            perturbed.append(self.total_pivots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimplexSolver, "_pivot", spy)
+        yield perturbed
+
+
 class TestRefactor:
     @pytest.mark.parametrize("basis", [
         [12, 10, 8, 11, 9],  # k = 0: slacks only, not on their own positions
@@ -1228,6 +1254,8 @@ class TestRefactor:
         assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
     def test_long_solves_through_refactors_match_reference(self, monkeypatch):
+        # each forced drift is seen by the next iteration, which rebuilds
+        # the inverse before it pivots again
         refactors = []
         refactor = SimplexSolver._refactor
 
@@ -1250,9 +1278,11 @@ class TestRefactor:
                              lb=lb, ub=ub)
             del refactors[:]
             solver = SimplexSolver(prob)
-            sol = solver.solve()
+            with forced_drift() as perturbed:
+                sol = solver.solve()
             ref = scipy_solve(prob)
-            assert solver.total_pivots >= 150 and len(refactors) >= 3
+            assert solver.total_pivots >= 150 and len(perturbed) >= 3
+            assert refactors == perturbed and sol.refactorizations == len(refactors)
             assert sol.status == "optimal" and ref.status == 0
             assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
@@ -1350,11 +1380,11 @@ def tightened_warm_start(seed):
 
 
 class TestDriftRefactor:
-    """A solve started by `load_state` skips the periodic refactorization in
-    its dual loop and rebuilds an inverse past REFACTOR_INTERVAL pivots only
-    when a ratio row drifts from sign * e_r on the basic columns; any other
-    solve refactorizes every REFACTOR_INTERVAL pivots.
-    `LpSolution.refactorizations` counts the rebuilds."""
+    """Both loops rebuild an inverse REFACTOR_INTERVAL or more pivots old
+    only when a row priced through it drifts on the basic columns: the dual
+    ratio row from sign * e_r, the primal reduced costs from 0 in phase 2
+    and from minus the phase-1 costs in phase 1.  Nothing rebuilds on the
+    pivot count alone.  `LpSolution.refactorizations` counts the rebuilds."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_drifted_inverse_is_rebuilt(self, seed):
@@ -1381,19 +1411,93 @@ class TestDriftRefactor:
         assert abs(drifted.objective - clean.objective) <= 1e-9 * max(1.0, abs(clean.objective))
 
     def test_warm_dual_loop_skips_the_periodic_refactorization(self):
+        # neither the warm nor the cold solve rebuilds on the pivot count; a
+        # forced drift makes the cold one rebuild once per REFACTOR_INTERVAL
+        # pivots, and it ends where the warm one does
         prob, solver, edits = tightened_warm_start(0)
         pivots = solver.total_pivots
         warm = solver.solve()
         assert solver.total_pivots - pivots > simplex.REFACTOR_INTERVAL
         assert warm.iterations == warm.dual_iterations + 1  # the final pricing
         assert warm.status == "optimal" and warm.refactorizations == 0
-        cold = SimplexSolver(prob)
-        for j, lo, hi in edits:
-            cold.set_bound(j, lo, hi)
-        pivots = cold.total_pivots
-        ref = cold.solve()
-        assert ref.refactorizations >= (cold.total_pivots - pivots) // simplex.REFACTOR_INTERVAL >= 1
-        assert abs(ref.objective - warm.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+        for drift in (False, True):
+            cold = SimplexSolver(prob)
+            for j, lo, hi in edits:
+                cold.set_bound(j, lo, hi)
+            pivots = cold.total_pivots
+            with forced_drift() if drift else contextlib.nullcontext([]) as perturbed:
+                ref = cold.solve()
+            steps = (cold.total_pivots - pivots) // simplex.REFACTOR_INTERVAL
+            assert steps >= 1 and ref.refactorizations == len(perturbed) == (steps if drift else 0)
+            assert ref.status == "optimal"
+            assert abs(ref.objective - warm.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+
+    def test_cold_basic_root_on_200_samples_never_rebuilds(self):
+        # 201 pivots through an inverse that never drifts: the rebuild every
+        # REFACTOR_INTERVAL pivots took 4
+        prob = cold_root_lp("basic", 200)
+        solver = SimplexSolver(prob)
+        sol = solver.solve()
+        ref = scipy_solve(prob)
+        assert solver.total_pivots > 4 * simplex.REFACTOR_INTERVAL
+        assert sol.refactorizations == 0
+        assert sol.status == "optimal" and ref.status == 0
+        assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+    @staticmethod
+    def drift_in_primal(monkeypatch, prob, phase_one):
+        """Solve `prob` cold, adding 1e-4 to every entry of `binv_s` once:
+        after the first primal pivot that leaves the inverse
+        REFACTOR_INTERVAL or more pivots old with some basic violating a
+        bound (`phase_one`) or none.  Returns the solution, the
+        `total_pivots` of the perturbation, and for each rebuild its
+        `total_pivots` and whether some basic violated a bound."""
+        primal, pivot, refactor = SimplexSolver._primal, SimplexSolver._pivot, SimplexSolver._refactor
+        seen = {"primal": False, "perturbed": None, "rebuilds": []}
+
+        def primal_spy(self, *args):
+            seen["primal"] = True
+            return primal(self, *args)
+
+        def pivot_spy(self, *args):
+            pivot(self, *args)
+            if (seen["primal"] and seen["perturbed"] is None
+                    and self._pivots_since_refactor >= simplex.REFACTOR_INTERVAL
+                    and violating(self) == phase_one):
+                self.binv_s += 1e-4
+                seen["perturbed"] = self.total_pivots
+
+        def refactor_spy(self):
+            seen["rebuilds"].append((self.total_pivots, violating(self)))
+            refactor(self)
+
+        monkeypatch.setattr(SimplexSolver, "_primal", primal_spy)
+        monkeypatch.setattr(SimplexSolver, "_pivot", pivot_spy)
+        monkeypatch.setattr(SimplexSolver, "_refactor", refactor_spy)
+        sol = SimplexSolver(prob).solve()
+        return sol, seen["perturbed"], seen["rebuilds"]
+
+    def test_primal_phase_one_rebuilds_a_drifted_inverse(self, monkeypatch):
+        # the cold basic root on (2,10,200): 41 dual pivots, then 160 in
+        # phase 1, so the inverse turns REFACTOR_INTERVAL pivots old in phase 1
+        prob = cold_root_lp("basic", 200)
+        sol, perturbed, rebuilds = self.drift_in_primal(monkeypatch, prob, phase_one=True)
+        assert perturbed is not None and rebuilds == [(perturbed, True)]
+        ref = scipy_solve(prob)
+        assert sol.status == "optimal" and ref.status == 0 and sol.refactorizations == 1
+        assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_primal_phase_two_rebuilds_a_drifted_inverse(self, monkeypatch, seed):
+        # a (60, 80) `boxed_problem` is not dual feasible at its slack basis
+        # and takes 38-47 phase-1 and some 200-330 phase-2 pivots
+        prob = boxed_problem(np.random.default_rng(seed), 60, 80)
+        sol, perturbed, rebuilds = self.drift_in_primal(monkeypatch, prob, phase_one=False)
+        assert sol.dual_iterations == 0
+        assert perturbed is not None and rebuilds == [(perturbed, False)]
+        ref = scipy_solve(prob)
+        assert sol.status == "optimal" and ref.status == 0 and sol.refactorizations == 1
+        assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
 
 class TestInstall:
@@ -1519,7 +1623,11 @@ class TestKeptInverse:
             solver.set_bound(j, prob.lb[j], prob.ub[j])
 
     def test_reload_restores_what_factor_builds(self, monkeypatch):
-        prob, solver, first, state, _ = TestInstall.moved_away(np.random.default_rng(816))
+        # the first solve's basic values come through a rebuild, as the
+        # reload's do, so its objective is the same to the last bit
+        with forced_drift() as perturbed:
+            prob, solver, first, state, _ = TestInstall.moved_away(np.random.default_rng(816))
+        assert perturbed
         solver.load_state(*state)  # factored and kept
         self.move_away(solver, prob)
         assert not np.array_equal(solver.basis, state[0])
@@ -1570,8 +1678,8 @@ class TestKeptInverse:
 
     def test_fixed_search_factors_less(self, monkeypatch):
         """`improved` at the first radius of the bench's (2,3,50) cell: the
-        same nodes and LP iterations as when every load factored its basis
-        (176 `_factor` calls), from 92 calls.  The iterations and calls
+        same nodes and LP iterations as when every load factors its basis,
+        from about half the `_factor` calls.  The iterations and calls
         include the search's seed LP and the cold reset after it."""
         config = ExperimentConfig()
         tp = generate(2, 3, 50, cell_seed(config.base_seed, 2, 3, 50, 0), config.epsilon)
@@ -1581,11 +1689,22 @@ class TestKeptInverse:
                                                 node_limit=config.theta_max_node_limit))
         inst = to_drccp(tp, theta=theta_grid(tmax)[0])
         model = build_formulation(inst, "compact", big_m=transport_big_m(tp), quant=quant)
+        search = BncConfig(gap_tol=config.gap_tol, node_limit=config.node_limit)
         with counted(monkeypatch, "_factor") as factors:
-            res = bnc.solve(model, (), BncConfig(gap_tol=config.gap_tol,
-                                                 node_limit=config.node_limit))
+            res = bnc.solve(model, (), search)
+        kept = len(factors)
+        load = SimplexSolver.load_state
+
+        def forgetful(self, basis, stat):
+            self._kept = None  # nothing kept: every new basis is factored
+            load(self, basis, stat)
+
+        monkeypatch.setattr(SimplexSolver, "load_state", forgetful)
+        with counted(monkeypatch, "_factor") as every:
+            ref = bnc.solve(model, (), search)
         assert (res.status, res.nodes, res.iterations) == ("optimal", 179, 630)
-        assert len(factors) == 92
+        assert (ref.status, ref.nodes, ref.iterations) == (res.status, res.nodes, res.iterations)
+        assert (kept, len(every)) == (91, 175)
 
 
 # -- the fused selection rules against their mask-by-mask originals ---------
@@ -1820,11 +1939,16 @@ class TestSelectionRules:
         assert total_violation(x, lo, hi, below | above) <= total_violation(xb, lo, hi, below | above)
 
 
-def cold_root(kind, n):
-    """The slack-basis solve of the (2,10,n) cell's root LP at radius 0.01."""
+def cold_root_lp(kind, n):
+    """The root LP of the (2,10,n) cell at radius 0.01."""
     tp = generate(2, 10, n, cell_seed(20240801, 2, 10, n, 0), 0.1)
     model = build_formulation(to_drccp(tp, theta=0.01), kind, big_m=transport_big_m(tp))
-    return SimplexSolver(bnc.model_to_lp(model)[0]).solve()
+    return bnc.model_to_lp(model)[0]
+
+
+def cold_root(kind, n):
+    """The slack-basis solve of the (2,10,n) cell's root LP at radius 0.01."""
+    return SimplexSolver(cold_root_lp(kind, n)).solve()
 
 
 class TestColdRoots:
@@ -1974,7 +2098,7 @@ def boxed_problem(rng, m, n, A=None):
 
 class TestMoveMasks:
     def test_masks_follow_every_pivot_flip_and_refactor(self, monkeypatch):
-        monkeypatch.setattr(simplex, "REFACTOR_INTERVAL", 5)
+        monkeypatch.setattr(simplex, "REFACTOR_INTERVAL", 5)  # forced drift every 5 pivots
         refactors = []
         refactor = SimplexSolver._refactor
 
@@ -1984,7 +2108,7 @@ class TestMoveMasks:
 
         monkeypatch.setattr(SimplexSolver, "_refactor", spy)
         rng = np.random.default_rng(808)
-        with checked_moves(monkeypatch) as seen:
+        with checked_moves(monkeypatch) as seen, forced_drift():
             for _ in range(4):
                 prob = boxed_problem(rng, 20, 30)
                 solver = SimplexSolver(prob)
@@ -1996,9 +2120,10 @@ class TestMoveMasks:
         assert seen["pivots"] > 0 and seen["flips"] > 0 and len(refactors) > 0
 
     def test_masks_recomputed_after_repair(self, monkeypatch):
-        # every column has an equal twin; at the first refactorization a
-        # basic slack is swapped for the twin of a basic structural, so the
-        # basis is singular and `_repair_basis` re-settles the statuses
+        # every column has an equal twin; at the first refactorization (a
+        # forced drift after 3 pivots) a basic slack is swapped for the twin
+        # of a basic structural, so the basis is singular and
+        # `_repair_basis` re-settles the statuses
         monkeypatch.setattr(simplex, "REFACTOR_INTERVAL", 3)
         repairs = []
         refactor, repair = SimplexSolver._refactor, SimplexSolver._repair_basis
@@ -2022,7 +2147,7 @@ class TestMoveMasks:
         rng = np.random.default_rng(910)
         half = np.round(rng.normal(size=(12, 8)), 3)
         prob = boxed_problem(rng, 12, 16, A=np.hstack([half, half]))
-        with checked_moves(monkeypatch) as seen:
+        with checked_moves(monkeypatch) as seen, forced_drift():
             sol = SimplexSolver(prob).solve()
         ref = scipy_solve(prob)
         assert repairs and repairs[0]  # the repair changed some statuses

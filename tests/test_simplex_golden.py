@@ -159,10 +159,10 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 GRID_THETA_MAX = 0.1676598856181914  # perfbench/reference.json, grid-narrow theta_max
 GRID_ARMS = {
     # arm: (status, repr(objective), nodes, iterations, pivots)
-    "basic": ("optimal", "39.10998585393153", 83, 1445, 1398),
+    "basic": ("optimal", "39.10998585393185", 83, 1445, 1398),
     "improved": ("optimal", "39.10998585393173", 21, 176, 163),
-    "mixingpath": ("optimal", "39.10998585393173", 19, 195, 179),
-    "basicmixingpath": ("optimal", "39.10998585393153", 25, 511, 487),
+    "mixingpath": ("optimal", "39.10998585393173", 23, 192, 174),
+    "basicmixingpath": ("optimal", "39.10998585393185", 29, 533, 507),
 }
 
 _GRID_SCRIPT = """
